@@ -2,7 +2,6 @@
 
 from .arcmargin import (
     ArcMarginHead,
-    arc_margin_grad,
     arc_margin_logits,
     softmax_cross_entropy,
 )
@@ -19,7 +18,7 @@ from .evaluation import (
     silhouette_score,
 )
 from .heads import MeanFusionHead, MlpFusionHead, MultiViewHead
-from .linalg import angle_deg, centroid, cosine_similarity, l2_normalize, matmul
+from .linalg import angle_deg, centroid, cosine_similarity, l2_normalize
 from .training import AdamW, TrainingConfig, clip_global_norm, train_run
 
 __version__ = "0.1.0"
@@ -38,7 +37,6 @@ __all__ = [
     "TrainingConfig",
     "TrialConfig",
     "angle_deg",
-    "arc_margin_grad",
     "arc_margin_logits",
     "boxplot_stats",
     "build_trials",
@@ -48,7 +46,6 @@ __all__ = [
     "cosine_similarity",
     "generate_identities",
     "l2_normalize",
-    "matmul",
     "run_full_evaluation",
     "sample_dataset",
     "silhouette_score",

@@ -44,20 +44,8 @@ class ArcMarginHead:
         return cls(prototypes=protos, scale=scale, margin=margin)
 
     @property
-    def d_e(self):
-        return self.prototypes.shape[0]
-
-    @property
     def n_classes(self):
         return self.prototypes.shape[1]
-
-    def param_dict(self):
-        return {"prototypes": self.prototypes}
-
-    def set_param(self, name, value):
-        if name != "prototypes":
-            raise ShapeError(f"unknown arc-margin parameter {name!r}")
-        self.prototypes = value
 
 
 def softmax_cross_entropy(logits, target):
@@ -77,7 +65,7 @@ def _cosines(head, embeddings, strict=True):
     zeroed by the caller.
     """
     norms = np.linalg.norm(embeddings, axis=1)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         if strict:
             raise DegenerateInputError("zero embedding has no direction")
         norms = np.where(norms == 0.0, 1.0, norms)
@@ -92,7 +80,7 @@ def _check_targets(head, targets):
     targets = np.asarray(targets)
     if targets.ndim != 1:
         raise ShapeError("targets must be a 1-d integer array")
-    if np.any(targets < 0) or np.any(targets >= head.n_classes):
+    if ((targets < 0) | (targets >= head.n_classes)).any():
         raise LabelError("target class index out of range")
     return targets
 
@@ -171,14 +159,6 @@ def arc_margin_loss_grad_batch(head, embeddings, targets):
     grad_e[degenerate] = 0.0  # zero rows have no direction to move in
     grad_w = (dw_hat - w_hat * (dw_hat * w_hat).sum(axis=0, keepdims=True)) / w_norms
     return loss, grad_e, grad_w, per_sample
-
-
-def arc_margin_grad(head, embedding, target):
-    """Single-embedding gradients: (grad_embedding, grad_prototypes, loss)."""
-    loss, grad_e, grad_w, _ = arc_margin_loss_grad_batch(
-        head, embedding, np.array([target])
-    )
-    return grad_e[0], grad_w, loss
 
 
 def arc_margin_loss(head, embedding, target):

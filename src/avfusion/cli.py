@@ -24,7 +24,7 @@ from .errors import (
     LabelError,
     PersistenceError,
 )
-from .heads import DESK_DIMS, FULL_DIMS, MeanFusionHead, MlpFusionHead, MultiViewHead
+from .heads import DESK_DIMS, FULL_DIMS, HEAD_KINDS
 from .rng import substream
 from .training import TrainingConfig, train_run
 
@@ -181,15 +181,12 @@ def _make_head(cfg, d_a, d_v):
     dims = dict(DESK_DIMS if cfg["profile"] == "desk" else FULL_DIMS)
     d_e = cfg["d_e"] if cfg["d_e"] is not None else dims["d_e"]
     hidden = cfg["hidden"] if cfg["hidden"] is not None else dims["hidden"]
-    rng = substream(cfg["seed"], "init")
-    kind = cfg["head"]
-    if kind == "mean":
-        return MeanFusionHead.create(rng, d_a, d_v, d_e, cfg["dropout"])
-    if kind == "mlp":
-        return MlpFusionHead.create(rng, d_a, d_v, d_e, hidden, cfg["dropout"])
-    if kind == "multiview":
-        return MultiViewHead.create(rng, d_a, d_v, d_e, cfg["dropout"])
-    raise ConfigurationError(f"unknown head kind {kind!r}")
+    if cfg["head"] not in HEAD_KINDS:
+        raise ConfigurationError(f"unknown head kind {cfg['head']!r}")
+    return HEAD_KINDS[cfg["head"]].create(
+        substream(cfg["seed"], "init"), d_a, d_v, d_e,
+        hidden=hidden, dropout_p=cfg["dropout"],
+    )
 
 
 def cmd_train(cfg):

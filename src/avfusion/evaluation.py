@@ -89,12 +89,14 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
         raise ConfigurationError(f"unknown modality mode {mode!r}")
     if n_positive < 0 or n_negative < 0:
         raise ConfigurationError("trial counts must be >= 0")
-    by_identity = {}
-    for i, s in enumerate(samples):
-        by_identity.setdefault(s.identity_id, []).append(i)
+    by_identity = _group_indices(samples)
     identities = sorted(by_identity)
     if len(identities) < 2:
         raise ConfigurationError("need at least 2 identities to build trials")
+    # ordered pairs of samples from two different identities
+    n_cross = len(samples) ** 2 - sum(len(m) ** 2 for m in by_identity.values())
+    if n_negative > n_cross:
+        raise ConfigurationError(f"only {n_cross} distinct cross-identity pairs exist")
     left_exp, right_exp = MODALITY_MODES[mode]
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, 300, _MODE_TAGS[mode]])
@@ -116,9 +118,9 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
             a, b = positive_pairs[k]
             trials.append(Trial(a, b, left_exp, right_exp, True))
 
-    seen = set()
+    seen = set()  # one entry per nontarget trial drawn so far
     attempts = 0
-    while sum(1 for t in trials if not t.label) < n_negative:
+    while len(seen) < n_negative:
         attempts += 1
         if attempts > 1000 * max(n_negative, 1):
             raise ConfigurationError("cannot sample enough distinct nontarget pairs")
@@ -132,45 +134,11 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
     return trials
 
 
-def fused_embedding(head, sample, exposure):
-    """Single-sample embedding under a modality exposure ("av", "a", "v")."""
-    if exposure not in ("av", "a", "v"):
-        raise DegenerateInputError(f"invalid exposure {exposure!r}")
-    audio = np.atleast_2d(sample.audio) if "a" in exposure else None
-    video = np.atleast_2d(sample.video) if "v" in exposure else None
-    return _embed_batch(head, audio, video)[0]
-
-
-def _embed_batch(head, audio, video):
-    """Eval-mode batch embeddings with null substitution for missing sides."""
-    if head.kind == "multiview":
-        if audio is not None and video is not None:
-            emb, _ = head.forward_joint(audio, video, train=False)
-        elif audio is not None:
-            emb, _ = head.forward_modality("audio", audio, train=False)
-        elif video is not None:
-            emb, _ = head.forward_modality("video", video, train=False)
-        else:
-            raise DegenerateInputError("empty modality exposure")
-    else:
-        if audio is None and video is None:
-            raise DegenerateInputError("empty modality exposure")
-        emb, _ = head.forward(audio, video, train=False)
-    return emb
-
-
 def embed_samples(head, samples, exposure):
     """Eval-mode embeddings of every sample under one exposure."""
     audio = np.stack([s.audio for s in samples]) if "a" in exposure else None
     video = np.stack([s.video for s in samples]) if "v" in exposure else None
-    return _embed_batch(head, audio, video)
-
-
-def score_trial(head, trial, samples):
-    """Cosine similarity between the two sides' fused embeddings."""
-    left = fused_embedding(head, samples[trial.left], trial.left_exposure)
-    right = fused_embedding(head, samples[trial.right], trial.right_exposure)
-    return cosine_similarity(left, right)
+    return head.embed(audio, video)
 
 
 def score_trials(head, trials, samples):

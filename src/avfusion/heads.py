@@ -7,11 +7,14 @@ boundary, which is what the heads are trained to interpret via masking.
 Forward passes return (embeddings, cache); the cache replays dropout masks
 and batch statistics exactly in the matching backward pass.  Parameter
 gradients are returned in a flat dict keyed like the param_dict() entries.
+
+Training, evaluation and persistence reach every head through the `_Head`
+interface; HEAD_KINDS maps each kind name to its class.
 """
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateInputError, ShapeError
+from .errors import ConfigurationError, ConsistencyError, DegenerateInputError, ShapeError
 from .layers import (
     BatchNormLayer,
     DropoutSpec,
@@ -25,6 +28,30 @@ DEFAULT_LEAKY_SLOPE = 0.01
 # Full-scale dims: audio 356, video 2048, embedding 256, MLP hidden 1330.
 FULL_DIMS = {"d_a": 356, "d_v": 2048, "d_e": 256, "hidden": 1330}
 DESK_DIMS = {"d_a": 16, "d_v": 32, "d_e": 8, "hidden": 24}
+
+MASK_VIDEO = "mask_video"
+MASK_AUDIO = "mask_audio"
+MASK_NONE = "none"
+_MASK_MODES = (MASK_VIDEO, MASK_AUDIO, MASK_NONE)
+
+
+def sample_mask_modes(rng, n, probabilities=(1 / 3, 1 / 3, 1 / 3)):
+    """One of mask_video / mask_audio / none per sample, i.i.d."""
+    return [_MASK_MODES[i] for i in rng.choice(3, size=n, p=np.asarray(probabilities))]
+
+
+def apply_masks(audio, video, modes):
+    """Zero out the masked modality per sample, at the backbone boundary."""
+    audio = np.array(audio, copy=True)
+    video = np.array(video, copy=True)
+    for i, mode in enumerate(modes):
+        if mode == MASK_AUDIO:
+            audio[i] = 0.0
+        elif mode == MASK_VIDEO:
+            video[i] = 0.0
+        elif mode != MASK_NONE:
+            raise ConfigurationError(f"unknown mask mode {mode!r}")
+    return audio, video
 
 
 def _materialize(x, n, dim):
@@ -46,25 +73,25 @@ def _batch_size(audio, video, n=None):
     return n
 
 
-class MeanFusionHead:
-    """Separate linear projections per modality, averaged."""
+def _linear(tensors, prefix):
+    weight, bias = tensors[f"{prefix}.weight"], tensors[f"{prefix}.bias"]
+    if weight.ndim != 2 or bias.shape != weight.shape[:1]:
+        raise ShapeError(f"{prefix}: weight {weight.shape} and bias {bias.shape} mismatch")
+    return LinearLayer(weight=weight, bias=bias)
 
-    kind = "mean"
 
-    def __init__(self, proj_audio, proj_video, dropout=None):
-        if proj_audio.out_dim != proj_video.out_dim:
-            raise ShapeError("audio/video projections must share the output dim")
-        self.proj_audio = proj_audio
-        self.proj_video = proj_video
-        self.dropout = dropout or DropoutSpec()
+class _Head:
+    """The interface every head offers.  The defaults suit a head with one
+    fused forward/backward pass whose parameters are the linear layers named
+    in `_linears`."""
+
+    _linears = ("proj_audio", "proj_video")
 
     @classmethod
-    def create(cls, rng, d_a, d_v, d_e, dropout_p=0.1):
-        return cls(
-            LinearLayer.create(rng, d_a, d_e),
-            LinearLayer.create(rng, d_v, d_e),
-            DropoutSpec(dropout_p),
-        )
+    def from_state(cls, meta, tensors):
+        """The head of checkpoint `meta` holding `tensors`, named as in state()."""
+        layers = [_linear(tensors, name) for name in cls._linears]
+        return cls(*layers, DropoutSpec(meta["dropout_p"]))
 
     @property
     def d_a(self):
@@ -80,16 +107,62 @@ class MeanFusionHead:
 
     def param_dict(self):
         return {
-            "proj_audio.weight": self.proj_audio.weight,
-            "proj_audio.bias": self.proj_audio.bias,
-            "proj_video.weight": self.proj_video.weight,
-            "proj_video.bias": self.proj_video.bias,
+            f"{name}.{attr}": getattr(getattr(self, name), attr)
+            for name in self._linears for attr in ("weight", "bias")
         }
 
-    def set_param(self, name, value):
-        parts = name.split(".")
-        obj = getattr(self, parts[0])
-        setattr(obj, parts[1], value)
+    def state(self):
+        """Every tensor that eval-mode outputs depend on, by name."""
+        return self.param_dict()
+
+    def meta(self):
+        return {
+            "kind": self.kind,
+            "d_a": self.d_a,
+            "d_v": self.d_v,
+            "d_e": self.d_e,
+            "dropout_p": self.dropout.probability,
+        }
+
+    def embed(self, audio, video):
+        """Eval-mode embeddings; a None modality enters as the null input."""
+        if audio is None and video is None:
+            raise DegenerateInputError("empty modality exposure")
+        return self.forward(audio, video)[0]
+
+    def loss_terms(self, audio, video, config, mask_rng=None, rng=None, masks=None):
+        """([(weight, train-mode embeddings)], cache); `mask_rng` draws the
+        modality masks with `config.mask_probabilities`."""
+        if mask_rng is not None:
+            modes = sample_mask_modes(mask_rng, len(audio), config.mask_probabilities)
+            audio, video = apply_masks(audio, video, modes)
+        emb, cache = self.forward(audio, video, train=True, rng=rng, masks=masks)
+        return [(1.0, emb)], cache
+
+    def backward_terms(self, cache, douts):
+        """Parameter gradients, given the loss gradient of each term."""
+        return self.backward(cache, douts[0])[0]
+
+
+class MeanFusionHead(_Head):
+    """Separate linear projections per modality, averaged."""
+
+    kind = "mean"
+
+    def __init__(self, proj_audio, proj_video, dropout=None):
+        if proj_audio.out_dim != proj_video.out_dim:
+            raise ShapeError("audio/video projections must share the output dim")
+        self.proj_audio = proj_audio
+        self.proj_video = proj_video
+        self.dropout = dropout or DropoutSpec()
+
+    @classmethod
+    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=0.1):
+        return cls(
+            LinearLayer.create(rng, d_a, d_e),
+            LinearLayer.create(rng, d_v, d_e),
+            DropoutSpec(dropout_p),
+        )
 
     def forward(self, audio, video, train=False, rng=None, masks=None, n=None):
         n = _batch_size(audio, video, n)
@@ -129,38 +202,49 @@ class MeanFusionHead:
         return grads, da, dv
 
 
-class MlpFusionHead:
+class MlpFusionHead(_Head):
     """Concatenated modalities through a 3-layer MLP.
 
     Each layer is linear -> leaky ReLU -> batch norm, with dropout after the
     batch norm of the first two layers.  Input dropout is applied to the two
-    modality embeddings before concatenation, as in the mean head.
+    modality embeddings before concatenation, as in the mean head.  The
+    first `d_a` inputs of the first layer are the audio side.
     """
 
     kind = "mlp"
 
-    def __init__(self, layers, norms, dropout=None, leaky_slope=DEFAULT_LEAKY_SLOPE):
+    def __init__(self, layers, norms, d_a, dropout=None,
+                 leaky_slope=DEFAULT_LEAKY_SLOPE):
         self.layers = list(layers)
         self.norms = list(norms)
         if len(self.layers) != 3 or len(self.norms) != 3:
             raise ShapeError("MLP head has exactly three linear+norm stages")
+        if not 0 < d_a < self.layers[0].in_dim:
+            raise ShapeError(f"audio dim {d_a} does not split input dim "
+                             f"{self.layers[0].in_dim}")
+        self._d_a = d_a
         self.dropout = dropout or DropoutSpec()
         self.leaky_slope = leaky_slope
-        self._d_a = None  # set by create / checkpoint load
-        self._d_v = None
 
     @classmethod
-    def create(cls, rng, d_a, d_v, d_e, hidden, dropout_p=0.1,
-               leaky_slope=DEFAULT_LEAKY_SLOPE):
+    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=0.1):
         dims = [d_a + d_v, hidden, hidden, d_e]
         layers = [
             LinearLayer.create(rng, dims[i], dims[i + 1]) for i in range(3)
         ]
         norms = [BatchNormLayer.create(dims[i + 1]) for i in range(3)]
-        head = cls(layers, norms, DropoutSpec(dropout_p), leaky_slope)
-        head._d_a = d_a
-        head._d_v = d_v
-        return head
+        return cls(layers, norms, d_a, DropoutSpec(dropout_p))
+
+    @classmethod
+    def from_state(cls, meta, tensors):
+        layers = [_linear(tensors, f"layer{i}") for i in (1, 2, 3)]
+        norms = [
+            BatchNormLayer(**{k: tensors[f"bn{i}.{k}"] for k in (
+                "gamma", "beta", "running_mean", "running_var")})
+            for i in (1, 2, 3)
+        ]
+        return cls(layers, norms, meta["d_a"], DropoutSpec(meta["dropout_p"]),
+                   meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE))
 
     @property
     def d_a(self):
@@ -168,7 +252,7 @@ class MlpFusionHead:
 
     @property
     def d_v(self):
-        return self._d_v
+        return self.layers[0].in_dim - self._d_a
 
     @property
     def d_e(self):
@@ -183,14 +267,18 @@ class MlpFusionHead:
             params[f"bn{i}.beta"] = bn.beta
         return params
 
-    def set_param(self, name, value):
-        prefix, attr = name.split(".")
-        idx = int(prefix[-1]) - 1
-        obj = self.layers[idx] if prefix.startswith("layer") else self.norms[idx]
-        setattr(obj, attr, value)
+    def state(self):
+        state = self.param_dict()
+        for i, bn in enumerate(self.norms, start=1):
+            state[f"bn{i}.running_mean"] = bn.running_mean
+            state[f"bn{i}.running_var"] = bn.running_var
+        return state
 
-    def forward(self, audio, video, train=False, rng=None, masks=None, n=None,
-                update_running=True):
+    def meta(self):
+        return dict(super().meta(), hidden=self.layers[0].out_dim,
+                    leaky_slope=self.leaky_slope)
+
+    def forward(self, audio, video, train=False, rng=None, masks=None, n=None):
         n = _batch_size(audio, video, n)
         a = _materialize(audio, n, self.d_a)
         v = _materialize(video, n, self.d_v)
@@ -202,7 +290,7 @@ class MlpFusionHead:
         for i in range(3):
             z, lin_cache = self.layers[i].forward(x)
             r, relu_mask = leaky_relu(z, self.leaky_slope)
-            b, bn_cache = self.norms[i].forward(r, train, update_running)
+            b, bn_cache = self.norms[i].forward(r, train)
             drop_mask = None
             if i < 2:
                 b, drop_mask = self.dropout.apply(
@@ -243,15 +331,17 @@ class MlpFusionHead:
         return grads, da, dv
 
 
-class MultiViewHead:
+class MultiViewHead(_Head):
     """Per-modality projections into a shared classification layer.
 
     Each modality is processed separately: projection -> shared linear layer
     -> ReLU -> (train-time) dropout.  The joint two-modality embedding is the
-    mean of the two single-modality embeddings.
+    mean of the two single-modality embeddings.  Training is unmasked, on
+    the audio and video paths weighted by lambda_audio and lambda_video.
     """
 
     kind = "multiview"
+    _linears = ("proj_audio", "proj_video", "shared_classifier")
 
     def __init__(self, proj_audio, proj_video, shared_classifier, dropout=None):
         if proj_audio.out_dim != proj_video.out_dim:
@@ -266,7 +356,7 @@ class MultiViewHead:
         self.dropout = dropout or DropoutSpec()
 
     @classmethod
-    def create(cls, rng, d_a, d_v, d_e, dropout_p=0.1):
+    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=0.1):
         return cls(
             LinearLayer.create(rng, d_a, d_e),
             LinearLayer.create(rng, d_v, d_e),
@@ -274,32 +364,27 @@ class MultiViewHead:
             DropoutSpec(dropout_p),
         )
 
-    @property
-    def d_a(self):
-        return self.proj_audio.in_dim
+    def embed(self, audio, video):
+        """The joint embedding, or the one present modality's path."""
+        if audio is not None and video is not None:
+            return self.forward_joint(audio, video)[0]
+        if audio is not None:
+            return self.forward_modality("audio", audio)[0]
+        if video is not None:
+            return self.forward_modality("video", video)[0]
+        raise DegenerateInputError("empty modality exposure")
 
-    @property
-    def d_v(self):
-        return self.proj_video.in_dim
+    def loss_terms(self, audio, video, config, mask_rng=None, rng=None, masks=None):
+        """The audio and video paths as two terms; `mask_rng` is unused."""
+        emb_a, cache_a = self.forward_modality("audio", audio, True, rng, masks)
+        emb_v, cache_v = self.forward_modality("video", video, True, rng, masks)
+        terms = [(config.lambda_audio, emb_a), (config.lambda_video, emb_v)]
+        return terms, (cache_a, cache_v)
 
-    @property
-    def d_e(self):
-        return self.shared_classifier.out_dim
-
-    def param_dict(self):
-        return {
-            "proj_audio.weight": self.proj_audio.weight,
-            "proj_audio.bias": self.proj_audio.bias,
-            "proj_video.weight": self.proj_video.weight,
-            "proj_video.bias": self.proj_video.bias,
-            "shared_classifier.weight": self.shared_classifier.weight,
-            "shared_classifier.bias": self.shared_classifier.bias,
-        }
-
-    def set_param(self, name, value):
-        parts = name.split(".")
-        obj = getattr(self, parts[0])
-        setattr(obj, parts[1], value)
+    def backward_terms(self, cache, douts):
+        grads, _ = self.backward_modality(cache[0], douts[0])
+        grads_v, _ = self.backward_modality(cache[1], douts[1])
+        return _add_grads(grads, grads_v)
 
     def forward_modality(self, modality, x, train=False, rng=None, masks=None):
         if modality not in ("audio", "video"):
@@ -360,10 +445,7 @@ class MultiViewHead:
         _check_cache(self, cache)
         grads_a, da = self.backward_modality(cache["audio"], 0.5 * dout)
         grads_v, dv = self.backward_modality(cache["video"], 0.5 * dout)
-        grads = dict(grads_a)
-        for name, g in grads_v.items():
-            grads[name] = grads.get(name, 0.0) + g
-        return grads, da, dv
+        return _add_grads(grads_a, grads_v), da, dv
 
 
 def _check_cache(head, cache):
@@ -371,38 +453,11 @@ def _check_cache(head, cache):
         raise ConsistencyError("forward cache does not belong to this head")
 
 
-# Single-vector convenience wrappers over the batched forward passes.
-
-def mean_fuse(head, audio, video, train=False, rng=None, allow_double_null=False):
-    if audio is None and video is None and not allow_double_null:
-        raise DegenerateInputError("both modalities are null")
-    a = None if audio is None else np.atleast_2d(np.asarray(audio, dtype=np.float64))
-    v = None if video is None else np.atleast_2d(np.asarray(video, dtype=np.float64))
-    out, _ = head.forward(a, v, train=train, rng=rng, n=1)
-    return out[0]
+def _add_grads(grads, more):
+    """`grads` with `more` added in; names in both are summed."""
+    for name, g in more.items():
+        grads[name] = grads[name] + g if name in grads else g
+    return grads
 
 
-def mlp_fuse(head, audio, video, train=False, rng=None):
-    if audio is None and video is None:
-        raise DegenerateInputError("both modalities are null")
-    a = None if audio is None else np.atleast_2d(np.asarray(audio, dtype=np.float64))
-    v = None if video is None else np.atleast_2d(np.asarray(video, dtype=np.float64))
-    out, _ = head.forward(a, v, train=train, rng=rng, n=1)
-    return out[0]
-
-
-def multiview_embed(head, modality, x, train=False, rng=None):
-    out, _ = head.forward_modality(
-        modality, np.atleast_2d(np.asarray(x, dtype=np.float64)), train=train, rng=rng
-    )
-    return out[0]
-
-
-def multiview_joint(head, audio, video, train=False, rng=None):
-    out, _ = head.forward_joint(
-        np.atleast_2d(np.asarray(audio, dtype=np.float64)),
-        np.atleast_2d(np.asarray(video, dtype=np.float64)),
-        train=train,
-        rng=rng,
-    )
-    return out[0]
+HEAD_KINDS = {cls.kind: cls for cls in (MeanFusionHead, MlpFusionHead, MultiViewHead)}

@@ -19,25 +19,6 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-d float64 array."""
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DegenerateInputError("matrix contains NaN or Inf")
-    return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def l2_normalize(v) -> np.ndarray:
     """Scale v to unit L2 norm, preserving direction."""
     v = as_vector(v)

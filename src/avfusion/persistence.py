@@ -8,22 +8,22 @@ JSON document with numbers rendered at 6 significant digits.
 
 import csv
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
 from .data import Sample
-from .errors import CheckpointKindError, PersistenceError
-from .evaluation import BoxplotStats, boxplot_stats
-from .heads import (
-    DEFAULT_LEAKY_SLOPE,
-    MeanFusionHead,
-    MlpFusionHead,
-    MultiViewHead,
+from .errors import (
+    CheckpointKindError,
+    DegenerateInputError,
+    PersistenceError,
+    ShapeError,
 )
+from .evaluation import BoxplotStats, boxplot_stats
+from .heads import HEAD_KINDS
 from .arcmargin import ArcMarginHead
-from .layers import BatchNormLayer, DropoutSpec, LinearLayer
 
 EMBEDDING_MAGIC = b"AVFEMB01"
 CHECKPOINT_MAGIC = b"AVFCKP01"
@@ -58,7 +58,39 @@ def _read_framed(path, magic):
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistenceError(f"{path}: unparsable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise PersistenceError(f"{path}: header is not a JSON object")
+    if header.get("version") != 1:
+        raise PersistenceError(f"{path}: unsupported version {header.get('version')}")
     return header, blob[start + header_len :]
+
+
+def _check_fields(path, table, checks):
+    """Raise PersistenceError unless every `checks[key]` accepts `table[key]`."""
+    for key, check in checks.items():
+        if not check(table.get(key)):
+            raise PersistenceError(f"{path}: header field {key!r} is missing or malformed")
+
+
+def _is_count(value):
+    return type(value) is int and value >= 0
+
+
+def _is_number(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_table(value, check):
+    """A list of [name, entry] pairs with string names and checked entries."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
+        and check(row[1]) for row in value
+    )
+
+
+def _check_finite(path, values):
+    if not np.all(np.isfinite(values)):
+        raise PersistenceError(f"{path}: payload holds NaN or Inf values")
 
 
 def write_embeddings(path, samples, d_a=None, d_v=None):
@@ -95,8 +127,10 @@ def write_embeddings(path, samples, d_a=None, d_v=None):
 
 def read_embeddings(path):
     header, payload = _read_framed(path, EMBEDDING_MAGIC)
-    if header.get("version") != 1:
-        raise PersistenceError(f"{path}: unsupported version {header.get('version')}")
+    _check_fields(path, header, {
+        "d_a": _is_count, "d_v": _is_count, "count": _is_count,
+        "records": lambda r: _is_table(r, lambda sample_id: isinstance(sample_id, str)),
+    })
     d_a, d_v, count = header["d_a"], header["d_v"], header["count"]
     if len(header["records"]) != count:
         raise PersistenceError(f"{path}: record table does not match count")
@@ -106,6 +140,7 @@ def read_embeddings(path):
             f"{path}: payload length {len(payload)} != expected {expected}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(count, d_a + d_v)
+    _check_finite(path, values)
     return [
         Sample(
             identity_id=identity,
@@ -117,39 +152,14 @@ def read_embeddings(path):
     ]
 
 
-def _head_state(head):
-    """Full eval-reproducing state: parameters plus batchnorm running stats."""
-    state = dict(head.param_dict())
-    if head.kind == "mlp":
-        for i, bn in enumerate(head.norms, start=1):
-            state[f"bn{i}.running_mean"] = bn.running_mean
-            state[f"bn{i}.running_var"] = bn.running_var
-    return state
-
-
-def _head_meta(head):
-    meta = {
-        "kind": head.kind,
-        "d_a": head.d_a,
-        "d_v": head.d_v,
-        "d_e": head.d_e,
-        "dropout_p": head.dropout.probability,
-    }
-    if head.kind == "mlp":
-        meta["hidden"] = head.layers[0].out_dim
-        meta["leaky_slope"] = head.leaky_slope
-    return meta
-
-
 def save_checkpoint(path, head, arc_head, provenance=None):
-    state = _head_state(head)
-    arc_state = {"arc.prototypes": arc_head.prototypes}
+    state = head.state()
     tensors = [[f"head.{k}", list(v.shape)] for k, v in sorted(state.items())]
-    tensors += [[k, list(v.shape)] for k, v in sorted(arc_state.items())]
+    tensors.append(["arc.prototypes", list(arc_head.prototypes.shape)])
     header = {
         "version": 1,
         "endianness": "little",
-        "head": _head_meta(head),
+        "head": head.meta(),
         "arc": {
             "scale": arc_head.scale,
             "margin": arc_head.margin,
@@ -159,7 +169,7 @@ def save_checkpoint(path, head, arc_head, provenance=None):
         "tensors": tensors,
     }
     merged = {f"head.{k}": v for k, v in state.items()}
-    merged.update(arc_state)
+    merged["arc.prototypes"] = arc_head.prototypes
     payload = b"".join(
         np.ascontiguousarray(merged[name], dtype="<f8").tobytes()
         for name, _ in tensors
@@ -167,52 +177,27 @@ def save_checkpoint(path, head, arc_head, provenance=None):
     _write_framed(path, CHECKPOINT_MAGIC, header, payload)
 
 
-def _build_head(meta, tensors):
-    kind = meta["kind"]
-    dropout = DropoutSpec(meta["dropout_p"])
-
-    def t(name):
-        return tensors[f"head.{name}"]
-
-    def linear(prefix):
-        return LinearLayer(weight=t(f"{prefix}.weight"), bias=t(f"{prefix}.bias"))
-
-    if kind == "mean":
-        return MeanFusionHead(linear("proj_audio"), linear("proj_video"), dropout)
-    if kind == "multiview":
-        return MultiViewHead(
-            linear("proj_audio"),
-            linear("proj_video"),
-            linear("shared_classifier"),
-            dropout,
-        )
-    if kind == "mlp":
-        layers = [linear(f"layer{i}") for i in (1, 2, 3)]
-        norms = [
-            BatchNormLayer(
-                gamma=t(f"bn{i}.gamma"),
-                beta=t(f"bn{i}.beta"),
-                running_mean=t(f"bn{i}.running_mean"),
-                running_var=t(f"bn{i}.running_var"),
-            )
-            for i in (1, 2, 3)
-        ]
-        head = MlpFusionHead(
-            layers, norms, dropout, meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE)
-        )
-        head._d_a = meta["d_a"]
-        head._d_v = meta["d_v"]
-        return head
-    raise PersistenceError(f"unknown head kind {kind!r}")
+# What every head's meta() holds; its other entries are finite numbers.
+_HEAD_FIELDS = {
+    "kind": lambda kind: isinstance(kind, str) and kind in HEAD_KINDS,
+    "d_a": _is_count, "d_v": _is_count, "d_e": _is_count, "dropout_p": _is_number,
+}
 
 
 def load_checkpoint(path, expect_kind=None):
     """Returns (head, arc_head, provenance)."""
     header, payload = _read_framed(path, CHECKPOINT_MAGIC)
-    if header.get("version") != 1:
-        raise PersistenceError(f"{path}: unsupported version {header.get('version')}")
+    _check_fields(path, header, {
+        "head": lambda meta: isinstance(meta, dict),
+        "arc": lambda arc: isinstance(arc, dict),
+        "tensors": lambda table: _is_table(
+            table, lambda shape: isinstance(shape, list) and all(map(_is_count, shape))
+        ),
+    })
     meta = header["head"]
-    if expect_kind is not None and meta["kind"] != expect_kind:
+    _check_fields(path, meta, {**{key: _is_number for key in meta}, **_HEAD_FIELDS})
+    _check_fields(path, header["arc"], {"scale": _is_number, "margin": _is_number})
+    if expect_kind not in (None, meta["kind"]):
         raise CheckpointKindError(
             f"{path}: checkpoint holds a {meta['kind']!r} head, expected "
             f"{expect_kind!r}"
@@ -220,7 +205,7 @@ def load_checkpoint(path, expect_kind=None):
     tensors = {}
     offset = 0
     for name, shape in header["tensors"]:
-        size = int(np.prod(shape)) * 8
+        size = math.prod(shape) * 8
         if offset + size > len(payload):
             raise PersistenceError(f"{path}: truncated payload at tensor {name}")
         tensors[name] = (
@@ -231,12 +216,20 @@ def load_checkpoint(path, expect_kind=None):
         offset += size
     if offset != len(payload):
         raise PersistenceError(f"{path}: trailing bytes after last tensor")
-    head = _build_head(meta, tensors)
-    arc = ArcMarginHead(
-        prototypes=tensors["arc.prototypes"],
-        scale=header["arc"]["scale"],
-        margin=header["arc"]["margin"],
-    )
+    _check_finite(path, np.frombuffer(payload, dtype="<f8"))
+    try:
+        head = HEAD_KINDS[meta["kind"]].from_state(
+            meta, {k[len("head."):]: v for k, v in tensors.items() if k.startswith("head.")}
+        )
+        arc = ArcMarginHead(
+            prototypes=tensors["arc.prototypes"],
+            scale=header["arc"]["scale"],
+            margin=header["arc"]["margin"],
+        )
+    except KeyError as exc:
+        raise PersistenceError(f"{path}: missing tensor {exc}") from exc
+    except (ShapeError, DegenerateInputError) as exc:
+        raise PersistenceError(f"{path}: inconsistent tensors: {exc}") from exc
     return head, arc, header.get("provenance", {})
 
 

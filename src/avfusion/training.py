@@ -1,8 +1,9 @@
-"""Training loop: masking regimen, joint loss, AdamW, clipping, LR schedule.
+"""Training loop: joint loss, AdamW, clipping, LR schedule.
 
-The mean and MLP heads train with random modality masking (1/3 mask video,
-1/3 mask audio, 1/3 no mask, i.i.d. per sample); the multi-view head trains
-unmasked on a weighted sum of the per-modality arc-margin losses.
+Each head states its own loss terms (`loss_terms`): the mean and MLP heads
+train with random modality masking (1/3 mask video, 1/3 mask audio, 1/3 no
+mask, i.i.d. per sample); the multi-view head trains unmasked on a weighted
+sum of the per-modality arc-margin losses.
 """
 
 import copy
@@ -14,12 +15,6 @@ from .arcmargin import arc_margin_loss_grad_batch, plain_cosine_logits
 from .data import stack_samples
 from .errors import ConfigurationError, ConsistencyError, DegenerateInputError
 from .rng import substream
-
-MASK_VIDEO = "mask_video"
-MASK_AUDIO = "mask_audio"
-MASK_NONE = "none"
-_MASK_MODES = (MASK_VIDEO, MASK_AUDIO, MASK_NONE)
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -105,96 +100,28 @@ def clip_global_norm(grads: dict, max_norm: float):
     return {name: g * factor for name, g in grads.items()}, total
 
 
-def sample_mask_mode(rng, probabilities=(1 / 3, 1 / 3, 1 / 3)):
-    """One of mask_video / mask_audio / none, i.i.d. per call."""
-    return _MASK_MODES[rng.choice(3, p=np.asarray(probabilities))]
-
-
-def sample_mask_modes(rng, n, probabilities=(1 / 3, 1 / 3, 1 / 3)):
-    return [_MASK_MODES[i] for i in rng.choice(3, size=n, p=np.asarray(probabilities))]
-
-
-def apply_masks(audio, video, modes):
-    """Zero out the masked modality per sample, at the backbone boundary."""
-    audio = np.array(audio, copy=True)
-    video = np.array(video, copy=True)
-    for i, mode in enumerate(modes):
-        if mode == MASK_AUDIO:
-            audio[i] = 0.0
-        elif mode == MASK_VIDEO:
-            video[i] = 0.0
-        elif mode != MASK_NONE:
-            raise ConfigurationError(f"unknown mask mode {mode!r}")
-    return audio, video
-
-
-def compute_batch_loss(head, arc_head, audio, video, labels, mask_modes=None,
-                       train=True, rng=None):
-    """Mean batch loss and gradients for one head/arc-margin composition.
+def batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
+               rng=None, masks=None):
+    """Weighted sum of the arc-margin losses of the head's loss terms.
 
     Returns (loss, grads) with gradient names prefixed "head." / "arc.".
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise DegenerateInputError("empty batch")
-    grads = {}
-    if head.kind == "multiview":
-        raise ConfigurationError(
-            "use compute_multiview_batch_loss for the multi-view head"
+    terms, cache = head.loss_terms(audio, video, config, mask_rng, rng, masks)
+    loss, douts, grad_protos = 0.0, [], None
+    for weight, emb in terms:
+        term_loss, grad_emb, term_protos, _ = arc_margin_loss_grad_batch(
+            arc_head, emb, labels
         )
-    if mask_modes is not None:
-        audio, video = apply_masks(audio, video, mask_modes)
-    emb, cache = head.forward(audio, video, train=train, rng=rng)
-    loss, grad_emb, grad_protos, _ = arc_margin_loss_grad_batch(arc_head, emb, labels)
-    head_grads, _, _ = head.backward(cache, grad_emb)
-    for name, g in head_grads.items():
-        grads[f"head.{name}"] = g
+        loss += weight * term_loss
+        douts.append(weight * grad_emb)
+        term_protos = weight * term_protos
+        grad_protos = term_protos if grad_protos is None else grad_protos + term_protos
+    grads = {f"head.{name}": g for name, g in head.backward_terms(cache, douts).items()}
     grads["arc.prototypes"] = grad_protos
     return loss, grads
-
-
-def compute_multiview_batch_loss(head, arc_head, audio, video, labels,
-                                 lambda_audio=0.5, lambda_video=0.5,
-                                 train=True, rng=None):
-    """Weighted sum of the audio-path and video-path arc-margin losses."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise DegenerateInputError("empty batch")
-    emb_a, cache_a = head.forward_modality("audio", audio, train=train, rng=rng)
-    emb_v, cache_v = head.forward_modality("video", video, train=train, rng=rng)
-    loss_a, grad_a, protos_a, _ = arc_margin_loss_grad_batch(arc_head, emb_a, labels)
-    loss_v, grad_v, protos_v, _ = arc_margin_loss_grad_batch(arc_head, emb_v, labels)
-    grads_a, _ = head.backward_modality(cache_a, lambda_audio * grad_a)
-    grads_v, _ = head.backward_modality(cache_v, lambda_video * grad_v)
-    grads = {}
-    for name, g in grads_a.items():
-        grads[f"head.{name}"] = g
-    for name, g in grads_v.items():
-        key = f"head.{name}"
-        grads[key] = grads.get(key, 0.0) + g
-    grads["arc.prototypes"] = lambda_audio * protos_a + lambda_video * protos_v
-    return lambda_audio * loss_a + lambda_video * loss_v, grads
-
-
-def batch_loss(head, arc_head, audio, video, labels, config, mask_modes=None,
-               train=True, rng=None):
-    """Dispatch to the masked single-loss or multi-view joint loss."""
-    if head.kind == "multiview":
-        return compute_multiview_batch_loss(
-            head, arc_head, audio, video, labels,
-            config.lambda_audio, config.lambda_video, train=train, rng=rng,
-        )
-    return compute_batch_loss(
-        head, arc_head, audio, video, labels, mask_modes, train=train, rng=rng
-    )
-
-
-def _full_modality_embeddings(head, audio, video):
-    if head.kind == "multiview":
-        emb, _ = head.forward_joint(audio, video, train=False)
-    else:
-        emb, _ = head.forward(audio, video, train=False)
-    return emb
 
 
 def validate_accuracy(head, arc_head, samples):
@@ -202,8 +129,7 @@ def validate_accuracy(head, arc_head, samples):
     if not samples:
         raise DegenerateInputError("empty validation set")
     audio, video, labels, _ = stack_samples(samples)
-    emb = _full_modality_embeddings(head, audio, video)
-    logits = plain_cosine_logits(arc_head, emb)
+    logits = plain_cosine_logits(arc_head, head.embed(audio, video))
     return float((logits.argmax(axis=1) == labels).mean())
 
 
@@ -219,8 +145,6 @@ def lr_schedule_update(accuracies, current_lr, decay_factor=0.95):
     prior = accuracies[:-1]
     if prior and last <= max(prior):
         return current_lr * decay_factor
-    if not prior:
-        return current_lr  # first epoch has nothing to compare against
     return current_lr
 
 
@@ -258,15 +182,12 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
         losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            modes = None
-            if head.kind != "multiview":
-                modes = sample_mask_modes(
-                    mask_rng, len(idx), config.mask_probabilities
-                )
             loss, grads = batch_loss(
-                head, arc_head, audio[idx], video[idx], labels[idx],
-                config, mask_modes=modes, train=True, rng=dropout_rng,
+                head, arc_head, audio[idx], video[idx], labels[idx], config,
+                mask_rng=mask_rng, rng=dropout_rng,
             )
+            if not np.isfinite(loss):
+                raise DegenerateInputError(f"non-finite batch loss in epoch {epoch}")
             grads, _ = clip_global_norm(grads, config.clip_norm)
             optimizer.step(params, grads, lr)
             losses.append(loss)

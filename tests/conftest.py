@@ -5,17 +5,17 @@ import pytest
 
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
 from avfusion.data import DatasetConfig, generate_identities, sample_dataset
-from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
+from avfusion.heads import HEAD_KINDS
+from avfusion.training import TrainingConfig, batch_loss
+
+# Default loss weights (lambda_audio = lambda_video = 0.5); built once, as
+# the gradient check evaluates the loss over a hundred thousand times.
+LOSS_CONFIG = TrainingConfig()
 
 
 def make_head(kind, rng, d_a=16, d_v=32, d_e=8, hidden=24, dropout_p=0.1):
-    if kind == "mean":
-        return MeanFusionHead.create(rng, d_a, d_v, d_e, dropout_p)
-    if kind == "mlp":
-        return MlpFusionHead.create(rng, d_a, d_v, d_e, hidden, dropout_p)
-    if kind == "multiview":
-        return MultiViewHead.create(rng, d_a, d_v, d_e, dropout_p)
-    raise ValueError(kind)
+    return HEAD_KINDS[kind].create(rng, d_a, d_v, d_e, hidden=hidden,
+                                   dropout_p=dropout_p)
 
 
 def draw_fixed_masks(head, rng, n):
@@ -35,44 +35,21 @@ def draw_fixed_masks(head, rng, n):
 
 
 def composed_loss(head, arc, audio, video, labels, masks):
-    """Train-mode head + arc-margin loss with replayed dropout masks."""
-    if head.kind == "multiview":
-        emb_a, _ = head.forward_modality("audio", audio, train=True, masks=masks)
-        emb_v, _ = head.forward_modality("video", video, train=True, masks=masks)
-        loss_a, *_ = arc_margin_loss_grad_batch(arc, emb_a, labels)
-        loss_v, *_ = arc_margin_loss_grad_batch(arc, emb_v, labels)
-        return 0.5 * loss_a + 0.5 * loss_v
-    kwargs = {"update_running": False} if head.kind == "mlp" else {}
-    emb, _ = head.forward(audio, video, train=True, masks=masks, **kwargs)
-    loss, *_ = arc_margin_loss_grad_batch(arc, emb, labels)
-    return loss
+    """Train-mode head + arc-margin loss with replayed dropout masks.
+
+    The loss-only reference: the weighted arc-margin losses of the head's
+    loss terms, with no backward pass.
+    """
+    terms, _ = head.loss_terms(audio, video, LOSS_CONFIG, masks=masks)
+    return sum(
+        weight * arc_margin_loss_grad_batch(arc, emb, labels)[0] for weight, emb in terms
+    )
 
 
 def composed_grads(head, arc, audio, video, labels, masks):
-    """Analytic gradients of composed_loss for every parameter."""
-    grads = {}
-    if head.kind == "multiview":
-        emb_a, cache_a = head.forward_modality("audio", audio, train=True, masks=masks)
-        emb_v, cache_v = head.forward_modality("video", video, train=True, masks=masks)
-        _, ga, pa, _ = arc_margin_loss_grad_batch(arc, emb_a, labels)
-        _, gv, pv, _ = arc_margin_loss_grad_batch(arc, emb_v, labels)
-        grads_a, _ = head.backward_modality(cache_a, 0.5 * ga)
-        grads_v, _ = head.backward_modality(cache_v, 0.5 * gv)
-        for name, g in grads_a.items():
-            grads[f"head.{name}"] = g
-        for name, g in grads_v.items():
-            key = f"head.{name}"
-            grads[key] = grads.get(key, 0.0) + g
-        grads["arc.prototypes"] = 0.5 * pa + 0.5 * pv
-        return grads
-    kwargs = {"update_running": False} if head.kind == "mlp" else {}
-    emb, cache = head.forward(audio, video, train=True, masks=masks, **kwargs)
-    _, grad_emb, grad_protos, _ = arc_margin_loss_grad_batch(arc, emb, labels)
-    head_grads, _, _ = head.backward(cache, grad_emb)
-    for name, g in head_grads.items():
-        grads[f"head.{name}"] = g
-    grads["arc.prototypes"] = grad_protos
-    return grads
+    """Analytic gradients of composed_loss for every parameter, as training
+    computes them."""
+    return batch_loss(head, arc, audio, video, labels, LOSS_CONFIG, masks=masks)[1]
 
 
 def gradient_check(head, arc, audio, video, labels, masks, step=1e-5):

@@ -38,7 +38,7 @@ from avfusion.evaluation import (
     silhouette_score,
     within_identity_angles,
 )
-from avfusion.heads import DESK_DIMS, mean_fuse
+from avfusion.heads import DESK_DIMS
 from avfusion.linalg import angle_deg, centroid, l2_normalize
 from avfusion.persistence import (
     load_checkpoint,
@@ -262,7 +262,7 @@ def test_criterion_06_null_representation_probe():
     for seed in ACCEPTANCE_SEEDS:
         head = trained_head("mean", seed)
         _, _, test = desk_data(seed)
-        null_emb = mean_fuse(head, None, None, allow_double_null=True)
+        null_emb = head.forward(None, None, n=1)[0][0]
         emb_a = embed_samples(head, test, "a")
         by_identity = {}
         for i, sample in enumerate(test):
@@ -379,13 +379,7 @@ def test_criterion_09_round_trips(tmp_path):
         loaded_head, loaded_arc, provenance = load_checkpoint(ckpt_path)
         a = rng.normal(size=(2, config.d_a))
         v = rng.normal(size=(2, config.d_v))
-        if kind == "multiview":
-            out1, _ = head.forward_joint(a, v)
-            out2, _ = loaded_head.forward_joint(a, v)
-        else:
-            out1, _ = head.forward(a, v)
-            out2, _ = loaded_head.forward(a, v)
-        if not (np.array_equal(out1, out2)
+        if not (np.array_equal(head.embed(a, v), loaded_head.embed(a, v))
                 and np.array_equal(arc.prototypes, loaded_arc.prototypes)
                 and provenance == {"case": case}):
             failures.append(f"checkpoint case {case}")

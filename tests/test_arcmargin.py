@@ -5,8 +5,8 @@ import pytest
 
 from avfusion.arcmargin import (
     ArcMarginHead,
-    arc_margin_grad,
     arc_margin_logits,
+    arc_margin_loss_grad_batch,
     arc_margin_loss,
     plain_cosine_logits,
     softmax_cross_entropy,
@@ -101,7 +101,7 @@ class TestSoftmaxCrossEntropy:
 class TestGradients:
     def test_single_class_zero_gradient(self, rng):
         head = ArcMarginHead(prototypes=rng.normal(size=(4, 1)))
-        grad_e, grad_w, loss = arc_margin_grad(head, rng.normal(size=4), 0)
+        loss, grad_e, grad_w, _ = arc_margin_loss_grad_batch(head, rng.normal(size=4), [0])
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(grad_e, 0.0)
         assert np.allclose(grad_w, 0.0)
@@ -112,7 +112,7 @@ class TestGradients:
         head = random_head(rng)
         emb = rng.normal(size=4)
         target = int(rng.integers(0, 3))
-        grad_e, grad_w, _ = arc_margin_grad(head, emb, target)
+        _, grad_e, grad_w, _ = arc_margin_loss_grad_batch(head, emb, [target])
         h = 1e-5
 
         def fd(param, analytic):
@@ -137,8 +137,8 @@ class TestGradients:
         loss1 = arc_margin_loss(head, emb, 0)
         loss2 = arc_margin_loss(head, 2.0 * emb, 0)
         assert loss1 == pytest.approx(loss2, abs=1e-12)
-        g1, _, _ = arc_margin_grad(head, emb, 0)
-        g2, _, _ = arc_margin_grad(head, 2.0 * emb, 0)
+        _, g1, _, _ = arc_margin_loss_grad_batch(head, emb, [0])
+        _, g2, _, _ = arc_margin_loss_grad_batch(head, 2.0 * emb, [0])
         # loss(c*x) == loss(x), so grad at 2x is half the grad at x
         assert np.allclose(g2, 0.5 * g1, atol=1e-12)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import avfusion
 from avfusion import cli
 from avfusion.persistence import (
     load_checkpoint,
@@ -95,7 +100,7 @@ class TestTrain:
                        extra=["--learning-rate", "0"])
         ) == 0
         head, arc, provenance = load_checkpoint(tmp_path / "mean.ckpt")
-        reference = MeanFusionHead.create(substream(3, "init"), 16, 32, 8, 0.1)
+        reference = MeanFusionHead.create(substream(3, "init"), 16, 32, 8, dropout_p=0.1)
         for name, value in head.param_dict().items():
             assert np.array_equal(value, reference.param_dict()[name])
         assert provenance["config"]["learning_rate"] == 0
@@ -133,6 +138,14 @@ class TestTrain:
         assert run(argv) == 0
         assert (tmp_path / "mean.ckpt").read_bytes() == first[0]
         assert (tmp_path / "mean.log").read_bytes() == first[1]
+
+    def test_non_finite_loss_is_data_error(self, pipeline, tmp_path, capsys):
+        code = run(train_args(pipeline, tmp_path,
+                              extra=["--learning-rate", "1e300"]))
+        assert code == cli.EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "mean.ckpt").exists()
+        assert not (tmp_path / "mean.log").exists()
 
     def test_missing_embeddings_is_io_error(self, tmp_path, capsys):
         code = run(train_args(tmp_path, tmp_path))
@@ -183,6 +196,20 @@ class TestEvaluate:
         assert lines[0].startswith("model,AVxAV")
         assert len(lines) == 3
 
+    def test_header_without_d_a_is_io_error(self, pipeline, tmp_path, capsys):
+        blob = (pipeline / "test.emb").read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + length])
+        del header["d_a"]
+        body = json.dumps(header).encode("utf-8")
+        damaged = tmp_path / "test.emb"
+        damaged.write_bytes(blob[:8] + struct.pack("<I", len(body)) + body
+                            + blob[12 + length :])
+        argv = self.evaluate_args(pipeline, tmp_path, [pipeline / "mean.ckpt"])
+        argv[argv.index("--test-embeddings") + 1] = str(damaged)
+        assert run(argv) == cli.EXIT_IO
+        assert "d_a" in capsys.readouterr().err
+
     def test_no_checkpoint_is_config_error(self, pipeline, tmp_path, capsys):
         code = run(["evaluate", "--test-embeddings",
                     str(pipeline / "test.emb"), "--out-dir", str(tmp_path)])
@@ -229,3 +256,24 @@ class TestConfigFile:
                     "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert "bogus-knob" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """`python -m avfusion`, as the README documents it."""
+
+    def run_module(self, *args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(avfusion.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "avfusion", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_help(self):
+        result = self.run_module("--help")
+        assert result.returncode == 0
+        assert "generate" in result.stdout
+
+    def test_bad_config_is_config_error(self, tmp_path):
+        result = self.run_module("generate", "--config", str(tmp_path / "absent.json"))
+        assert result.returncode == cli.EXIT_CONFIG
+        assert "config error" in result.stderr

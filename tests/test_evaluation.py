@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,22 +13,15 @@ from avfusion.evaluation import (
     build_trials,
     centroid_angle_matrix,
     compute_eer,
-    fused_embedding,
+    embed_samples,
     run_full_evaluation,
-    score_trial,
     score_trials,
     silhouette_score,
     within_identity_angles,
 )
-from avfusion.heads import (
-    MeanFusionHead,
-    MlpFusionHead,
-    MultiViewHead,
-    mean_fuse,
-    multiview_embed,
-)
+from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
 from avfusion.layers import LinearLayer
-from avfusion.linalg import angle_deg
+from avfusion.linalg import angle_deg, cosine_similarity
 
 from conftest import eer_oracle, make_head, small_dataset
 
@@ -37,6 +32,11 @@ def passthrough_audio_head(d=2):
         LinearLayer(weight=np.eye(d), bias=np.zeros(d)),
         LinearLayer(weight=np.zeros((d, d)), bias=np.zeros(d)),
     )
+
+
+def embed_one(head, sample, exposure):
+    """One sample's eval-mode embedding under an exposure ("av", "a", "v")."""
+    return embed_samples(head, [sample], exposure)[0]
 
 
 def toy_samples(audio_rows, identity_ids, d_v=2):
@@ -88,6 +88,16 @@ class TestBuildTrials:
         with pytest.raises(ConfigurationError):
             build_trials(samples, "AxA", 1, 1, 0)
 
+    def test_impossible_nontarget_request_fails_at_once(self):
+        # 2 identities x 2 samples have 4^2 - (2^2 + 2^2) = 8 ordered
+        # cross-identity pairs: 8 nontargets are possible, 100 are not.
+        samples = small_dataset(n_identities=2, samples_per_identity=2)
+        assert len(build_trials(samples, "AxA", 0, 8, 0)) == 8
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="8 distinct cross-identity"):
+            build_trials(samples, "AxA", 0, 100, 0)
+        assert time.perf_counter() - start < 1.0
+
     def test_unknown_mode(self):
         samples = small_dataset(n_identities=2, samples_per_identity=2)
         with pytest.raises(ConfigurationError):
@@ -99,32 +109,32 @@ class TestFusedEmbedding:
         head = make_head("mean", rng, d_e=8)
         sample = small_dataset(n_identities=2, samples_per_identity=2)[0]
         assert np.array_equal(
-            fused_embedding(head, sample, "av"),
-            mean_fuse(head, sample.audio, sample.video),
+            embed_one(head, sample, "av"),
+            head.forward(sample.audio[None], sample.video[None])[0][0],
         )
 
     def test_multiview_single_modality(self, rng):
         head = make_head("multiview", rng, d_e=8)
         sample = small_dataset(n_identities=2, samples_per_identity=2)[0]
         assert np.array_equal(
-            fused_embedding(head, sample, "a"),
-            multiview_embed(head, "audio", sample.audio),
+            embed_one(head, sample, "a"),
+            head.forward_modality("audio", sample.audio[None])[0][0],
         )
 
     def test_mlp_null_equivalence(self, rng):
         head = make_head("mlp", rng, d_e=8)
         sample = small_dataset(n_identities=2, samples_per_identity=2)[0]
-        direct = fused_embedding(head, sample, "a")
+        direct = embed_one(head, sample, "a")
         zero_sub = Sample(sample.identity_id, sample.sample_id, sample.audio,
                           np.zeros_like(sample.video))
-        substituted = fused_embedding(head, zero_sub, "av")
+        substituted = embed_one(head, zero_sub, "av")
         assert np.array_equal(direct, substituted)
 
     def test_empty_exposure(self, rng):
         head = make_head("mean", rng)
         sample = small_dataset(n_identities=2, samples_per_identity=2)[0]
         with pytest.raises(DegenerateInputError):
-            fused_embedding(head, sample, "")
+            embed_one(head, sample, "")
 
 
 class TestScoreTrial:
@@ -134,7 +144,7 @@ class TestScoreTrial:
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=2, samples_per_identity=2)
         trial = Trial(0, 0, "av", "av", True)
-        assert score_trial(head, trial, samples) == pytest.approx(1.0)
+        assert score_trials(head, [trial], samples)[0] == pytest.approx(1.0)
 
     def test_symmetry(self, rng):
         from avfusion.evaluation import Trial
@@ -143,16 +153,19 @@ class TestScoreTrial:
         samples = small_dataset(n_identities=3, samples_per_identity=2)
         trial = Trial(0, 3, "a", "a", False)
         swapped = Trial(3, 0, "a", "a", False)
-        assert score_trial(head, trial, samples) == pytest.approx(
-            score_trial(head, swapped, samples), abs=1e-12
-        )
+        scores = score_trials(head, [trial, swapped], samples)
+        assert scores[0] == pytest.approx(scores[1], abs=1e-12)
 
     def test_batch_scoring_matches_loop(self, rng):
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=4, samples_per_identity=3)
         trials = build_trials(samples, "AVxA", 10, 10, 0)
         batch = score_trials(head, trials, samples)
-        loop = np.array([score_trial(head, t, samples) for t in trials])
+        loop = np.array([
+            cosine_similarity(embed_one(head, samples[t.left], t.left_exposure),
+                              embed_one(head, samples[t.right], t.right_exposure))
+            for t in trials
+        ])
         assert np.allclose(batch, loop, atol=1e-12)
 
 
@@ -232,8 +245,8 @@ class TestAudioVideoAngles:
                 if s.identity_id == identity:
                     flattened.append(
                         angle_deg(
-                            fused_embedding(head, s, "a"),
-                            fused_embedding(head, s, "v"),
+                            embed_one(head, s, "a"),
+                            embed_one(head, s, "v"),
                         )
                     )
         assert report.all_angles() == pytest.approx(flattened, abs=1e-9)

@@ -8,15 +8,7 @@ from avfusion.errors import (
     DegenerateInputError,
     ShapeError,
 )
-from avfusion.heads import (
-    MeanFusionHead,
-    MlpFusionHead,
-    MultiViewHead,
-    mean_fuse,
-    mlp_fuse,
-    multiview_embed,
-    multiview_joint,
-)
+from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
 from avfusion.layers import DropoutSpec, LinearLayer
 
 from conftest import draw_fixed_masks, gradient_check, make_head
@@ -26,10 +18,21 @@ def identity_linear(dim):
     return LinearLayer(weight=np.eye(dim), bias=np.zeros(dim))
 
 
+def embed_one(head, audio, video):
+    """Eval-mode embedding of one sample; None is a null modality."""
+    rows = [None if x is None else np.atleast_2d(x) for x in (audio, video)]
+    return head.embed(*rows)[0]
+
+
+def null_embedding(head):
+    """The embedding of a sample with both modalities null."""
+    return head.forward(None, None, n=1)[0][0]
+
+
 class TestMeanFusion:
     def test_identity_projections(self):
         head = MeanFusionHead(identity_linear(2), identity_linear(2))
-        out = mean_fuse(head, np.array([2.0, 0.0]), np.array([0.0, 2.0]))
+        out = embed_one(head, np.array([2.0, 0.0]), np.array([0.0, 2.0]))
         assert np.array_equal(out, [1.0, 1.0])
 
     def test_null_audio_is_half_video_projection(self, rng):
@@ -37,7 +40,7 @@ class TestMeanFusion:
         head.proj_audio.bias = np.zeros(3)
         head.proj_video.bias = np.zeros(3)
         v = rng.normal(size=6)
-        out = mean_fuse(head, None, v)
+        out = embed_one(head, None, v)
         assert np.allclose(out, 0.5 * (head.proj_video.weight @ v))
 
     def test_zero_weights_give_mean_bias(self, rng):
@@ -47,24 +50,20 @@ class TestMeanFusion:
             LinearLayer(weight=np.zeros((2, 4)), bias=b_a),
             LinearLayer(weight=np.zeros((2, 6)), bias=b_v),
         )
-        out = mean_fuse(head, rng.normal(size=4), rng.normal(size=6))
+        out = embed_one(head, rng.normal(size=4), rng.normal(size=6))
         assert np.array_equal(out, (b_a + b_v) / 2)
 
     def test_double_null_is_error(self, rng):
         head = MeanFusionHead.create(rng, 4, 6, 3)
         with pytest.raises(DegenerateInputError):
-            mean_fuse(head, None, None)
+            head.embed(None, None)
 
     def test_decomposition_identity(self, rng):
         head = MeanFusionHead.create(rng, 4, 6, 3)
         a = rng.normal(size=4)
         v = rng.normal(size=6)
-        joint = mean_fuse(head, a, v)
-        parts = (
-            mean_fuse(head, a, None)
-            + mean_fuse(head, None, v)
-            - mean_fuse(head, None, None, allow_double_null=True)
-        )
+        joint = embed_one(head, a, v)
+        parts = embed_one(head, a, None) + embed_one(head, None, v) - null_embedding(head)
         assert np.allclose(joint, parts, atol=1e-14)
 
     def test_null_equals_explicit_zero(self, rng):
@@ -87,16 +86,16 @@ def mlp_reference_forward(head, x):
 
 class TestMlpFusion:
     def test_zero_network(self, rng):
-        head = MlpFusionHead.create(rng, 3, 3, 2, 4)
+        head = MlpFusionHead.create(rng, 3, 3, 2, hidden=4)
         for lin in head.layers:
             lin.weight[:] = 0.0
             lin.bias[:] = 0.0
-        out = mlp_fuse(head, rng.normal(size=3), rng.normal(size=3))
+        out = embed_one(head, rng.normal(size=3), rng.normal(size=3))
         assert np.array_equal(out, np.zeros(2))
 
     def test_toy_network_matches_reference(self):
         rng = np.random.default_rng(21)
-        head = MlpFusionHead.create(rng, 2, 2, 2, 2)
+        head = MlpFusionHead.create(rng, 2, 2, 2, hidden=2)
         # Give the running stats and affine parameters nontrivial values.
         for bn in head.norms:
             bn.gamma = rng.uniform(0.5, 1.5, size=2)
@@ -105,19 +104,19 @@ class TestMlpFusion:
             bn.running_var = rng.uniform(0.5, 2.0, size=2)
         a = np.array([1.0, 0.0])
         v = np.array([1.0, 0.0])
-        out = mlp_fuse(head, a, v)
+        out = embed_one(head, a, v)
         expected = mlp_reference_forward(head, np.concatenate([a, v])[None, :])[0]
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_null_equals_explicit_zero(self, rng):
-        head = MlpFusionHead.create(rng, 4, 6, 3, 5)
+        head = MlpFusionHead.create(rng, 4, 6, 3, hidden=5)
         a = rng.normal(size=(10, 4))
         out_null, _ = head.forward(a, None)
         out_zero, _ = head.forward(a, np.zeros((10, 6)))
         assert np.array_equal(out_null, out_zero)
 
     def test_train_single_sample_batch_rejected(self, rng):
-        head = MlpFusionHead.create(rng, 4, 6, 3, 5, dropout_p=0.0)
+        head = MlpFusionHead.create(rng, 4, 6, 3, hidden=5, dropout_p=0.0)
         with pytest.raises(DegenerateBatchError):
             head.forward(np.ones((1, 4)), np.ones((1, 6)), train=True, rng=rng)
 
@@ -127,14 +126,14 @@ class TestMultiView:
         head = MultiViewHead.create(rng, 4, 6, 3)
         for lin in (head.proj_audio, head.proj_video, head.shared_classifier):
             lin.bias[:] = 0.0
-        out = multiview_embed(head, "audio", np.zeros(4))
+        out = embed_one(head, np.zeros(4), None)
         assert np.array_equal(out, np.zeros(3))
 
     def test_identity_composition(self):
         head = MultiViewHead(identity_linear(3), identity_linear(3),
                              identity_linear(3))
         x = np.array([0.5, 1.0, 2.0])
-        assert np.array_equal(multiview_embed(head, "audio", x), x)
+        assert np.array_equal(embed_one(head, x, None), x)
 
     def test_toy_hand_computed(self):
         rng = np.random.default_rng(31)
@@ -143,23 +142,21 @@ class TestMultiView:
         p = head.proj_audio.weight @ x + head.proj_audio.bias
         c = head.shared_classifier.weight @ p + head.shared_classifier.bias
         expected = np.maximum(c, 0.0)
-        assert np.allclose(multiview_embed(head, "audio", x), expected)
+        assert np.allclose(embed_one(head, x, None), expected)
 
     def test_joint_is_mean_of_paths(self, rng):
         head = MultiViewHead.create(rng, 4, 6, 3)
         a = rng.normal(size=4)
         v = rng.normal(size=6)
-        joint = multiview_joint(head, a, v)
-        expected = 0.5 * (
-            multiview_embed(head, "audio", a) + multiview_embed(head, "video", v)
-        )
+        joint = embed_one(head, a, v)
+        expected = 0.5 * (embed_one(head, a, None) + embed_one(head, None, v))
         assert np.allclose(joint, expected)
 
     def test_joint_of_equal_paths(self):
         head = MultiViewHead(identity_linear(2), identity_linear(2),
                              identity_linear(2))
         x = np.array([1.0, 2.0])
-        assert np.array_equal(multiview_joint(head, x, x), x)
+        assert np.array_equal(embed_one(head, x, x), x)
 
     def test_joint_requires_both(self, rng):
         head = MultiViewHead.create(rng, 4, 6, 3)
@@ -172,11 +169,9 @@ class TestMultiView:
         head.shared_classifier.bias[:] = 5.0
         a = rng.normal(size=4)
         v = rng.normal(size=6)
-        before = (multiview_embed(head, "audio", a),
-                  multiview_embed(head, "video", v))
+        before = (embed_one(head, a, None), embed_one(head, None, v))
         head.shared_classifier.weight += 0.5
-        after = (multiview_embed(head, "audio", a),
-                 multiview_embed(head, "video", v))
+        after = (embed_one(head, a, None), embed_one(head, None, v))
         assert not np.array_equal(before[0], after[0])
         assert not np.array_equal(before[1], after[1])
 
@@ -241,10 +236,4 @@ class TestEvalDeterminism:
         head = make_head(kind, rng, d_a=4, d_v=6, d_e=3, hidden=5)
         a = rng.normal(size=(3, 4))
         v = rng.normal(size=(3, 6))
-        if kind == "multiview":
-            out1, _ = head.forward_joint(a, v)
-            out2, _ = head.forward_joint(a, v)
-        else:
-            out1, _ = head.forward(a, v)
-            out2, _ = head.forward(a, v)
-        assert np.array_equal(out1, out2)
+        assert np.array_equal(head.embed(a, v), head.embed(a, v))

@@ -1,7 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfusion.arcmargin import ArcMarginHead
 from avfusion.data import Sample
@@ -95,13 +98,7 @@ class TestCheckpoints:
         for _ in range(100):
             a = rng.normal(size=(1, 4))
             v = rng.normal(size=(1, 6))
-            if kind == "multiview":
-                out1, _ = head.forward_joint(a, v)
-                out2, _ = loaded_head.forward_joint(a, v)
-            else:
-                out1, _ = head.forward(a, v)
-                out2, _ = loaded_head.forward(a, v)
-            assert np.array_equal(out1, out2)
+            assert np.array_equal(head.embed(a, v), loaded_head.embed(a, v))
 
     def test_mlp_running_stats_preserved(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -136,6 +133,128 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(PersistenceError):
             load_checkpoint(path)
+
+
+def _header_paths(node, prefix=()):
+    """The key path of every node of a parsed JSON header, root included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _header_paths(child, prefix + (key,))
+
+
+def _split(blob, magic):
+    """(parsed JSON header, payload) of a framed file."""
+    (length,) = struct.unpack("<I", blob[len(magic) : len(magic) + 4])
+    start = len(magic) + 4
+    return json.loads(blob[start : start + length]), blob[start + length :]
+
+
+def _framed(magic, header, payload):
+    body = json.dumps(header).encode("utf-8")
+    return magic + struct.pack("<I", len(body)) + body + payload
+
+
+@pytest.fixture(scope="module")
+def intact_files(tmp_path_factory):
+    """name -> (reader, magic, bytes) of one valid file per format and head."""
+    root = tmp_path_factory.mktemp("intact")
+    rng = np.random.default_rng(9)
+    write_embeddings(root / "s.emb", random_samples(rng, 4, d_a=3, d_v=2))
+    files = {"emb": (read_embeddings, b"AVFEMB01", (root / "s.emb").read_bytes())}
+    for kind in ("mean", "mlp", "multiview"):
+        head = make_head(kind, rng, d_a=3, d_v=2, d_e=2, hidden=3)
+        save_checkpoint(root / f"{kind}.ckpt", head, ArcMarginHead.create(rng, 2, 3),
+                        {"seed": 1})
+        files[kind] = (load_checkpoint, b"AVFCKP01", (root / f"{kind}.ckpt").read_bytes())
+    return root, files
+
+
+def _read_or_persistence_error(intact_files, name, blob):
+    root, files = intact_files
+    reader = files[name][0]
+    path = root / "damaged"
+    path.write_bytes(blob)
+    try:
+        reader(path)
+    except PersistenceError:
+        pass
+
+
+_FILE_NAMES = st.sampled_from(["emb", "mean", "mlp", "multiview"])
+_WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(),
+    st.text(max_size=3), st.sampled_from(["mean", "mlp", "multiview"]),
+    st.lists(st.integers(-1, 4), max_size=3), st.just({}), st.just("<deleted>"),
+)
+
+
+class TestDamagedFiles:
+    """Damaged or malformed files fail with PersistenceError and nothing else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=_FILE_NAMES, data=st.data())
+    def test_truncated(self, intact_files, name, data):
+        blob = intact_files[1][name][2]
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        _read_or_persistence_error(intact_files, name, blob[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=_FILE_NAMES, data=st.data())
+    def test_flipped_bytes(self, intact_files, name, data):
+        blob = bytearray(intact_files[1][name][2])
+        flips = data.draw(st.lists(
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+            min_size=1, max_size=3,
+        ))
+        for index, mask in flips:
+            blob[index] ^= mask
+        _read_or_persistence_error(intact_files, name, bytes(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=_FILE_NAMES, data=st.data(), value=_WRONG_VALUES)
+    def test_wrong_typed_header(self, intact_files, name, data, value):
+        _, magic, blob = intact_files[1][name]
+        header, payload = _split(blob, magic)
+        path = data.draw(st.sampled_from(list(_header_paths(header))))
+        if path:
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == "<deleted>":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        else:
+            header = value
+        _read_or_persistence_error(intact_files, name, _framed(magic, header, payload))
+
+    @pytest.mark.parametrize("name", ["emb", "mean"])
+    def test_non_finite_payload(self, intact_files, name):
+        root, files = intact_files
+        reader, _, blob = files[name]
+        (root / "nan").write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+        with pytest.raises(PersistenceError):
+            reader(root / "nan")
+
+    @pytest.mark.parametrize("name, entry", [
+        ("emb", "d_a"), ("mlp", "head"), ("mlp", "arc"), ("mlp", "tensors"),
+        ("mlp", "first tensor"),
+    ])
+    def test_missing_entry(self, intact_files, name, entry):
+        root, files = intact_files
+        reader, magic, blob = files[name]
+        header, payload = _split(blob, magic)
+        if entry == "first tensor":
+            # its row in the tensor table and its bytes in the payload
+            _, shape = header["tensors"].pop(0)
+            payload = payload[8 * int(np.prod(shape)):]
+        else:
+            del header[entry]
+        (root / "missing").write_bytes(_framed(magic, header, payload))
+        with pytest.raises(PersistenceError):
+            reader(root / "missing")
 
 
 class TestEpochLog:

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avfusion.errors import DegenerateInputError, ShapeError
-from avfusion.linalg import (
-    angle_deg,
-    centroid,
-    cosine_similarity,
-    l2_normalize,
-    matmul,
-)
+from avfusion.errors import DegenerateInputError
+from avfusion.linalg import angle_deg, centroid, cosine_similarity, l2_normalize
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -23,37 +17,6 @@ def nonzero_vectors(dim=4):
         .map(np.array)
         .filter(lambda v: np.linalg.norm(v) > 1e-6)
     )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_row_times_column(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_zero_matrix(self):
-        z = np.zeros((2, 3))
-        assert np.array_equal(matmul(z, np.ones((3, 2))), np.zeros((2, 2)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 2))
-            c = rng.normal(size=(2, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.linalg.norm(left - right) <= 1e-10 * max(
-                np.linalg.norm(left), 1.0
-            )
 
 
 class TestL2Normalize:

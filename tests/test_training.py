@@ -13,22 +13,21 @@ from avfusion.data import (
     stack_samples,
 )
 from avfusion.errors import ConfigurationError, ConsistencyError
-from avfusion.heads import MeanFusionHead
-from avfusion.rng import substream
-from avfusion.training import (
+from avfusion.heads import (
     MASK_AUDIO,
     MASK_NONE,
     MASK_VIDEO,
+    MeanFusionHead,
+    apply_masks,
+    sample_mask_modes,
+)
+from avfusion.rng import substream
+from avfusion.training import (
     AdamW,
     TrainingConfig,
-    apply_masks,
     batch_loss,
     clip_global_norm,
-    compute_batch_loss,
-    compute_multiview_batch_loss,
     lr_schedule_update,
-    sample_mask_mode,
-    sample_mask_modes,
     train_run,
     validate_accuracy,
 )
@@ -45,8 +44,8 @@ class TestMasking:
             assert 0.323 <= freq <= 0.343
 
     def test_reproducible(self):
-        a = [sample_mask_mode(np.random.default_rng(7)) for _ in range(5)]
-        b = [sample_mask_mode(np.random.default_rng(7)) for _ in range(5)]
+        a = sample_mask_modes(np.random.default_rng(7), 5)
+        b = sample_mask_modes(np.random.default_rng(7), 5)
         assert a == b
 
     def test_degenerate_distribution(self):
@@ -175,9 +174,9 @@ class TestBatchLoss:
         audio = rng.normal(size=(6, 4))
         video = rng.normal(size=(6, 6))
         labels = rng.integers(0, 5, size=6)
-        loss_joint, _ = compute_multiview_batch_loss(
-            head, arc, audio, video, labels, lambda_audio=1.0, lambda_video=0.0,
-            train=False,
+        loss_joint, _ = batch_loss(
+            head, arc, audio, video, labels,
+            TrainingConfig(lambda_audio=1.0, lambda_video=0.0),
         )
         emb_a, _ = head.forward_modality("audio", audio, train=False)
         loss_audio, *_ = arc_margin_loss_grad_batch(arc, emb_a, labels)
@@ -189,14 +188,14 @@ class TestBatchLoss:
         audio = rng.normal(size=(6, 4))
         video = rng.normal(size=(6, 6))
         labels = rng.integers(0, 5, size=6)
-        loss, _ = compute_multiview_batch_loss(
-            head, arc, audio, video, labels, train=False
+        loss, _ = batch_loss(head, arc, audio, video, labels, TrainingConfig())
+        la, _ = batch_loss(
+            head, arc, audio, video, labels,
+            TrainingConfig(lambda_audio=1.0, lambda_video=0.0),
         )
-        la, _ = compute_multiview_batch_loss(
-            head, arc, audio, video, labels, 1.0, 0.0, train=False
-        )
-        lv, _ = compute_multiview_batch_loss(
-            head, arc, audio, video, labels, 0.0, 1.0, train=False
+        lv, _ = batch_loss(
+            head, arc, audio, video, labels,
+            TrainingConfig(lambda_audio=0.0, lambda_video=1.0),
         )
         assert abs(loss - (0.5 * la + 0.5 * lv)) <= 1e-10
 
@@ -206,9 +205,11 @@ class TestBatchLoss:
         audio = rng.normal(size=(6, 4))
         video = rng.normal(size=(6, 6))
         labels = rng.integers(0, 5, size=6)
-        loss, _ = compute_batch_loss(
-            head, arc, audio, video, labels, mask_modes=[MASK_NONE] * 6,
-            train=False,
+        # masks drawn with probability 1 for "none" leave the inputs unmasked
+        loss, _ = batch_loss(
+            head, arc, audio, video, labels,
+            TrainingConfig(mask_probabilities=(0.0, 0.0, 1.0)),
+            mask_rng=np.random.default_rng(0),
         )
         # independent composition: project, average, arc-margin per sample
         emb = 0.5 * (
@@ -224,20 +225,12 @@ class TestBatchLoss:
         audio = rng.normal(size=(4, 4))
         video = rng.normal(size=(4, 6))
         labels = rng.integers(0, 5, size=4)
-        loss1, _ = compute_batch_loss(head, arc, audio, video, labels, train=False)
-        loss2, _ = compute_batch_loss(
+        loss1, _ = batch_loss(head, arc, audio, video, labels, TrainingConfig())
+        loss2, _ = batch_loss(
             head, arc, np.vstack([audio, audio]), np.vstack([video, video]),
-            np.concatenate([labels, labels]), train=False,
+            np.concatenate([labels, labels]), TrainingConfig(),
         )
         assert loss1 == pytest.approx(loss2, abs=1e-12)
-
-    def test_multiview_rejected_by_masked_path(self, rng):
-        head = make_head("multiview", rng, d_a=4, d_v=6, d_e=3)
-        arc = ArcMarginHead.create(rng, 3, 5)
-        with pytest.raises(ConfigurationError):
-            compute_batch_loss(
-                head, arc, np.ones((2, 4)), np.ones((2, 6)), np.array([0, 1])
-            )
 
 
 class TestValidateAccuracy:
@@ -368,8 +361,7 @@ class TestTrainRun:
         params = {f"head.{k}": v for k, v in head.param_dict().items()}
         params["arc.prototypes"] = arc.prototypes
         for _ in range(5):
-            _, grads = batch_loss(head, arc, audio, video, labels, config,
-                                  train=True, rng=rng)
+            _, grads = batch_loss(head, arc, audio, video, labels, config, rng=rng)
             grads, _ = clip_global_norm(grads, config.clip_norm)
             opt.step(params, grads, config.learning_rate)
         assert eval_loss() < before
