@@ -244,10 +244,11 @@ def cmd_evaluate(cfg):
         n_positive=cfg["n_positive"], n_negative=cfg["n_negative"], seed=cfg["seed"]
     )
     os.makedirs(cfg["out_dir"], exist_ok=True)
+    trials = eval_mod.build_mode_trials(samples, trial_config)
     rows = []
     for path in checkpoints:
         head, arc, _ = persistence.load_checkpoint(path)
-        report = eval_mod.run_full_evaluation(head, samples, trial_config)
+        report = eval_mod.run_full_evaluation(head, samples, trial_config, trials)
         prefix = os.path.join(
             cfg["out_dir"], os.path.splitext(os.path.basename(path))[0] + "_report"
         )
@@ -277,33 +278,30 @@ def cmd_diagnose(cfg):
     if not samples:
         raise DegenerateInputError("embedding file is empty")
     os.makedirs(cfg["out_dir"], exist_ok=True)
+    report = eval_mod.run_diagnostics(
+        {exp: eval_mod.embed_samples(head, samples, exp) for exp in ("a", "v")},
+        [s.identity_id for s in samples],
+    )
     families = {
-        "audio_video": eval_mod.audio_video_angles(head, samples),
-        "within_audio": eval_mod.within_identity_angles(head, samples, "audio"),
-        "within_video": eval_mod.within_identity_angles(head, samples, "video"),
+        "audio_video": report.audio_video,
+        "within_audio": report.within_identity["audio"],
+        "within_video": report.within_identity["video"],
     }
     warnings = 0
-    for name, report in families.items():
+    for name, family in families.items():
         groups = [
             (identity, [eval_mod.boxplot_stats(angles) if angles else None])
-            for identity, angles in sorted(report.per_identity.items())
+            for identity, angles in sorted(family.per_identity.items())
         ]
         svgplot.render_boxplot_svg(
             os.path.join(cfg["out_dir"], f"{name}.svg"), groups, [head.kind],
             title=name.replace("_", " "),
         )
-        warnings += report.warnings
-    summary = {"silhouette": {}, "warnings": warnings, "families": {}}
-    for modality in ("audio", "video"):
-        emb = eval_mod.embed_samples(
-            head, samples, "a" if modality == "audio" else "v"
-        )
-        labels = [s.identity_id for s in samples]
-        summary["silhouette"][modality] = eval_mod.silhouette_score(
-            emb, labels, "cosine"
-        )
-    for name, report in families.items():
-        angles = report.all_angles()
+        warnings += family.warnings
+    summary = {"silhouette": dict(report.silhouette), "warnings": warnings,
+               "families": {}}
+    for name, family in families.items():
+        angles = family.all_angles()
         stats = eval_mod.boxplot_stats(angles) if angles else None
         summary["families"][name] = (
             None if stats is None else

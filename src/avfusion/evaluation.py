@@ -4,6 +4,12 @@ Embeddings for a side of a trial are produced by the head under that side's
 modality exposure: missing modalities enter the mean/MLP heads as null
 (zero) inputs, while the multi-view head routes single modalities through
 its shared classifier and averages both paths when both are present.
+
+Scoring and diagnostics work on embeddings computed once per exposure, and
+on whole arrays.  Each result is bit for bit what the per-pair definition
+gives: a row's dot product is `np.vecdot`, which sums it exactly as `np.dot`
+sums one pair in `linalg.cosine_similarity`, and every mean reduces the same
+values in the same order as a mean over one row.
 """
 
 from dataclasses import dataclass, field
@@ -11,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .linalg import angle_deg, cosine_similarity
-from .rng import substream
+# Unused here; perfbench/tracing.py counts calls through this name.
+from .linalg import cosine_similarity  # noqa: F401
 
 # mode -> (left exposure, right exposure); exposures are "av", "a", "v".
 MODALITY_MODES = {
@@ -25,6 +31,10 @@ MODALITY_MODES = {
 }
 
 _MODE_TAGS = {mode: i for i, mode in enumerate(MODALITY_MODES)}
+_MODALITY_EXPOSURES = {"audio": "a", "video": "v"}
+# Elements of the pairwise-difference tensor the euclidean silhouette
+# computes at once (2 MB).
+_DIFF_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,28 @@ class Trial:
     left_exposure: str
     right_exposure: str
     label: bool  # True = same identity
+
+
+@dataclass(frozen=True)
+class TrialArrays:
+    """One mode's trials as index arrays, built once and scored per head."""
+
+    exposures: tuple  # (left exposure, right exposure)
+    left: np.ndarray  # sample index of each trial's left side
+    right: np.ndarray
+    labels: np.ndarray  # True = same identity
+
+    @classmethod
+    def from_trials(cls, mode, trials):
+        exposures = MODALITY_MODES[mode]
+        if any((t.left_exposure, t.right_exposure) != exposures for t in trials):
+            raise ConfigurationError(f"trials do not all have the exposures of {mode}")
+        return cls(
+            exposures,
+            np.array([t.left for t in trials], dtype=np.intp),
+            np.array([t.right for t in trials], dtype=np.intp),
+            np.array([t.label for t in trials], dtype=bool),
+        )
 
 
 @dataclass(frozen=True)
@@ -134,6 +166,17 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
     return trials
 
 
+def build_mode_trials(samples, trial_config: TrialConfig):
+    """The trials of all six modes, as {mode: TrialArrays}."""
+    return {
+        mode: TrialArrays.from_trials(mode, build_trials(
+            samples, mode, trial_config.n_positive, trial_config.n_negative,
+            trial_config.seed,
+        ))
+        for mode in MODALITY_MODES
+    }
+
+
 def embed_samples(head, samples, exposure):
     """Eval-mode embeddings of every sample under one exposure."""
     audio = np.stack([s.audio for s in samples]) if "a" in exposure else None
@@ -141,16 +184,22 @@ def embed_samples(head, samples, exposure):
     return head.embed(audio, video)
 
 
-def score_trials(head, trials, samples):
-    """Vectorized trial scoring; embeds each needed exposure once."""
-    exposures = {t.left_exposure for t in trials} | {t.right_exposure for t in trials}
-    embedded = {exp: embed_samples(head, samples, exp) for exp in exposures}
-    scores = np.empty(len(trials))
-    for i, t in enumerate(trials):
-        scores[i] = cosine_similarity(
-            embedded[t.left_exposure][t.left], embedded[t.right_exposure][t.right]
-        )
-    return scores
+def _row_cosines(left, right):
+    """Clamped cosine of each pair of rows, as `cosine_similarity` gives it."""
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise DegenerateInputError("vector contains NaN or Inf")
+    left_norms = np.sqrt(np.vecdot(left, left))
+    right_norms = np.sqrt(np.vecdot(right, right))
+    if (left_norms == 0.0).any() or (right_norms == 0.0).any():
+        raise DegenerateInputError("cosine similarity undefined for the zero vector")
+    return np.clip(np.vecdot(left, right) / (left_norms * right_norms), -1.0, 1.0)
+
+
+def score_trials(embedded, trials: TrialArrays):
+    """Cosine score of every trial, from embeddings keyed by exposure."""
+    left_exp, right_exp = trials.exposures
+    return _row_cosines(embedded[left_exp][trials.left],
+                        embedded[right_exp][trials.right])
 
 
 def compute_eer(scores, labels):
@@ -158,33 +207,42 @@ def compute_eer(scores, labels):
 
     FAR(t) = fraction of nontarget scores >= t; FRR(t) = fraction of target
     scores < t.  The EER is read off where FAR crosses FRR, interpolating
-    linearly between the adjacent operating points.
+    linearly between the adjacent operating points.  Both rates come from
+    one sort of each class, so the sweep is O(T log T) in the trial count.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
         raise ConfigurationError("scores and labels must align")
-    targets = scores[labels]
-    nontargets = scores[~labels]
+    if np.isnan(scores).any():
+        raise DegenerateInputError("scores contain NaN")
+    targets = np.sort(scores[labels])
+    nontargets = np.sort(scores[~labels])
     if targets.size == 0 or nontargets.size == 0:
         raise DegenerateInputError("need at least one target and one nontarget")
     thresholds = np.unique(scores)
     thresholds = np.concatenate(
         [[thresholds[0] - 1.0], thresholds, [thresholds[-1] + 1.0]]
     )
-    far = np.array([(nontargets >= t).mean() for t in thresholds])
-    frr = np.array([(targets < t).mean() for t in thresholds])
+    n_below = np.searchsorted(nontargets, thresholds, "left")
+    far = (nontargets.size - n_below) / nontargets.size
+    frr = np.searchsorted(targets, thresholds, "left") / targets.size
+    # FAR falls and FRR rises with the threshold, so diff never increases:
+    # the rates either meet at a threshold or cross between two.
     diff = far - frr
-    for i in range(len(thresholds)):
-        if diff[i] == 0.0:
-            return EerResult(
-                float(far[i]), float(thresholds[i]), targets.size, nontargets.size
-            )
-        if diff[i] > 0.0 and i + 1 < len(thresholds) and diff[i + 1] < 0.0:
-            alpha = diff[i] / (diff[i] - diff[i + 1])
-            eer = frr[i] + alpha * (frr[i + 1] - frr[i])
-            threshold = thresholds[i] + alpha * (thresholds[i + 1] - thresholds[i])
-            return EerResult(float(eer), float(threshold), targets.size, nontargets.size)
+    meets = np.flatnonzero(diff == 0.0)
+    crosses = np.flatnonzero((diff[:-1] > 0.0) & (diff[1:] < 0.0))
+    if meets.size:
+        i = meets[0]
+        return EerResult(
+            float(far[i]), float(thresholds[i]), targets.size, nontargets.size
+        )
+    if crosses.size:
+        i = crosses[0]
+        alpha = diff[i] / (diff[i] - diff[i + 1])
+        eer = frr[i] + alpha * (frr[i + 1] - frr[i])
+        threshold = thresholds[i] + alpha * (thresholds[i + 1] - thresholds[i])
+        return EerResult(float(eer), float(threshold), targets.size, nontargets.size)
     raise DegenerateInputError("no FAR/FRR crossing found")  # unreachable
 
 
@@ -195,122 +253,140 @@ def _group_indices(samples):
     return groups
 
 
-def _safe_angle(a, b):
-    """Angle in degrees, or None when either embedding is exactly zero."""
-    if not np.any(a) or not np.any(b):
-        return None
-    return angle_deg(a, b)
+def _clusters(labels):
+    """(sorted distinct labels, order, bounds): `order` lists the samples
+    grouped by label, each group in sample order, and group k is
+    order[bounds[k]:bounds[k + 1]]."""
+    distinct, inverse, counts = np.unique(
+        np.asarray(labels), return_inverse=True, return_counts=True
+    )
+    order = np.argsort(inverse, kind="stable")
+    return distinct.tolist(), order, np.concatenate(([0], np.cumsum(counts)))
 
 
-def audio_video_angles(head, samples):
-    """Per-sample angle between the audio-only and video-only embeddings."""
-    if not samples:
-        raise DegenerateInputError("no samples")
-    emb_a = embed_samples(head, samples, "a")
-    emb_v = embed_samples(head, samples, "v")
-    report = AngleReport(family="audio_video")
-    for identity, idx in sorted(_group_indices(samples).items()):
-        angles = []
-        for i in idx:
-            angle = _safe_angle(emb_a[i], emb_v[i])
-            if angle is None:
-                report.warnings += 1
-            else:
-                angles.append(angle)
-        report.per_identity[identity] = angles
-    return report
-
-
-def within_identity_angles(head, samples, modality):
-    """All unordered within-identity pairs of single-modality embeddings."""
-    exposure = {"audio": "a", "video": "v"}.get(modality)
-    if exposure is None:
+def _exposure(modality):
+    if modality not in _MODALITY_EXPOSURES:
         raise ConfigurationError(f"modality must be audio or video, got {modality!r}")
-    groups = _group_indices(samples)
-    if not any(len(idx) >= 2 for idx in groups.values()):
-        raise DegenerateInputError("no identity has two samples")
-    emb = embed_samples(head, samples, exposure)
-    report = AngleReport(family=f"within_identity_{modality}")
-    for identity, idx in sorted(groups.items()):
-        angles = []
-        for j, a in enumerate(idx):
-            for b in idx[j + 1 :]:
-                angle = _safe_angle(emb[a], emb[b])
-                if angle is None:
-                    report.warnings += 1
-                else:
-                    angles.append(angle)
-        report.per_identity[identity] = angles
+    return _MODALITY_EXPOSURES[modality]
+
+
+def _angle_report(family, identities, bounds, left, right):
+    """Angles in degrees between pairs of rows; identity k owns the pairs
+    bounds[k]:bounds[k + 1].  A pair with an exactly zero row has no angle;
+    it is skipped and counted as a warning."""
+    keep = left.any(axis=1) & right.any(axis=1)
+    angles = np.zeros(keep.size)
+    angles[keep] = np.degrees(np.arccos(_row_cosines(left[keep], right[keep])))
+    report = AngleReport(family=family, warnings=int(keep.size - keep.sum()))
+    for identity, start, stop in zip(identities, bounds[:-1], bounds[1:]):
+        report.per_identity[identity] = angles[start:stop][keep[start:stop]].tolist()
     return report
 
 
-def centroid_angle_matrix(head, samples, modality):
+def audio_video_angles(embedded, labels):
+    """Per-sample angle between the audio-only and video-only embeddings."""
+    if len(labels) == 0:
+        raise DegenerateInputError("no samples")
+    identities, order, bounds = _clusters(labels)
+    return _angle_report("audio_video", identities, bounds,
+                         embedded["a"][order], embedded["v"][order])
+
+
+def within_identity_angles(embedded, labels, modality):
+    """All unordered within-identity pairs of single-modality embeddings."""
+    exposure = _exposure(modality)
+    identities, order, bounds = _clusters(labels)
+    sizes = np.diff(bounds)
+    if not (sizes >= 2).any():
+        raise DegenerateInputError("no identity has two samples")
+    left, right = [], []
+    for start, size in zip(bounds[:-1], sizes):
+        first, second = np.triu_indices(size, k=1)
+        left.append(order[start + first])
+        right.append(order[start + second])
+    pair_bounds = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
+    emb = embedded[exposure]
+    return _angle_report(f"within_identity_{modality}", identities, pair_bounds,
+                         emb[np.concatenate(left)], emb[np.concatenate(right)])
+
+
+def centroid_angle_matrix(embedded, labels, modality):
     """Pairwise angles between per-identity centroid embeddings.
 
     Returns (identities, matrix, n_skipped); identities with an exactly zero
     centroid are dropped from the matrix and counted.
     """
-    exposure = {"audio": "a", "video": "v"}.get(modality)
-    if exposure is None:
-        raise ConfigurationError(f"modality must be audio or video, got {modality!r}")
-    groups = _group_indices(samples)
-    if len(groups) < 2:
+    exposure = _exposure(modality)
+    identities, order, bounds = _clusters(labels)
+    if len(identities) < 2:
         raise DegenerateInputError("need at least 2 identities")
-    emb = embed_samples(head, samples, exposure)
-    identities = []
-    centroids = []
-    skipped = 0
-    for identity, idx in sorted(groups.items()):
-        c = emb[idx].mean(axis=0)
-        if not np.any(c):
-            skipped += 1
-            continue
-        identities.append(identity)
-        centroids.append(c)
-    k = len(identities)
-    matrix = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            matrix[i, j] = matrix[j, i] = angle_deg(centroids[i], centroids[j])
-    return identities, matrix, skipped
+    emb = embedded[exposure]
+    centroids = np.array([
+        emb[order[start:stop]].mean(axis=0)
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ])
+    nonzero = centroids.any(axis=1)
+    kept = [identity for identity, keep in zip(identities, nonzero) if keep]
+    centroids = centroids[nonzero]
+    first, second = np.triu_indices(len(kept), k=1)
+    angles = np.degrees(np.arccos(_row_cosines(centroids[first], centroids[second])))
+    matrix = np.zeros((len(kept), len(kept)))
+    matrix[first, second] = angles
+    matrix[second, first] = angles
+    return kept, matrix, len(identities) - len(kept)
 
 
 def silhouette_score(embeddings, labels, distance="cosine"):
     """Mean silhouette s(i) = (b - a)/max(a, b) over all points.
 
     Singleton clusters and coincident geometry (a == b == 0) contribute 0.
+    The n x n distance matrix is kept whole: each mean below reduces one
+    contiguous row slice of it, which is what keeps the result bit-exact.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     n = len(labels)
     if embeddings.shape[0] != n:
         raise ConfigurationError("embeddings and labels must align")
-    unique = np.unique(labels)
-    if unique.size < 2:
+    _, order, bounds = _clusters(labels)
+    if len(bounds) < 3:
         raise DegenerateInputError("silhouette needs at least 2 clusters")
+    if not np.isfinite(embeddings).all():
+        raise DegenerateInputError("silhouette of NaN or Inf embeddings")
     if distance == "euclidean":
-        diff = embeddings[:, None, :] - embeddings[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=2))
+        dist = np.empty((n, n))
+        rows = max(1, _DIFF_BLOCK_ELEMENTS // max(embeddings.size, 1))
+        for start in range(0, n, rows):
+            diff = embeddings[start : start + rows, None, :] - embeddings[None, :, :]
+            dist[start : start + rows] = np.sqrt(np.sum(diff**2, axis=2))
     elif distance == "cosine":
         norms = np.linalg.norm(embeddings, axis=1)
         if np.any(norms == 0.0):
             raise DegenerateInputError("cosine distance undefined for zero vectors")
         unit = embeddings / norms[:, None]
-        dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+        dist = unit @ unit.T
+        np.clip(dist, -1.0, 1.0, out=dist)
+        np.subtract(1.0, dist, out=dist)
     else:
         raise ConfigurationError(f"unknown distance {distance!r}")
-    masks = {label: labels == label for label in unique}
+    sizes = np.diff(bounds)
+    cluster = np.empty(n, dtype=np.intp)
+    cluster[order] = np.repeat(np.arange(sizes.size), sizes)
+    to_cluster = np.empty((n, sizes.size))  # mean distance to each cluster
+    own = np.zeros(n)  # mean distance to the rest of its own cluster
+    for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        members = order[start:stop]
+        to_cluster[:, k] = np.take(dist, members, axis=1).mean(axis=1)
+        m = members.size
+        if m > 1:
+            block = np.take(dist[members], members, axis=1)
+            own[members] = block[~np.eye(m, dtype=bool)].reshape(m, m - 1).mean(axis=1)
+    to_cluster[np.arange(n), cluster] = np.inf
+    nearest = to_cluster.min(axis=1)
+    denom = np.maximum(own, nearest)
+    scored = (sizes[cluster] > 1) & (denom > 0.0)
     scores = np.zeros(n)
-    for i in range(n):
-        own = masks[labels[i]].copy()
-        own[i] = False
-        if not own.any():
-            continue  # singleton cluster: s(i) = 0
-        a = dist[i, own].mean()
-        b = min(dist[i, masks[label]].mean() for label in unique if label != labels[i])
-        denom = max(a, b)
-        if denom > 0.0:
-            scores[i] = (b - a) / denom
+    scores[scored] = (nearest[scored] - own[scored]) / denom[scored]
     return float(scores.mean())
 
 
@@ -341,28 +417,38 @@ def boxplot_stats(values):
     )
 
 
-def run_full_evaluation(head, samples, trial_config: TrialConfig):
-    """EER for all six modes plus the full angle/silhouette diagnostics."""
+def run_diagnostics(embedded, labels):
+    """Angle families, centroid angles and cosine silhouettes of one head,
+    from its audio-only ("a") and video-only ("v") embeddings."""
     report = DiagnosticsReport()
-    for mode in MODALITY_MODES:
-        trials = build_trials(
-            samples, mode, trial_config.n_positive, trial_config.n_negative,
-            trial_config.seed,
-        )
-        scores = score_trials(head, trials, samples)
-        labels = np.array([t.label for t in trials])
-        report.eer[mode] = compute_eer(scores, labels)
-    report.audio_video = audio_video_angles(head, samples)
+    report.audio_video = audio_video_angles(embedded, labels)
     report.warnings += report.audio_video.warnings
     for modality in ("audio", "video"):
-        within = within_identity_angles(head, samples, modality)
+        within = within_identity_angles(embedded, labels, modality)
         report.within_identity[modality] = within
         report.warnings += within.warnings
-        ids, matrix, skipped = centroid_angle_matrix(head, samples, modality)
+        ids, matrix, skipped = centroid_angle_matrix(embedded, labels, modality)
         report.between_centroids[modality] = (ids, matrix)
         report.warnings += skipped
-        exposure = "a" if modality == "audio" else "v"
-        emb = embed_samples(head, samples, exposure)
-        labels = np.array([s.identity_id for s in samples])
-        report.silhouette[modality] = silhouette_score(emb, labels, "cosine")
+        report.silhouette[modality] = silhouette_score(
+            embedded[_exposure(modality)], labels, "cosine"
+        )
+    return report
+
+
+def run_full_evaluation(head, samples, trial_config: TrialConfig, trials=None):
+    """EER for all six modes plus the full angle/silhouette diagnostics.
+
+    `trials` is `build_mode_trials(samples, trial_config)` when the caller
+    scores several heads against the same trials; it is built here otherwise.
+    """
+    if trials is None:
+        trials = build_mode_trials(samples, trial_config)
+    embedded = {exp: embed_samples(head, samples, exp) for exp in ("av", "a", "v")}
+    eer = {
+        mode: compute_eer(score_trials(embedded, mode_trials), mode_trials.labels)
+        for mode, mode_trials in trials.items()
+    }
+    report = run_diagnostics(embedded, np.array([s.identity_id for s in samples]))
+    report.eer = eer
     return report

@@ -218,18 +218,23 @@ def load_checkpoint(path, expect_kind=None):
         raise PersistenceError(f"{path}: trailing bytes after last tensor")
     _check_finite(path, np.frombuffer(payload, dtype="<f8"))
     try:
-        head = HEAD_KINDS[meta["kind"]].from_state(
-            meta, {k[len("head."):]: v for k, v in tensors.items() if k.startswith("head.")}
-        )
-        arc = ArcMarginHead(
-            prototypes=tensors["arc.prototypes"],
-            scale=header["arc"]["scale"],
-            margin=header["arc"]["margin"],
-        )
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            head = HEAD_KINDS[meta["kind"]].from_state(
+                meta,
+                {k[len("head."):]: v for k, v in tensors.items()
+                 if k.startswith("head.")},
+            )
+            arc = ArcMarginHead(
+                prototypes=tensors["arc.prototypes"],
+                scale=header["arc"]["scale"],
+                margin=header["arc"]["margin"],
+            )
     except KeyError as exc:
         raise PersistenceError(f"{path}: missing tensor {exc}") from exc
     except (ShapeError, DegenerateInputError) as exc:
         raise PersistenceError(f"{path}: inconsistent tensors: {exc}") from exc
+    except FloatingPointError as exc:
+        raise PersistenceError(f"{path}: tensor values out of range: {exc}") from exc
     return head, arc, header.get("provenance", {})
 
 

@@ -157,7 +157,19 @@ class TrainResult:
 
 
 def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig):
-    """Run the full training regimen and return the best-validation snapshot."""
+    """Run the full training regimen and return the best-validation snapshot.
+
+    An overflow, 0/0 or x/0 stops the run with DegenerateInputError, before
+    it becomes a numpy warning or a non-finite parameter.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _train_run(head, arc_head, train_samples, val_samples, config)
+    except FloatingPointError as exc:
+        raise DegenerateInputError(f"non-finite values in training: {exc}") from exc
+
+
+def _train_run(head, arc_head, train_samples, val_samples, config):
     config.validate()
     train_ids = {s.sample_id for s in train_samples}
     if train_ids & {s.sample_id for s in val_samples}:

@@ -28,6 +28,8 @@ from avfusion.data import (
     split_dataset,
 )
 from avfusion.evaluation import (
+    MODALITY_MODES,
+    TrialArrays,
     TrialConfig,
     audio_video_angles,
     build_trials,
@@ -112,9 +114,16 @@ def trained_head(kind, seed):
     return _TRAINED_CACHE[key]
 
 
+def single_modality_angles(family, head, samples, *modality):
+    """An angle family over the head's audio-only and video-only embeddings."""
+    embedded = {exp: embed_samples(head, samples, exp) for exp in ("a", "v")}
+    return family(embedded, [s.identity_id for s in samples], *modality)
+
+
 def held_out_eer(head, test, mode, seed):
     trials = build_trials(test, mode, 500, 500, seed)
-    scores = score_trials(head, trials, test)
+    embedded = {exp: embed_samples(head, test, exp) for exp in MODALITY_MODES[mode]}
+    scores = score_trials(embedded, TrialArrays.from_trials(mode, trials))
     labels = np.array([t.label for t in trials])
     return compute_eer(scores, labels).eer
 
@@ -294,14 +303,10 @@ def test_criterion_07_audio_video_angle_ordering():
     ok = True
     for seed in ACCEPTANCE_SEEDS:
         _, _, test = desk_data(seed)
-        mean_median = float(
-            np.median(audio_video_angles(trained_head("mean", seed), test).all_angles())
-        )
-        mv_median = float(
-            np.median(
-                audio_video_angles(trained_head("multiview", seed), test).all_angles()
-            )
-        )
+        mean_median = float(np.median(single_modality_angles(
+            audio_video_angles, trained_head("mean", seed), test).all_angles()))
+        mv_median = float(np.median(single_modality_angles(
+            audio_video_angles, trained_head("multiview", seed), test).all_angles()))
         if mean_median < mv_median:
             ok = False
         details.append(
@@ -440,8 +445,9 @@ def test_criterion_10_metric_invariants():
         config = DatasetConfig(n_identities=4, samples_per_identity=4,
                                seed=int(rng.integers(0, 1000)))
         samples = sample_dataset(generate_identities(config), config)
-        angles = audio_video_angles(head, samples).all_angles()
-        angles += within_identity_angles(head, samples, "audio").all_angles()
+        angles = single_modality_angles(audio_video_angles, head, samples).all_angles()
+        angles += single_modality_angles(
+            within_identity_angles, head, samples, "audio").all_angles()
         angles_ok &= all(0.0 <= a <= 180.0 for a in angles)
     ok &= angles_ok
     elapsed = time.time() - start

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from avfusion.persistence import (
     read_embeddings,
     read_epoch_log,
     read_report,
+    save_checkpoint,
 )
 from avfusion.heads import MeanFusionHead
 from avfusion.rng import substream
@@ -140,10 +142,15 @@ class TestTrain:
         assert (tmp_path / "mean.log").read_bytes() == first[1]
 
     def test_non_finite_loss_is_data_error(self, pipeline, tmp_path, capsys):
-        code = run(train_args(pipeline, tmp_path,
-                              extra=["--learning-rate", "1e300"]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(train_args(pipeline, tmp_path,
+                                  extra=["--learning-rate", "1e300"]))
         assert code == cli.EXIT_DATA
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "mean.ckpt").exists()
         assert not (tmp_path / "mean.log").exists()
 
@@ -209,6 +216,18 @@ class TestEvaluate:
         argv[argv.index("--test-embeddings") + 1] = str(damaged)
         assert run(argv) == cli.EXIT_IO
         assert "d_a" in capsys.readouterr().err
+
+    def test_huge_checkpoint_value_is_io_error(self, pipeline, tmp_path, capsys):
+        head, arc, provenance = load_checkpoint(pipeline / "mean.ckpt")
+        arc.prototypes[0, 0] = 1e300  # finite, but its squared norm overflows
+        damaged = tmp_path / "huge.ckpt"
+        save_checkpoint(damaged, head, arc, provenance)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(self.evaluate_args(pipeline, tmp_path, [damaged]))
+        assert code == cli.EXIT_IO
+        assert "out of range" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_no_checkpoint_is_config_error(self, pipeline, tmp_path, capsys):
         code = run(["evaluate", "--test-embeddings",

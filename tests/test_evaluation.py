@@ -7,6 +7,8 @@ from avfusion.data import Sample
 from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
     MODALITY_MODES,
+    Trial,
+    TrialArrays,
     TrialConfig,
     audio_video_angles,
     boxplot_stats,
@@ -37,6 +39,14 @@ def passthrough_audio_head(d=2):
 def embed_one(head, sample, exposure):
     """One sample's eval-mode embedding under an exposure ("av", "a", "v")."""
     return embed_samples(head, [sample], exposure)[0]
+
+
+def embed_all(head, samples):
+    return {exp: embed_samples(head, samples, exp) for exp in ("av", "a", "v")}
+
+
+def identities(samples):
+    return [s.identity_id for s in samples]
 
 
 def toy_samples(audio_rows, identity_ids, d_v=2):
@@ -139,34 +149,36 @@ class TestFusedEmbedding:
 
 class TestScoreTrial:
     def test_self_similarity(self, rng):
-        from avfusion.evaluation import Trial
-
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=2, samples_per_identity=2)
-        trial = Trial(0, 0, "av", "av", True)
-        assert score_trials(head, [trial], samples)[0] == pytest.approx(1.0)
+        trials = TrialArrays.from_trials("AVxAV", [Trial(0, 0, "av", "av", True)])
+        assert score_trials(embed_all(head, samples), trials)[0] == pytest.approx(1.0)
 
     def test_symmetry(self, rng):
-        from avfusion.evaluation import Trial
-
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=3, samples_per_identity=2)
         trial = Trial(0, 3, "a", "a", False)
         swapped = Trial(3, 0, "a", "a", False)
-        scores = score_trials(head, [trial, swapped], samples)
+        trials = TrialArrays.from_trials("AxA", [trial, swapped])
+        scores = score_trials(embed_all(head, samples), trials)
         assert scores[0] == pytest.approx(scores[1], abs=1e-12)
 
     def test_batch_scoring_matches_loop(self, rng):
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=4, samples_per_identity=3)
         trials = build_trials(samples, "AVxA", 10, 10, 0)
-        batch = score_trials(head, trials, samples)
+        batch = score_trials(embed_all(head, samples),
+                             TrialArrays.from_trials("AVxA", trials))
         loop = np.array([
             cosine_similarity(embed_one(head, samples[t.left], t.left_exposure),
                               embed_one(head, samples[t.right], t.right_exposure))
             for t in trials
         ])
         assert np.allclose(batch, loop, atol=1e-12)
+
+    def test_exposures_must_match_mode(self):
+        with pytest.raises(ConfigurationError):
+            TrialArrays.from_trials("AxA", [Trial(0, 1, "a", "v", False)])
 
 
 class TestComputeEer:
@@ -223,7 +235,7 @@ class TestAudioVideoAngles:
             LinearLayer(weight=np.zeros((2, 2)), bias=np.array([1.0, 1.0])),
         )
         samples = toy_samples([[1, 0], [0, 1]], ["id0", "id0"])
-        report = audio_video_angles(head, samples)
+        report = audio_video_angles(embed_all(head, samples), identities(samples))
         assert report.all_angles() == pytest.approx([0.0, 0.0], abs=1e-4)
 
     def test_orthogonal_construction(self):
@@ -232,13 +244,13 @@ class TestAudioVideoAngles:
             LinearLayer(weight=np.array([[0.0], [1.0]]), bias=np.zeros(2)),
         )
         samples = [Sample("id0", "s0", np.array([1.0]), np.array([1.0]))]
-        report = audio_video_angles(head, samples)
+        report = audio_video_angles(embed_all(head, samples), identities(samples))
         assert report.all_angles() == pytest.approx([90.0])
 
     def test_matches_per_sample_recomputation(self, rng):
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=4, samples_per_identity=4)
-        report = audio_video_angles(head, samples)
+        report = audio_video_angles(embed_all(head, samples), identities(samples))
         flattened = []
         for identity in sorted({s.identity_id for s in samples}):
             for s in samples:
@@ -257,7 +269,7 @@ class TestAudioVideoAngles:
             LinearLayer(weight=np.zeros((2, 2)), bias=np.zeros(2)),
         )
         samples = toy_samples([[1, 0]], ["id0"])
-        report = audio_video_angles(head, samples)
+        report = audio_video_angles(embed_all(head, samples), identities(samples))
         assert report.warnings == 1
         assert report.all_angles() == []
 
@@ -266,20 +278,23 @@ class TestWithinIdentityAngles:
     def test_identical_samples(self):
         head = passthrough_audio_head()
         samples = toy_samples([[1, 1], [1, 1], [1, 1]], ["id0"] * 3)
-        report = within_identity_angles(head, samples, "audio")
+        report = within_identity_angles(embed_all(head, samples), identities(samples),
+                                        "audio")
         assert report.all_angles() == pytest.approx([0.0, 0.0, 0.0], abs=1e-4)
 
     def test_pair_count(self, rng):
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=3, samples_per_identity=5)
-        report = within_identity_angles(head, samples, "audio")
+        report = within_identity_angles(embed_all(head, samples), identities(samples),
+                                        "audio")
         for angles in report.per_identity.values():
             assert len(angles) == 10  # C(5,2)
 
     def test_three_sample_toy(self):
         head = passthrough_audio_head()
         samples = toy_samples([[1, 0], [0, 1], [1, 1]], ["id0"] * 3)
-        report = within_identity_angles(head, samples, "audio")
+        report = within_identity_angles(embed_all(head, samples), identities(samples),
+                                        "audio")
         assert sorted(report.per_identity["id0"]) == pytest.approx(
             [45.0, 45.0, 90.0]
         )
@@ -288,14 +303,16 @@ class TestWithinIdentityAngles:
         head = make_head("mean", rng)
         samples = small_dataset(n_identities=2, samples_per_identity=2)
         with pytest.raises(ConfigurationError):
-            within_identity_angles(head, samples, "text")
+            within_identity_angles(embed_all(head, samples), identities(samples),
+                                   "text")
 
 
 class TestCentroidAngleMatrix:
     def test_orthogonal_centroids(self):
         head = passthrough_audio_head()
         samples = toy_samples([[2, 0], [0, 3]], ["id0", "id1"])
-        ids, matrix, skipped = centroid_angle_matrix(head, samples, "audio")
+        ids, matrix, skipped = centroid_angle_matrix(embed_all(head, samples),
+                                                      identities(samples), "audio")
         assert ids == ["id0", "id1"]
         assert matrix[0, 1] == pytest.approx(90.0)
         assert skipped == 0
@@ -303,7 +320,8 @@ class TestCentroidAngleMatrix:
     def test_symmetry_and_zero_diagonal(self, rng):
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=5, samples_per_identity=3)
-        _, matrix, _ = centroid_angle_matrix(head, samples, "video")
+        _, matrix, _ = centroid_angle_matrix(embed_all(head, samples),
+                                             identities(samples), "video")
         assert np.array_equal(matrix, matrix.T)
         assert np.array_equal(np.diag(matrix), np.zeros(5))
 
@@ -311,7 +329,8 @@ class TestCentroidAngleMatrix:
         head = passthrough_audio_head()
         rows = [[1, 0], [0, 1], [1, 1]]
         samples = toy_samples(rows, ["id0", "id1", "id2"])
-        _, matrix, _ = centroid_angle_matrix(head, samples, "audio")
+        _, matrix, _ = centroid_angle_matrix(embed_all(head, samples),
+                                             identities(samples), "audio")
         expected = np.array(
             [[0.0, 90.0, 45.0], [90.0, 0.0, 45.0], [45.0, 45.0, 0.0]]
         )
@@ -421,6 +440,7 @@ class TestRunFullEvaluation:
         config = TrialConfig(30, 30, 9)
         report = run_full_evaluation(head, samples, config)
         trials = build_trials(samples, "AxA", 30, 30, 9)
-        scores = score_trials(head, trials, samples)
+        scores = score_trials(embed_all(head, samples),
+                              TrialArrays.from_trials("AxA", trials))
         labels = np.array([t.label for t in trials])
         assert report.eer["AxA"].eer == compute_eer(scores, labels).eer
