@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInputError,
     LabelError,
     PersistenceError,
+    float_errors_as_degenerate,
 )
 from .heads import DESK_DIMS, FULL_DIMS, HEAD_KINDS
 from .rng import substream
@@ -248,7 +249,8 @@ def cmd_evaluate(cfg):
     rows = []
     for path in checkpoints:
         head, arc, _ = persistence.load_checkpoint(path)
-        report = eval_mod.run_full_evaluation(head, samples, trial_config, trials)
+        with float_errors_as_degenerate("evaluation"):
+            report = eval_mod.run_full_evaluation(head, samples, trial_config, trials)
         prefix = os.path.join(
             cfg["out_dir"], os.path.splitext(os.path.basename(path))[0] + "_report"
         )
@@ -278,10 +280,11 @@ def cmd_diagnose(cfg):
     if not samples:
         raise DegenerateInputError("embedding file is empty")
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    report = eval_mod.run_diagnostics(
-        {exp: eval_mod.embed_samples(head, samples, exp) for exp in ("a", "v")},
-        [s.identity_id for s in samples],
-    )
+    with float_errors_as_degenerate("diagnostics"):
+        report = eval_mod.run_diagnostics(
+            {exp: eval_mod.embed_samples(head, samples, exp) for exp in ("a", "v")},
+            [s.identity_id for s in samples],
+        )
     families = {
         "audio_video": report.audio_video,
         "within_audio": report.within_identity["audio"],

@@ -1,5 +1,9 @@
 """Exception types shared across the library."""
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class AvFusionError(Exception):
     """Base class for all library errors."""
@@ -35,3 +39,15 @@ class PersistenceError(AvFusionError, ValueError):
 
 class CheckpointKindError(PersistenceError):
     """A checkpoint was loaded into the wrong head kind."""
+
+
+@contextmanager
+def float_errors_as_degenerate(what):
+    """Runs the block with numpy overflow, 0/0 and x/0 raising, and reports
+    them as DegenerateInputError, before they become numpy warnings or
+    non-finite results."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DegenerateInputError(f"non-finite values in {what}: {exc}") from exc

@@ -6,7 +6,7 @@ boundary, which is what the heads are trained to interpret via masking.
 
 Forward passes return (embeddings, cache); the cache replays dropout masks
 and batch statistics exactly in the matching backward pass.  Parameter
-gradients are returned in a flat dict keyed like the param_dict() entries.
+gradients are returned in a flat dict keyed like the parameters() names.
 
 Training, evaluation and persistence reach every head through the `_Head`
 interface; HEAD_KINDS maps each kind name to its class.
@@ -29,28 +29,23 @@ DEFAULT_LEAKY_SLOPE = 0.01
 FULL_DIMS = {"d_a": 356, "d_v": 2048, "d_e": 256, "hidden": 1330}
 DESK_DIMS = {"d_a": 16, "d_v": 32, "d_e": 8, "hidden": 24}
 
-MASK_VIDEO = "mask_video"
-MASK_AUDIO = "mask_audio"
-MASK_NONE = "none"
-_MASK_MODES = (MASK_VIDEO, MASK_AUDIO, MASK_NONE)
+# Mask modes, as indices into TrainingConfig.mask_probabilities.
+MASK_VIDEO, MASK_AUDIO, MASK_NONE = 0, 1, 2
 
 
 def sample_mask_modes(rng, n, probabilities=(1 / 3, 1 / 3, 1 / 3)):
-    """One of mask_video / mask_audio / none per sample, i.i.d."""
-    return [_MASK_MODES[i] for i in rng.choice(3, size=n, p=np.asarray(probabilities))]
+    """One of MASK_VIDEO / MASK_AUDIO / MASK_NONE per sample, i.i.d."""
+    return rng.choice(3, size=n, p=np.asarray(probabilities))
 
 
 def apply_masks(audio, video, modes):
-    """Zero out the masked modality per sample, at the backbone boundary."""
-    audio = np.array(audio, copy=True)
-    video = np.array(video, copy=True)
-    for i, mode in enumerate(modes):
-        if mode == MASK_AUDIO:
-            audio[i] = 0.0
-        elif mode == MASK_VIDEO:
-            video[i] = 0.0
-        elif mode != MASK_NONE:
-            raise ConfigurationError(f"unknown mask mode {mode!r}")
+    """Zero out the masked modality per sample, at the backbone boundary;
+    returns new arrays."""
+    modes = np.asarray(modes)
+    if modes.dtype.kind not in "iu" or ((modes < 0) | (modes > 2)).any():
+        raise ConfigurationError(f"unknown mask modes in {modes!r}")
+    audio = np.where((modes == MASK_AUDIO)[:, None], 0.0, audio)
+    video = np.where((modes == MASK_VIDEO)[:, None], 0.0, video)
     return audio, video
 
 
@@ -105,15 +100,20 @@ class _Head:
     def d_e(self):
         return self.proj_audio.out_dim
 
-    def param_dict(self):
-        return {
-            f"{name}.{attr}": getattr(getattr(self, name), attr)
-            for name in self._linears for attr in ("weight", "bias")
-        }
+    def named_layers(self):
+        """(name, layer) of every layer that holds tensors, in a fixed order."""
+        return [(name, getattr(self, name)) for name in self._linears]
+
+    def parameters(self):
+        """(name, layer, attribute) of every trained tensor, in the order of
+        named_layers(); training rebinds each attribute to its stored view."""
+        return [(f"{prefix}.{attr}", layer, attr)
+                for prefix, layer in self.named_layers() for attr in layer.TRAINED]
 
     def state(self):
         """Every tensor that eval-mode outputs depend on, by name."""
-        return self.param_dict()
+        return {f"{prefix}.{attr}": getattr(layer, attr)
+                for prefix, layer in self.named_layers() for attr in layer.STATE}
 
     def meta(self):
         return {
@@ -258,21 +258,9 @@ class MlpFusionHead(_Head):
     def d_e(self):
         return self.layers[2].out_dim
 
-    def param_dict(self):
-        params = {}
-        for i, (lin, bn) in enumerate(zip(self.layers, self.norms), start=1):
-            params[f"layer{i}.weight"] = lin.weight
-            params[f"layer{i}.bias"] = lin.bias
-            params[f"bn{i}.gamma"] = bn.gamma
-            params[f"bn{i}.beta"] = bn.beta
-        return params
-
-    def state(self):
-        state = self.param_dict()
-        for i, bn in enumerate(self.norms, start=1):
-            state[f"bn{i}.running_mean"] = bn.running_mean
-            state[f"bn{i}.running_var"] = bn.running_var
-        return state
+    def named_layers(self):
+        return [pair for i, (lin, bn) in enumerate(zip(self.layers, self.norms), start=1)
+                for pair in ((f"layer{i}", lin), (f"bn{i}", bn))]
 
     def meta(self):
         return dict(super().meta(), hidden=self.layers[0].out_dim,

@@ -27,6 +27,10 @@ class LinearLayer:
     weight: np.ndarray
     bias: np.ndarray
 
+    # Names of the trained tensors, and of every tensor eval mode reads.
+    TRAINED = ("weight", "bias")
+    STATE = TRAINED
+
     @classmethod
     def create(cls, rng, in_dim, out_dim):
         weight, bias = uniform_init(rng, out_dim, in_dim)
@@ -72,6 +76,9 @@ class BatchNormLayer:
     running_var: np.ndarray
     eps: float = 1e-05
     momentum: float = 0.1
+
+    TRAINED = ("gamma", "beta")
+    STATE = TRAINED + ("running_mean", "running_var")
 
     @classmethod
     def create(cls, dim, eps=1e-05, momentum=0.1):

@@ -7,13 +7,19 @@ sum of the per-modality arc-margin losses.
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arcmargin import arc_margin_loss_grad_batch, plain_cosine_logits
 from .data import stack_samples
-from .errors import ConfigurationError, ConsistencyError, DegenerateInputError
+from .errors import (
+    ConfigurationError,
+    ConsistencyError,
+    DegenerateInputError,
+    float_errors_as_degenerate,
+)
 from .rng import substream
 
 @dataclass(frozen=True)
@@ -56,48 +62,137 @@ class EpochRecord:
     is_best: bool
 
 
-class AdamW:
-    """Decoupled weight decay Adam over named parameter dicts."""
+# Elements per block of the fused AdamW pass: the block's slices of the
+# parameters, gradients, both moments and the two scratch arrays (6 x 128 KiB)
+# stay in cache across the pass's dozen ufunc calls.
+ADAMW_BLOCK = 16384
 
-    def __init__(self, config: TrainingConfig):
+
+class ParamStore:
+    """Every trained tensor in one contiguous float64 buffer.
+
+    Built from (name, owner, attribute) triples: each tensor is copied into
+    `params` and the owner's attribute is rebound to its view, so the
+    original array is released and the layers read and the optimizer writes
+    the same memory.  `grads` has the same layout; `load_grads` fills it.
+    """
+
+    def __init__(self, slots):
+        slots = list(slots)
+        shapes = [np.shape(getattr(owner, attr)) for _, owner, attr in slots]
+        size = sum(math.prod(shape) for shape in shapes)
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
+        self._grad_views = {}
+        offset = 0
+        for (name, owner, attr), shape in zip(slots, shapes):
+            stop = offset + math.prod(shape)
+            view = self.params[offset:stop].reshape(shape)
+            view[...] = getattr(owner, attr)
+            setattr(owner, attr, view)
+            self._grad_views[name] = self.grads[offset:stop].reshape(shape)
+            offset = stop
+
+    @classmethod
+    def of_model(cls, head, arc_head):
+        """The store of a head and its arc-margin prototypes, named as
+        `batch_loss` names their gradients."""
+        return cls([
+            *((f"head.{name}", layer, attr) for name, layer, attr in head.parameters()),
+            ("arc.prototypes", arc_head, "prototypes"),
+        ])
+
+    def load_grads(self, grads: dict):
+        """Copies `grads` into the gradient buffer and returns its views, by
+        the names and in the order of `grads`."""
+        if grads.keys() != self._grad_views.keys():
+            raise ConsistencyError(
+                f"gradients {sorted(grads)} do not match parameters "
+                f"{sorted(self._grad_views)}"
+            )
+        views = {}
+        for name, g in grads.items():
+            view = self._grad_views[name]
+            if view.shape != np.shape(g):
+                raise ConsistencyError(
+                    f"gradient shape {np.shape(g)} does not match parameter "
+                    f"{name} of shape {view.shape}"
+                )
+            view[...] = g
+            views[name] = view
+        return views
+
+
+class AdamW:
+    """Adam with decoupled weight decay over one flat parameter buffer.
+
+    Per element, step t does
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
+        p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+        p -= lr*wd * p
+    The decay reads the parameter *after* the Adam update.  Loshchilov &
+    Hutter (arXiv 1711.05101, Alg. 2) decay theta_{t-1} instead; the two
+    differ by O(lr^2 * wd), and this form is kept so trained checkpoints do
+    not change.  The pass runs in ADAMW_BLOCK-element blocks with two
+    preallocated scratch arrays, so a step allocates no full-size temporary.
+    """
+
+    def __init__(self, config: TrainingConfig, size: int):
         self.config = config
-        self.first_moment = {}
-        self.second_moment = {}
+        self.first_moment = np.zeros(size)
+        self.second_moment = np.zeros(size)
+        self._scratch = (np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
         self.step_count = 0
 
-    def step(self, params: dict, grads: dict, lr: float):
+    def step(self, params, grads, lr: float):
+        """One update of the flat buffer `params` from the flat `grads`."""
+        if params.shape != self.first_moment.shape or grads.shape != params.shape:
+            raise ConsistencyError(
+                f"parameter buffer {params.shape} and gradient buffer "
+                f"{grads.shape} do not match the optimizer's "
+                f"{self.first_moment.shape}"
+            )
         cfg = self.config
         self.step_count += 1
         t = self.step_count
-        for name in sorted(params):
-            p = params[name]
-            g = grads[name]
-            if p.shape != np.shape(g):
-                raise ConsistencyError(
-                    f"gradient shape {np.shape(g)} does not match parameter "
-                    f"{name} of shape {p.shape}"
-                )
-            m = self.first_moment.setdefault(name, np.zeros_like(p))
-            v = self.second_moment.setdefault(name, np.zeros_like(p))
-            m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1 - cfg.beta2) * np.square(g)
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            p -= lr * cfg.weight_decay * p
+        b1, b2 = cfg.beta1, cfg.beta2
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        decay = lr * cfg.weight_decay
+        for start in range(0, params.size, ADAMW_BLOCK):
+            stop = start + ADAMW_BLOCK
+            p, g = params[start:stop], grads[start:stop]
+            m, v = self.first_moment[start:stop], self.second_moment[start:stop]
+            a, b = (s[: p.size] for s in self._scratch)
+            m *= b1
+            np.multiply(1 - b1, g, out=a)
+            m += a
+            v *= b2
+            np.square(g, out=a)
+            a *= 1 - b2
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += cfg.eps
+            np.divide(m, c1, out=b)
+            b *= lr
+            b /= a
+            p -= b
+            np.multiply(decay, p, out=b)
+            p -= b
 
 
 def clip_global_norm(grads: dict, max_norm: float):
-    """Scale all gradients by max_norm/global_norm when the norm exceeds it."""
+    """Scale all gradients in place by max_norm/global_norm when the norm
+    exceeds it; returns (grads, global norm before clipping)."""
     if max_norm <= 0:
         raise ConfigurationError("max_norm must be > 0")
     total = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
     if total <= max_norm:
         return grads, total
     factor = max_norm / total
-    return {name: g * factor for name, g in grads.items()}, total
+    for g in grads.values():
+        g *= factor
+    return grads, total
 
 
 def batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
@@ -162,11 +257,8 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
     An overflow, 0/0 or x/0 stops the run with DegenerateInputError, before
     it becomes a numpy warning or a non-finite parameter.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _train_run(head, arc_head, train_samples, val_samples, config)
-    except FloatingPointError as exc:
-        raise DegenerateInputError(f"non-finite values in training: {exc}") from exc
+    with float_errors_as_degenerate("training"):
+        return _train_run(head, arc_head, train_samples, val_samples, config)
 
 
 def _train_run(head, arc_head, train_samples, val_samples, config):
@@ -179,9 +271,8 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
     shuffle_rng = substream(config.seed, "shuffle")
     mask_rng = substream(config.seed, "masking")
     dropout_rng = substream(config.seed, "dropout")
-    optimizer = AdamW(config)
-    params = {f"head.{k}": v for k, v in head.param_dict().items()}
-    params["arc.prototypes"] = arc_head.prototypes
+    store = ParamStore.of_model(head, arc_head)
+    optimizer = AdamW(config, store.params.size)
 
     lr = config.learning_rate
     best_acc = -1.0
@@ -200,8 +291,10 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
             )
             if not np.isfinite(loss):
                 raise DegenerateInputError(f"non-finite batch loss in epoch {epoch}")
+            # Rebinding drops the step's own gradient arrays before clipping.
+            grads = store.load_grads(grads)
             grads, _ = clip_global_norm(grads, config.clip_norm)
-            optimizer.step(params, grads, lr)
+            optimizer.step(store.params, store.grads, lr)
             losses.append(loss)
         acc = validate_accuracy(head, arc_head, val_samples)
         accuracies.append(acc)

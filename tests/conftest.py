@@ -5,7 +5,7 @@ import pytest
 
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
 from avfusion.data import DatasetConfig, generate_identities, sample_dataset
-from avfusion.errors import ConfigurationError, DegenerateInputError
+from avfusion.errors import ConfigurationError, ConsistencyError, DegenerateInputError
 from avfusion.evaluation import AngleReport, EerResult, embed_samples
 from avfusion.heads import HEAD_KINDS
 from avfusion.linalg import angle_deg, cosine_similarity
@@ -58,7 +58,8 @@ def composed_grads(head, arc, audio, video, labels, masks):
 def gradient_check(head, arc, audio, video, labels, masks, step=1e-5):
     """Max norm-relative error between analytic and central finite differences."""
     analytic = composed_grads(head, arc, audio, video, labels, masks)
-    params = {f"head.{k}": v for k, v in head.param_dict().items()}
+    params = {f"head.{name}": getattr(layer, attr)
+              for name, layer, attr in head.parameters()}
     params["arc.prototypes"] = arc.prototypes
     worst = 0.0
     for name, p in params.items():
@@ -290,6 +291,57 @@ def loop_silhouette_score(embeddings, labels, distance="cosine"):
         if denom > 0.0:
             scores[i] = (b - a) / denom
     return float(scores.mean())
+
+
+# Loop references of the optimizer: the per-tensor AdamW step and the copying
+# clip that the flat store's fused pass replaced, kept verbatim (renamed
+# loop_*).  `loop_adamw_step` is the former `AdamW.step` method, and
+# `LoopAdamW` the state it runs on.
+
+
+def loop_adamw_step(self, params: dict, grads: dict, lr: float):
+    cfg = self.config
+    self.step_count += 1
+    t = self.step_count
+    for name in sorted(params):
+        p = params[name]
+        g = grads[name]
+        if p.shape != np.shape(g):
+            raise ConsistencyError(
+                f"gradient shape {np.shape(g)} does not match parameter "
+                f"{name} of shape {p.shape}"
+            )
+        m = self.first_moment.setdefault(name, np.zeros_like(p))
+        v = self.second_moment.setdefault(name, np.zeros_like(p))
+        m *= cfg.beta1
+        m += (1 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1 - cfg.beta2) * np.square(g)
+        m_hat = m / (1 - cfg.beta1**t)
+        v_hat = v / (1 - cfg.beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        p -= lr * cfg.weight_decay * p
+
+
+def loop_clip_global_norm(grads: dict, max_norm: float):
+    """Scale all gradients by max_norm/global_norm when the norm exceeds it."""
+    if max_norm <= 0:
+        raise ConfigurationError("max_norm must be > 0")
+    total = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+    if total <= max_norm:
+        return grads, total
+    factor = max_norm / total
+    return {name: g * factor for name, g in grads.items()}, total
+
+
+class LoopAdamW:
+    def __init__(self, config):
+        self.config = config
+        self.first_moment = {}
+        self.second_moment = {}
+        self.step_count = 0
+
+    step = loop_adamw_step
 
 
 @pytest.fixture

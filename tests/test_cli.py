@@ -58,6 +58,23 @@ def pipeline(tmp_path_factory):
     return root
 
 
+def huge_weight_checkpoint(pipeline, out_dir):
+    """The mean checkpoint with one finite weight whose embeddings overflow."""
+    head, arc, provenance = load_checkpoint(pipeline / "mean.ckpt")
+    head.proj_audio.weight[0, 0] = 1e300
+    path = out_dir / "huge-weight.ckpt"
+    save_checkpoint(path, head, arc, provenance)
+    return path
+
+
+def run_recording_warnings(argv):
+    """(exit code, RuntimeWarnings raised) of one CLI call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestHelp:
     def test_all_flags_documented(self, capsys):
         for command, flags in cli.FLAG_SPECS.items():
@@ -103,8 +120,8 @@ class TestTrain:
         ) == 0
         head, arc, provenance = load_checkpoint(tmp_path / "mean.ckpt")
         reference = MeanFusionHead.create(substream(3, "init"), 16, 32, 8, dropout_p=0.1)
-        for name, value in head.param_dict().items():
-            assert np.array_equal(value, reference.param_dict()[name])
+        for name, value in head.state().items():
+            assert np.array_equal(value, reference.state()[name])
         assert provenance["config"]["learning_rate"] == 0
 
     @pytest.mark.parametrize("head", ["mean", "mlp", "multiview"])
@@ -229,6 +246,16 @@ class TestEvaluate:
         assert "out of range" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_huge_weight_is_data_error(self, pipeline, tmp_path, capsys):
+        damaged = huge_weight_checkpoint(pipeline, tmp_path)
+        out = tmp_path / "out"
+        code, runtime_warnings = run_recording_warnings(
+            self.evaluate_args(pipeline, out, [damaged]))
+        assert code == cli.EXIT_DATA
+        assert "non-finite values in evaluation" in capsys.readouterr().err
+        assert not runtime_warnings
+        assert not list(out.iterdir())
+
     def test_no_checkpoint_is_config_error(self, pipeline, tmp_path, capsys):
         code = run(["evaluate", "--test-embeddings",
                     str(pipeline / "test.emb"), "--out-dir", str(tmp_path)])
@@ -252,6 +279,20 @@ class TestDiagnose:
         # one box per identity for the single diagnosed model
         svg = (tmp_path / "audio_video.svg").read_text()
         assert svg.count('class="box"') == 6
+
+
+    def test_huge_weight_is_data_error(self, pipeline, tmp_path, capsys):
+        damaged = huge_weight_checkpoint(pipeline, tmp_path)
+        out = tmp_path / "out"
+        code, runtime_warnings = run_recording_warnings([
+            "diagnose", "--checkpoint", str(damaged),
+            "--embeddings", str(pipeline / "test.emb"), "--out-dir", str(out),
+        ])
+        assert code == cli.EXIT_DATA
+        assert "non-finite values in diagnostics" in capsys.readouterr().err
+        assert not runtime_warnings
+        assert not list(out.glob("*.svg"))
+        assert not (out / "diagnostics_summary.json").exists()
 
 
 class TestConfigFile:

@@ -1,4 +1,7 @@
 import copy
+import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from avfusion.heads import (
 from avfusion.rng import substream
 from avfusion.training import (
     AdamW,
+    ParamStore,
     TrainingConfig,
     batch_loss,
     clip_global_norm,
@@ -40,13 +44,13 @@ class TestMasking:
         rng = np.random.default_rng(0)
         modes = sample_mask_modes(rng, 30_000)
         for mode in (MASK_VIDEO, MASK_AUDIO, MASK_NONE):
-            freq = modes.count(mode) / len(modes)
+            freq = np.count_nonzero(modes == mode) / len(modes)
             assert 0.323 <= freq <= 0.343
 
     def test_reproducible(self):
         a = sample_mask_modes(np.random.default_rng(7), 5)
         b = sample_mask_modes(np.random.default_rng(7), 5)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_degenerate_distribution(self):
         rng = np.random.default_rng(1)
@@ -63,6 +67,18 @@ class TestMasking:
         assert np.array_equal(v[2], video[2])
         # inputs are untouched
         assert not np.array_equal(a[0], audio[0])
+        # the zeros are +0.0, as the per-sample loop wrote them
+        assert not np.signbit(a[0]).any() and not np.signbit(v[1]).any()
+
+    def test_draw_is_one_choice_call(self):
+        probabilities = (0.2, 0.5, 0.3)
+        modes = sample_mask_modes(np.random.default_rng(4), 64, probabilities)
+        expected = np.random.default_rng(4).choice(3, size=64, p=np.asarray(probabilities))
+        assert np.array_equal(modes, expected)
+
+    def test_unknown_mode(self, rng):
+        with pytest.raises(ConfigurationError):
+            apply_masks(rng.normal(size=(2, 4)), rng.normal(size=(2, 6)), [0, 3])
 
 
 class TestClipGlobalNorm:
@@ -77,6 +93,13 @@ class TestClipGlobalNorm:
         clipped, norm = clip_global_norm(grads, 1.0)
         assert np.allclose(clipped["w"], [0.6, 0.8])
         assert norm == pytest.approx(5.0)
+
+    def test_scales_in_place(self):
+        grads = {"w": np.array([3.0, 4.0]), "b": np.array([0.0])}
+        clipped, norm = clip_global_norm(grads, 1.0)
+        assert clipped["w"] is grads["w"]
+        assert norm == 5.0
+        assert np.array_equal(clipped["w"], np.array([3.0, 4.0]) * (1.0 / 5.0))
 
     def test_zero_gradients(self):
         grads = {"w": np.zeros(3)}
@@ -95,23 +118,23 @@ class TestClipGlobalNorm:
 class TestAdamW:
     def test_zero_grad_zero_decay_fixed_point(self):
         config = TrainingConfig(weight_decay=0.0)
-        opt = AdamW(config)
-        params = {"p": np.array([1.0, -2.0])}
-        opt.step(params, {"p": np.zeros(2)}, config.learning_rate)
-        assert np.array_equal(params["p"], [1.0, -2.0])
+        opt = AdamW(config, 2)
+        p = np.array([1.0, -2.0])
+        opt.step(p, np.zeros(2), config.learning_rate)
+        assert np.array_equal(p, [1.0, -2.0])
 
     def test_pure_weight_decay(self):
         config = TrainingConfig()  # lr 0.001, wd 0.01
-        opt = AdamW(config)
-        params = {"p": np.array([1.0])}
-        opt.step(params, {"p": np.zeros(1)}, config.learning_rate)
-        assert params["p"][0] == pytest.approx(0.99999, abs=1e-12)
+        opt = AdamW(config, 1)
+        p = np.array([1.0])
+        opt.step(p, np.zeros(1), config.learning_rate)
+        assert p[0] == pytest.approx(0.99999, abs=1e-12)
 
     def test_first_step_matches_scalar_reference(self):
         config = TrainingConfig()
-        opt = AdamW(config)
+        opt = AdamW(config, 1)
         params = {"p": np.array([2.0])}
-        opt.step(params, {"p": np.array([1.0])}, config.learning_rate)
+        opt.step(params["p"], np.array([1.0]), config.learning_rate)
         # scalar reference computed independently
         m = (1 - 0.9) * 1.0
         v = (1 - 0.999) * 1.0
@@ -122,18 +145,18 @@ class TestAdamW:
         assert params["p"][0] == pytest.approx(p, abs=1e-15)
 
     def test_shape_mismatch(self):
-        opt = AdamW(TrainingConfig())
+        opt = AdamW(TrainingConfig(), 3)
         with pytest.raises(ConsistencyError):
-            opt.step({"p": np.zeros(3)}, {"p": np.zeros(4)}, 0.001)
+            opt.step(np.zeros(3), np.zeros(4), 0.001)
 
     def test_two_steps_match_reference_loop(self, rng):
         config = TrainingConfig()
-        opt = AdamW(config)
+        opt = AdamW(config, 4)
         p0 = rng.normal(size=4)
         grads = [rng.normal(size=4), rng.normal(size=4)]
         params = {"p": p0.copy()}
         for g in grads:
-            opt.step(params, {"p": g}, config.learning_rate)
+            opt.step(params["p"], g, config.learning_rate)
         # independent reference
         p = p0.copy()
         m = np.zeros(4)
@@ -146,6 +169,64 @@ class TestAdamW:
             p = p - 0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
             p = p - 0.001 * 0.01 * p
         assert np.allclose(params["p"], p, atol=1e-14)
+
+    def test_decay_reads_the_updated_parameter(self):
+        # The decay multiplies the parameter after the Adam update, not
+        # theta_{t-1} as in arXiv 1711.05101, Alg. 2; the two forms differ.
+        lr, wd, b1, b2, eps = 0.1, 0.5, 0.9, 0.999, 1e-8
+        config = TrainingConfig(learning_rate=lr, weight_decay=wd)
+        opt = AdamW(config, 1)
+        p = np.array([0.75])
+        after, before, m, v = 0.75, 0.75, 0.0, 0.0
+        for t, g in enumerate([0.3, -1.2], start=1):
+            opt.step(p, np.array([g]), lr)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            update = lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
+            after -= update
+            after -= lr * wd * after
+            before = before - update - lr * wd * before
+            assert p[0] == after
+        assert after != before
+
+
+class TestParamStore:
+    def test_attributes_become_views_of_one_buffer(self, rng):
+        head = make_head("mlp", rng)
+        arc = ArcMarginHead.create(rng, 8, 5)
+        state = {k: v.copy() for k, v in head.state().items()}
+        protos = arc.prototypes.copy()
+        originals = [weakref.ref(getattr(layer, attr))
+                     for _, layer, attr in head.parameters()]
+        store = ParamStore.of_model(head, arc)
+        # the copies are exact and the per-tensor arrays are released
+        assert all(ref() is None for ref in originals)
+        for name, value in head.state().items():
+            assert np.array_equal(value, state[name])
+        assert np.array_equal(arc.prototypes, protos)
+        for _, layer, attr in head.parameters():
+            assert np.shares_memory(getattr(layer, attr), store.params)
+        assert np.shares_memory(arc.prototypes, store.params)
+        assert store.params.size == (
+            sum(getattr(layer, attr).size for _, layer, attr in head.parameters())
+            + arc.prototypes.size
+        )
+
+    def test_load_grads_keeps_the_gradient_order(self):
+        owner = types.SimpleNamespace(a=np.zeros(2), b=np.zeros((2, 2)))
+        store = ParamStore([("a", owner, "a"), ("b", owner, "b")])
+        views = store.load_grads({"b": np.full((2, 2), 3.0), "a": np.array([1.0, 2.0])})
+        assert list(views) == ["b", "a"]
+        assert np.array_equal(store.grads, [1.0, 2.0, 3.0, 3.0, 3.0, 3.0])
+        assert all(np.shares_memory(v, store.grads) for v in views.values())
+
+    def test_load_grads_shape_mismatch(self):
+        owner = types.SimpleNamespace(a=np.zeros(3))
+        store = ParamStore([("a", owner, "a")])
+        with pytest.raises(ConsistencyError):
+            store.load_grads({"a": np.zeros(1)})  # would broadcast
+        with pytest.raises(ConsistencyError):
+            store.load_grads({"a": np.zeros(3), "b": np.zeros(3)})
 
 
 class TestLrSchedule:
@@ -285,14 +366,14 @@ class TestTrainRun:
         train, val = split_small()
         head = make_head("mean", rng, d_e=8)
         arc = ArcMarginHead.create(rng, 8, 8)
-        before = {k: v.copy() for k, v in head.param_dict().items()}
+        before = {k: v.copy() for k, v in head.state().items()}
         protos_before = arc.prototypes.copy()
         result = train_run(head, arc, train, val,
                            TrainingConfig(learning_rate=0.0, max_epochs=2))
-        for name, value in head.param_dict().items():
+        for name, value in head.state().items():
             assert np.array_equal(value, before[name])
         assert np.array_equal(arc.prototypes, protos_before)
-        for name, value in result.best_head.param_dict().items():
+        for name, value in result.best_head.state().items():
             assert np.array_equal(value, before[name])
 
     def test_seeded_determinism(self):
@@ -313,8 +394,8 @@ class TestTrainRun:
             (r.epoch, r.mean_loss, r.val_accuracy, r.lr, r.is_best)
             for r in r2.records
         ]
-        for name, value in r1.best_head.param_dict().items():
-            assert np.array_equal(value, r2.best_head.param_dict()[name])
+        for name, value in r1.best_head.state().items():
+            assert np.array_equal(value, r2.best_head.state()[name])
 
     def test_monotone_lr_and_single_best(self):
         train, val = split_small()
@@ -357,13 +438,12 @@ class TestTrainRun:
             return composed_loss(head, arc, audio, video, labels, {})
 
         before = eval_loss()
-        opt = AdamW(config)
-        params = {f"head.{k}": v for k, v in head.param_dict().items()}
-        params["arc.prototypes"] = arc.prototypes
+        store = ParamStore.of_model(head, arc)
+        opt = AdamW(config, store.params.size)
         for _ in range(5):
             _, grads = batch_loss(head, arc, audio, video, labels, config, rng=rng)
-            grads, _ = clip_global_norm(grads, config.clip_norm)
-            opt.step(params, grads, config.learning_rate)
+            grads, _ = clip_global_norm(store.load_grads(grads), config.clip_norm)
+            opt.step(store.params, store.grads, config.learning_rate)
         assert eval_loss() < before
 
     def test_separable_data_smoke(self):
