@@ -57,50 +57,53 @@ def softmax_cross_entropy(logits, target):
     return float(np.log(np.exp(shifted).sum()) - shifted[target])
 
 
-def _cosines(head, embeddings, strict=True):
+def _cosines(head, embeddings):
     """Row-normalized embeddings against column-normalized prototypes.
 
-    With strict=False, exactly-zero rows (which a ReLU head can emit) are
-    kept with an all-zero direction instead of raising; their gradient is
-    zeroed by the caller.
+    Exactly-zero rows (which a ReLU head can emit) keep an all-zero
+    direction; the returned `zero` mask marks them, so a caller can reject
+    them or zero their gradient.
     """
     norms = np.linalg.norm(embeddings, axis=1)
-    if (norms == 0.0).any():
-        if strict:
-            raise DegenerateInputError("zero embedding has no direction")
-        norms = np.where(norms == 0.0, 1.0, norms)
+    zero = norms == 0.0
+    norms[zero] = 1.0
     e_hat = embeddings / norms[:, None]
     proto_norms = np.linalg.norm(head.prototypes, axis=0)
     w_hat = head.prototypes / proto_norms
     cos = np.clip(e_hat @ w_hat, -1.0, 1.0)
-    return cos, e_hat, w_hat, norms, proto_norms
+    return cos, e_hat, w_hat, norms, proto_norms, zero
 
 
-def _check_targets(head, targets):
+def _margin_logits(head, cos, targets):
+    """(logits, cos_t, stable): the scaled cosines with each row's target
+    angle penalized by the margin, that row's target cosine, and whether the
+    penalized angle stays in the stable region."""
     targets = np.asarray(targets)
-    if targets.ndim != 1:
-        raise ShapeError("targets must be a 1-d integer array")
+    rows = np.arange(cos.shape[0])
+    if targets.shape != rows.shape:
+        raise ShapeError("targets must be a 1-d integer array, one per embedding")
     if ((targets < 0) | (targets >= head.n_classes)).any():
         raise LabelError("target class index out of range")
-    return targets
+    cos_t = cos[rows, targets]
+    stable = cos_t > math.cos(math.pi - head.margin)
+    phi = np.where(
+        stable,
+        cos_t * math.cos(head.margin)
+        - np.sqrt(np.maximum(1.0 - cos_t**2, 0.0)) * math.sin(head.margin),
+        cos_t - head.margin * math.sin(head.margin),
+    )
+    logits = head.scale * cos
+    logits[rows, targets] = head.scale * phi
+    return logits, cos_t, stable
 
 
 def arc_margin_logits_batch(head, embeddings, targets):
     """Scaled margin-penalized logits for a batch of raw embeddings."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    targets = _check_targets(head, targets)
-    cos, *_ = _cosines(head, embeddings)
-    rows = np.arange(len(targets))
-    cos_t = cos[rows, targets]
-    sin_t = np.sqrt(np.maximum(1.0 - cos_t**2, 0.0))
-    stable = cos_t > math.cos(math.pi - head.margin)
-    phi = np.where(
-        stable,
-        cos_t * math.cos(head.margin) - sin_t * math.sin(head.margin),
-        cos_t - head.margin * math.sin(head.margin),
-    )
-    logits = head.scale * cos
-    logits[rows, targets] = head.scale * phi
+    cos, *_, zero = _cosines(head, embeddings)
+    logits = _margin_logits(head, cos, targets)[0]
+    if zero.any():
+        raise DegenerateInputError("zero embedding has no direction")
     return logits
 
 
@@ -117,26 +120,15 @@ def arc_margin_loss_grad_batch(head, embeddings, targets):
     and the prototype columns.
     """
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    targets = _check_targets(head, targets)
     n = embeddings.shape[0]
-    degenerate = np.linalg.norm(embeddings, axis=1) == 0.0
-    cos, e_hat, w_hat, e_norms, w_norms = _cosines(head, embeddings, strict=False)
+    cos, e_hat, w_hat, e_norms, w_norms, degenerate = _cosines(head, embeddings)
+    logits, cos_t, stable = _margin_logits(head, cos, targets)
     rows = np.arange(n)
-    cos_t = cos[rows, targets]
     sin_t = np.sqrt(np.maximum(1.0 - cos_t**2, _SIN_FLOOR))
-    stable = cos_t > math.cos(math.pi - head.margin)
-    phi = np.where(
-        stable,
-        cos_t * math.cos(head.margin)
-        - np.sqrt(np.maximum(1.0 - cos_t**2, 0.0)) * math.sin(head.margin),
-        cos_t - head.margin * math.sin(head.margin),
-    )
     # d phi / d cos(theta_t)
     dphi = np.where(
         stable, math.cos(head.margin) + math.sin(head.margin) * cos_t / sin_t, 1.0
     )
-    logits = head.scale * cos
-    logits[rows, targets] = head.scale * phi
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -173,5 +165,5 @@ def plain_cosine_logits(head, embeddings):
     one collapsed sample cannot abort a validation pass.
     """
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    cos, *_ = _cosines(head, embeddings, strict=False)
+    cos, *_ = _cosines(head, embeddings)
     return head.scale * cos

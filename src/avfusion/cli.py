@@ -126,6 +126,24 @@ def build_parser():
     return parser
 
 
+# The JSON types a config-file value of each flag type may have.
+_FILE_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_file_value(flag, key, value):
+    """The type and choice checks argparse makes on a flag, for a config-file
+    value; null stands for a flag's None default only."""
+    if value is None and flag.default is None:
+        return
+    for v in value if flag.repeatable and isinstance(value, list) else [value]:
+        if isinstance(v, bool) or not isinstance(v, _FILE_TYPES[flag.type]):
+            raise ConfigurationError(
+                f"config key {key!r} must be of type {flag.type.__name__}, got {v!r}")
+        if flag.choices and v not in flag.choices:
+            raise ConfigurationError(
+                f"config key {key!r} must be one of {flag.choices}, got {v!r}")
+
+
 def resolve_config(command, args):
     """Merge defaults < config file < explicit flags; echo the result."""
     flags = FLAG_SPECS[command]
@@ -137,11 +155,14 @@ def resolve_config(command, args):
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {config_path}: {exc}")
-        known = {f.dest for f in flags}
+        if not isinstance(file_values, dict):
+            raise ConfigurationError(f"config {config_path} is not a JSON object")
+        known = {f.dest: f for f in flags}
         for key, value in file_values.items():
             dest = key.replace("-", "_")
             if dest not in known:
                 raise ConfigurationError(f"unknown config key {key!r}")
+            _check_file_value(known[dest], key, value)
             resolved[dest] = value
     for flag in flags:
         value = getattr(args, flag.dest, None)
@@ -254,10 +275,7 @@ def cmd_evaluate(cfg):
         prefix = os.path.join(
             cfg["out_dir"], os.path.splitext(os.path.basename(path))[0] + "_report"
         )
-        if cfg["format"] in ("structured", "both"):
-            persistence.write_report(prefix, report, "structured")
-        if cfg["format"] in ("tabular", "both"):
-            persistence.write_report(prefix, report, "tabular")
+        persistence.write_report(prefix, report, cfg["format"])
         rows.append((head.kind, {m: r.eer for m, r in report.eer.items()}))
         line = "  ".join(f"{m}={report.eer[m].eer:.4f}" for m in eval_mod.MODALITY_MODES)
         print(f"{head.kind}: {line}")

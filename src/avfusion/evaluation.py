@@ -32,9 +32,6 @@ MODALITY_MODES = {
 
 _MODE_TAGS = {mode: i for i, mode in enumerate(MODALITY_MODES)}
 _MODALITY_EXPOSURES = {"audio": "a", "video": "v"}
-# Elements of the pairwise-difference tensor the euclidean silhouette
-# computes at once (2 MB).
-_DIFF_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -121,12 +118,12 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
         raise ConfigurationError(f"unknown modality mode {mode!r}")
     if n_positive < 0 or n_negative < 0:
         raise ConfigurationError("trial counts must be >= 0")
-    by_identity = _group_indices(samples)
-    identities = sorted(by_identity)
-    if len(identities) < 2:
+    _, order, bounds = _clusters([s.identity_id for s in samples])
+    groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
+    if len(groups) < 2:
         raise ConfigurationError("need at least 2 identities to build trials")
     # ordered pairs of samples from two different identities
-    n_cross = len(samples) ** 2 - sum(len(m) ** 2 for m in by_identity.values())
+    n_cross = len(samples) ** 2 - sum(len(m) ** 2 for m in groups)
     if n_negative > n_cross:
         raise ConfigurationError(f"only {n_cross} distinct cross-identity pairs exist")
     left_exp, right_exp = MODALITY_MODES[mode]
@@ -135,10 +132,7 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
     )
 
     positive_pairs = [
-        (a, b)
-        for identity in identities
-        for j, a in enumerate(by_identity[identity])
-        for b in by_identity[identity][j + 1 :]
+        (a, b) for group in groups for j, a in enumerate(group) for b in group[j + 1 :]
     ]
     if n_positive > 0 and not positive_pairs:
         raise ConfigurationError("no identity has two samples; cannot build targets")
@@ -156,9 +150,9 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
         attempts += 1
         if attempts > 1000 * max(n_negative, 1):
             raise ConfigurationError("cannot sample enough distinct nontarget pairs")
-        i1, i2 = rng.choice(len(identities), size=2, replace=False)
-        a = int(rng.choice(by_identity[identities[i1]]))
-        b = int(rng.choice(by_identity[identities[i2]]))
+        i1, i2 = rng.choice(len(groups), size=2, replace=False)
+        a = int(rng.choice(groups[i1]))
+        b = int(rng.choice(groups[i2]))
         if (a, b) in seen:
             continue
         seen.add((a, b))
@@ -246,13 +240,6 @@ def compute_eer(scores, labels):
     raise DegenerateInputError("no FAR/FRR crossing found")  # unreachable
 
 
-def _group_indices(samples):
-    groups = {}
-    for i, s in enumerate(samples):
-        groups.setdefault(s.identity_id, []).append(i)
-    return groups
-
-
 def _clusters(labels):
     """(sorted distinct labels, order, bounds): `order` lists the samples
     grouped by label, each group in sample order, and group k is
@@ -337,12 +324,15 @@ def centroid_angle_matrix(embedded, labels, modality):
 
 
 def silhouette_score(embeddings, labels, distance="cosine"):
-    """Mean silhouette s(i) = (b - a)/max(a, b) over all points.
+    """Mean silhouette s(i) = (b - a)/max(a, b) over all points, under the
+    cosine distance 1 - cos; `distance` must be "cosine".
 
     Singleton clusters and coincident geometry (a == b == 0) contribute 0.
     The n x n distance matrix is kept whole: each mean below reduces one
     contiguous row slice of it, which is what keeps the result bit-exact.
     """
+    if distance != "cosine":
+        raise ConfigurationError(f"unknown distance {distance!r}")
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     n = len(labels)
@@ -353,22 +343,13 @@ def silhouette_score(embeddings, labels, distance="cosine"):
         raise DegenerateInputError("silhouette needs at least 2 clusters")
     if not np.isfinite(embeddings).all():
         raise DegenerateInputError("silhouette of NaN or Inf embeddings")
-    if distance == "euclidean":
-        dist = np.empty((n, n))
-        rows = max(1, _DIFF_BLOCK_ELEMENTS // max(embeddings.size, 1))
-        for start in range(0, n, rows):
-            diff = embeddings[start : start + rows, None, :] - embeddings[None, :, :]
-            dist[start : start + rows] = np.sqrt(np.sum(diff**2, axis=2))
-    elif distance == "cosine":
-        norms = np.linalg.norm(embeddings, axis=1)
-        if np.any(norms == 0.0):
-            raise DegenerateInputError("cosine distance undefined for zero vectors")
-        unit = embeddings / norms[:, None]
-        dist = unit @ unit.T
-        np.clip(dist, -1.0, 1.0, out=dist)
-        np.subtract(1.0, dist, out=dist)
-    else:
-        raise ConfigurationError(f"unknown distance {distance!r}")
+    norms = np.linalg.norm(embeddings, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateInputError("cosine distance undefined for zero vectors")
+    unit = embeddings / norms[:, None]
+    dist = unit @ unit.T
+    np.clip(dist, -1.0, 1.0, out=dist)
+    np.subtract(1.0, dist, out=dist)
     sizes = np.diff(bounds)
     cluster = np.empty(n, dtype=np.intp)
     cluster[order] = np.repeat(np.arange(sizes.size), sizes)

@@ -49,25 +49,6 @@ def apply_masks(audio, video, modes):
     return audio, video
 
 
-def _materialize(x, n, dim):
-    """Replace a None modality by the all-zeros batch."""
-    if x is None:
-        return np.zeros((n, dim))
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ShapeError(f"expected batch of dim {dim}, got shape {x.shape}")
-    return x
-
-
-def _batch_size(audio, video, n=None):
-    for x in (audio, video):
-        if x is not None:
-            return np.asarray(x).shape[0]
-    if n is None:
-        raise DegenerateInputError("both modalities are null and no batch size given")
-    return n
-
-
 def _linear(tensors, prefix):
     weight, bias = tensors[f"{prefix}.weight"], tensors[f"{prefix}.bias"]
     if weight.ndim != 2 or bias.shape != weight.shape[:1]:
@@ -126,8 +107,6 @@ class _Head:
 
     def embed(self, audio, video):
         """Eval-mode embeddings; a None modality enters as the null input."""
-        if audio is None and video is None:
-            raise DegenerateInputError("empty modality exposure")
         return self.forward(audio, video)[0]
 
     def loss_terms(self, audio, video, config, mask_rng=None, rng=None, masks=None):
@@ -142,6 +121,37 @@ class _Head:
     def backward_terms(self, cache, douts):
         """Parameter gradients, given the loss gradient of each term."""
         return self.backward(cache, douts[0])[0]
+
+    def _inputs(self, audio, video, train, rng, masks, n):
+        """The input stage of a fused forward pass: (a, v, masks, cache).
+
+        A None modality becomes the null (all-zeros) input, with the other
+        modality's batch size or else `n`; input dropout is applied to both
+        sides, and the cache starts with the head's identity and the input
+        dropout masks."""
+        if audio is not None or video is not None:
+            n = np.asarray(audio if audio is not None else video).shape[0]
+        elif n is None:
+            raise DegenerateInputError("both modalities are null and no batch size given")
+        a, v = (np.zeros((n, dim)) if x is None else np.asarray(x, dtype=np.float64)
+                for x, dim in ((audio, self.d_a), (video, self.d_v)))
+        for x, dim in ((a, self.d_a), (v, self.d_v)):
+            if x.ndim != 2 or x.shape[1] != dim:
+                raise ShapeError(f"expected batch of dim {dim}, got shape {x.shape}")
+        masks = masks or {}
+        a, mask_a = self.dropout.apply(a, train, rng, masks.get("audio"))
+        v, mask_v = self.dropout.apply(v, train, rng, masks.get("video"))
+        cache = {"kind": self.kind, "head": id(self),
+                 "mask_a": mask_a, "mask_v": mask_v}
+        return a, v, masks, cache
+
+    @staticmethod
+    def _input_grads(cache, grads, da, dv):
+        """(grads, da, dv) with the input dropout masks applied to the input
+        gradients; a train-mode pass has both masks, an eval-mode one none."""
+        if cache["mask_a"] is not None:
+            da, dv = da * cache["mask_a"], dv * cache["mask_v"]
+        return grads, da, dv
 
 
 class MeanFusionHead(_Head):
@@ -165,41 +175,23 @@ class MeanFusionHead(_Head):
         )
 
     def forward(self, audio, video, train=False, rng=None, masks=None, n=None):
-        n = _batch_size(audio, video, n)
-        a = _materialize(audio, n, self.d_a)
-        v = _materialize(video, n, self.d_v)
-        masks = masks or {}
-        a, mask_a = self.dropout.apply(a, train, rng, masks.get("audio"))
-        v, mask_v = self.dropout.apply(v, train, rng, masks.get("video"))
-        pa, cache_a = self.proj_audio.forward(a)
-        pv, cache_v = self.proj_video.forward(v)
-        out = 0.5 * (pa + pv)
-        cache = {
-            "kind": self.kind,
-            "head": id(self),
-            "a": cache_a,
-            "v": cache_v,
-            "mask_a": mask_a,
-            "mask_v": mask_v,
-        }
-        return out, cache
+        a, v, _, cache = self._inputs(audio, video, train, rng, masks, n)
+        pa, cache["a"] = self.proj_audio.forward(a)
+        pv, cache["v"] = self.proj_video.forward(v)
+        return 0.5 * (pa + pv), cache
 
     def backward(self, cache, dout):
         _check_cache(self, cache)
         dpa = 0.5 * dout
         da, dwa, dba = self.proj_audio.backward(cache["a"], dpa)
         dv, dwv, dbv = self.proj_video.backward(cache["v"], dpa)
-        if cache["mask_a"] is not None:
-            da = da * cache["mask_a"]
-        if cache["mask_v"] is not None:
-            dv = dv * cache["mask_v"]
         grads = {
             "proj_audio.weight": dwa,
             "proj_audio.bias": dba,
             "proj_video.weight": dwv,
             "proj_video.bias": dbv,
         }
-        return grads, da, dv
+        return self._input_grads(cache, grads, da, dv)
 
 
 class MlpFusionHead(_Head):
@@ -267,14 +259,9 @@ class MlpFusionHead(_Head):
                     leaky_slope=self.leaky_slope)
 
     def forward(self, audio, video, train=False, rng=None, masks=None, n=None):
-        n = _batch_size(audio, video, n)
-        a = _materialize(audio, n, self.d_a)
-        v = _materialize(video, n, self.d_v)
-        masks = masks or {}
-        a, mask_a = self.dropout.apply(a, train, rng, masks.get("audio"))
-        v, mask_v = self.dropout.apply(v, train, rng, masks.get("video"))
+        a, v, masks, cache = self._inputs(audio, video, train, rng, masks, n)
         x = np.concatenate([a, v], axis=1)
-        stage_caches = []
+        cache["stages"] = []
         for i in range(3):
             z, lin_cache = self.layers[i].forward(x)
             r, relu_mask = leaky_relu(z, self.leaky_slope)
@@ -284,15 +271,8 @@ class MlpFusionHead(_Head):
                 b, drop_mask = self.dropout.apply(
                     b, train, rng, masks.get(f"h{i + 1}")
                 )
-            stage_caches.append((lin_cache, relu_mask, bn_cache, drop_mask))
+            cache["stages"].append((lin_cache, relu_mask, bn_cache, drop_mask))
             x = b
-        cache = {
-            "kind": self.kind,
-            "head": id(self),
-            "stages": stage_caches,
-            "mask_a": mask_a,
-            "mask_v": mask_v,
-        }
         return x, cache
 
     def backward(self, cache, dout):
@@ -310,13 +290,7 @@ class MlpFusionHead(_Head):
             grads[f"layer{i + 1}.bias"] = dbias
             grads[f"bn{i + 1}.gamma"] = dgamma
             grads[f"bn{i + 1}.beta"] = dbeta
-        da = dx[:, : self.d_a]
-        dv = dx[:, self.d_a :]
-        if cache["mask_a"] is not None:
-            da = da * cache["mask_a"]
-        if cache["mask_v"] is not None:
-            dv = dv * cache["mask_v"]
-        return grads, da, dv
+        return self._input_grads(cache, grads, dx[:, : self.d_a], dx[:, self.d_a :])
 
 
 class MultiViewHead(_Head):

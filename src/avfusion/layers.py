@@ -95,7 +95,7 @@ class BatchNormLayer:
     def dim(self):
         return self.gamma.shape[0]
 
-    def forward(self, x: np.ndarray, train: bool, update_running: bool = True):
+    def forward(self, x: np.ndarray, train: bool):
         if x.shape[-1] != self.dim:
             raise ShapeError(f"batchnorm expects dim {self.dim}, got {x.shape[-1]}")
         if train:
@@ -106,14 +106,13 @@ class BatchNormLayer:
                 )
             mean = x.mean(axis=0)
             var = x.var(axis=0)  # population convention
-            if update_running:
-                unbiased = var * n / (n - 1)
-                self.running_mean = (
-                    (1 - self.momentum) * self.running_mean + self.momentum * mean
-                )
-                self.running_var = (
-                    (1 - self.momentum) * self.running_var + self.momentum * unbiased
-                )
+            unbiased = var * n / (n - 1)
+            self.running_mean = (
+                (1 - self.momentum) * self.running_mean + self.momentum * mean
+            )
+            self.running_var = (
+                (1 - self.momentum) * self.running_var + self.momentum * unbiased
+            )
         else:
             mean = self.running_mean
             var = self.running_var

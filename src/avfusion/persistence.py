@@ -318,17 +318,20 @@ def report_document(report):
 
 
 def write_report(path_prefix, report, format="structured"):
-    """Write report files; returns the list of paths written."""
+    """Write the report as "structured" JSON (`<prefix>.json`), "tabular" CSV
+    (`<prefix>_eer.csv`, `<prefix>_diagnostics.csv`) or "both"; returns the
+    list of paths written."""
+    if format not in ("structured", "tabular", "both"):
+        raise PersistenceError(f"unknown report format {format!r}")
     doc = report_document(report)
-    if format == "structured":
-        path = f"{path_prefix}.json"
-        with open(path, "w", encoding="utf-8") as fh:
+    paths = []
+    if format != "tabular":
+        paths.append(f"{path_prefix}.json")
+        with open(paths[-1], "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, sort_keys=True, indent=1))
             fh.write("\n")
-        return [path]
-    if format != "tabular":
-        raise PersistenceError(f"unknown report format {format!r}")
-    paths = []
+    if format == "structured":
+        return paths
     eer_path = f"{path_prefix}_eer.csv"
     with open(eer_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

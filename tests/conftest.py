@@ -1,11 +1,19 @@
 """Shared test helpers: finite-difference oracles and small data builders."""
 
+import math
+
 import numpy as np
 import pytest
 
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
 from avfusion.data import DatasetConfig, generate_identities, sample_dataset
-from avfusion.errors import ConfigurationError, ConsistencyError, DegenerateInputError
+from avfusion.errors import (
+    ConfigurationError,
+    ConsistencyError,
+    DegenerateInputError,
+    LabelError,
+    ShapeError,
+)
 from avfusion.evaluation import AngleReport, EerResult, embed_samples
 from avfusion.heads import HEAD_KINDS
 from avfusion.linalg import angle_deg, cosine_similarity
@@ -342,6 +350,112 @@ class LoopAdamW:
         self.step_count = 0
 
     step = loop_adamw_step
+
+
+# Loop references of the arc-margin loss: the logits and the loss as they
+# were before the two shared one margin-logit computation, kept verbatim
+# (renamed loop_*), with the cosine and target helpers they called.
+
+_SIN_FLOOR = 1e-12
+
+
+def _check_targets(head, targets):
+    targets = np.asarray(targets)
+    if targets.ndim != 1:
+        raise ShapeError("targets must be a 1-d integer array")
+    if ((targets < 0) | (targets >= head.n_classes)).any():
+        raise LabelError("target class index out of range")
+    return targets
+
+
+def loop_cosines(head, embeddings, strict=True):
+    """Row-normalized embeddings against column-normalized prototypes.
+
+    With strict=False, exactly-zero rows (which a ReLU head can emit) are
+    kept with an all-zero direction instead of raising; their gradient is
+    zeroed by the caller.
+    """
+    norms = np.linalg.norm(embeddings, axis=1)
+    if (norms == 0.0).any():
+        if strict:
+            raise DegenerateInputError("zero embedding has no direction")
+        norms = np.where(norms == 0.0, 1.0, norms)
+    e_hat = embeddings / norms[:, None]
+    proto_norms = np.linalg.norm(head.prototypes, axis=0)
+    w_hat = head.prototypes / proto_norms
+    cos = np.clip(e_hat @ w_hat, -1.0, 1.0)
+    return cos, e_hat, w_hat, norms, proto_norms
+
+
+def loop_arc_margin_logits_batch(head, embeddings, targets):
+    """Scaled margin-penalized logits for a batch of raw embeddings."""
+    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    targets = _check_targets(head, targets)
+    cos, *_ = loop_cosines(head, embeddings)
+    rows = np.arange(len(targets))
+    cos_t = cos[rows, targets]
+    sin_t = np.sqrt(np.maximum(1.0 - cos_t**2, 0.0))
+    stable = cos_t > math.cos(math.pi - head.margin)
+    phi = np.where(
+        stable,
+        cos_t * math.cos(head.margin) - sin_t * math.sin(head.margin),
+        cos_t - head.margin * math.sin(head.margin),
+    )
+    logits = head.scale * cos
+    logits[rows, targets] = head.scale * phi
+    return logits
+
+
+def loop_arc_margin_loss_grad_batch(head, embeddings, targets):
+    """Mean loss over the batch plus gradients w.r.t. raw inputs.
+
+    Returns (loss, grad_embeddings, grad_prototypes, per_sample_losses).
+    Gradients include the normalization Jacobians for both the embeddings
+    and the prototype columns.
+    """
+    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    targets = _check_targets(head, targets)
+    n = embeddings.shape[0]
+    degenerate = np.linalg.norm(embeddings, axis=1) == 0.0
+    cos, e_hat, w_hat, e_norms, w_norms = loop_cosines(head, embeddings, strict=False)
+    rows = np.arange(n)
+    cos_t = cos[rows, targets]
+    sin_t = np.sqrt(np.maximum(1.0 - cos_t**2, _SIN_FLOOR))
+    stable = cos_t > math.cos(math.pi - head.margin)
+    phi = np.where(
+        stable,
+        cos_t * math.cos(head.margin)
+        - np.sqrt(np.maximum(1.0 - cos_t**2, 0.0)) * math.sin(head.margin),
+        cos_t - head.margin * math.sin(head.margin),
+    )
+    # d phi / d cos(theta_t)
+    dphi = np.where(
+        stable, math.cos(head.margin) + math.sin(head.margin) * cos_t / sin_t, 1.0
+    )
+    logits = head.scale * cos
+    logits[rows, targets] = head.scale * phi
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    softmax = exp / exp.sum(axis=1, keepdims=True)
+    per_sample = -shifted[rows, targets] + np.log(exp.sum(axis=1))
+    loss = float(per_sample.mean())
+
+    dlogits = softmax.copy()
+    dlogits[rows, targets] -= 1.0
+    dlogits /= n
+    dcos = dlogits * head.scale
+    dcos[rows, targets] *= dphi
+
+    de_hat = dcos @ w_hat.T
+    dw_hat = e_hat.T @ dcos
+    # Normalization Jacobian: d x_hat / d x = (I - x_hat x_hat^T) / ||x||.
+    grad_e = (de_hat - e_hat * (de_hat * e_hat).sum(axis=1, keepdims=True)) / e_norms[
+        :, None
+    ]
+    grad_e[degenerate] = 0.0  # zero rows have no direction to move in
+    grad_w = (dw_hat - w_hat * (dw_hat * w_hat).sum(axis=0, keepdims=True)) / w_norms
+    return loss, grad_e, grad_w, per_sample
 
 
 @pytest.fixture

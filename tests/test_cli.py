@@ -318,6 +318,55 @@ class TestConfigFile:
         assert "bogus-knob" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, values", [
+        ("evaluate", {"format": "xml"}),
+        ("train", {"profile": "huge"}),
+        ("generate", {"n-identities": "6"}),
+        ("train", {"max-epochs": 1.5}),
+        ("train", {"learning-rate": "0.1"}),
+        ("generate", {"seed": True}),
+        ("generate", {"seed": None}),
+        ("evaluate", {"checkpoint": ["a.ckpt", 3]}),
+        ("generate", [6]),
+    ])
+    def test_bad_file_value_is_config_error(self, pipeline, tmp_path, capsys,
+                                            command, values):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "generate": ["generate", "--out-dir", str(out)],
+            "train": ["train", "--train-embeddings", str(pipeline / "train.emb"),
+                      "--val-embeddings", str(pipeline / "val.emb"),
+                      "--checkpoint-out", str(out / "model.ckpt"),
+                      "--epoch-log-out", str(out / "epochs.log")],
+            "evaluate": ["evaluate", "--test-embeddings", str(pipeline / "test.emb"),
+                         "--checkpoint", str(pipeline / "mean.ckpt"),
+                         "--n-positive", "30", "--n-negative", "30",
+                         "--out-dir", str(out)],
+        }[command]
+        assert run(argv + ["--config", str(config_path)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert list(out.iterdir()) == []
+
+    def test_good_file_values(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        values = {"learning-rate": 1, "max-epochs": 3, "d-e": None, "head": "mlp"}
+        config_path.write_text(json.dumps(values))
+        args = cli.build_parser().parse_args(["train", "--config", str(config_path)])
+        cfg = cli.resolve_config("train", args)
+        assert (cfg["learning_rate"], cfg["max_epochs"], cfg["d_e"], cfg["head"]) == (
+            1, 3, None, "mlp")
+        for checkpoints in ("a.ckpt", ["a.ckpt", "b.ckpt"]):
+            config_path.write_text(json.dumps({"checkpoint": checkpoints}))
+            args = cli.build_parser().parse_args(["evaluate", "--config",
+                                                  str(config_path)])
+            assert cli.resolve_config("evaluate", args)["checkpoint"] == checkpoints
+
+
 class TestModuleEntryPoint:
     """`python -m avfusion`, as the README documents it."""
 

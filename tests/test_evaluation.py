@@ -347,9 +347,9 @@ class TestSilhouette:
         assert silhouette_score(emb, labels, "cosine") > 0.9
 
     def test_coincident_points(self):
-        emb = np.tile([1.0, 2.0], (6, 1))
+        emb = np.tile([1.0, 0.0], (6, 1))
         labels = np.array([0, 0, 0, 1, 1, 1])
-        assert silhouette_score(emb, labels, "euclidean") == 0.0
+        assert silhouette_score(emb, labels, "cosine") == 0.0
 
     def test_random_labels_near_zero(self):
         rng = np.random.default_rng(5)
@@ -361,18 +361,21 @@ class TestSilhouette:
         for _ in range(10):
             emb = rng.normal(size=(40, 4))
             labels = rng.integers(0, 3, size=40)
-            for metric in ("cosine", "euclidean"):
-                assert -1.0 <= silhouette_score(emb, labels, metric) <= 1.0
+            assert -1.0 <= silhouette_score(emb, labels, "cosine") <= 1.0
 
     def test_single_cluster_rejected(self, rng):
         with pytest.raises(DegenerateInputError):
             silhouette_score(rng.normal(size=(5, 3)), np.zeros(5))
 
+    def test_only_cosine_distance(self, rng):
+        with pytest.raises(ConfigurationError):
+            silhouette_score(rng.normal(size=(4, 3)), [0, 0, 1, 1], "euclidean")
+
     def test_singleton_cluster_contributes_zero(self):
         emb = np.array([[1.0, 0.0], [1.0, 0.01], [0.0, 1.0]])
         labels = np.array([0, 0, 1])
-        score = silhouette_score(emb, labels, "euclidean")
-        # two near-coincident points score ~1, singleton scores 0
+        score = silhouette_score(emb, labels, "cosine")
+        # two near-parallel points score ~1, singleton scores 0
         assert score == pytest.approx(2 / 3, abs=0.01)
 
 

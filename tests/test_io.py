@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -310,9 +311,19 @@ class TestReports:
             "mode,"
         )
 
+    def test_both_formats(self, tmp_path, sample_report):
+        both = write_report(tmp_path / "both", sample_report, "both")
+        assert [os.path.basename(p) for p in both] == [
+            "both.json", "both_eer.csv", "both_diagnostics.csv"]
+        single = (write_report(tmp_path / "one", sample_report, "structured")
+                  + write_report(tmp_path / "one", sample_report, "tabular"))
+        assert [open(p, "rb").read() for p in both] == [
+            open(p, "rb").read() for p in single]
+
     def test_unknown_format(self, tmp_path, sample_report):
         with pytest.raises(PersistenceError):
             write_report(tmp_path / "report", sample_report, "xml")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSvgBoxplots:

@@ -89,14 +89,6 @@ class TestBatchNorm:
         assert bn.running_mean[0] == pytest.approx(0.2)
         assert bn.running_var[0] == pytest.approx(0.9 + 0.1 * 2.0)
 
-    def test_update_running_flag(self):
-        bn = BatchNormLayer.create(2)
-        before = (bn.running_mean.copy(), bn.running_var.copy())
-        bn.forward(np.random.default_rng(2).normal(size=(4, 2)), train=True,
-                   update_running=False)
-        assert np.array_equal(bn.running_mean, before[0])
-        assert np.array_equal(bn.running_var, before[1])
-
     def test_single_sample_train_batch(self):
         bn = BatchNormLayer.create(2)
         with pytest.raises(DegenerateBatchError):
@@ -109,11 +101,11 @@ class TestBatchNorm:
         bn.beta = rng.normal(size=3)
         x = rng.normal(size=(6, 3))
         dout = rng.normal(size=(6, 3))
-        _, cache = bn.forward(x, train=True, update_running=False)
+        _, cache = bn.forward(x, train=True)
         dx, dgamma, dbeta = bn.backward(cache, dout)
 
         def loss(arr):
-            out, _ = bn.forward(x, train=True, update_running=False)
+            out, _ = bn.forward(x, train=True)
             return float((out * dout).sum())
 
         h = 1e-6
