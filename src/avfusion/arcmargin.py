@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, LabelError, ShapeError
+from .errors import ConfigurationError, DegenerateInputError, LabelError, ShapeError
 
 _SIN_FLOOR = 1e-12
 
@@ -30,9 +30,9 @@ class ArcMarginHead:
         if self.prototypes.ndim != 2:
             raise ShapeError("prototypes must be a (d_e, n_classes) matrix")
         if self.scale <= 0:
-            raise ShapeError("scale must be positive")
+            raise ConfigurationError("scale must be positive")
         if not 0.0 <= self.margin < math.pi / 2:
-            raise ShapeError("margin must be in [0, pi/2)")
+            raise ConfigurationError("margin must be in [0, pi/2)")
         norms = np.linalg.norm(self.prototypes, axis=0)
         if np.any(norms == 0.0):
             raise DegenerateInputError("every prototype column must be nonzero")

@@ -69,7 +69,7 @@ FLAG_SPECS = {
     "train": _COMMON + [
         Flag("train-embeddings", str, "train.emb", "training embedding file"),
         Flag("val-embeddings", str, "val.emb", "validation embedding file"),
-        Flag("head", str, "mean", "fusion head kind", choices=("mean", "mlp", "multiview")),
+        Flag("head", str, "mean", "fusion head kind", choices=tuple(HEAD_KINDS)),
         Flag("profile", str, "desk", "dimension profile", choices=("desk", "full")),
         Flag("d-e", int, None, "fused embedding dimension (overrides profile)"),
         Flag("hidden", int, None, "MLP hidden dimension (overrides profile)"),
@@ -203,8 +203,9 @@ def _make_head(cfg, d_a, d_v):
     dims = dict(DESK_DIMS if cfg["profile"] == "desk" else FULL_DIMS)
     d_e = cfg["d_e"] if cfg["d_e"] is not None else dims["d_e"]
     hidden = cfg["hidden"] if cfg["hidden"] is not None else dims["hidden"]
-    if cfg["head"] not in HEAD_KINDS:
-        raise ConfigurationError(f"unknown head kind {cfg['head']!r}")
+    for name, value in (("d-e", d_e), ("hidden", hidden)):
+        if value < 1:
+            raise ConfigurationError(f"--{name} must be >= 1, got {value}")
     return HEAD_KINDS[cfg["head"]].create(
         substream(cfg["seed"], "init"), d_a, d_v, d_e,
         hidden=hidden, dropout_p=cfg["dropout"],

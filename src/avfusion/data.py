@@ -98,10 +98,10 @@ def _id_index(identity_id: str) -> int:
     return int(digits) if digits else 0
 
 
-def split_dataset(samples, val_fraction, seed):
-    """Identity-stratified split into (train, val) with disjoint sample ids."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigurationError("val_fraction must be in (0, 1)")
+def split_dataset(samples, fraction, seed):
+    """Identity-stratified (kept, `fraction` held out) split, disjoint by sample id."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigurationError(f"split fraction {fraction} must be in (0, 1)")
     by_identity = {}
     for s in samples:
         by_identity.setdefault(s.identity_id, []).append(s)
@@ -109,11 +109,11 @@ def split_dataset(samples, val_fraction, seed):
     train, val = [], []
     for identity_id in sorted(by_identity):
         group = by_identity[identity_id]
-        n_val = int(round(len(group) * val_fraction))
+        n_val = int(round(len(group) * fraction))
         if n_val < 1 or n_val >= len(group):
             raise ConfigurationError(
                 f"identity {identity_id} has too few samples "
-                f"({len(group)}) to stratify at val_fraction={val_fraction}"
+                f"({len(group)}) to stratify at split fraction {fraction}"
             )
         perm = rng.permutation(len(group))
         val.extend(group[i] for i in sorted(perm[:n_val]))

@@ -37,10 +37,6 @@ class PersistenceError(AvFusionError, ValueError):
     """A file could not be parsed or does not match the expected format."""
 
 
-class CheckpointKindError(PersistenceError):
-    """A checkpoint was loaded into the wrong head kind."""
-
-
 @contextmanager
 def float_errors_as_degenerate(what):
     """Runs the block with numpy overflow, 0/0 and x/0 raising, and reports

@@ -109,41 +109,39 @@ class _Head:
         """Eval-mode embeddings; a None modality enters as the null input."""
         return self.forward(audio, video)[0]
 
-    def loss_terms(self, audio, video, config, mask_rng=None, rng=None, masks=None):
+    def loss_terms(self, audio, video, config, mask_rng=None, rng=None):
         """([(weight, train-mode embeddings)], cache); `mask_rng` draws the
         modality masks with `config.mask_probabilities`."""
         if mask_rng is not None:
             modes = sample_mask_modes(mask_rng, len(audio), config.mask_probabilities)
             audio, video = apply_masks(audio, video, modes)
-        emb, cache = self.forward(audio, video, train=True, rng=rng, masks=masks)
+        emb, cache = self.forward(audio, video, train=True, rng=rng)
         return [(1.0, emb)], cache
 
     def backward_terms(self, cache, douts):
         """Parameter gradients, given the loss gradient of each term."""
         return self.backward(cache, douts[0])[0]
 
-    def _inputs(self, audio, video, train, rng, masks, n):
-        """The input stage of a fused forward pass: (a, v, masks, cache).
+    def _inputs(self, audio, video, train, rng):
+        """The input stage of a fused forward pass: (a, v, cache).
 
         A None modality becomes the null (all-zeros) input, with the other
-        modality's batch size or else `n`; input dropout is applied to both
-        sides, and the cache starts with the head's identity and the input
-        dropout masks."""
-        if audio is not None or video is not None:
-            n = np.asarray(audio if audio is not None else video).shape[0]
-        elif n is None:
-            raise DegenerateInputError("both modalities are null and no batch size given")
+        modality's batch size; input dropout is applied to both sides, and
+        the cache starts with the head's identity and the input dropout
+        masks."""
+        if audio is None and video is None:
+            raise DegenerateInputError("both modalities are null")
+        n = np.asarray(audio if audio is not None else video).shape[0]
         a, v = (np.zeros((n, dim)) if x is None else np.asarray(x, dtype=np.float64)
                 for x, dim in ((audio, self.d_a), (video, self.d_v)))
         for x, dim in ((a, self.d_a), (v, self.d_v)):
             if x.ndim != 2 or x.shape[1] != dim:
                 raise ShapeError(f"expected batch of dim {dim}, got shape {x.shape}")
-        masks = masks or {}
-        a, mask_a = self.dropout.apply(a, train, rng, masks.get("audio"))
-        v, mask_v = self.dropout.apply(v, train, rng, masks.get("video"))
+        a, mask_a = self.dropout.apply(a, train, rng)
+        v, mask_v = self.dropout.apply(v, train, rng)
         cache = {"kind": self.kind, "head": id(self),
                  "mask_a": mask_a, "mask_v": mask_v}
-        return a, v, masks, cache
+        return a, v, cache
 
     @staticmethod
     def _input_grads(cache, grads, da, dv):
@@ -174,8 +172,8 @@ class MeanFusionHead(_Head):
             DropoutSpec(dropout_p),
         )
 
-    def forward(self, audio, video, train=False, rng=None, masks=None, n=None):
-        a, v, _, cache = self._inputs(audio, video, train, rng, masks, n)
+    def forward(self, audio, video, train=False, rng=None):
+        a, v, cache = self._inputs(audio, video, train, rng)
         pa, cache["a"] = self.proj_audio.forward(a)
         pv, cache["v"] = self.proj_video.forward(v)
         return 0.5 * (pa + pv), cache
@@ -211,6 +209,10 @@ class MlpFusionHead(_Head):
         self.norms = list(norms)
         if len(self.layers) != 3 or len(self.norms) != 3:
             raise ShapeError("MLP head has exactly three linear+norm stages")
+        for i, (lin, bn) in enumerate(zip(self.layers, self.norms)):
+            if (i and lin.in_dim != self.layers[i - 1].out_dim) or bn.dim != lin.out_dim:
+                raise ShapeError(f"MLP stage {i + 1} does not chain: linear "
+                                 f"{lin.in_dim}->{lin.out_dim}, norm dim {bn.dim}")
         if not 0 < d_a < self.layers[0].in_dim:
             raise ShapeError(f"audio dim {d_a} does not split input dim "
                              f"{self.layers[0].in_dim}")
@@ -258,8 +260,8 @@ class MlpFusionHead(_Head):
         return dict(super().meta(), hidden=self.layers[0].out_dim,
                     leaky_slope=self.leaky_slope)
 
-    def forward(self, audio, video, train=False, rng=None, masks=None, n=None):
-        a, v, masks, cache = self._inputs(audio, video, train, rng, masks, n)
+    def forward(self, audio, video, train=False, rng=None):
+        a, v, cache = self._inputs(audio, video, train, rng)
         x = np.concatenate([a, v], axis=1)
         cache["stages"] = []
         for i in range(3):
@@ -268,9 +270,7 @@ class MlpFusionHead(_Head):
             b, bn_cache = self.norms[i].forward(r, train)
             drop_mask = None
             if i < 2:
-                b, drop_mask = self.dropout.apply(
-                    b, train, rng, masks.get(f"h{i + 1}")
-                )
+                b, drop_mask = self.dropout.apply(b, train, rng)
             cache["stages"].append((lin_cache, relu_mask, bn_cache, drop_mask))
             x = b
         return x, cache
@@ -336,10 +336,10 @@ class MultiViewHead(_Head):
             return self.forward_modality("video", video)[0]
         raise DegenerateInputError("empty modality exposure")
 
-    def loss_terms(self, audio, video, config, mask_rng=None, rng=None, masks=None):
+    def loss_terms(self, audio, video, config, mask_rng=None, rng=None):
         """The audio and video paths as two terms; `mask_rng` is unused."""
-        emb_a, cache_a = self.forward_modality("audio", audio, True, rng, masks)
-        emb_v, cache_v = self.forward_modality("video", video, True, rng, masks)
+        emb_a, cache_a = self.forward_modality("audio", audio, True, rng)
+        emb_v, cache_v = self.forward_modality("video", video, True, rng)
         terms = [(config.lambda_audio, emb_a), (config.lambda_video, emb_v)]
         return terms, (cache_a, cache_v)
 
@@ -348,7 +348,7 @@ class MultiViewHead(_Head):
         grads_v, _ = self.backward_modality(cache[1], douts[1])
         return _add_grads(grads, grads_v)
 
-    def forward_modality(self, modality, x, train=False, rng=None, masks=None):
+    def forward_modality(self, modality, x, train=False, rng=None):
         if modality not in ("audio", "video"):
             raise ShapeError(f"unknown modality {modality!r}")
         proj = self.proj_audio if modality == "audio" else self.proj_video
@@ -357,12 +357,11 @@ class MultiViewHead(_Head):
             raise ShapeError(
                 f"{modality} input must have dim {proj.in_dim}, got shape {x.shape}"
             )
-        masks = masks or {}
         p, proj_cache = proj.forward(x)
         c, shared_cache = self.shared_classifier.forward(p)
         relu_mask = c >= 0
         r = np.where(relu_mask, c, 0.0)
-        out, drop_mask = self.dropout.apply(r, train, rng, masks.get(modality))
+        out, drop_mask = self.dropout.apply(r, train, rng)
         cache = {
             "kind": self.kind,
             "head": id(self),
@@ -392,14 +391,14 @@ class MultiViewHead(_Head):
         }
         return grads, dinput
 
-    def forward_joint(self, audio, video, train=False, rng=None, masks=None):
+    def forward_joint(self, audio, video, train=False, rng=None):
         if audio is None or video is None:
             raise DegenerateInputError(
                 "joint multi-view embedding needs both modalities; "
                 "use forward_modality for a single one"
             )
-        ea, cache_a = self.forward_modality("audio", audio, train, rng, masks)
-        ev, cache_v = self.forward_modality("video", video, train, rng, masks)
+        ea, cache_a = self.forward_modality("audio", audio, train, rng)
+        ev, cache_v = self.forward_modality("video", video, train, rng)
         cache = {"kind": self.kind, "head": id(self), "audio": cache_a, "video": cache_v}
         return 0.5 * (ea + ev), cache
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBatchError, ShapeError
+from .errors import ConfigurationError, DegenerateBatchError, ShapeError
 
 
 def uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int):
@@ -80,15 +80,18 @@ class BatchNormLayer:
     TRAINED = ("gamma", "beta")
     STATE = TRAINED + ("running_mean", "running_var")
 
+    def __post_init__(self):
+        shapes = {np.shape(getattr(self, name)) for name in self.STATE}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ShapeError(f"batchnorm tensors must share one 1-d shape, got {shapes}")
+
     @classmethod
-    def create(cls, dim, eps=1e-05, momentum=0.1):
+    def create(cls, dim):
         return cls(
             gamma=np.ones(dim),
             beta=np.zeros(dim),
             running_mean=np.zeros(dim),
             running_var=np.ones(dim),
-            eps=eps,
-            momentum=momentum,
         )
 
     @property
@@ -159,7 +162,7 @@ class DropoutSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.probability < 1.0:
-            raise ShapeError("dropout probability must be in [0, 1)")
+            raise ConfigurationError("dropout probability must be in [0, 1)")
 
     def draw_mask(self, rng: np.random.Generator, shape):
         if self.probability == 0.0:
@@ -167,10 +170,9 @@ class DropoutSpec:
         keep = rng.random(shape) >= self.probability
         return keep / (1.0 - self.probability)
 
-    def apply(self, x: np.ndarray, train: bool, rng=None, mask=None):
+    def apply(self, x: np.ndarray, train: bool, rng=None):
         """Returns (output, mask); mask is None in eval mode."""
         if not train:
             return x, None
-        if mask is None:
-            mask = self.draw_mask(rng, x.shape)
+        mask = self.draw_mask(rng, x.shape)
         return x * mask, mask

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Sample
 from .errors import (
-    CheckpointKindError,
+    ConfigurationError,
     DegenerateInputError,
     PersistenceError,
     ShapeError,
@@ -93,14 +93,13 @@ def _check_finite(path, values):
         raise PersistenceError(f"{path}: payload holds NaN or Inf values")
 
 
-def write_embeddings(path, samples, d_a=None, d_v=None):
-    """Serialize samples; read(write(x)) is bit-exact at double precision."""
+def write_embeddings(path, samples):
+    """Serialize nonempty samples; read(write(x)) is bit-exact in float64."""
     samples = list(samples)
-    if samples:
-        d_a = samples[0].audio.shape[0]
-        d_v = samples[0].video.shape[0]
-    elif d_a is None or d_v is None:
-        raise PersistenceError("empty sample list needs explicit d_a/d_v")
+    if not samples:
+        raise PersistenceError(f"{path}: no samples to write")
+    d_a = samples[0].audio.shape[0]
+    d_v = samples[0].video.shape[0]
     for s in samples:
         if s.audio.shape != (d_a,) or s.video.shape != (d_v,):
             raise PersistenceError(
@@ -116,12 +115,9 @@ def write_embeddings(path, samples, d_a=None, d_v=None):
         "count": len(samples),
         "records": [[s.identity_id, s.sample_id] for s in samples],
     }
-    if samples:
-        payload = np.concatenate(
-            [np.concatenate([s.audio, s.video]) for s in samples]
-        ).astype("<f8").tobytes()
-    else:
-        payload = b""
+    payload = np.concatenate(
+        [np.concatenate([s.audio, s.video]) for s in samples]
+    ).astype("<f8").tobytes()
     _write_framed(path, EMBEDDING_MAGIC, header, payload)
 
 
@@ -184,7 +180,7 @@ _HEAD_FIELDS = {
 }
 
 
-def load_checkpoint(path, expect_kind=None):
+def load_checkpoint(path):
     """Returns (head, arc_head, provenance)."""
     header, payload = _read_framed(path, CHECKPOINT_MAGIC)
     _check_fields(path, header, {
@@ -197,11 +193,6 @@ def load_checkpoint(path, expect_kind=None):
     meta = header["head"]
     _check_fields(path, meta, {**{key: _is_number for key in meta}, **_HEAD_FIELDS})
     _check_fields(path, header["arc"], {"scale": _is_number, "margin": _is_number})
-    if expect_kind not in (None, meta["kind"]):
-        raise CheckpointKindError(
-            f"{path}: checkpoint holds a {meta['kind']!r} head, expected "
-            f"{expect_kind!r}"
-        )
     tensors = {}
     offset = 0
     for name, shape in header["tensors"]:
@@ -229,9 +220,11 @@ def load_checkpoint(path, expect_kind=None):
                 scale=header["arc"]["scale"],
                 margin=header["arc"]["margin"],
             )
+            if arc.prototypes.shape[0] != head.d_e:
+                raise ShapeError(f"prototypes {arc.prototypes.shape} for d_e {head.d_e}")
     except KeyError as exc:
         raise PersistenceError(f"{path}: missing tensor {exc}") from exc
-    except (ShapeError, DegenerateInputError) as exc:
+    except (ShapeError, DegenerateInputError, ConfigurationError) as exc:
         raise PersistenceError(f"{path}: inconsistent tensors: {exc}") from exc
     except FloatingPointError as exc:
         raise PersistenceError(f"{path}: tensor values out of range: {exc}") from exc

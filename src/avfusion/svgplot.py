@@ -20,7 +20,7 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
-def render_boxplot_svg(path, groups, labels, title="", y_label="angle (degrees)"):
+def render_boxplot_svg(path, groups, labels, title=""):
     """Grouped boxplots: one box per label inside each group.
 
     `groups` is an ordered list of (group_name, [BoxplotStats, ...]) with one
@@ -85,7 +85,7 @@ def render_boxplot_svg(path, groups, labels, title="", y_label="angle (degrees)"
         f'<text x="14" y="{MARGIN_TOP + PLOT_HEIGHT / 2:.1f}" '
         f'text-anchor="middle" font-size="11" font-family="sans-serif" '
         f'transform="rotate(-90 14 {MARGIN_TOP + PLOT_HEIGHT / 2:.1f})">'
-        f"{y_label}</text>"
+        "angle (degrees)</text>"
     )
 
     for g, (group_name, stats_list) in enumerate(groups):

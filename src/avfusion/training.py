@@ -196,7 +196,7 @@ def clip_global_norm(grads: dict, max_norm: float):
 
 
 def batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
-               rng=None, masks=None):
+               rng=None):
     """Weighted sum of the arc-margin losses of the head's loss terms.
 
     Returns (loss, grads) with gradient names prefixed "head." / "arc.".
@@ -204,7 +204,7 @@ def batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
     labels = np.asarray(labels)
     if labels.size == 0:
         raise DegenerateInputError("empty batch")
-    terms, cache = head.loss_terms(audio, video, config, mask_rng, rng, masks)
+    terms, cache = head.loss_terms(audio, video, config, mask_rng, rng)
     loss, douts, grad_protos = 0.0, [], None
     for weight, emb in terms:
         term_loss, grad_emb, term_protos, _ = arc_margin_loss_grad_batch(
@@ -226,21 +226,6 @@ def validate_accuracy(head, arc_head, samples):
     audio, video, labels, _ = stack_samples(samples)
     logits = plain_cosine_logits(arc_head, head.embed(audio, video))
     return float((logits.argmax(axis=1) == labels).mean())
-
-
-def lr_schedule_update(accuracies, current_lr, decay_factor=0.95):
-    """Multiply by the decay factor when the last epoch did not improve.
-
-    `accuracies` is the list of validation accuracies for all completed
-    epochs.  A tie with the best prior accuracy counts as non-improvement.
-    """
-    if not accuracies:
-        raise ConfigurationError("need at least one completed epoch")
-    last = accuracies[-1]
-    prior = accuracies[:-1]
-    if prior and last <= max(prior):
-        return current_lr * decay_factor
-    return current_lr
 
 
 @dataclass
@@ -279,7 +264,6 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
     best_epoch = -1
     best_snapshot = None
     records = []
-    accuracies = []
     for epoch in range(config.max_epochs):
         perm = shuffle_rng.permutation(n)
         losses = []
@@ -297,11 +281,6 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
             optimizer.step(store.params, store.grads, lr)
             losses.append(loss)
         acc = validate_accuracy(head, arc_head, val_samples)
-        accuracies.append(acc)
-        if acc > best_acc:
-            best_acc = acc
-            best_epoch = epoch
-            best_snapshot = (copy.deepcopy(head), copy.deepcopy(arc_head))
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -311,7 +290,12 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
                 is_best=False,
             )
         )
-        lr = lr_schedule_update(accuracies, lr, config.lr_decay_factor)
+        if acc > best_acc:
+            best_acc = acc
+            best_epoch = epoch
+            best_snapshot = (copy.deepcopy(head), copy.deepcopy(arc_head))
+        else:
+            lr *= config.lr_decay_factor
     records[best_epoch].is_best = True
     return TrainResult(
         best_head=best_snapshot[0],

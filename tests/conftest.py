@@ -29,43 +29,63 @@ def make_head(kind, rng, d_a=16, d_v=32, d_e=8, hidden=24, dropout_p=0.1):
                                    dropout_p=dropout_p)
 
 
-def draw_fixed_masks(head, rng, n):
-    """Pre-drawn dropout masks so forward passes replay deterministically."""
-    masks = {
-        "audio": head.dropout.draw_mask(rng, (n, head.d_a)),
-        "video": head.dropout.draw_mask(rng, (n, head.d_v)),
-    }
-    if head.kind == "mlp":
-        hidden = head.layers[0].out_dim
-        masks["h1"] = head.dropout.draw_mask(rng, (n, hidden))
-        masks["h2"] = head.dropout.draw_mask(rng, (n, hidden))
+def dropout_state(head, rng, n):
+    """The generator state from which one train-mode pass of `head` on `n`
+    samples draws its dropout masks; a generator restored to it replays them.
+
+    Advances `rng` past those masks' draws.  The multiview head drops out its
+    (n, d_e) outputs, not its inputs; its state is taken after two discarded
+    (n, d_a) and (n, d_v) draws, which keep the data criterion 01 draws next
+    from `rng` fixed.
+    """
+    shapes = [(n, head.d_a), (n, head.d_v)]
     if head.kind == "multiview":
-        masks["audio"] = head.dropout.draw_mask(rng, (n, head.d_e))
-        masks["video"] = head.dropout.draw_mask(rng, (n, head.d_e))
-    return masks
+        for shape in shapes:
+            head.dropout.draw_mask(rng, shape)
+        shapes = [(n, head.d_e), (n, head.d_e)]
+    if head.kind == "mlp":
+        shapes += [(n, head.layers[0].out_dim)] * 2
+    state = rng.bit_generator.state
+    for shape in shapes:
+        head.dropout.draw_mask(rng, shape)
+    return state
 
 
-def composed_loss(head, arc, audio, video, labels, masks):
-    """Train-mode head + arc-margin loss with replayed dropout masks.
+# One generator that replay() restores: setting a state costs a tenth of
+# building a generator, and the gradient check replays over 100k passes.
+_REPLAY = np.random.default_rng(0)
+
+
+def replay(state):
+    """The shared replay generator, restored to `state`."""
+    _REPLAY.bit_generator.state = state
+    return _REPLAY
+
+
+def composed_loss(head, arc, audio, video, labels, state):
+    """Train-mode head + arc-margin loss with the dropout masks drawn from
+    `state`.
 
     The loss-only reference: the weighted arc-margin losses of the head's
     loss terms, with no backward pass.
     """
-    terms, _ = head.loss_terms(audio, video, LOSS_CONFIG, masks=masks)
+    terms, _ = head.loss_terms(audio, video, LOSS_CONFIG, rng=replay(state))
     return sum(
         weight * arc_margin_loss_grad_batch(arc, emb, labels)[0] for weight, emb in terms
     )
 
 
-def composed_grads(head, arc, audio, video, labels, masks):
+def composed_grads(head, arc, audio, video, labels, state):
     """Analytic gradients of composed_loss for every parameter, as training
     computes them."""
-    return batch_loss(head, arc, audio, video, labels, LOSS_CONFIG, masks=masks)[1]
+    return batch_loss(head, arc, audio, video, labels, LOSS_CONFIG,
+                      rng=replay(state))[1]
 
 
-def gradient_check(head, arc, audio, video, labels, masks, step=1e-5):
-    """Max norm-relative error between analytic and central finite differences."""
-    analytic = composed_grads(head, arc, audio, video, labels, masks)
+def gradient_check(head, arc, audio, video, labels, state, step=1e-5):
+    """Max norm-relative error between analytic and central finite
+    differences, with every pass's dropout masks drawn from `state`."""
+    analytic = composed_grads(head, arc, audio, video, labels, state)
     params = {f"head.{name}": getattr(layer, attr)
               for name, layer, attr in head.parameters()}
     params["arc.prototypes"] = arc.prototypes
@@ -77,9 +97,9 @@ def gradient_check(head, arc, audio, video, labels, masks, step=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = composed_loss(head, arc, audio, video, labels, masks)
+            up = composed_loss(head, arc, audio, video, labels, state)
             flat[i] = orig - step
-            down = composed_loss(head, arc, audio, video, labels, masks)
+            down = composed_loss(head, arc, audio, video, labels, state)
             flat[i] = orig
             num_flat[i] = (up - down) / (2 * step)
         a = np.asarray(analytic[name], dtype=np.float64)

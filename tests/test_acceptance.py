@@ -54,7 +54,7 @@ from avfusion.persistence import (
 from avfusion.rng import substream
 from avfusion.training import TrainingConfig, train_run
 
-from conftest import draw_fixed_masks, eer_oracle, gradient_check, make_head
+from conftest import dropout_state, eer_oracle, gradient_check, make_head
 
 # Desk-scale training profile frozen by the pre-registered calibration run.
 ACCEPTANCE_LR = 0.1
@@ -140,13 +140,13 @@ def test_criterion_01_gradient_correctness():
             audio = rng.normal(size=(n, DESK_DIMS["d_a"]))
             video = rng.normal(size=(n, DESK_DIMS["d_v"]))
             labels = rng.integers(0, 5, size=n)
-            masks = draw_fixed_masks(head, rng, n)
-            err = gradient_check(head, arc, audio, video, labels, masks)
+            state = dropout_state(head, rng, n)
+            err = gradient_check(head, arc, audio, video, labels, state)
             if err >= 1e-4:
                 # A piecewise-linear kink within the finite-difference step
                 # inflates the numeric estimate; a genuine gradient error
                 # would survive a smaller step.
-                err = gradient_check(head, arc, audio, video, labels, masks,
+                err = gradient_check(head, arc, audio, video, labels, state,
                                      step=1e-6)
             worst = max(worst, err)
     elapsed = time.time() - start
@@ -271,7 +271,7 @@ def test_criterion_06_null_representation_probe():
     for seed in ACCEPTANCE_SEEDS:
         head = trained_head("mean", seed)
         _, _, test = desk_data(seed)
-        null_emb = head.forward(None, None, n=1)[0][0]
+        null_emb = head.forward(np.zeros((1, head.d_a)), np.zeros((1, head.d_v)))[0][0]
         emb_a = embed_samples(head, test, "a")
         by_identity = {}
         for i, sample in enumerate(test):

@@ -11,7 +11,7 @@ from avfusion.arcmargin import (
     plain_cosine_logits,
     softmax_cross_entropy,
 )
-from avfusion.errors import DegenerateInputError, LabelError, ShapeError
+from avfusion.errors import ConfigurationError, DegenerateInputError, LabelError
 from avfusion.linalg import l2_normalize
 
 
@@ -31,8 +31,12 @@ class TestConstruction:
             ArcMarginHead(prototypes=protos)
 
     def test_bad_margin_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigurationError):
             ArcMarginHead(prototypes=np.eye(2), margin=2.0)
+
+    def test_bad_scale_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ArcMarginHead(prototypes=np.eye(2), scale=0.0)
 
 
 class TestLogits:

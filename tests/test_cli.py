@@ -17,7 +17,8 @@ from avfusion.persistence import (
     read_report,
     save_checkpoint,
 )
-from avfusion.heads import MeanFusionHead
+from avfusion.arcmargin import ArcMarginHead
+from avfusion.heads import MeanFusionHead, MlpFusionHead
 from avfusion.rng import substream
 
 
@@ -111,6 +112,12 @@ class TestGenerate:
         assert code == cli.EXIT_CONFIG
         assert "audio_noise_sigma" in capsys.readouterr().err
 
+    def test_invalid_test_fraction(self, tmp_path, capsys):
+        code = run(generate_args(tmp_path) + ["--test-fraction", "1.5"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "1.5" in err and "val_fraction" not in err
+
 
 class TestTrain:
     def test_zero_lr_checkpoint_equals_init(self, pipeline, tmp_path):
@@ -129,6 +136,21 @@ class TestTrain:
         assert run(train_args(pipeline, tmp_path, head=head)) == 0
         loaded, _, _ = load_checkpoint(tmp_path / f"{head}.ckpt")
         assert loaded.kind == head
+
+    @pytest.mark.parametrize("head, extra", [
+        ("mean", ["--dropout", "1.0"]), ("mean", ["--dropout", "-0.1"]),
+        ("mean", ["--margin", "2.0"]), ("mean", ["--scale", "0"]),
+        ("mean", ["--d-e", "0"]), ("mlp", ["--hidden", "0"]),
+        ("mlp", ["--hidden", "-3"]),
+    ])
+    def test_out_of_range_value_is_config_error(self, pipeline, tmp_path, capsys,
+                                                head, extra):
+        code = run(train_args(pipeline, tmp_path, head=head, extra=extra))
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_epoch_log_decay_consistency(self, pipeline, tmp_path):
         assert run(
@@ -293,6 +315,50 @@ class TestDiagnose:
         assert not runtime_warnings
         assert not list(out.glob("*.svg"))
         assert not (out / "diagnostics_summary.json").exists()
+
+
+def inconsistent_mlp_checkpoint(path, damage):
+    """An MLP checkpoint for the pipeline's data whose tensors do not fit
+    together: a short batch-norm tensor, a broken layer chain or prototypes
+    of the wrong dimension."""
+    rng = np.random.default_rng(0)
+    head = MlpFusionHead.create(rng, 16, 32, 8, hidden=24)
+    arc = ArcMarginHead.create(rng, 8, 6)
+    if damage == "bn1.beta":
+        head.norms[0].beta = head.norms[0].beta[:-1]
+    elif damage == "bn1.running_var":
+        head.norms[0].running_var = head.norms[0].running_var[:-1]
+    elif damage == "layer2.weight":
+        head.layers[1].weight = head.layers[1].weight[:, :23]
+    elif damage == "bn3":
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            setattr(head.norms[2], name, getattr(head.norms[2], name)[:-1])
+    else:
+        arc = ArcMarginHead.create(rng, 7, 6)
+    save_checkpoint(path, head, arc)
+    return path
+
+
+class TestInconsistentCheckpoints:
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("damage", [
+        "bn1.beta", "bn1.running_var", "layer2.weight", "bn3", "prototypes",
+    ])
+    def test_is_io_error(self, pipeline, tmp_path, capsys, command, damage):
+        checkpoint = inconsistent_mlp_checkpoint(tmp_path / "bad.ckpt", damage)
+        out = tmp_path / "out"
+        if command == "evaluate":
+            argv = ["evaluate", "--test-embeddings", str(pipeline / "test.emb"),
+                    "--checkpoint", str(checkpoint), "--n-positive", "30",
+                    "--n-negative", "30", "--out-dir", str(out)]
+        else:
+            argv = ["diagnose", "--checkpoint", str(checkpoint),
+                    "--embeddings", str(pipeline / "test.emb"), "--out-dir", str(out)]
+        assert run(argv) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "inconsistent tensors" in captured.err
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestConfigFile:

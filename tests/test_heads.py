@@ -9,9 +9,9 @@ from avfusion.errors import (
     ShapeError,
 )
 from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
-from avfusion.layers import DropoutSpec, LinearLayer
+from avfusion.layers import BatchNormLayer, DropoutSpec, LinearLayer
 
-from conftest import draw_fixed_masks, gradient_check, make_head
+from conftest import LOSS_CONFIG, dropout_state, gradient_check, make_head, replay
 
 
 def identity_linear(dim):
@@ -26,7 +26,7 @@ def embed_one(head, audio, video):
 
 def null_embedding(head):
     """The embedding of a sample with both modalities null."""
-    return head.forward(None, None, n=1)[0][0]
+    return head.forward(np.zeros((1, head.d_a)), np.zeros((1, head.d_v)))[0][0]
 
 
 class TestMeanFusion:
@@ -119,6 +119,17 @@ class TestMlpFusion:
         head = MlpFusionHead.create(rng, 4, 6, 3, hidden=5, dropout_p=0.0)
         with pytest.raises(DegenerateBatchError):
             head.forward(np.ones((1, 4)), np.ones((1, 6)), train=True, rng=rng)
+
+    @pytest.mark.parametrize("broken", ["layer", "norm"])
+    def test_stages_that_do_not_chain_rejected(self, rng, broken):
+        head = MlpFusionHead.create(rng, 4, 6, 3, hidden=5)
+        layers, norms = list(head.layers), list(head.norms)
+        if broken == "layer":
+            layers[1] = LinearLayer.create(rng, 4, 5)
+        else:
+            norms[2] = BatchNormLayer.create(2)
+        with pytest.raises(ShapeError):
+            MlpFusionHead(layers, norms, 4)
 
 
 class TestMultiView:
@@ -218,8 +229,34 @@ class TestBackward:
         audio = rng.normal(size=(n, 8))
         video = rng.normal(size=(n, 8))
         labels = rng.integers(0, 3, size=n)
-        masks = draw_fixed_masks(head, rng, n)
-        assert gradient_check(head, arc, audio, video, labels, masks) < 1e-4
+        state = dropout_state(head, rng, n)
+        assert gradient_check(head, arc, audio, video, labels, state) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+    def test_replayed_pass_draws_the_masks_of_its_state(self, kind):
+        rng = np.random.default_rng(41)
+        head = make_head(kind, rng, d_a=4, d_v=6, d_e=3, hidden=5, dropout_p=0.5)
+        n = 5
+        audio = rng.normal(size=(n, 4))
+        video = rng.normal(size=(n, 6))
+        state = dropout_state(head, rng, n)
+        replayed = replay(state)
+        _, cache = head.loss_terms(audio, video, LOSS_CONFIG, rng=replayed)
+        if kind == "multiview":
+            masks = [c["drop_mask"] for c in cache]
+        else:
+            masks = [cache["mask_a"], cache["mask_v"]]
+            masks += [stage[3] for stage in cache.get("stages", [])[:2]]
+        shapes = {"mean": [(n, 4), (n, 6)], "mlp": [(n, 4), (n, 6), (n, 5), (n, 5)],
+                  "multiview": [(n, 3), (n, 3)]}[kind]
+        reference = np.random.default_rng()
+        reference.bit_generator.state = state
+        assert len(masks) == len(shapes)
+        for mask, shape in zip(masks, shapes):
+            assert np.array_equal(mask, head.dropout.draw_mask(reference, shape))
+        # the pass and the helper leave their generators at the same point
+        assert replayed.bit_generator.state == reference.bit_generator.state
+        assert replayed.bit_generator.state == rng.bit_generator.state
 
     def test_cache_head_mismatch(self, rng):
         head1 = MeanFusionHead.create(rng, 4, 6, 3)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from avfusion.arcmargin import ArcMarginHead
 from avfusion.data import Sample
-from avfusion.errors import CheckpointKindError, PersistenceError
+from avfusion.errors import PersistenceError
 from avfusion.evaluation import (
     TrialConfig,
     boxplot_stats,
@@ -43,8 +43,16 @@ def random_samples(rng, n, d_a=5, d_v=7):
 class TestEmbeddingFiles:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.emb"
-        write_embeddings(path, [], d_a=3, d_v=4)
+        header = {"version": 1, "endianness": "little", "d_a": 3, "d_v": 4,
+                  "count": 0, "records": []}
+        path.write_bytes(_framed(b"AVFEMB01", header, b""))
         assert read_embeddings(path) == []
+
+    def test_empty_list_not_written(self, tmp_path):
+        path = tmp_path / "empty.emb"
+        with pytest.raises(PersistenceError):
+            write_embeddings(path, [])
+        assert not path.exists()
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
         samples = random_samples(rng, 1000)
@@ -116,14 +124,22 @@ class TestCheckpoints:
             assert np.array_equal(bn.running_mean, loaded_bn.running_mean)
             assert np.array_equal(bn.running_var, loaded_bn.running_var)
 
-    def test_wrong_kind_rejected(self, tmp_path):
+    def test_prototypes_of_another_dim_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
         head = make_head("mean", rng, d_a=4, d_v=6, d_e=3)
-        arc = ArcMarginHead.create(rng, 3, 7)
         path = tmp_path / "mean.ckpt"
-        save_checkpoint(path, head, arc)
-        with pytest.raises(CheckpointKindError):
-            load_checkpoint(path, expect_kind="mlp")
+        save_checkpoint(path, head, ArcMarginHead.create(rng, 2, 7))
+        with pytest.raises(PersistenceError, match="prototypes"):
+            load_checkpoint(path)
+
+    def test_out_of_range_dropout_rejected(self, tmp_path):
+        rng = np.random.default_rng(3)
+        head = make_head("mean", rng, d_a=4, d_v=6, d_e=3)
+        head.dropout.probability = 1.5
+        path = tmp_path / "mean.ckpt"
+        save_checkpoint(path, head, ArcMarginHead.create(rng, 3, 7))
+        with pytest.raises(PersistenceError, match="dropout"):
+            load_checkpoint(path)
 
     def test_truncated_checkpoint(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avfusion.errors import DegenerateBatchError, ShapeError
+from avfusion.errors import ConfigurationError, DegenerateBatchError, ShapeError
 from avfusion.layers import (
     BatchNormLayer,
     DropoutSpec,
@@ -89,6 +89,17 @@ class TestBatchNorm:
         assert bn.running_mean[0] == pytest.approx(0.2)
         assert bn.running_var[0] == pytest.approx(0.9 + 0.1 * 2.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("beta", np.zeros(2)), ("running_var", np.ones(4)),
+        ("gamma", np.ones((3, 1))), ("running_mean", np.zeros(())),
+    ])
+    def test_tensors_of_other_shapes_rejected(self, name, value):
+        tensors = {"gamma": np.ones(3), "beta": np.zeros(3),
+                   "running_mean": np.zeros(3), "running_var": np.ones(3)}
+        tensors[name] = value
+        with pytest.raises(ShapeError):
+            BatchNormLayer(**tensors)
+
     def test_single_sample_train_batch(self):
         bn = BatchNormLayer.create(2)
         with pytest.raises(DegenerateBatchError):
@@ -164,11 +175,19 @@ class TestDropout:
         assert np.array_equal(out, x)
         assert np.array_equal(mask, np.ones_like(x))
 
-    def test_fixed_mask_replay(self):
+    def test_fixed_mask_replay(self, rng):
+        """A generator restored to the same state draws the same mask again."""
         spec = DropoutSpec(0.5)
-        mask = np.array([2.0, 0.0])  # keep (scaled by 1/(1-p)), drop
-        out, _ = spec.apply(np.array([2.0, 4.0]), train=True, mask=mask)
-        assert np.array_equal(out, [4.0, 0.0])
+        x = rng.normal(size=(4, 6))
+        state = rng.bit_generator.state
+        out, mask = spec.apply(x, train=True, rng=rng)
+        rng.bit_generator.state = state
+        replayed, replayed_mask = spec.apply(x, train=True, rng=rng)
+        assert np.array_equal(replayed, out)
+        assert np.array_equal(replayed_mask, mask)
+        # survivors are scaled by 1/(1-p), the rest dropped
+        assert set(np.unique(mask)) <= {0.0, 2.0}
+        assert np.array_equal(out, x * mask)
 
     def test_mask_statistics(self):
         spec = DropoutSpec(0.1)
@@ -184,5 +203,5 @@ class TestDropout:
         assert np.array_equal(m1, m2)
 
     def test_invalid_probability(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigurationError):
             DropoutSpec(1.0)

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from avfusion import training
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
 from avfusion.data import (
     DatasetConfig,
@@ -31,7 +32,6 @@ from avfusion.training import (
     TrainingConfig,
     batch_loss,
     clip_global_norm,
-    lr_schedule_update,
     train_run,
     validate_accuracy,
 )
@@ -230,22 +230,42 @@ class TestParamStore:
 
 
 class TestLrSchedule:
-    def test_improvement_keeps_lr(self):
-        assert lr_schedule_update([0.5, 0.6], 0.001) == 0.001
+    @staticmethod
+    def epoch_lrs(monkeypatch, accuracies):
+        """Learning rate of each epoch of a train_run whose validation
+        accuracies are scripted."""
+        scripted = iter(accuracies)
+        monkeypatch.setattr(training, "validate_accuracy",
+                            lambda head, arc, samples: next(scripted))
+        train, val = split_small()
+        head = make_head("mean", substream(0, "init"), d_e=8)
+        arc = ArcMarginHead.create(substream(0, "init-arc"), 8, 8)
+        result = train_run(head, arc, train, val,
+                           TrainingConfig(learning_rate=0.001,
+                                          max_epochs=len(accuracies)))
+        return [r.lr for r in result.records], result.best_epoch
 
-    def test_tie_decays(self):
-        assert lr_schedule_update([0.5, 0.5], 0.001) == pytest.approx(0.00095)
+    def test_improvement_keeps_lr(self, monkeypatch):
+        lrs, best_epoch = self.epoch_lrs(monkeypatch, [0.5, 0.6, 0.1])
+        assert lrs[2] == 0.001
+        assert best_epoch == 1
 
-    def test_three_nonimproving_epochs(self):
-        lr = 0.001
-        accuracies = [0.5]
-        for acc in (0.5, 0.4, 0.45):
-            accuracies.append(acc)
-            lr = lr_schedule_update(accuracies, lr)
-        assert lr == pytest.approx(0.001 * 0.95**3)
+    def test_tie_decays(self, monkeypatch):
+        lrs, best_epoch = self.epoch_lrs(monkeypatch, [0.5, 0.5, 0.1])
+        assert lrs[2] == pytest.approx(0.00095)
+        assert best_epoch == 0
 
-    def test_first_epoch_no_decay(self):
-        assert lr_schedule_update([0.3], 0.001) == 0.001
+    def test_three_nonimproving_epochs(self, monkeypatch):
+        lrs, _ = self.epoch_lrs(monkeypatch, [0.5, 0.5, 0.4, 0.45, 0.7, 0.1])
+        assert lrs[4] == pytest.approx(0.001 * 0.95**3)
+        # a new best after the decays keeps the decayed rate
+        assert lrs[5] == pytest.approx(0.001 * 0.95**3)
+
+    def test_first_epoch_no_decay(self, monkeypatch):
+        # the first epoch is a new best even at zero accuracy
+        lrs, best_epoch = self.epoch_lrs(monkeypatch, [0.0, 0.0])
+        assert lrs == [0.001, 0.001]
+        assert best_epoch == 0
 
 
 class TestBatchLoss:
@@ -435,7 +455,8 @@ class TestTrainRun:
             # statistics match the ones training actually optimizes against
             from conftest import composed_loss
 
-            return composed_loss(head, arc, audio, video, labels, {})
+            return composed_loss(head, arc, audio, video, labels,
+                                 rng.bit_generator.state)
 
         before = eval_loss()
         store = ParamStore.of_model(head, arc)
