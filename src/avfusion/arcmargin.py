@@ -29,8 +29,8 @@ class ArcMarginHead:
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         if self.prototypes.ndim != 2:
             raise ShapeError("prototypes must be a (d_e, n_classes) matrix")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigurationError("scale must be positive and finite")
         if not 0.0 <= self.margin < math.pi / 2:
             raise ConfigurationError("margin must be in [0, pi/2)")
         norms = np.linalg.norm(self.prototypes, axis=0)

@@ -266,11 +266,13 @@ def cmd_evaluate(cfg):
     trial_config = eval_mod.TrialConfig(
         n_positive=cfg["n_positive"], n_negative=cfg["n_negative"], seed=cfg["seed"]
     )
+    # A bad checkpoint fails the call before it writes or draws anything;
+    # every head stays in memory until the last report is written.
+    heads = [persistence.load_checkpoint(path)[0] for path in checkpoints]
     os.makedirs(cfg["out_dir"], exist_ok=True)
     trials = eval_mod.build_mode_trials(samples, trial_config)
     rows = []
-    for path in checkpoints:
-        head, arc, _ = persistence.load_checkpoint(path)
+    for path, head in zip(checkpoints, heads):
         with float_errors_as_degenerate("evaluation"):
             report = eval_mod.run_full_evaluation(head, samples, trial_config, trials)
         prefix = os.path.join(

@@ -5,8 +5,11 @@ is passed as None and materializes as an all-zeros input at the head
 boundary, which is what the heads are trained to interpret via masking.
 
 Forward passes return (embeddings, cache); the cache replays dropout masks
-and batch statistics exactly in the matching backward pass.  Parameter
-gradients are returned in a flat dict keyed like the parameters() names.
+and batch statistics exactly in the matching backward pass.  Backward passes
+write the parameter gradients into a flat dict keyed like the parameters()
+names: into the arrays it holds under those names (training passes views of
+its gradient buffer), or as new arrays where it holds none.  They form no
+gradient of the head's inputs, which no caller reads.
 
 Training, evaluation and persistence reach every head through the `_Head`
 interface; HEAD_KINDS maps each kind name to its class.
@@ -91,6 +94,13 @@ class _Head:
         return [(f"{prefix}.{attr}", layer, attr)
                 for prefix, layer in self.named_layers() for attr in layer.TRAINED]
 
+    def backward_order(self):
+        """Names of the trained tensors in the order in which the backward
+        pass once returned their gradients.  Clipping sums the squared
+        gradient norms in this order: another order changes the last bit of
+        the clip factor."""
+        return [name for name, _, _ in self.parameters()]
+
     def state(self):
         """Every tensor that eval-mode outputs depend on, by name."""
         return {f"{prefix}.{attr}": getattr(layer, attr)
@@ -118,9 +128,10 @@ class _Head:
         emb, cache = self.forward(audio, video, train=True, rng=rng)
         return [(1.0, emb)], cache
 
-    def backward_terms(self, cache, douts):
-        """Parameter gradients, given the loss gradient of each term."""
-        return self.backward(cache, douts[0])[0]
+    def backward_terms(self, cache, douts, grads):
+        """Writes the parameter gradients, given the loss gradient of each
+        term, into `grads`."""
+        self.backward(cache, douts[0], grads)
 
     def _inputs(self, audio, video, train, rng):
         """The input stage of a fused forward pass: (a, v, cache).
@@ -142,14 +153,6 @@ class _Head:
         cache = {"kind": self.kind, "head": id(self),
                  "mask_a": mask_a, "mask_v": mask_v}
         return a, v, cache
-
-    @staticmethod
-    def _input_grads(cache, grads, da, dv):
-        """(grads, da, dv) with the input dropout masks applied to the input
-        gradients; a train-mode pass has both masks, an eval-mode one none."""
-        if cache["mask_a"] is not None:
-            da, dv = da * cache["mask_a"], dv * cache["mask_v"]
-        return grads, da, dv
 
 
 class MeanFusionHead(_Head):
@@ -178,18 +181,15 @@ class MeanFusionHead(_Head):
         pv, cache["v"] = self.proj_video.forward(v)
         return 0.5 * (pa + pv), cache
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, grads):
+        """`grads`, with the parameter gradients written into it."""
         _check_cache(self, cache)
         dpa = 0.5 * dout
-        da, dwa, dba = self.proj_audio.backward(cache["a"], dpa)
-        dv, dwv, dbv = self.proj_video.backward(cache["v"], dpa)
-        grads = {
-            "proj_audio.weight": dwa,
-            "proj_audio.bias": dba,
-            "proj_video.weight": dwv,
-            "proj_video.bias": dbv,
-        }
-        return self._input_grads(cache, grads, da, dv)
+        _backward_into(grads, "proj_audio", self.proj_audio, cache["a"], dpa,
+                       input_grad=False)
+        _backward_into(grads, "proj_video", self.proj_video, cache["v"], dpa,
+                       input_grad=False)
+        return grads
 
 
 class MlpFusionHead(_Head):
@@ -256,6 +256,11 @@ class MlpFusionHead(_Head):
         return [pair for i, (lin, bn) in enumerate(zip(self.layers, self.norms), start=1)
                 for pair in ((f"layer{i}", lin), (f"bn{i}", bn))]
 
+    def backward_order(self):
+        return [f"{prefix}{i}.{attr}" for i in (3, 2, 1)
+                for prefix, layer in (("layer", LinearLayer), ("bn", BatchNormLayer))
+                for attr in layer.TRAINED]
+
     def meta(self):
         return dict(super().meta(), hidden=self.layers[0].out_dim,
                     leaky_slope=self.leaky_slope)
@@ -275,22 +280,19 @@ class MlpFusionHead(_Head):
             x = b
         return x, cache
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, grads):
+        """`grads`, with the parameter gradients written into it."""
         _check_cache(self, cache)
-        grads = {}
         dx = dout
         for i in reversed(range(3)):
             lin_cache, relu_mask, bn_cache, drop_mask = cache["stages"][i]
             if drop_mask is not None:
                 dx = dx * drop_mask
-            dx, dgamma, dbeta = self.norms[i].backward(bn_cache, dx)
+            dx = _backward_into(grads, f"bn{i + 1}", self.norms[i], bn_cache, dx)
             dx = leaky_relu_backward(relu_mask, self.leaky_slope, dx)
-            dx, dweight, dbias = self.layers[i].backward(lin_cache, dx)
-            grads[f"layer{i + 1}.weight"] = dweight
-            grads[f"layer{i + 1}.bias"] = dbias
-            grads[f"bn{i + 1}.gamma"] = dgamma
-            grads[f"bn{i + 1}.beta"] = dbeta
-        return self._input_grads(cache, grads, dx[:, : self.d_a], dx[:, self.d_a :])
+            dx = _backward_into(grads, f"layer{i + 1}", self.layers[i], lin_cache, dx,
+                                input_grad=i > 0)
+        return grads
 
 
 class MultiViewHead(_Head):
@@ -304,6 +306,7 @@ class MultiViewHead(_Head):
 
     kind = "multiview"
     _linears = ("proj_audio", "proj_video", "shared_classifier")
+    _SHARED = ("shared_classifier.weight", "shared_classifier.bias")
 
     def __init__(self, proj_audio, proj_video, shared_classifier, dropout=None):
         if proj_audio.out_dim != proj_video.out_dim:
@@ -343,10 +346,13 @@ class MultiViewHead(_Head):
         terms = [(config.lambda_audio, emb_a), (config.lambda_video, emb_v)]
         return terms, (cache_a, cache_v)
 
-    def backward_terms(self, cache, douts):
-        grads, _ = self.backward_modality(cache[0], douts[0])
-        grads_v, _ = self.backward_modality(cache[1], douts[1])
-        return _add_grads(grads, grads_v)
+    def backward_order(self):
+        return [f"{prefix}.{attr}"
+                for prefix in ("proj_audio", "shared_classifier", "proj_video")
+                for attr in LinearLayer.TRAINED]
+
+    def backward_terms(self, cache, douts, grads):
+        self._backward_paths(cache, douts, grads)
 
     def forward_modality(self, modality, x, train=False, rng=None):
         if modality not in ("audio", "video"):
@@ -373,7 +379,9 @@ class MultiViewHead(_Head):
         }
         return out, cache
 
-    def backward_modality(self, cache, dout):
+    def backward_modality(self, cache, dout, grads):
+        """`grads`, with the gradients of the modality's projection and of
+        the shared classifier written into it."""
         _check_cache(self, cache)
         modality = cache["modality"]
         proj = self.proj_audio if modality == "audio" else self.proj_video
@@ -381,15 +389,11 @@ class MultiViewHead(_Head):
         if cache["drop_mask"] is not None:
             dx = dx * cache["drop_mask"]
         dx = np.where(cache["relu_mask"], dx, 0.0)
-        dp, dw_shared, db_shared = self.shared_classifier.backward(cache["shared"], dx)
-        dinput, dw_proj, db_proj = proj.backward(cache["proj"], dp)
-        grads = {
-            f"proj_{modality}.weight": dw_proj,
-            f"proj_{modality}.bias": db_proj,
-            "shared_classifier.weight": dw_shared,
-            "shared_classifier.bias": db_shared,
-        }
-        return grads, dinput
+        dp = _backward_into(grads, "shared_classifier", self.shared_classifier,
+                            cache["shared"], dx)
+        _backward_into(grads, f"proj_{modality}", proj, cache["proj"], dp,
+                       input_grad=False)
+        return grads
 
     def forward_joint(self, audio, video, train=False, rng=None):
         if audio is None or video is None:
@@ -402,11 +406,23 @@ class MultiViewHead(_Head):
         cache = {"kind": self.kind, "head": id(self), "audio": cache_a, "video": cache_v}
         return 0.5 * (ea + ev), cache
 
-    def backward_joint(self, cache, dout):
+    def backward_joint(self, cache, dout, grads):
+        """`grads`, with the parameter gradients written into it."""
         _check_cache(self, cache)
-        grads_a, da = self.backward_modality(cache["audio"], 0.5 * dout)
-        grads_v, dv = self.backward_modality(cache["video"], 0.5 * dout)
-        return _add_grads(grads_a, grads_v), da, dv
+        half = 0.5 * dout
+        return self._backward_paths((cache["audio"], cache["video"]), (half, half), grads)
+
+    def _backward_paths(self, caches, douts, grads):
+        """`grads` of the audio path, then the video path.  The shared
+        classifier's gradient is the audio path's with the video path's
+        added in place, the bits of the sum of the two."""
+        self.backward_modality(caches[0], douts[0], grads)
+        audio_shared = {name: grads.pop(name) for name in self._SHARED}
+        self.backward_modality(caches[1], douts[1], grads)
+        for name, g in audio_shared.items():
+            g += grads[name]
+            grads[name] = g
+        return grads
 
 
 def _check_cache(head, cache):
@@ -414,11 +430,15 @@ def _check_cache(head, cache):
         raise ConsistencyError("forward cache does not belong to this head")
 
 
-def _add_grads(grads, more):
-    """`grads` with `more` added in; names in both are summed."""
-    for name, g in more.items():
-        grads[name] = grads[name] + g if name in grads else g
-    return grads
+def _backward_into(grads, prefix, layer, cache, dout, **kwargs):
+    """The input gradient of `layer`, named `prefix`; its parameter gradients
+    go into the arrays `grads` holds under their names, or into new arrays
+    stored there where it holds none."""
+    names = [f"{prefix}.{attr}" for attr in layer.TRAINED]
+    dx, *params = layer.backward(cache, dout, [grads.get(name) for name in names],
+                                 **kwargs)
+    grads.update(zip(names, params))
+    return dx
 
 
 HEAD_KINDS = {cls.kind: cls for cls in (MeanFusionHead, MlpFusionHead, MultiViewHead)}

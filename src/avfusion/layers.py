@@ -2,7 +2,9 @@
 
 All layers operate on batches of shape (N, features).  Forward passes return
 (output, cache); backward passes consume the cache and the upstream gradient
-and return gradients for parameters and inputs.
+and return gradients for parameters and inputs.  A backward pass given `out`,
+one array per trained tensor in TRAINED order, writes the parameter gradients
+into those arrays; a None entry makes a new array.
 """
 
 from dataclasses import dataclass
@@ -52,11 +54,12 @@ class LinearLayer:
         out = x @ self.weight.T + self.bias
         return out, x
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, out=(None, None), input_grad=True):
+        """(dx, dweight, dbias); dx is None without `input_grad`."""
         x = cache
-        dweight = dout.T @ x
-        dbias = dout.sum(axis=0)
-        dx = dout @ self.weight
+        dweight = np.matmul(dout.T, x, out=out[0])
+        dbias = np.sum(dout, axis=0, out=out[1])
+        dx = dout @ self.weight if input_grad else None
         return dx, dweight, dbias
 
 
@@ -125,10 +128,10 @@ class BatchNormLayer:
         cache = (xhat, inv_std, train, x.shape[0])
         return out, cache
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, out=(None, None)):
         xhat, inv_std, train, n = cache
-        dgamma = (dout * xhat).sum(axis=0)
-        dbeta = dout.sum(axis=0)
+        dgamma = np.sum(dout * xhat, axis=0, out=out[0])
+        dbeta = np.sum(dout, axis=0, out=out[1])
         dxhat = dout * self.gamma
         if train:
             dx = (

@@ -39,14 +39,25 @@ class TrainingConfig:
     seed: int = 0
 
     def validate(self):
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
+        # Every check is written to fail on NaN.
+        for name in ("learning_rate", "beta1", "beta2", "eps", "weight_decay",
+                     "clip_norm", "lr_decay_factor", "lambda_audio", "lambda_video"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
+        for name in ("learning_rate", "weight_decay", "lambda_audio", "lambda_video"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be in [0, 1)")
+        if not 0 < self.lr_decay_factor <= 1:
+            raise ConfigurationError("lr_decay_factor must be in (0, 1]")
         for name in ("batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.clip_norm <= 0:
             raise ConfigurationError("clip_norm must be > 0")
-        if abs(sum(self.mask_probabilities) - 1.0) > 1e-9:
+        if not abs(sum(self.mask_probabilities) - 1.0) <= 1e-9:
             raise ConfigurationError("mask probabilities must sum to 1")
         if any(p < 0 for p in self.mask_probabilities):
             raise ConfigurationError("mask probabilities must be >= 0")
@@ -74,7 +85,8 @@ class ParamStore:
     Built from (name, owner, attribute) triples: each tensor is copied into
     `params` and the owner's attribute is rebound to its view, so the
     original array is released and the layers read and the optimizer writes
-    the same memory.  `grads` has the same layout; `load_grads` fills it.
+    the same memory.  `grads` has the same layout; backward passes write
+    into its views.
     """
 
     def __init__(self, slots):
@@ -102,25 +114,21 @@ class ParamStore:
             ("arc.prototypes", arc_head, "prototypes"),
         ])
 
-    def load_grads(self, grads: dict):
-        """Copies `grads` into the gradient buffer and returns its views, by
-        the names and in the order of `grads`."""
-        if grads.keys() != self._grad_views.keys():
+    def model_grads(self, head):
+        """The gradient views of a store built by `of_model`, in the head's
+        backward order, then the prototypes'."""
+        return self.grad_views(
+            [*(f"head.{name}" for name in head.backward_order()), "arc.prototypes"])
+
+    def grad_views(self, names):
+        """The gradient buffer's view of each tensor, by name and in the
+        order of `names`, which must name every tensor of the store once."""
+        if sorted(names) != sorted(self._grad_views):
             raise ConsistencyError(
-                f"gradients {sorted(grads)} do not match parameters "
+                f"gradients {sorted(names)} do not match parameters "
                 f"{sorted(self._grad_views)}"
             )
-        views = {}
-        for name, g in grads.items():
-            view = self._grad_views[name]
-            if view.shape != np.shape(g):
-                raise ConsistencyError(
-                    f"gradient shape {np.shape(g)} does not match parameter "
-                    f"{name} of shape {view.shape}"
-                )
-            view[...] = g
-            views[name] = view
-        return views
+        return {name: self._grad_views[name] for name in names}
 
 
 class AdamW:
@@ -181,12 +189,19 @@ class AdamW:
             p -= b
 
 
-def clip_global_norm(grads: dict, max_norm: float):
+def clip_global_norm(grads: dict, max_norm: float, scratch):
     """Scale all gradients in place by max_norm/global_norm when the norm
-    exceeds it; returns (grads, global norm before clipping)."""
+    exceeds it; returns (grads, global norm before clipping).
+
+    The norm adds up each gradient's sum of squares in the order of
+    `grads`.  Each gradient is squared into the front of `scratch`, a flat
+    float64 array at least as large as the largest gradient."""
     if max_norm <= 0:
         raise ConfigurationError("max_norm must be > 0")
-    total = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+    total = 0
+    for g in grads.values():
+        total += float(np.sum(np.square(g, out=scratch[: g.size].reshape(g.shape))))
+    total = np.sqrt(total)
     if total <= max_norm:
         return grads, total
     factor = max_norm / total
@@ -195,28 +210,34 @@ def clip_global_norm(grads: dict, max_norm: float):
     return grads, total
 
 
-def batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
+def batch_loss(head, arc_head, audio, video, labels, config, grads, mask_rng=None,
                rng=None):
     """Weighted sum of the arc-margin losses of the head's loss terms.
 
-    Returns (loss, grads) with gradient names prefixed "head." / "arc.".
+    Returns the loss, and writes the gradient of every trained tensor into
+    the array `grads` holds under its name, as `ParamStore.model_grads`
+    names them.  A second term's prototype gradient is added in place.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise DegenerateInputError("empty batch")
     terms, cache = head.loss_terms(audio, video, config, mask_rng, rng)
-    loss, douts, grad_protos = 0.0, [], None
-    for weight, emb in terms:
+    loss, douts, grad_protos = 0.0, [], grads["arc.prototypes"]
+    for k, (weight, emb) in enumerate(terms):
         term_loss, grad_emb, term_protos, _ = arc_margin_loss_grad_batch(
             arc_head, emb, labels
         )
         loss += weight * term_loss
         douts.append(weight * grad_emb)
-        term_protos = weight * term_protos
-        grad_protos = term_protos if grad_protos is None else grad_protos + term_protos
-    grads = {f"head.{name}": g for name, g in head.backward_terms(cache, douts).items()}
-    grads["arc.prototypes"] = grad_protos
-    return loss, grads
+        if k:
+            term_protos *= weight
+            grad_protos += term_protos
+        else:
+            np.multiply(weight, term_protos, out=grad_protos)
+    head.backward_terms(cache, douts, {name.removeprefix("head."): g
+                                       for name, g in grads.items()
+                                       if name != "arc.prototypes"})
+    return loss
 
 
 def validate_accuracy(head, arc_head, samples):
@@ -257,6 +278,8 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
     mask_rng = substream(config.seed, "masking")
     dropout_rng = substream(config.seed, "dropout")
     store = ParamStore.of_model(head, arc_head)
+    grads = store.model_grads(head)
+    clip_scratch = np.empty(max(g.size for g in grads.values()))
     optimizer = AdamW(config, store.params.size)
 
     lr = config.learning_rate
@@ -269,15 +292,13 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
         losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss, grads = batch_loss(
-                head, arc_head, audio[idx], video[idx], labels[idx], config,
+            loss = batch_loss(
+                head, arc_head, audio[idx], video[idx], labels[idx], config, grads,
                 mask_rng=mask_rng, rng=dropout_rng,
             )
             if not np.isfinite(loss):
                 raise DegenerateInputError(f"non-finite batch loss in epoch {epoch}")
-            # Rebinding drops the step's own gradient arrays before clipping.
-            grads = store.load_grads(grads)
-            grads, _ = clip_global_norm(grads, config.clip_norm)
+            clip_global_norm(grads, config.clip_norm, clip_scratch)
             optimizer.step(store.params, store.grads, lr)
             losses.append(loss)
         acc = validate_accuracy(head, arc_head, val_samples)

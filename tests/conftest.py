@@ -15,9 +15,10 @@ from avfusion.errors import (
     ShapeError,
 )
 from avfusion.evaluation import AngleReport, EerResult, embed_samples
-from avfusion.heads import HEAD_KINDS
+from avfusion.heads import HEAD_KINDS, _check_cache
+from avfusion.layers import leaky_relu_backward
 from avfusion.linalg import angle_deg, cosine_similarity
-from avfusion.training import TrainingConfig, batch_loss
+from avfusion.training import ParamStore, TrainingConfig, batch_loss
 
 # Default loss weights (lambda_audio = lambda_video = 0.5); built once, as
 # the gradient check evaluates the loss over a hundred thousand times.
@@ -75,11 +76,18 @@ def composed_loss(head, arc, audio, video, labels, state):
     )
 
 
+def model_grads(head, arc):
+    """The gradient views of a flat store of `head` and `arc`, as training
+    makes them; building the store rebinds their tensors to its views."""
+    return ParamStore.of_model(head, arc).model_grads(head)
+
+
 def composed_grads(head, arc, audio, video, labels, state):
     """Analytic gradients of composed_loss for every parameter, as training
     computes them."""
-    return batch_loss(head, arc, audio, video, labels, LOSS_CONFIG,
-                      rng=replay(state))[1]
+    grads = model_grads(head, arc)
+    batch_loss(head, arc, audio, video, labels, LOSS_CONFIG, grads, rng=replay(state))
+    return grads
 
 
 def gradient_check(head, arc, audio, video, labels, state, step=1e-5):
@@ -370,6 +378,172 @@ class LoopAdamW:
         self.step_count = 0
 
     step = loop_adamw_step
+
+
+# Loop references of the gradient step: the allocating backward passes,
+# `batch_loss`, `ParamStore.load_grads` and the in-place `clip_global_norm`
+# as they were before backward passes wrote into the flat store, kept
+# verbatim (renamed loop_*).  Methods take their object as `self`, and calls
+# between them go to the loop_* copies.
+
+
+def loop_linear_backward(self, cache, dout):
+    x = cache
+    dweight = dout.T @ x
+    dbias = dout.sum(axis=0)
+    dx = dout @ self.weight
+    return dx, dweight, dbias
+
+
+def loop_batchnorm_backward(self, cache, dout):
+    xhat, inv_std, train, n = cache
+    dgamma = (dout * xhat).sum(axis=0)
+    dbeta = dout.sum(axis=0)
+    dxhat = dout * self.gamma
+    if train:
+        dx = (
+            inv_std
+            / n
+            * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        )
+    else:
+        dx = dxhat * inv_std
+    return dx, dgamma, dbeta
+
+
+def loop_input_grads(cache, grads, da, dv):
+    if cache["mask_a"] is not None:
+        da, dv = da * cache["mask_a"], dv * cache["mask_v"]
+    return grads, da, dv
+
+
+def loop_mean_backward(self, cache, dout):
+    _check_cache(self, cache)
+    dpa = 0.5 * dout
+    da, dwa, dba = loop_linear_backward(self.proj_audio, cache["a"], dpa)
+    dv, dwv, dbv = loop_linear_backward(self.proj_video, cache["v"], dpa)
+    grads = {
+        "proj_audio.weight": dwa,
+        "proj_audio.bias": dba,
+        "proj_video.weight": dwv,
+        "proj_video.bias": dbv,
+    }
+    return loop_input_grads(cache, grads, da, dv)
+
+
+def loop_mlp_backward(self, cache, dout):
+    _check_cache(self, cache)
+    grads = {}
+    dx = dout
+    for i in reversed(range(3)):
+        lin_cache, relu_mask, bn_cache, drop_mask = cache["stages"][i]
+        if drop_mask is not None:
+            dx = dx * drop_mask
+        dx, dgamma, dbeta = loop_batchnorm_backward(self.norms[i], bn_cache, dx)
+        dx = leaky_relu_backward(relu_mask, self.leaky_slope, dx)
+        dx, dweight, dbias = loop_linear_backward(self.layers[i], lin_cache, dx)
+        grads[f"layer{i + 1}.weight"] = dweight
+        grads[f"layer{i + 1}.bias"] = dbias
+        grads[f"bn{i + 1}.gamma"] = dgamma
+        grads[f"bn{i + 1}.beta"] = dbeta
+    return loop_input_grads(cache, grads, dx[:, : self.d_a], dx[:, self.d_a :])
+
+
+def loop_backward_modality(self, cache, dout):
+    _check_cache(self, cache)
+    modality = cache["modality"]
+    proj = self.proj_audio if modality == "audio" else self.proj_video
+    dx = dout
+    if cache["drop_mask"] is not None:
+        dx = dx * cache["drop_mask"]
+    dx = np.where(cache["relu_mask"], dx, 0.0)
+    dp, dw_shared, db_shared = loop_linear_backward(
+        self.shared_classifier, cache["shared"], dx)
+    dinput, dw_proj, db_proj = loop_linear_backward(proj, cache["proj"], dp)
+    grads = {
+        f"proj_{modality}.weight": dw_proj,
+        f"proj_{modality}.bias": db_proj,
+        "shared_classifier.weight": dw_shared,
+        "shared_classifier.bias": db_shared,
+    }
+    return grads, dinput
+
+
+def loop_add_grads(grads, more):
+    """`grads` with `more` added in; names in both are summed."""
+    for name, g in more.items():
+        grads[name] = grads[name] + g if name in grads else g
+    return grads
+
+
+def loop_backward_terms(self, cache, douts):
+    """Parameter gradients, given the loss gradient of each term."""
+    if self.kind == "multiview":
+        grads, _ = loop_backward_modality(self, cache[0], douts[0])
+        grads_v, _ = loop_backward_modality(self, cache[1], douts[1])
+        return loop_add_grads(grads, grads_v)
+    backward = {"mean": loop_mean_backward, "mlp": loop_mlp_backward}[self.kind]
+    return backward(self, cache, douts[0])[0]
+
+
+def loop_batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
+                    rng=None):
+    """Weighted sum of the arc-margin losses of the head's loss terms.
+
+    Returns (loss, grads) with gradient names prefixed "head." / "arc.".
+    """
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise DegenerateInputError("empty batch")
+    terms, cache = head.loss_terms(audio, video, config, mask_rng, rng)
+    loss, douts, grad_protos = 0.0, [], None
+    for weight, emb in terms:
+        term_loss, grad_emb, term_protos, _ = arc_margin_loss_grad_batch(
+            arc_head, emb, labels
+        )
+        loss += weight * term_loss
+        douts.append(weight * grad_emb)
+        term_protos = weight * term_protos
+        grad_protos = term_protos if grad_protos is None else grad_protos + term_protos
+    grads = {f"head.{name}": g
+             for name, g in loop_backward_terms(head, cache, douts).items()}
+    grads["arc.prototypes"] = grad_protos
+    return loss, grads
+
+
+def loop_load_grads(self, grads: dict):
+    """Copies `grads` into the gradient buffer and returns its views, by
+    the names and in the order of `grads`."""
+    if grads.keys() != self._grad_views.keys():
+        raise ConsistencyError(
+            f"gradients {sorted(grads)} do not match parameters "
+            f"{sorted(self._grad_views)}"
+        )
+    views = {}
+    for name, g in grads.items():
+        view = self._grad_views[name]
+        if view.shape != np.shape(g):
+            raise ConsistencyError(
+                f"gradient shape {np.shape(g)} does not match parameter "
+                f"{name} of shape {view.shape}"
+            )
+        view[...] = g
+        views[name] = view
+    return views
+
+
+def loop_clip_in_place(grads: dict, max_norm: float):
+    """Scale all gradients in place by max_norm/global_norm when the norm
+    exceeds it; returns (grads, global norm before clipping)."""
+    if max_norm <= 0:
+        raise ConfigurationError("max_norm must be > 0")
+    total = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+    if total <= max_norm:
+        return grads, total
+    factor = max_norm / total
+    for g in grads.values():
+        g *= factor
+    return grads, total
 
 
 # Loop references of the arc-margin loss: the logits and the loss as they

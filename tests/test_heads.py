@@ -201,13 +201,11 @@ class TestBackward:
         v = rng.normal(size=(4, 6))
         if kind == "multiview":
             out, cache = head.forward_joint(a, v, train=True, rng=rng)
-            grads, da, dv = head.backward_joint(cache, np.zeros_like(out))
+            grads = head.backward_joint(cache, np.zeros_like(out), {})
         else:
             out, cache = head.forward(a, v, train=True, rng=rng)
-            grads, da, dv = head.backward(cache, np.zeros_like(out))
+            grads = head.backward(cache, np.zeros_like(out), {})
         assert all(np.allclose(g, 0.0) for g in grads.values())
-        assert np.allclose(da, 0.0)
-        assert np.allclose(dv, 0.0)
 
     def test_mean_weight_gradient_is_half_outer_product(self):
         rng = np.random.default_rng(6)
@@ -216,7 +214,7 @@ class TestBackward:
         v = rng.normal(size=(5, 6))
         dout = rng.normal(size=(5, 3))
         _, cache = head.forward(a, v, train=True, rng=rng)
-        grads, _, _ = head.backward(cache, dout)
+        grads = head.backward(cache, dout, {})
         assert np.allclose(grads["proj_audio.weight"], 0.5 * dout.T @ a)
         assert np.allclose(grads["proj_video.weight"], 0.5 * dout.T @ v)
 
@@ -263,7 +261,7 @@ class TestBackward:
         head2 = MeanFusionHead.create(rng, 4, 6, 3)
         out, cache = head1.forward(np.ones((2, 4)), np.ones((2, 6)))
         with pytest.raises(ConsistencyError):
-            head2.backward(cache, np.zeros_like(out))
+            head2.backward(cache, np.zeros_like(out), {})
 
 
 class TestEvalDeterminism:

@@ -25,6 +25,7 @@ from avfusion.heads import (
     apply_masks,
     sample_mask_modes,
 )
+from avfusion.layers import LinearLayer
 from avfusion.rng import substream
 from avfusion.training import (
     AdamW,
@@ -36,7 +37,7 @@ from avfusion.training import (
     validate_accuracy,
 )
 
-from conftest import make_head, small_dataset
+from conftest import make_head, model_grads, small_dataset
 
 
 class TestMasking:
@@ -81,36 +82,41 @@ class TestMasking:
             apply_masks(rng.normal(size=(2, 4)), rng.normal(size=(2, 6)), [0, 3])
 
 
+def scratch_for(grads):
+    """A clip scratch array as large as the largest gradient."""
+    return np.empty(max(g.size for g in grads.values()))
+
+
 class TestClipGlobalNorm:
     def test_below_threshold_unchanged(self):
         grads = {"w": np.array([3.0])}
-        clipped, norm = clip_global_norm(grads, 5.0)
+        clipped, norm = clip_global_norm(grads, 5.0, scratch_for(grads))
         assert clipped["w"] is grads["w"]
         assert norm == pytest.approx(3.0)
 
     def test_scales_to_max_norm(self):
         grads = {"w": np.array([3.0, 4.0])}
-        clipped, norm = clip_global_norm(grads, 1.0)
+        clipped, norm = clip_global_norm(grads, 1.0, scratch_for(grads))
         assert np.allclose(clipped["w"], [0.6, 0.8])
         assert norm == pytest.approx(5.0)
 
     def test_scales_in_place(self):
         grads = {"w": np.array([3.0, 4.0]), "b": np.array([0.0])}
-        clipped, norm = clip_global_norm(grads, 1.0)
+        clipped, norm = clip_global_norm(grads, 1.0, scratch_for(grads))
         assert clipped["w"] is grads["w"]
         assert norm == 5.0
         assert np.array_equal(clipped["w"], np.array([3.0, 4.0]) * (1.0 / 5.0))
 
     def test_zero_gradients(self):
         grads = {"w": np.zeros(3)}
-        clipped, norm = clip_global_norm(grads, 5.0)
+        clipped, norm = clip_global_norm(grads, 5.0, scratch_for(grads))
         assert np.array_equal(clipped["w"], np.zeros(3))
         assert norm == 0.0
 
     def test_never_increases_norm(self, rng):
         for _ in range(20):
             grads = {f"p{i}": rng.normal(size=4) * 10 for i in range(3)}
-            clipped, _ = clip_global_norm(grads, 5.0)
+            clipped, _ = clip_global_norm(grads, 5.0, scratch_for(grads))
             total = np.sqrt(sum(np.sum(g**2) for g in clipped.values()))
             assert total <= 5.0 + 1e-9
 
@@ -212,21 +218,26 @@ class TestParamStore:
             + arc.prototypes.size
         )
 
-    def test_load_grads_keeps_the_gradient_order(self):
+    def test_grad_views_keep_the_given_order(self):
         owner = types.SimpleNamespace(a=np.zeros(2), b=np.zeros((2, 2)))
         store = ParamStore([("a", owner, "a"), ("b", owner, "b")])
-        views = store.load_grads({"b": np.full((2, 2), 3.0), "a": np.array([1.0, 2.0])})
+        views = store.grad_views(["b", "a"])
+        views["b"][...] = 3.0
+        views["a"][...] = [1.0, 2.0]
         assert list(views) == ["b", "a"]
         assert np.array_equal(store.grads, [1.0, 2.0, 3.0, 3.0, 3.0, 3.0])
         assert all(np.shares_memory(v, store.grads) for v in views.values())
 
-    def test_load_grads_shape_mismatch(self):
+    def test_grad_views_shape_mismatch(self):
         owner = types.SimpleNamespace(a=np.zeros(3))
         store = ParamStore([("a", owner, "a")])
+        view = store.grad_views(["a"])["a"]
+        layer = LinearLayer(weight=np.zeros((1, 2)), bias=np.zeros(1))
+        with pytest.raises(ValueError):
+            # a bias gradient of shape (1,) would broadcast into the view
+            layer.backward(np.zeros((4, 2)), np.zeros((4, 1)), (np.zeros((1, 2)), view))
         with pytest.raises(ConsistencyError):
-            store.load_grads({"a": np.zeros(1)})  # would broadcast
-        with pytest.raises(ConsistencyError):
-            store.load_grads({"a": np.zeros(3), "b": np.zeros(3)})
+            store.grad_views(["a", "b"])
 
 
 class TestLrSchedule:
@@ -275,9 +286,9 @@ class TestBatchLoss:
         audio = rng.normal(size=(6, 4))
         video = rng.normal(size=(6, 6))
         labels = rng.integers(0, 5, size=6)
-        loss_joint, _ = batch_loss(
+        loss_joint = batch_loss(
             head, arc, audio, video, labels,
-            TrainingConfig(lambda_audio=1.0, lambda_video=0.0),
+            TrainingConfig(lambda_audio=1.0, lambda_video=0.0), model_grads(head, arc),
         )
         emb_a, _ = head.forward_modality("audio", audio, train=False)
         loss_audio, *_ = arc_margin_loss_grad_batch(arc, emb_a, labels)
@@ -289,14 +300,15 @@ class TestBatchLoss:
         audio = rng.normal(size=(6, 4))
         video = rng.normal(size=(6, 6))
         labels = rng.integers(0, 5, size=6)
-        loss, _ = batch_loss(head, arc, audio, video, labels, TrainingConfig())
-        la, _ = batch_loss(
+        grads = model_grads(head, arc)
+        loss = batch_loss(head, arc, audio, video, labels, TrainingConfig(), grads)
+        la = batch_loss(
             head, arc, audio, video, labels,
-            TrainingConfig(lambda_audio=1.0, lambda_video=0.0),
+            TrainingConfig(lambda_audio=1.0, lambda_video=0.0), grads,
         )
-        lv, _ = batch_loss(
+        lv = batch_loss(
             head, arc, audio, video, labels,
-            TrainingConfig(lambda_audio=0.0, lambda_video=1.0),
+            TrainingConfig(lambda_audio=0.0, lambda_video=1.0), grads,
         )
         assert abs(loss - (0.5 * la + 0.5 * lv)) <= 1e-10
 
@@ -307,9 +319,9 @@ class TestBatchLoss:
         video = rng.normal(size=(6, 6))
         labels = rng.integers(0, 5, size=6)
         # masks drawn with probability 1 for "none" leave the inputs unmasked
-        loss, _ = batch_loss(
+        loss = batch_loss(
             head, arc, audio, video, labels,
-            TrainingConfig(mask_probabilities=(0.0, 0.0, 1.0)),
+            TrainingConfig(mask_probabilities=(0.0, 0.0, 1.0)), model_grads(head, arc),
             mask_rng=np.random.default_rng(0),
         )
         # independent composition: project, average, arc-margin per sample
@@ -320,16 +332,39 @@ class TestBatchLoss:
         expected, *_ = arc_margin_loss_grad_batch(arc, emb, labels)
         assert loss == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+    def test_forms_no_input_gradient_of_the_first_layers(self, kind, monkeypatch):
+        rng = np.random.default_rng(9)
+        head = make_head(kind, rng, d_a=4, d_v=6, d_e=3, hidden=5)
+        arc = ArcMarginHead.create(rng, 3, 5)
+        formed = []
+        backward = LinearLayer.backward
+
+        def recording(layer, *args, **kwargs):
+            result = backward(layer, *args, **kwargs)
+            formed.append((layer, result[0] is not None))
+            return result
+
+        monkeypatch.setattr(LinearLayer, "backward", recording)
+        batch_loss(head, arc, rng.normal(size=(6, 4)), rng.normal(size=(6, 6)),
+                   rng.integers(0, 5, size=6), TrainingConfig(), model_grads(head, arc),
+                   mask_rng=rng, rng=rng)
+        first = [head.layers[0]] if kind == "mlp" else [head.proj_audio, head.proj_video]
+        assert len(formed) == {"mean": 2, "mlp": 3, "multiview": 4}[kind]
+        for layer, has_input_grad in formed:
+            assert has_input_grad == all(layer is not f for f in first)
+
     def test_duplicate_sample_mean_invariance(self, rng):
         head = make_head("mean", rng, d_a=4, d_v=6, d_e=3, dropout_p=0.0)
         arc = ArcMarginHead.create(rng, 3, 5)
         audio = rng.normal(size=(4, 4))
         video = rng.normal(size=(4, 6))
         labels = rng.integers(0, 5, size=4)
-        loss1, _ = batch_loss(head, arc, audio, video, labels, TrainingConfig())
-        loss2, _ = batch_loss(
+        grads = model_grads(head, arc)
+        loss1 = batch_loss(head, arc, audio, video, labels, TrainingConfig(), grads)
+        loss2 = batch_loss(
             head, arc, np.vstack([audio, audio]), np.vstack([video, video]),
-            np.concatenate([labels, labels]), TrainingConfig(),
+            np.concatenate([labels, labels]), TrainingConfig(), grads,
         )
         assert loss1 == pytest.approx(loss2, abs=1e-12)
 
@@ -428,6 +463,15 @@ class TestTrainRun:
         assert sum(r.is_best for r in result.records) == 1
         assert result.records[result.best_epoch].is_best
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
+        ("eps", math.nan), ("eps", math.inf),
+        ("mask_probabilities", (math.nan, 0.5, 0.5)),
+    ])
+    def test_config_field_without_a_flag_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            TrainingConfig(**{field: value}).validate()
+
     def test_overlapping_splits_rejected(self, rng):
         train, val = split_small()
         head = make_head("mean", rng, d_e=8)
@@ -460,10 +504,12 @@ class TestTrainRun:
 
         before = eval_loss()
         store = ParamStore.of_model(head, arc)
+        grads = store.model_grads(head)
         opt = AdamW(config, store.params.size)
+        scratch = scratch_for(grads)
         for _ in range(5):
-            _, grads = batch_loss(head, arc, audio, video, labels, config, rng=rng)
-            grads, _ = clip_global_norm(store.load_grads(grads), config.clip_norm)
+            batch_loss(head, arc, audio, video, labels, config, grads, rng=rng)
+            clip_global_norm(grads, config.clip_norm, scratch)
             opt.step(store.params, store.grads, config.learning_rate)
         assert eval_loss() < before
 

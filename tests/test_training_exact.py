@@ -1,28 +1,44 @@
-"""The flat-store optimizer against its per-tensor loop references.
+"""The flat-store training step against its loop references.
 
 Every comparison is exact (`==`): each trained tensor is written to the
 checkpoint at full precision, so a difference in the last bit of one update
 changes output bytes.  The loop references (`conftest.loop_adamw_step`,
 `conftest.loop_clip_global_norm`) work on a dict of separate arrays; the
-fused pass works on one buffer in ADAMW_BLOCK-element blocks.
+fused pass works on one buffer in ADAMW_BLOCK-element blocks.  The gradient
+step's references (`conftest.loop_batch_loss`, `loop_load_grads`,
+`loop_clip_in_place`) make new gradient arrays and copy them into the
+store; the step under test writes each gradient into the store once.
 """
 
 import tracemalloc
 import types
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avfusion import training
+from avfusion.arcmargin import ArcMarginHead
+from avfusion.data import DatasetConfig, generate_identities, sample_dataset, split_dataset
 from avfusion.training import (
     ADAMW_BLOCK,
     AdamW,
     ParamStore,
     TrainingConfig,
+    batch_loss,
     clip_global_norm,
+    train_run,
 )
 
-from conftest import LoopAdamW, loop_clip_global_norm
+from conftest import (
+    LoopAdamW,
+    loop_batch_loss,
+    loop_clip_global_norm,
+    loop_clip_in_place,
+    loop_load_grads,
+    make_head,
+)
 
 EXACT = settings(max_examples=60, deadline=None)
 
@@ -67,6 +83,7 @@ def test_fused_step_matches_loop(shapes, seed, n_steps, lr, weight_decay, clip_s
     fused = AdamW(config, store.params.size)
     loop_params = {name: value.copy() for name, value in initial.items()}
     loop = LoopAdamW(config)
+    scratch = np.empty(store.params.size)
 
     fired = []
     for _ in range(n_steps):
@@ -81,7 +98,10 @@ def test_fused_step_matches_loop(shapes, seed, n_steps, lr, weight_decay, clip_s
             {name: g.copy() for name, g in grads.items()}, max_norm)
         loop.step(loop_params, expected, lr)
 
-        clipped, total = clip_global_norm(store.load_grads(grads), max_norm)
+        views = store.grad_views(order)
+        for name in order:
+            views[name][...] = grads[name]
+        clipped, total = clip_global_norm(views, max_norm, scratch)
         fused.step(store.params, store.grads, lr)
 
         assert total == expected_total
@@ -109,7 +129,7 @@ def test_step_allocates_no_full_size_temporary():
 
     owner = types.SimpleNamespace(p=rng.normal(size=size))
     store = ParamStore([("p", owner, "p")])
-    store.load_grads({"p": rng.normal(size=size)})
+    store.grads[...] = rng.normal(size=size)
     fused = AdamW(config, size)
     fused_peak = peak_of(lambda: fused.step(store.params, store.grads, 1e-3))
     # The per-tensor loop makes its moments and several full-size
@@ -118,3 +138,96 @@ def test_step_allocates_no_full_size_temporary():
     loop_peak = peak_of(lambda: loop.step({"p": owner.p}, {"p": store.grads}, 1e-3))
     assert fused_peak < 2**20
     assert loop_peak > 16 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+@pytest.mark.parametrize("dims", [(16, 32, 8, 24), (40, 300, 32, 130)])
+@pytest.mark.parametrize("max_norm", [1e-3, 1e3])
+def test_in_place_step_matches_loop(kind, dims, max_norm):
+    """Three steps of the in-place gradient step against the allocating
+    one, with clipping fired at every step (max_norm 1e-3) or at none."""
+    d_a, d_v, d_e, hidden = dims
+    n, n_classes = 24, 5
+    config = TrainingConfig(learning_rate=0.01)
+    models = []
+    for _ in range(2):
+        rng = np.random.default_rng(7)
+        head = make_head(kind, rng, d_a=d_a, d_v=d_v, d_e=d_e, hidden=hidden)
+        arc = ArcMarginHead.create(rng, d_e, n_classes)
+        store = ParamStore.of_model(head, arc)
+        models.append((head, arc, store, AdamW(config, store.params.size)))
+    (head, arc, store, optimizer), (ref_head, ref_arc, ref_store, ref_optimizer) = models
+    grads = store.model_grads(head)
+    scratch = np.empty(max(g.size for g in grads.values()))
+    data_rng = np.random.default_rng(8)
+    for step in range(3):
+        audio = data_rng.normal(size=(n, d_a))
+        video = data_rng.normal(size=(n, d_v))
+        labels = data_rng.integers(0, n_classes, size=n)
+
+        def draws():
+            return {"mask_rng": np.random.default_rng(100 + step),
+                    "rng": np.random.default_rng(200 + step)}
+
+        ref_loss, ref_grads = loop_batch_loss(
+            ref_head, ref_arc, audio, video, labels, config, **draws())
+        expected, expected_total = loop_clip_in_place(
+            loop_load_grads(ref_store, ref_grads), max_norm)
+        ref_optimizer.step(ref_store.params, ref_store.grads, config.learning_rate)
+
+        loss = batch_loss(head, arc, audio, video, labels, config, grads, **draws())
+        clipped, total = clip_global_norm(grads, max_norm, scratch)
+        optimizer.step(store.params, store.grads, config.learning_rate)
+
+        assert loss == ref_loss
+        assert total == expected_total
+        assert (total > max_norm) == (max_norm < 1)
+        # the same names, in the order the norm sums them
+        assert list(clipped) == list(expected)
+        for name in expected:
+            assert np.array_equal(clipped[name], expected[name])
+        assert np.array_equal(store.grads, ref_store.grads)
+        assert np.array_equal(store.params, ref_store.params)
+        ref_state = ref_head.state()
+        for name, value in head.state().items():
+            assert np.array_equal(value, ref_state[name])
+
+
+def test_mlp_step_allocates_no_array_as_large_as_the_first_layer(monkeypatch):
+    """From the loss to the optimizer update, a training step of an MLP head
+    with a 1024 x 1024 first layer holds under half that layer's weight in
+    arrays it made: no gradient array of the weight's size, no copy, no
+    squares of it.  The bound is half because the baseline, taken when the
+    loss is called, counts the batch's inputs, which the step frees."""
+    d_a, d_v, d_e, hidden = 256, 768, 64, 1024
+    dataset = DatasetConfig(n_identities=4, samples_per_identity=12, d_a=d_a, d_v=d_v,
+                            seed=0)
+    train, val = split_dataset(
+        sample_dataset(generate_identities(dataset), dataset), 0.25, 0)
+    rng = np.random.default_rng(0)
+    head = make_head("mlp", rng, d_a=d_a, d_v=d_v, d_e=d_e, hidden=hidden)
+    arc = ArcMarginHead.create(rng, d_e, 4)
+    weight_bytes = head.layers[0].weight.nbytes
+    assert head.layers[0].weight.size >= 2**20
+
+    peaks, starts = [], []
+    loss_fn, step_fn = training.batch_loss, AdamW.step
+
+    def measured_loss(*args, **kwargs):
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return loss_fn(*args, **kwargs)
+
+    def measured_step(*args, **kwargs):
+        step_fn(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+
+    monkeypatch.setattr(training, "batch_loss", measured_loss)
+    monkeypatch.setattr(AdamW, "step", measured_step)
+    tracemalloc.start()
+    try:
+        train_run(head, arc, train, val, TrainingConfig(batch_size=16, max_epochs=1))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == -(-len(train) // 16)  # one per batch
+    assert max(peaks) < weight_bytes // 2
