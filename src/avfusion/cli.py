@@ -262,6 +262,9 @@ def cmd_evaluate(cfg):
         raise ConfigurationError("at least one --checkpoint is required")
     if isinstance(checkpoints, str):
         checkpoints = [checkpoints]
+    for name, value in (("n-positive", cfg["n_positive"]), ("n-negative", cfg["n_negative"])):
+        if value < 1:
+            raise ConfigurationError(f"--{name} must be >= 1, got {value}")
     samples = persistence.read_embeddings(cfg["test_embeddings"])
     trial_config = eval_mod.TrialConfig(
         n_positive=cfg["n_positive"], n_negative=cfg["n_negative"], seed=cfg["seed"]

@@ -69,8 +69,8 @@ class _Head:
     @classmethod
     def from_state(cls, meta, tensors):
         """The head of checkpoint `meta` holding `tensors`, named as in state()."""
-        layers = [_linear(tensors, name) for name in cls._linears]
-        return cls(*layers, DropoutSpec(meta["dropout_p"]))
+        layers = {name: _linear(tensors, name) for name in cls._linears}
+        return cls(**layers, dropout=DropoutSpec(meta["dropout_p"]))
 
     @property
     def d_a(self):
@@ -85,7 +85,12 @@ class _Head:
         return self.proj_audio.out_dim
 
     def named_layers(self):
-        """(name, layer) of every layer that holds tensors, in a fixed order."""
+        """(name, layer) of every layer that holds tensors, in backward
+        order: the MLP's stages from the output back; the multi-view audio
+        projection, shared classifier, then video projection.  The gradient
+        store is laid out in this order and clipping sums the squared
+        gradient norms in it; any other order changes the last bit of the
+        clip factor."""
         return [(name, getattr(self, name)) for name in self._linears]
 
     def parameters(self):
@@ -93,13 +98,6 @@ class _Head:
         named_layers(); training rebinds each attribute to its stored view."""
         return [(f"{prefix}.{attr}", layer, attr)
                 for prefix, layer in self.named_layers() for attr in layer.TRAINED]
-
-    def backward_order(self):
-        """Names of the trained tensors in the order in which the backward
-        pass once returned their gradients.  Clipping sums the squared
-        gradient norms in this order: another order changes the last bit of
-        the clip factor."""
-        return [name for name, _, _ in self.parameters()]
 
     def state(self):
         """Every tensor that eval-mode outputs depend on, by name."""
@@ -253,13 +251,8 @@ class MlpFusionHead(_Head):
         return self.layers[2].out_dim
 
     def named_layers(self):
-        return [pair for i, (lin, bn) in enumerate(zip(self.layers, self.norms), start=1)
-                for pair in ((f"layer{i}", lin), (f"bn{i}", bn))]
-
-    def backward_order(self):
-        return [f"{prefix}{i}.{attr}" for i in (3, 2, 1)
-                for prefix, layer in (("layer", LinearLayer), ("bn", BatchNormLayer))
-                for attr in layer.TRAINED]
+        return [pair for i in (3, 2, 1) for pair in (
+            (f"layer{i}", self.layers[i - 1]), (f"bn{i}", self.norms[i - 1]))]
 
     def meta(self):
         return dict(super().meta(), hidden=self.layers[0].out_dim,
@@ -305,7 +298,7 @@ class MultiViewHead(_Head):
     """
 
     kind = "multiview"
-    _linears = ("proj_audio", "proj_video", "shared_classifier")
+    _linears = ("proj_audio", "shared_classifier", "proj_video")
     _SHARED = ("shared_classifier.weight", "shared_classifier.bias")
 
     def __init__(self, proj_audio, proj_video, shared_classifier, dropout=None):
@@ -345,11 +338,6 @@ class MultiViewHead(_Head):
         emb_v, cache_v = self.forward_modality("video", video, True, rng)
         terms = [(config.lambda_audio, emb_a), (config.lambda_video, emb_v)]
         return terms, (cache_a, cache_v)
-
-    def backward_order(self):
-        return [f"{prefix}.{attr}"
-                for prefix in ("proj_audio", "shared_classifier", "proj_video")
-                for attr in LinearLayer.TRAINED]
 
     def backward_terms(self, cache, douts, grads):
         self._backward_paths(cache, douts, grads)

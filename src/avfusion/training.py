@@ -85,8 +85,9 @@ class ParamStore:
     Built from (name, owner, attribute) triples: each tensor is copied into
     `params` and the owner's attribute is rebound to its view, so the
     original array is released and the layers read and the optimizer writes
-    the same memory.  `grads` has the same layout; backward passes write
-    into its views.
+    the same memory.  `grads` has the same layout, and `grad_views` holds
+    its view of each tensor, by name and in layout order; backward passes
+    write into these views and clipping sums their norms in this order.
     """
 
     def __init__(self, slots):
@@ -95,14 +96,14 @@ class ParamStore:
         size = sum(math.prod(shape) for shape in shapes)
         self.params = np.empty(size)
         self.grads = np.zeros(size)
-        self._grad_views = {}
+        self.grad_views = {}
         offset = 0
         for (name, owner, attr), shape in zip(slots, shapes):
             stop = offset + math.prod(shape)
             view = self.params[offset:stop].reshape(shape)
             view[...] = getattr(owner, attr)
             setattr(owner, attr, view)
-            self._grad_views[name] = self.grads[offset:stop].reshape(shape)
+            self.grad_views[name] = self.grads[offset:stop].reshape(shape)
             offset = stop
 
     @classmethod
@@ -113,22 +114,6 @@ class ParamStore:
             *((f"head.{name}", layer, attr) for name, layer, attr in head.parameters()),
             ("arc.prototypes", arc_head, "prototypes"),
         ])
-
-    def model_grads(self, head):
-        """The gradient views of a store built by `of_model`, in the head's
-        backward order, then the prototypes'."""
-        return self.grad_views(
-            [*(f"head.{name}" for name in head.backward_order()), "arc.prototypes"])
-
-    def grad_views(self, names):
-        """The gradient buffer's view of each tensor, by name and in the
-        order of `names`, which must name every tensor of the store once."""
-        if sorted(names) != sorted(self._grad_views):
-            raise ConsistencyError(
-                f"gradients {sorted(names)} do not match parameters "
-                f"{sorted(self._grad_views)}"
-            )
-        return {name: self._grad_views[name] for name in names}
 
 
 class AdamW:
@@ -215,7 +200,7 @@ def batch_loss(head, arc_head, audio, video, labels, config, grads, mask_rng=Non
     """Weighted sum of the arc-margin losses of the head's loss terms.
 
     Returns the loss, and writes the gradient of every trained tensor into
-    the array `grads` holds under its name, as `ParamStore.model_grads`
+    the array `grads` holds under its name, as `ParamStore.grad_views`
     names them.  A second term's prototype gradient is added in place.
     """
     labels = np.asarray(labels)
@@ -278,9 +263,14 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
     mask_rng = substream(config.seed, "masking")
     dropout_rng = substream(config.seed, "dropout")
     store = ParamStore.of_model(head, arc_head)
-    grads = store.model_grads(head)
-    clip_scratch = np.empty(max(g.size for g in grads.values()))
+    clip_scratch = np.empty(max(g.size for g in store.grad_views.values()))
     optimizer = AdamW(config, store.params.size)
+
+    # A trailing batch of one row joins the batch before it: train-mode
+    # batch norm needs two rows.
+    bounds = [*range(0, n, config.batch_size), n]
+    if n % config.batch_size == 1 and n > 1:
+        del bounds[-2]
 
     lr = config.learning_rate
     best_acc = -1.0
@@ -290,15 +280,15 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
     for epoch in range(config.max_epochs):
         perm = shuffle_rng.permutation(n)
         losses = []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
+        for start, stop in zip(bounds, bounds[1:]):
+            idx = perm[start:stop]
             loss = batch_loss(
-                head, arc_head, audio[idx], video[idx], labels[idx], config, grads,
-                mask_rng=mask_rng, rng=dropout_rng,
+                head, arc_head, audio[idx], video[idx], labels[idx], config,
+                store.grad_views, mask_rng=mask_rng, rng=dropout_rng,
             )
             if not np.isfinite(loss):
                 raise DegenerateInputError(f"non-finite batch loss in epoch {epoch}")
-            clip_global_norm(grads, config.clip_norm, clip_scratch)
+            clip_global_norm(store.grad_views, config.clip_norm, clip_scratch)
             optimizer.step(store.params, store.grads, lr)
             losses.append(loss)
         acc = validate_accuracy(head, arc_head, val_samples)

@@ -79,7 +79,7 @@ def composed_loss(head, arc, audio, video, labels, state):
 def model_grads(head, arc):
     """The gradient views of a flat store of `head` and `arc`, as training
     makes them; building the store rebinds their tensors to its views."""
-    return ParamStore.of_model(head, arc).model_grads(head)
+    return ParamStore.of_model(head, arc).grad_views
 
 
 def composed_grads(head, arc, audio, video, labels, state):
@@ -514,14 +514,14 @@ def loop_batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
 def loop_load_grads(self, grads: dict):
     """Copies `grads` into the gradient buffer and returns its views, by
     the names and in the order of `grads`."""
-    if grads.keys() != self._grad_views.keys():
+    if grads.keys() != self.grad_views.keys():
         raise ConsistencyError(
             f"gradients {sorted(grads)} do not match parameters "
-            f"{sorted(self._grad_views)}"
+            f"{sorted(self.grad_views)}"
         )
     views = {}
     for name, g in grads.items():
-        view = self._grad_views[name]
+        view = self.grad_views[name]
         if view.shape != np.shape(g):
             raise ConsistencyError(
                 f"gradient shape {np.shape(g)} does not match parameter "

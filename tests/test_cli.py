@@ -201,6 +201,15 @@ class TestTrain:
         assert not (tmp_path / "mean.ckpt").exists()
         assert not (tmp_path / "mean.log").exists()
 
+    def test_trailing_one_row_batch_trains(self, tmp_path):
+        # 28 training samples in batches of 27: the last row joins the first
+        # batch, as train-mode batch norm cannot take a batch of one.
+        assert run(generate_args(tmp_path, identities=4)) == 0
+        assert len(read_embeddings(tmp_path / "train.emb")) == 28
+        argv = train_args(tmp_path, tmp_path, head="mlp", extra=["--batch-size", "27"])
+        assert run(argv) == 0
+        assert len(read_epoch_log(tmp_path / "mlp.log")) == 2
+
     def test_missing_embeddings_is_io_error(self, tmp_path, capsys):
         code = run(train_args(tmp_path, tmp_path))
         assert code == cli.EXIT_IO
@@ -285,6 +294,15 @@ class TestEvaluate:
         assert "non-finite values in evaluation" in capsys.readouterr().err
         assert not runtime_warnings
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--n-positive", "--n-negative"])
+    def test_zero_trial_count_is_config_error(self, pipeline, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        argv = self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt"])
+        argv[argv.index(flag) + 1] = "0"
+        assert run(argv) == cli.EXIT_CONFIG
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_checkpoint_is_config_error(self, pipeline, tmp_path, capsys):
         code = run(["evaluate", "--test-embeddings",

@@ -62,6 +62,13 @@ class TestLinear:
                 )
         assert np.allclose(dx, dout @ layer.weight)
 
+    def test_backward_refuses_mismatched_out_view(self):
+        view = np.zeros(4)[1:]
+        layer = LinearLayer(weight=np.zeros((1, 2)), bias=np.zeros(1))
+        with pytest.raises(ValueError):
+            # a bias gradient of shape (1,) would broadcast into the view
+            layer.backward(np.zeros((4, 2)), np.zeros((4, 1)), (np.zeros((1, 2)), view))
+
 
 class TestBatchNorm:
     def test_constant_feature(self):

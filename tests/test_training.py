@@ -37,7 +37,7 @@ from avfusion.training import (
     validate_accuracy,
 )
 
-from conftest import make_head, model_grads, small_dataset
+from conftest import loop_batch_loss, make_head, model_grads, small_dataset
 
 
 class TestMasking:
@@ -220,24 +220,27 @@ class TestParamStore:
 
     def test_grad_views_keep_the_given_order(self):
         owner = types.SimpleNamespace(a=np.zeros(2), b=np.zeros((2, 2)))
-        store = ParamStore([("a", owner, "a"), ("b", owner, "b")])
-        views = store.grad_views(["b", "a"])
+        store = ParamStore([("b", owner, "b"), ("a", owner, "a")])
+        views = store.grad_views
         views["b"][...] = 3.0
         views["a"][...] = [1.0, 2.0]
         assert list(views) == ["b", "a"]
-        assert np.array_equal(store.grads, [1.0, 2.0, 3.0, 3.0, 3.0, 3.0])
+        assert np.array_equal(store.grads, [3.0, 3.0, 3.0, 3.0, 1.0, 2.0])
         assert all(np.shares_memory(v, store.grads) for v in views.values())
 
-    def test_grad_views_shape_mismatch(self):
-        owner = types.SimpleNamespace(a=np.zeros(3))
-        store = ParamStore([("a", owner, "a")])
-        view = store.grad_views(["a"])["a"]
-        layer = LinearLayer(weight=np.zeros((1, 2)), bias=np.zeros(1))
-        with pytest.raises(ValueError):
-            # a bias gradient of shape (1,) would broadcast into the view
-            layer.backward(np.zeros((4, 2)), np.zeros((4, 1)), (np.zeros((1, 2)), view))
-        with pytest.raises(ConsistencyError):
-            store.grad_views(["a", "b"])
+    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+    def test_layout_is_the_backward_order(self, rng, kind):
+        """The store lays the tensors out in the order in which the
+        reference backward pass returns their gradients, the order clipping
+        sums in, with the prototypes last."""
+        head = make_head(kind, rng)
+        arc = ArcMarginHead.create(rng, 8, 5)
+        audio, video = rng.normal(size=(6, 16)), rng.normal(size=(6, 32))
+        _, reference = loop_batch_loss(head, arc, audio, video, rng.integers(0, 5, size=6),
+                                       TrainingConfig(), rng=rng)
+        order = list(ParamStore.of_model(head, arc).grad_views)
+        assert order == list(reference)
+        assert order[-1] == "arc.prototypes"
 
 
 class TestLrSchedule:
@@ -504,7 +507,7 @@ class TestTrainRun:
 
         before = eval_loss()
         store = ParamStore.of_model(head, arc)
-        grads = store.model_grads(head)
+        grads = store.grad_views
         opt = AdamW(config, store.params.size)
         scratch = scratch_for(grads)
         for _ in range(5):

@@ -87,8 +87,8 @@ def test_fused_step_matches_loop(shapes, seed, n_steps, lr, weight_decay, clip_s
 
     fired = []
     for _ in range(n_steps):
-        # Gradients arrive in another order than the store's layout, as a
-        # head's backward pass yields them; the norm sums in their order.
+        # The views are handed over in another order than the store's
+        # layout; the norm sums in the order of the dict it is given.
         order = list(rng.permutation(names))
         grads = {name: draw_values(rng, initial[name].shape) for name in order}
         norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
@@ -98,7 +98,7 @@ def test_fused_step_matches_loop(shapes, seed, n_steps, lr, weight_decay, clip_s
             {name: g.copy() for name, g in grads.items()}, max_norm)
         loop.step(loop_params, expected, lr)
 
-        views = store.grad_views(order)
+        views = {name: store.grad_views[name] for name in order}
         for name in order:
             views[name][...] = grads[name]
         clipped, total = clip_global_norm(views, max_norm, scratch)
@@ -157,7 +157,7 @@ def test_in_place_step_matches_loop(kind, dims, max_norm):
         store = ParamStore.of_model(head, arc)
         models.append((head, arc, store, AdamW(config, store.params.size)))
     (head, arc, store, optimizer), (ref_head, ref_arc, ref_store, ref_optimizer) = models
-    grads = store.model_grads(head)
+    grads = store.grad_views
     scratch = np.empty(max(g.size for g in grads.values()))
     data_rng = np.random.default_rng(8)
     for step in range(3):
