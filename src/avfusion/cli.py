@@ -265,22 +265,35 @@ def cmd_evaluate(cfg):
     for name, value in (("n-positive", cfg["n_positive"]), ("n-negative", cfg["n_negative"])):
         if value < 1:
             raise ConfigurationError(f"--{name} must be >= 1, got {value}")
+        if value > eval_mod.MAX_TRIALS_PER_CLASS:
+            raise ConfigurationError(
+                f"--{name} must be <= {eval_mod.MAX_TRIALS_PER_CLASS}, got {value}")
+    # Each report is named after its checkpoint's file name; two checkpoints
+    # of one name would write one report.
+    prefixes = {}
+    for path in checkpoints:
+        prefix = os.path.join(
+            cfg["out_dir"], os.path.splitext(os.path.basename(path))[0] + "_report"
+        )
+        if prefix in prefixes:
+            raise ConfigurationError(
+                f"checkpoints {prefixes[prefix]} and {path} would write the same "
+                f"report {prefix}; give them different file names")
+        prefixes[prefix] = path
     samples = persistence.read_embeddings(cfg["test_embeddings"])
     trial_config = eval_mod.TrialConfig(
         n_positive=cfg["n_positive"], n_negative=cfg["n_negative"], seed=cfg["seed"]
     )
-    # A bad checkpoint fails the call before it writes or draws anything;
-    # every head stays in memory until the last report is written.
+    # A bad checkpoint fails the call before it writes or draws anything,
+    # and a trial request the test set cannot meet before it writes; every
+    # head stays in memory until the last report is written.
     heads = [persistence.load_checkpoint(path)[0] for path in checkpoints]
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     trials = eval_mod.build_mode_trials(samples, trial_config)
+    os.makedirs(cfg["out_dir"], exist_ok=True)
     rows = []
-    for path, head in zip(checkpoints, heads):
+    for prefix, head in zip(prefixes, heads):
         with float_errors_as_degenerate("evaluation"):
             report = eval_mod.run_full_evaluation(head, samples, trial_config, trials)
-        prefix = os.path.join(
-            cfg["out_dir"], os.path.splitext(os.path.basename(path))[0] + "_report"
-        )
         persistence.write_report(prefix, report, cfg["format"])
         rows.append((head.kind, {m: r.eer for m, r in report.eer.items()}))
         line = "  ".join(f"{m}={report.eer[m].eer:.4f}" for m in eval_mod.MODALITY_MODES)

@@ -121,9 +121,14 @@ def split_dataset(samples, fraction, seed):
     return train, val
 
 
-def stack_samples(samples):
-    """(audio matrix, video matrix, labels, identity order) for a sample list."""
-    identities = sorted({s.identity_id for s in samples})
+def stack_samples(samples, identities=None):
+    """(audio matrix, video matrix, labels, identity order) for a sample list.
+
+    Labels index `identities`, by default the sorted identities of the
+    samples; given, it must hold every sample's identity.
+    """
+    if identities is None:
+        identities = sorted({s.identity_id for s in samples})
     index = {identity: i for i, identity in enumerate(identities)}
     audio = np.stack([s.audio for s in samples])
     video = np.stack([s.video for s in samples])

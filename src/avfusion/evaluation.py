@@ -12,6 +12,8 @@ sums one pair in `linalg.cosine_similarity`, and every mean reduces the same
 values in the same order as a mean over one row.
 """
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +97,12 @@ class BoxplotStats:
     outliers: tuple
 
 
+# The largest target or nontarget count per mode that `evaluate` accepts:
+# above the ~580k trials of a paper-scale list, and far below a request
+# whose index arrays could not be allocated.
+MAX_TRIALS_PER_CLASS = 1_000_000
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     n_positive: int = 500
@@ -113,17 +121,25 @@ class DiagnosticsReport:
 
 
 def build_trials(samples, mode, n_positive, n_negative, seed):
-    """Balanced-by-construction verification pairs, deterministic per seed."""
+    """Balanced-by-construction verification pairs, deterministic per seed.
+
+    Targets are `rng.choice` indices into every within-identity pair, listed
+    identity by identity in `np.triu_indices` order.  Each nontarget draws two
+    distinct identities with `rng.choice(..., size=2, replace=False)`, then a
+    sample of each with `rng.integers(len(group))`, which picks the value and
+    advances the generator exactly as `rng.choice(group)` does; a pair drawn
+    before is rejected and drawn anew.
+    """
     if mode not in MODALITY_MODES:
         raise ConfigurationError(f"unknown modality mode {mode!r}")
     if n_positive < 0 or n_negative < 0:
         raise ConfigurationError("trial counts must be >= 0")
     _, order, bounds = _clusters([s.identity_id for s in samples])
-    groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
-    if len(groups) < 2:
+    sizes = np.diff(bounds)
+    if sizes.size < 2:
         raise ConfigurationError("need at least 2 identities to build trials")
     # ordered pairs of samples from two different identities
-    n_cross = len(samples) ** 2 - sum(len(m) ** 2 for m in groups)
+    n_cross = len(samples) ** 2 - int(np.sum(sizes * sizes))
     if n_negative > n_cross:
         raise ConfigurationError(f"only {n_cross} distinct cross-identity pairs exist")
     left_exp, right_exp = MODALITY_MODES[mode]
@@ -131,33 +147,40 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
         np.random.SeedSequence([seed, 300, _MODE_TAGS[mode]])
     )
 
-    positive_pairs = [
-        (a, b) for group in groups for j, a in enumerate(group) for b in group[j + 1 :]
-    ]
-    if n_positive > 0 and not positive_pairs:
+    n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+    if n_positive > 0 and not n_pairs:
         raise ConfigurationError("no identity has two samples; cannot build targets")
-    trials = []
+    counts = sizes.tolist()
+    left, right = [], []
     if n_positive > 0:
-        replace = n_positive > len(positive_pairs)
-        chosen = rng.choice(len(positive_pairs), size=n_positive, replace=replace)
-        for k in chosen:
-            a, b = positive_pairs[k]
-            trials.append(Trial(a, b, left_exp, right_exp, True))
+        pairs = {size: np.triu_indices(size, k=1) for size in set(counts)}
+        firsts, seconds = [], []
+        for start, size in zip(bounds.tolist(), counts):
+            first, second = pairs[size]
+            firsts.append(order[start + first])
+            seconds.append(order[start + second])
+        chosen = rng.choice(n_pairs, size=n_positive, replace=n_positive > n_pairs)
+        left = np.concatenate(firsts)[chosen].tolist()
+        right = np.concatenate(seconds)[chosen].tolist()
 
+    groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
+    choice, integers = rng.choice, rng.integers
     seen = set()  # one entry per nontarget trial drawn so far
+    max_attempts = 1000 * max(n_negative, 1)
     attempts = 0
     while len(seen) < n_negative:
         attempts += 1
-        if attempts > 1000 * max(n_negative, 1):
+        if attempts > max_attempts:
             raise ConfigurationError("cannot sample enough distinct nontarget pairs")
-        i1, i2 = rng.choice(len(groups), size=2, replace=False)
-        a = int(rng.choice(groups[i1]))
-        b = int(rng.choice(groups[i2]))
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        trials.append(Trial(a, b, left_exp, right_exp, False))
-    return trials
+        i1, i2 = choice(len(groups), size=2, replace=False).tolist()
+        pair = (groups[i1][integers(counts[i1])], groups[i2][integers(counts[i2])])
+        if pair not in seen:
+            seen.add(pair)
+            left.append(pair[0])
+            right.append(pair[1])
+    labels = [True] * n_positive + [False] * n_negative
+    return [Trial(a, b, left_exp, right_exp, label)
+            for a, b, label in zip(left, right, labels)]
 
 
 def build_mode_trials(samples, trial_config: TrialConfig):
@@ -371,29 +394,58 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     return float(scores.mean())
 
 
+def _lerp(a, b, t):
+    """`a + (b - a)·t`, rounded as `np.percentile`'s linear method rounds it:
+    from the upper end when t >= 0.5."""
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
+
+
+def _quartile(ordered, q):
+    """`np.percentile(ordered, 100·q)` of a sorted list, by numpy's linear
+    method: virtual index (n - 1)·q, interpolated between its floor and the
+    next index.  An index at the end takes the last value twice, at the
+    weight numpy gives it (index + 1)."""
+    n = len(ordered)
+    position = (n - 1) * q
+    if position >= n - 1:
+        return _lerp(ordered[-1], ordered[-1], position + 1)
+    below = math.floor(position)
+    return _lerp(ordered[below], ordered[below + 1], position - below)
+
+
 def boxplot_stats(values):
-    """Quartiles by linear interpolation with Tukey whiskers clamped to data."""
-    values = np.asarray(list(values), dtype=np.float64)
+    """Quartiles by linear interpolation with Tukey whiskers clamped to data.
+
+    One sort: the quartiles interpolate neighbours in the sorted values as
+    `np.percentile` does, and the whiskers and outliers are found by binary
+    search for the fences.  Min and max are numpy's reductions, so the sign
+    of a zero is the one `np.min`/`np.max` give.
+    """
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DegenerateInputError("boxplot of an empty sequence")
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    ordered = np.sort(values, axis=None).tolist()
+    if ordered[-1] != ordered[-1]:  # NaN sorts last; np.percentile gives NaN
+        q1 = median = q3 = math.nan
+    else:
+        q1, median, q3 = (_quartile(ordered, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
-    low_fence = q1 - 1.5 * iqr
-    high_fence = q3 + 1.5 * iqr
-    inside = values[(values >= low_fence) & (values <= high_fence)]
-    whisker_low = float(inside.min()) if inside.size else float(q1)
-    whisker_high = float(inside.max()) if inside.size else float(q3)
-    outliers = tuple(
-        float(v) for v in np.sort(values[(values < low_fence) | (values > high_fence)])
-    )
+    if iqr != iqr:  # a NaN fence: no value is inside or outside it
+        inside, outliers = [], ()
+    else:
+        lo = bisect.bisect_left(ordered, q1 - 1.5 * iqr)
+        hi = bisect.bisect_right(ordered, q3 + 1.5 * iqr)
+        inside = ordered[lo:hi]
+        outliers = tuple(ordered[:lo] + ordered[hi:])
     return BoxplotStats(
-        minimum=float(values.min()),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-        maximum=float(values.max()),
-        whisker_low=whisker_low,
-        whisker_high=whisker_high,
+        minimum=float(np.minimum.reduce(values, axis=None)),
+        q1=q1,
+        median=median,
+        q3=q3,
+        maximum=float(np.maximum.reduce(values, axis=None)),
+        whisker_low=inside[0] if inside else q1,
+        whisker_high=inside[-1] if inside else q3,
         outliers=outliers,
     )
 

@@ -9,6 +9,7 @@ JSON document with numbers rendered at 6 significant digits.
 import csv
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -33,36 +34,54 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _write_framed(path, magic, header: dict, payload: bytes):
+def _write_framed(path, magic, header: dict, tensors):
+    """Magic, header length, JSON header, then each tensor's little-endian
+    float64 bytes, written from its own buffer."""
     header_bytes = _json_bytes(header)
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
+        for tensor in tensors:
+            fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
 
 
 def _read_framed(path, magic):
+    """(header, payload, payload byte count) of a framed file.
+
+    The payload is read straight into one float64 array, the only copy of
+    it; a byte count that is not a multiple of 8 leaves the last element
+    partly unread, and the callers reject such a count.
+    """
+    start = len(magic) + 4
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(start)
+            if len(prefix) < start or prefix[: len(magic)] != magic:
+                raise PersistenceError(f"{path}: bad magic, not a {magic.decode()} file")
+            (header_len,) = struct.unpack("<I", prefix[len(magic) :])
+            # A damaged length must not size a read beyond the file.
+            header_bytes = fh.read(header_len) if start + header_len <= size else b""
+            if len(header_bytes) < header_len:
+                raise PersistenceError(f"{path}: truncated header")
+            n_bytes = size - start - header_len
+            payload = np.empty(-(-n_bytes // 8), dtype="<f8")
+            if fh.readinto(memoryview(payload).cast("B")[:n_bytes]) != n_bytes:
+                raise PersistenceError(f"{path}: payload shorter than the file size")
     except OSError as exc:
         raise PersistenceError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < len(magic) + 4 or blob[: len(magic)] != magic:
-        raise PersistenceError(f"{path}: bad magic, not a {magic.decode()} file")
-    (header_len,) = struct.unpack("<I", blob[len(magic) : len(magic) + 4])
-    start = len(magic) + 4
-    if len(blob) < start + header_len:
-        raise PersistenceError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[start : start + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistenceError(f"{path}: unparsable header: {exc}") from exc
     if not isinstance(header, dict):
         raise PersistenceError(f"{path}: header is not a JSON object")
     if header.get("version") != 1:
         raise PersistenceError(f"{path}: unsupported version {header.get('version')}")
-    return header, blob[start + header_len :]
+    if not payload.dtype.isnative:
+        payload = payload.astype(np.float64)
+    return header, payload, n_bytes
 
 
 def _check_fields(path, table, checks):
@@ -115,14 +134,12 @@ def write_embeddings(path, samples):
         "count": len(samples),
         "records": [[s.identity_id, s.sample_id] for s in samples],
     }
-    payload = np.concatenate(
-        [np.concatenate([s.audio, s.video]) for s in samples]
-    ).astype("<f8").tobytes()
-    _write_framed(path, EMBEDDING_MAGIC, header, payload)
+    payload = np.concatenate([np.concatenate([s.audio, s.video]) for s in samples])
+    _write_framed(path, EMBEDDING_MAGIC, header, [payload])
 
 
 def read_embeddings(path):
-    header, payload = _read_framed(path, EMBEDDING_MAGIC)
+    header, payload, n_bytes = _read_framed(path, EMBEDDING_MAGIC)
     _check_fields(path, header, {
         "d_a": _is_count, "d_v": _is_count, "count": _is_count,
         "records": lambda r: _is_table(r, lambda sample_id: isinstance(sample_id, str)),
@@ -131,19 +148,13 @@ def read_embeddings(path):
     if len(header["records"]) != count:
         raise PersistenceError(f"{path}: record table does not match count")
     expected = count * (d_a + d_v) * 8
-    if len(payload) != expected:
-        raise PersistenceError(
-            f"{path}: payload length {len(payload)} != expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(count, d_a + d_v)
-    _check_finite(path, values)
+    if n_bytes != expected:
+        raise PersistenceError(f"{path}: payload length {n_bytes} != expected {expected}")
+    _check_finite(path, payload)
+    values = payload.reshape(count, d_a + d_v)
     return [
-        Sample(
-            identity_id=identity,
-            sample_id=sample_id,
-            audio=values[i, :d_a].astype(np.float64),
-            video=values[i, d_a:].astype(np.float64),
-        )
+        Sample(identity_id=identity, sample_id=sample_id,
+               audio=values[i, :d_a], video=values[i, d_a:])
         for i, (identity, sample_id) in enumerate(header["records"])
     ]
 
@@ -166,11 +177,7 @@ def save_checkpoint(path, head, arc_head, provenance=None):
     }
     merged = {f"head.{k}": v for k, v in state.items()}
     merged["arc.prototypes"] = arc_head.prototypes
-    payload = b"".join(
-        np.ascontiguousarray(merged[name], dtype="<f8").tobytes()
-        for name, _ in tensors
-    )
-    _write_framed(path, CHECKPOINT_MAGIC, header, payload)
+    _write_framed(path, CHECKPOINT_MAGIC, header, [merged[name] for name, _ in tensors])
 
 
 # What every head's meta() holds; its other entries are finite numbers.
@@ -182,7 +189,7 @@ _HEAD_FIELDS = {
 
 def load_checkpoint(path):
     """Returns (head, arc_head, provenance)."""
-    header, payload = _read_framed(path, CHECKPOINT_MAGIC)
+    header, payload, n_bytes = _read_framed(path, CHECKPOINT_MAGIC)
     _check_fields(path, header, {
         "head": lambda meta: isinstance(meta, dict),
         "arc": lambda arc: isinstance(arc, dict),
@@ -194,20 +201,16 @@ def load_checkpoint(path):
     _check_fields(path, meta, {**{key: _is_number for key in meta}, **_HEAD_FIELDS})
     _check_fields(path, header["arc"], {"scale": _is_number, "margin": _is_number})
     tensors = {}
-    offset = 0
+    offset = 0  # in float64 elements
     for name, shape in header["tensors"]:
-        size = math.prod(shape) * 8
-        if offset + size > len(payload):
+        size = math.prod(shape)
+        if (offset + size) * 8 > n_bytes:
             raise PersistenceError(f"{path}: truncated payload at tensor {name}")
-        tensors[name] = (
-            np.frombuffer(payload[offset : offset + size], dtype="<f8")
-            .reshape(shape)
-            .astype(np.float64)
-        )
+        tensors[name] = payload[offset : offset + size].reshape(shape)
         offset += size
-    if offset != len(payload):
+    if offset * 8 != n_bytes:
         raise PersistenceError(f"{path}: trailing bytes after last tensor")
-    _check_finite(path, np.frombuffer(payload, dtype="<f8"))
+    _check_finite(path, payload)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             head = HEAD_KINDS[meta["kind"]].from_state(

@@ -225,11 +225,13 @@ def batch_loss(head, arc_head, audio, video, labels, config, grads, mask_rng=Non
     return loss
 
 
-def validate_accuracy(head, arc_head, samples):
-    """Argmax accuracy of margin-free cosine logits on unmasked inputs."""
-    if not samples:
-        raise DegenerateInputError("empty validation set")
-    audio, video, labels, _ = stack_samples(samples)
+def validate_accuracy(head, arc_head, validation):
+    """Argmax accuracy of margin-free cosine logits on unmasked inputs.
+
+    `validation` is (audio, video, labels), the labels indexing the
+    prototype columns: `stack_samples(samples, training identities)[:3]`.
+    """
+    audio, video, labels = validation
     logits = plain_cosine_logits(arc_head, head.embed(audio, video))
     return float((logits.argmax(axis=1) == labels).mean())
 
@@ -257,7 +259,17 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
     train_ids = {s.sample_id for s in train_samples}
     if train_ids & {s.sample_id for s in val_samples}:
         raise ConfigurationError("train and validation splits must be disjoint")
-    audio, video, labels, _ = stack_samples(train_samples)
+    if not val_samples:
+        raise DegenerateInputError("empty validation set")
+    audio, video, labels, identities = stack_samples(train_samples)
+    # Validation is scored against the prototype columns of the training
+    # identities, so its labels index the training identities too.
+    unknown = {s.identity_id for s in val_samples}.difference(identities)
+    if unknown:
+        raise DegenerateInputError(
+            f"{len(unknown)} validation identities are not in the training "
+            f"set, first {min(unknown)!r}")
+    validation = stack_samples(val_samples, identities)[:3]
     n = len(train_samples)
     shuffle_rng = substream(config.seed, "shuffle")
     mask_rng = substream(config.seed, "masking")
@@ -291,7 +303,7 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
             clip_global_norm(store.grad_views, config.clip_norm, clip_scratch)
             optimizer.step(store.params, store.grads, lr)
             losses.append(loss)
-        acc = validate_accuracy(head, arc_head, val_samples)
+        acc = validate_accuracy(head, arc_head, validation)
         records.append(
             EpochRecord(
                 epoch=epoch,

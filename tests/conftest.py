@@ -1,23 +1,45 @@
 """Shared test helpers: finite-difference oracles and small data builders."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
-from avfusion.data import DatasetConfig, generate_identities, sample_dataset
+from avfusion.data import DatasetConfig, Sample, generate_identities, sample_dataset
 from avfusion.errors import (
     ConfigurationError,
     ConsistencyError,
     DegenerateInputError,
     LabelError,
+    PersistenceError,
     ShapeError,
 )
-from avfusion.evaluation import AngleReport, EerResult, embed_samples
+from avfusion.evaluation import (
+    _MODE_TAGS,
+    MODALITY_MODES,
+    AngleReport,
+    BoxplotStats,
+    EerResult,
+    Trial,
+    _clusters,
+    embed_samples,
+)
 from avfusion.heads import HEAD_KINDS, _check_cache
 from avfusion.layers import leaky_relu_backward
 from avfusion.linalg import angle_deg, cosine_similarity
+from avfusion.persistence import (
+    _HEAD_FIELDS,
+    CHECKPOINT_MAGIC,
+    EMBEDDING_MAGIC,
+    _check_fields,
+    _check_finite,
+    _is_count,
+    _is_number,
+    _is_table,
+)
 from avfusion.training import ParamStore, TrainingConfig, batch_loss
 
 # Default loss weights (lambda_audio = lambda_video = 0.5); built once, as
@@ -650,6 +672,188 @@ def loop_arc_margin_loss_grad_batch(head, embeddings, targets):
     grad_e[degenerate] = 0.0  # zero rows have no direction to move in
     grad_w = (dw_hat - w_hat * (dw_hat * w_hat).sum(axis=0, keepdims=True)) / w_norms
     return loss, grad_e, grad_w, per_sample
+
+
+# Loop references of the evaluation reads, kept verbatim (renamed loop_*):
+# the trial sampler with a `rng.choice` per drawn sample, the quartiles by
+# `np.percentile` with masked whiskers, and the framed-file reads that copy
+# the payload per tensor.
+
+
+def loop_build_trials(samples, mode, n_positive, n_negative, seed):
+    """Balanced-by-construction verification pairs, deterministic per seed."""
+    if mode not in MODALITY_MODES:
+        raise ConfigurationError(f"unknown modality mode {mode!r}")
+    if n_positive < 0 or n_negative < 0:
+        raise ConfigurationError("trial counts must be >= 0")
+    _, order, bounds = _clusters([s.identity_id for s in samples])
+    groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
+    if len(groups) < 2:
+        raise ConfigurationError("need at least 2 identities to build trials")
+    # ordered pairs of samples from two different identities
+    n_cross = len(samples) ** 2 - sum(len(m) ** 2 for m in groups)
+    if n_negative > n_cross:
+        raise ConfigurationError(f"only {n_cross} distinct cross-identity pairs exist")
+    left_exp, right_exp = MODALITY_MODES[mode]
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, 300, _MODE_TAGS[mode]])
+    )
+
+    positive_pairs = [
+        (a, b) for group in groups for j, a in enumerate(group) for b in group[j + 1 :]
+    ]
+    if n_positive > 0 and not positive_pairs:
+        raise ConfigurationError("no identity has two samples; cannot build targets")
+    trials = []
+    if n_positive > 0:
+        replace = n_positive > len(positive_pairs)
+        chosen = rng.choice(len(positive_pairs), size=n_positive, replace=replace)
+        for k in chosen:
+            a, b = positive_pairs[k]
+            trials.append(Trial(a, b, left_exp, right_exp, True))
+
+    seen = set()  # one entry per nontarget trial drawn so far
+    attempts = 0
+    while len(seen) < n_negative:
+        attempts += 1
+        if attempts > 1000 * max(n_negative, 1):
+            raise ConfigurationError("cannot sample enough distinct nontarget pairs")
+        i1, i2 = rng.choice(len(groups), size=2, replace=False)
+        a = int(rng.choice(groups[i1]))
+        b = int(rng.choice(groups[i2]))
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
+        trials.append(Trial(a, b, left_exp, right_exp, False))
+    return trials
+
+
+def loop_boxplot_stats(values):
+    """Quartiles by linear interpolation with Tukey whiskers clamped to data."""
+    values = np.asarray(list(values), dtype=np.float64)
+    if values.size == 0:
+        raise DegenerateInputError("boxplot of an empty sequence")
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    iqr = q3 - q1
+    low_fence = q1 - 1.5 * iqr
+    high_fence = q3 + 1.5 * iqr
+    inside = values[(values >= low_fence) & (values <= high_fence)]
+    whisker_low = float(inside.min()) if inside.size else float(q1)
+    whisker_high = float(inside.max()) if inside.size else float(q3)
+    outliers = tuple(
+        float(v) for v in np.sort(values[(values < low_fence) | (values > high_fence)])
+    )
+    return BoxplotStats(
+        minimum=float(values.min()),
+        q1=float(q1),
+        median=float(median),
+        q3=float(q3),
+        maximum=float(values.max()),
+        whisker_low=whisker_low,
+        whisker_high=whisker_high,
+        outliers=outliers,
+    )
+
+
+def loop_read_framed(path, magic):
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise PersistenceError(f"cannot read {path}: {exc}") from exc
+    if len(blob) < len(magic) + 4 or blob[: len(magic)] != magic:
+        raise PersistenceError(f"{path}: bad magic, not a {magic.decode()} file")
+    (header_len,) = struct.unpack("<I", blob[len(magic) : len(magic) + 4])
+    start = len(magic) + 4
+    if len(blob) < start + header_len:
+        raise PersistenceError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[start : start + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PersistenceError(f"{path}: unparsable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise PersistenceError(f"{path}: header is not a JSON object")
+    if header.get("version") != 1:
+        raise PersistenceError(f"{path}: unsupported version {header.get('version')}")
+    return header, blob[start + header_len :]
+
+
+def loop_read_embeddings(path):
+    header, payload = loop_read_framed(path, EMBEDDING_MAGIC)
+    _check_fields(path, header, {
+        "d_a": _is_count, "d_v": _is_count, "count": _is_count,
+        "records": lambda r: _is_table(r, lambda sample_id: isinstance(sample_id, str)),
+    })
+    d_a, d_v, count = header["d_a"], header["d_v"], header["count"]
+    if len(header["records"]) != count:
+        raise PersistenceError(f"{path}: record table does not match count")
+    expected = count * (d_a + d_v) * 8
+    if len(payload) != expected:
+        raise PersistenceError(
+            f"{path}: payload length {len(payload)} != expected {expected}"
+        )
+    values = np.frombuffer(payload, dtype="<f8").reshape(count, d_a + d_v)
+    _check_finite(path, values)
+    return [
+        Sample(
+            identity_id=identity,
+            sample_id=sample_id,
+            audio=values[i, :d_a].astype(np.float64),
+            video=values[i, d_a:].astype(np.float64),
+        )
+        for i, (identity, sample_id) in enumerate(header["records"])
+    ]
+
+
+def loop_load_checkpoint(path):
+    """Returns (head, arc_head, provenance)."""
+    header, payload = loop_read_framed(path, CHECKPOINT_MAGIC)
+    _check_fields(path, header, {
+        "head": lambda meta: isinstance(meta, dict),
+        "arc": lambda arc: isinstance(arc, dict),
+        "tensors": lambda table: _is_table(
+            table, lambda shape: isinstance(shape, list) and all(map(_is_count, shape))
+        ),
+    })
+    meta = header["head"]
+    _check_fields(path, meta, {**{key: _is_number for key in meta}, **_HEAD_FIELDS})
+    _check_fields(path, header["arc"], {"scale": _is_number, "margin": _is_number})
+    tensors = {}
+    offset = 0
+    for name, shape in header["tensors"]:
+        size = math.prod(shape) * 8
+        if offset + size > len(payload):
+            raise PersistenceError(f"{path}: truncated payload at tensor {name}")
+        tensors[name] = (
+            np.frombuffer(payload[offset : offset + size], dtype="<f8")
+            .reshape(shape)
+            .astype(np.float64)
+        )
+        offset += size
+    if offset != len(payload):
+        raise PersistenceError(f"{path}: trailing bytes after last tensor")
+    _check_finite(path, np.frombuffer(payload, dtype="<f8"))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            head = HEAD_KINDS[meta["kind"]].from_state(
+                meta,
+                {k[len("head."):]: v for k, v in tensors.items()
+                 if k.startswith("head.")},
+            )
+            arc = ArcMarginHead(
+                prototypes=tensors["arc.prototypes"],
+                scale=header["arc"]["scale"],
+                margin=header["arc"]["margin"],
+            )
+            if arc.prototypes.shape[0] != head.d_e:
+                raise ShapeError(f"prototypes {arc.prototypes.shape} for d_e {head.d_e}")
+    except KeyError as exc:
+        raise PersistenceError(f"{path}: missing tensor {exc}") from exc
+    except (ShapeError, DegenerateInputError, ConfigurationError) as exc:
+        raise PersistenceError(f"{path}: inconsistent tensors: {exc}") from exc
+    except FloatingPointError as exc:
+        raise PersistenceError(f"{path}: tensor values out of range: {exc}") from exc
+    return head, arc, header.get("provenance", {})
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from avfusion.persistence import (
     read_epoch_log,
     read_report,
     save_checkpoint,
+    write_embeddings,
 )
 from avfusion.arcmargin import ArcMarginHead
 from avfusion.heads import MeanFusionHead, MlpFusionHead
@@ -210,6 +211,37 @@ class TestTrain:
         assert run(argv) == 0
         assert len(read_epoch_log(tmp_path / "mlp.log")) == 2
 
+    @staticmethod
+    def keep_identities(path, keep):
+        write_embeddings(path, [s for s in read_embeddings(path) if keep(s.identity_id)])
+
+    def test_validation_scored_with_training_class_indices(self, tmp_path):
+        # Validation holds only identities id0010 and above, so numbering
+        # them within the validation file would shift every label by 10.
+        assert run(generate_args(tmp_path, identities=20, per_identity=20)) == 0
+        self.keep_identities(tmp_path / "val.emb", lambda identity: identity >= "id0010")
+        assert run(train_args(tmp_path, tmp_path, extra=["--learning-rate", "0.1"])) == 0
+        head, arc, provenance = load_checkpoint(tmp_path / "mean.ckpt")
+        train_ids = sorted({s.identity_id for s in read_embeddings(tmp_path / "train.emb")})
+        val = read_embeddings(tmp_path / "val.emb")
+        labels = np.array([train_ids.index(s.identity_id) for s in val])
+        emb = head.embed(np.stack([s.audio for s in val]), np.stack([s.video for s in val]))
+        unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+        protos = arc.prototypes / np.linalg.norm(arc.prototypes, axis=0)
+        accuracy = float(np.mean((unit @ protos).argmax(axis=1) == labels))
+        assert accuracy > 0.3  # far above the 0.05 of chance
+        assert provenance["best_val_accuracy"] == accuracy
+
+    def test_validation_identity_missing_from_training_is_data_error(
+            self, tmp_path, capsys):
+        assert run(generate_args(tmp_path, identities=6)) == 0
+        self.keep_identities(tmp_path / "train.emb", lambda identity: identity < "id0004")
+        assert run(train_args(tmp_path, tmp_path)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "2 validation identities are not in the training set, first 'id0004'" in err
+        assert not (tmp_path / "mean.ckpt").exists()
+        assert not (tmp_path / "mean.log").exists()
+
     def test_missing_embeddings_is_io_error(self, tmp_path, capsys):
         code = run(train_args(tmp_path, tmp_path))
         assert code == cli.EXIT_IO
@@ -303,6 +335,49 @@ class TestEvaluate:
         assert run(argv) == cli.EXIT_CONFIG
         assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-positive", "--n-negative"])
+    def test_oversized_trial_count_is_config_error(self, pipeline, tmp_path, capsys,
+                                                   flag):
+        # 2**40 index entries cannot be allocated; the request is refused
+        # before any file is read (a missing one is not reported) or any
+        # directory made.
+        out = tmp_path / "out"
+        argv = self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt"])
+        argv[argv.index(flag) + 1] = str(2**40)
+        assert run(argv) == cli.EXIT_CONFIG
+        assert f"{flag} must be <= 1000000" in capsys.readouterr().err
+        assert not out.exists()
+        argv[argv.index("--test-embeddings") + 1] = str(tmp_path / "missing.emb")
+        assert run(argv) == cli.EXIT_CONFIG
+
+    def test_trials_the_test_set_cannot_hold_are_config_error(self, pipeline, tmp_path,
+                                                             capsys):
+        # The bound itself passes the flag check; the 12 test samples then
+        # hold too few cross-identity pairs, which the draw refuses before
+        # the output directory is made.
+        out = tmp_path / "out"
+        argv = self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt"])
+        argv[argv.index("--n-negative") + 1] = "1000000"
+        assert run(argv) == cli.EXIT_CONFIG
+        assert "only 120 distinct cross-identity pairs exist" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("same", ["file name", "path"])
+    def test_checkpoints_sharing_a_report_name_are_config_error(
+            self, pipeline, tmp_path, capsys, same):
+        first = tmp_path / "s0" / "mean.ckpt"
+        second = first if same == "path" else tmp_path / "s1" / "mean.ckpt"
+        for path in (first, second):
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes((pipeline / "mean.ckpt").read_bytes())
+        out = tmp_path / "out"
+        argv = self.evaluate_args(pipeline, out, [first, second])
+        assert run(argv) == cli.EXIT_CONFIG
+        assert "would write the same report" in capsys.readouterr().err
+        assert not out.exists()
+        argv[argv.index("--test-embeddings") + 1] = str(tmp_path / "missing.emb")
+        assert run(argv) == cli.EXIT_CONFIG
 
     def test_no_checkpoint_is_config_error(self, pipeline, tmp_path, capsys):
         code = run(["evaluate", "--test-embeddings",

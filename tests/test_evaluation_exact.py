@@ -6,6 +6,8 @@ loop references (`conftest.loop_*`) take a head and samples; `TableHead`
 turns drawn matrices into the embeddings both versions see.
 """
 
+import math
+import re
 import time
 
 import numpy as np
@@ -15,12 +17,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from avfusion.data import Sample
-from avfusion.errors import DegenerateInputError
+from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
     MODALITY_MODES,
     Trial,
     TrialArrays,
     audio_video_angles,
+    boxplot_stats,
+    build_trials,
     centroid_angle_matrix,
     compute_eer,
     embed_samples,
@@ -31,11 +35,14 @@ from avfusion.evaluation import (
 
 from conftest import (
     loop_audio_video_angles,
+    loop_boxplot_stats,
+    loop_build_trials,
     loop_centroid_angle_matrix,
     loop_compute_eer,
     loop_score_trials,
     loop_silhouette_score,
     loop_within_identity_angles,
+    small_dataset,
 )
 
 EXACT = settings(max_examples=150, deadline=None)
@@ -260,3 +267,96 @@ class TestSilhouette:
         score = silhouette_score(emb, labels, "cosine")
         assert time.perf_counter() - start < 2.0
         assert -1.0 <= score <= 1.0
+
+
+@st.composite
+def labelled_samples(draw):
+    """Samples of 0-8 identities of 1-6 samples each, in a shuffled order;
+    only the identities matter to the trial sampler."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=8))
+    ids = [f"id{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    order = draw(st.permutations(range(len(ids))))
+    return [Sample(ids[i], f"s{i}", np.zeros(1), np.zeros(1)) for i in order]
+
+
+def trials_and_next_draw(build, *args):
+    """(the trials or the ConfigurationError message, the next `random()` of
+    the generator the call drew from, or None when it made none)."""
+    created = []
+    default_rng = np.random.default_rng
+
+    def recording(*rng_args):
+        created.append(default_rng(*rng_args))
+        return created[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        try:
+            result = build(*args)
+        except ConfigurationError as exc:
+            result = str(exc)
+    return result, created[-1].random() if created else None
+
+
+class TestBuildTrials:
+    @EXACT
+    @given(labelled_samples(), st.sampled_from([*MODALITY_MODES, "XxX"]),
+           st.integers(0, 40), st.integers(0, 40), st.integers(0, 10**6))
+    @example([Sample(f"id{i % 2}", f"s{i}", np.zeros(1), np.zeros(1)) for i in range(2)],
+             "AxV", 3, 2, 0)  # singletons: no targets
+    @example([Sample(f"id{i % 3}", f"s{i}", np.zeros(1), np.zeros(1)) for i in range(9)],
+             "AVxAV", 40, 40, 7)  # targets drawn with replacement
+    @example([Sample(f"id{i % 2}", f"s{i}", np.zeros(1), np.zeros(1)) for i in range(4)],
+             "VxV", 1, 8, 3)  # every cross-identity pair drawn
+    def test_matches_loop(self, samples, mode, n_positive, n_negative, seed):
+        """Same Trial list or error, and the generator left at the same draw."""
+        args = (samples, mode, n_positive, n_negative, seed)
+        assert trials_and_next_draw(build_trials, *args) == \
+            trials_and_next_draw(loop_build_trials, *args)
+
+    def test_matches_loop_at_desk_size(self):
+        samples = small_dataset(n_identities=50, samples_per_identity=8)
+        for mode in MODALITY_MODES:
+            args = (samples, mode, 500, 500, 0)
+            assert trials_and_next_draw(build_trials, *args) == \
+                trials_and_next_draw(loop_build_trials, *args)
+
+
+# A zero of either sign, ties, outliers, infinities and NaN.
+BOX_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 100.0, -3.0]),
+    st.floats(),
+)
+
+
+def _unsigned_zeros(stats):
+    return re.sub(r"-0\.0(?=[,)])", "0.0", repr(stats))
+
+
+class TestBoxplotStats:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(BOX_VALUES, min_size=1, max_size=40))
+    @example([7.0])
+    @example([-0.0])
+    @example([np.inf])
+    @example([-np.inf, np.inf])
+    @example([np.nan, 1.0])
+    @example([1.0, 1.0, 1.0, 100.0])
+    @example([-1e308, 1e308, 0.0])
+    def test_matches_percentile(self, values):
+        """Every field equal by repr, so the sign of a zero too.
+
+        Where the values hold both zeros, +0.0 and -0.0, numpy's partition
+        and min/max reductions pick one of the two by an order of their own,
+        which no sorted-order rule reproduces; there the fields are the same
+        numbers, and only the sign of a zero may differ.  The program's
+        angles come from arccos and are never -0.0.
+        """
+        got = boxplot_stats(values)
+        with np.errstate(all="ignore"):  # np.percentile of huge values overflows
+            expected = loop_boxplot_stats(values)
+        zeros = {math.copysign(1.0, v) for v in values if v == 0.0}
+        if len(zeros) == 2:
+            assert _unsigned_zeros(got) == _unsigned_zeros(expected)
+        else:
+            assert repr(got) == repr(expected)

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,12 @@ from avfusion.persistence import (
 from avfusion.svgplot import render_boxplot_svg
 from avfusion.training import EpochRecord
 
-from conftest import make_head, small_dataset
+from conftest import (
+    loop_load_checkpoint,
+    loop_read_embeddings,
+    make_head,
+    small_dataset,
+)
 
 
 def random_samples(rng, n, d_a=5, d_v=7):
@@ -188,15 +194,35 @@ def intact_files(tmp_path_factory):
     return root, files
 
 
+_LOOP_READERS = {read_embeddings: loop_read_embeddings,
+                 load_checkpoint: loop_load_checkpoint}
+
+
+def _read_outcome(reader, path):
+    """What a reader makes of a file: its PersistenceError message, or every
+    loaded value as bytes.  Any other exception propagates."""
+    try:
+        result = reader(path)
+    except PersistenceError as exc:
+        return str(exc)
+    if reader in (read_embeddings, loop_read_embeddings):
+        return [(s.identity_id, s.sample_id, s.audio.dtype, s.audio.tobytes(),
+                 s.video.dtype, s.video.tobytes()) for s in result]
+    head, arc, provenance = result
+    tensors = {**head.state(), "arc": arc.prototypes}
+    return (head.kind, head.meta(), arc.scale, arc.margin, provenance,
+            {k: (v.dtype, v.shape, v.tobytes()) for k, v in tensors.items()})
+
+
 def _read_or_persistence_error(intact_files, name, blob):
+    """Reads `blob` as file `name`, which may fail with PersistenceError and
+    nothing else, and with the message or values of the loop reader that
+    copied the payload per tensor."""
     root, files = intact_files
     reader = files[name][0]
     path = root / "damaged"
     path.write_bytes(blob)
-    try:
-        reader(path)
-    except PersistenceError:
-        pass
+    assert _read_outcome(reader, path) == _read_outcome(_LOOP_READERS[reader], path)
 
 
 _FILE_NAMES = st.sampled_from(["emb", "mean", "mlp", "multiview"])
@@ -247,6 +273,11 @@ class TestDamagedFiles:
             header = value
         _read_or_persistence_error(intact_files, name, _framed(magic, header, payload))
 
+    @settings(max_examples=100, deadline=None)
+    @given(name=_FILE_NAMES, extra=st.binary(min_size=1, max_size=17))
+    def test_appended_bytes(self, intact_files, name, extra):
+        _read_or_persistence_error(intact_files, name, intact_files[1][name][2] + extra)
+
     @pytest.mark.parametrize("name", ["emb", "mean"])
     def test_non_finite_payload(self, intact_files, name):
         root, files = intact_files
@@ -272,6 +303,30 @@ class TestDamagedFiles:
         (root / "missing").write_bytes(_framed(magic, header, payload))
         with pytest.raises(PersistenceError):
             reader(root / "missing")
+
+
+class TestOneBufferReads:
+    @pytest.mark.parametrize("name", ["emb", "mean", "mlp", "multiview"])
+    def test_intact_files_load_as_the_loop_readers_load_them(self, intact_files, name):
+        _read_or_persistence_error(intact_files, name, intact_files[1][name][2])
+
+    def test_checkpoint_load_holds_one_copy_of_the_payload(self, tmp_path):
+        """The load peaks below 1.25 times the payload: the payload is read
+        into one buffer and the tensors are views of it."""
+        rng = np.random.default_rng(0)
+        head = make_head("mlp", rng, d_a=100, d_v=300, d_e=64, hidden=800)
+        arc = ArcMarginHead.create(rng, 64, 50)
+        path = tmp_path / "mlp.ckpt"
+        save_checkpoint(path, head, arc)
+        payload = 8 * (sum(v.size for v in head.state().values()) + arc.prototypes.size)
+        tracemalloc.start()
+        try:
+            loaded, _, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * payload, (peak, payload)
+        assert loaded.kind == "mlp"
 
 
 class TestEpochLog:

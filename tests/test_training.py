@@ -388,7 +388,7 @@ class TestValidateAccuracy:
             Sample(f"id{i}", f"id{i}-s0", np.eye(3)[i], np.zeros(3))
             for i in range(3)
         ]
-        assert validate_accuracy(head, arc, samples) == 1.0
+        assert validate_accuracy(head, arc, stack_samples(samples)[:3]) == 1.0
 
     def test_single_class(self, rng):
         head = make_head("mean", rng, d_a=4, d_v=6, d_e=3)
@@ -397,7 +397,7 @@ class TestValidateAccuracy:
             Sample("id0", f"id0-s{j}", rng.normal(size=4), rng.normal(size=6))
             for j in range(5)
         ]
-        assert validate_accuracy(head, arc, samples) == 1.0
+        assert validate_accuracy(head, arc, stack_samples(samples)[:3]) == 1.0
 
     def test_random_prototypes_chance_level(self):
         rng = np.random.default_rng(11)
@@ -409,7 +409,7 @@ class TestValidateAccuracy:
                    rng.normal(size=4), rng.normal(size=6))
             for i in range(n)
         ]
-        acc = validate_accuracy(head, arc, samples)
+        acc = validate_accuracy(head, arc, stack_samples(samples)[:3])
         p = 1 / n_classes
         assert abs(acc - p) <= 3 * np.sqrt(p * (1 - p) / n) + 0.02
 
