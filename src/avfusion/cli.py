@@ -183,6 +183,11 @@ def cmd_generate(cfg):
         video_noise_sigma=cfg["video_noise_sigma"],
         seed=cfg["seed"],
     ).validate()
+    # A verification trial pairs two identities; with one, evaluate and
+    # diagnose could only reject the split.
+    if dataset_config.n_identities < 2:
+        raise ConfigurationError(
+            f"--n-identities must be >= 2, got {dataset_config.n_identities}")
     specs = data_mod.generate_identities(dataset_config)
     samples = data_mod.sample_dataset(specs, dataset_config)
     rest, test = data_mod.split_dataset(samples, cfg["test_fraction"], cfg["seed"])
@@ -235,7 +240,7 @@ def cmd_train(cfg):
         lambda_audio=cfg["lambda_audio"],
         lambda_video=cfg["lambda_video"],
         seed=cfg["seed"],
-    ).validate()
+    )
     result = train_run(head, arc, train_samples, val_samples, training_config)
     provenance = {
         "config": {k: v for k, v in sorted(cfg.items()) if k != "config"},
@@ -330,12 +335,12 @@ def cmd_diagnose(cfg):
     warnings = 0
     for name, family in families.items():
         groups = [
-            (identity, [eval_mod.boxplot_stats(angles) if angles else None])
+            (identity, eval_mod.boxplot_stats(angles) if angles else None)
             for identity, angles in sorted(family.per_identity.items())
         ]
         svgplot.render_boxplot_svg(
-            os.path.join(cfg["out_dir"], f"{name}.svg"), groups, [head.kind],
-            title=name.replace("_", " "),
+            os.path.join(cfg["out_dir"], f"{name}.svg"), groups, head.kind,
+            name.replace("_", " "),
         )
         warnings += family.warnings
     summary = {"silhouette": dict(report.silhouette), "warnings": warnings,

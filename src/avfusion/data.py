@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_array_size
 from .rng import substream
 
 
@@ -33,6 +33,9 @@ class DatasetConfig:
             raise ConfigurationError("audio_noise_sigma must be >= 0")
         if self.video_noise_sigma < 0:
             raise ConfigurationError("video_noise_sigma must be >= 0")
+        check_array_size(
+            "the samples",
+            self.n_identities * self.samples_per_identity * (self.d_a + self.d_v))
         return self
 
 
@@ -74,11 +77,10 @@ def sample_dataset(specs, config: DatasetConfig):
     if not specs:
         raise ConfigurationError("no identity specs given")
     samples = []
-    for spec in specs:
-        # Per-identity derived stream keeps generation order-independent.
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, 100, _id_index(spec.identity_id)])
-        )
+    for index, spec in enumerate(specs):
+        # Each identity's noise stream derives from its position in `specs`,
+        # so no two identities share one, whatever their names.
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 100, index]))
         noise_a = rng.normal(size=(config.samples_per_identity, config.d_a))
         noise_v = rng.normal(size=(config.samples_per_identity, config.d_v))
         for j in range(config.samples_per_identity):
@@ -91,11 +93,6 @@ def sample_dataset(specs, config: DatasetConfig):
                 )
             )
     return samples
-
-
-def _id_index(identity_id: str) -> int:
-    digits = "".join(ch for ch in identity_id if ch.isdigit())
-    return int(digits) if digits else 0
 
 
 def split_dataset(samples, fraction, seed):

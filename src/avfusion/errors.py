@@ -37,6 +37,17 @@ class PersistenceError(AvFusionError, ValueError):
     """A file could not be parsed or does not match the expected format."""
 
 
+# The most float64 values one array may hold, 2**31 (16 GiB).  A request for
+# a larger one is a configuration error, raised before anything is allocated.
+MAX_ARRAY_ELEMENTS = 2**31
+
+
+def check_array_size(what, n_elements):
+    if n_elements > MAX_ARRAY_ELEMENTS:
+        raise ConfigurationError(
+            f"{what} would hold {n_elements} values, more than {MAX_ARRAY_ELEMENTS}")
+
+
 @contextmanager
 def float_errors_as_degenerate(what):
     """Runs the block with numpy overflow, 0/0 and x/0 raising, and reports

@@ -32,13 +32,13 @@ DEFAULT_LEAKY_SLOPE = 0.01
 FULL_DIMS = {"d_a": 356, "d_v": 2048, "d_e": 256, "hidden": 1330}
 DESK_DIMS = {"d_a": 16, "d_v": 32, "d_e": 8, "hidden": 24}
 
-# Mask modes, as indices into TrainingConfig.mask_probabilities.
 MASK_VIDEO, MASK_AUDIO, MASK_NONE = 0, 1, 2
 
 
-def sample_mask_modes(rng, n, probabilities=(1 / 3, 1 / 3, 1 / 3)):
-    """One of MASK_VIDEO / MASK_AUDIO / MASK_NONE per sample, i.i.d."""
-    return rng.choice(3, size=n, p=np.asarray(probabilities))
+def sample_mask_modes(rng, n):
+    """One of MASK_VIDEO / MASK_AUDIO / MASK_NONE per sample, i.i.d. with
+    probability 1/3 each."""
+    return rng.choice(3, size=n, p=np.asarray((1 / 3, 1 / 3, 1 / 3)))
 
 
 def apply_masks(audio, video, modes):
@@ -119,9 +119,9 @@ class _Head:
 
     def loss_terms(self, audio, video, config, mask_rng=None, rng=None):
         """([(weight, train-mode embeddings)], cache); `mask_rng` draws the
-        modality masks with `config.mask_probabilities`."""
+        modality masks."""
         if mask_rng is not None:
-            modes = sample_mask_modes(mask_rng, len(audio), config.mask_probabilities)
+            modes = sample_mask_modes(mask_rng, len(audio))
             audio, video = apply_masks(audio, video, modes)
         emb, cache = self.forward(audio, video, train=True, rng=rng)
         return [(1.0, emb)], cache
@@ -214,6 +214,9 @@ class MlpFusionHead(_Head):
         if not 0 < d_a < self.layers[0].in_dim:
             raise ShapeError(f"audio dim {d_a} does not split input dim "
                              f"{self.layers[0].in_dim}")
+        if not leaky_slope >= 0:
+            raise ConfigurationError(
+                f"leaky ReLU slope must be >= 0, got {leaky_slope}")
         self._d_a = d_a
         self.dropout = dropout or DropoutSpec()
         self.leaky_slope = leaky_slope

@@ -11,15 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateBatchError, ShapeError
+from .errors import ConfigurationError, DegenerateBatchError, ShapeError, check_array_size
 
-
-def uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int):
-    """Weight/bias init uniform in +-1/sqrt(fan_in)."""
-    bound = 1.0 / np.sqrt(in_dim)
-    weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    bias = rng.uniform(-bound, bound, size=out_dim)
-    return weight, bias
+# Batch norm's variance guard and running-statistics momentum.
+BN_EPS = 1e-05
+BN_MOMENTUM = 0.1
 
 
 @dataclass
@@ -35,7 +31,11 @@ class LinearLayer:
 
     @classmethod
     def create(cls, rng, in_dim, out_dim):
-        weight, bias = uniform_init(rng, out_dim, in_dim)
+        """Weight and bias uniform in +-1/sqrt(in_dim)."""
+        check_array_size(f"a {out_dim} x {in_dim} weight matrix", out_dim * in_dim)
+        bound = 1.0 / np.sqrt(in_dim)
+        weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+        bias = rng.uniform(-bound, bound, size=out_dim)
         return cls(weight=weight, bias=bias)
 
     @property
@@ -68,7 +68,7 @@ class BatchNormLayer:
     """Per-feature batch normalization with running statistics.
 
     Train mode normalizes by the batch mean and population variance (divide
-    by N) and updates running stats with the configured momentum; the running
+    by N) and updates running stats with momentum BN_MOMENTUM; the running
     variance update uses the unbiased (N-1) estimate.  Eval mode normalizes
     by the running stats.
     """
@@ -77,8 +77,6 @@ class BatchNormLayer:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-05
-    momentum: float = 0.1
 
     TRAINED = ("gamma", "beta")
     STATE = TRAINED + ("running_mean", "running_var")
@@ -114,15 +112,15 @@ class BatchNormLayer:
             var = x.var(axis=0)  # population convention
             unbiased = var * n / (n - 1)
             self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
+                (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             )
             self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased
+                (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
             )
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
         out = self.gamma * xhat + self.beta
         cache = (xhat, inv_std, train, x.shape[0])
@@ -146,8 +144,6 @@ class BatchNormLayer:
 
 def leaky_relu(x: np.ndarray, slope: float):
     """Element-wise max(x, slope*x); cache is the input sign mask."""
-    if slope < 0:
-        raise ShapeError("leaky ReLU slope must be >= 0")
     mask = x >= 0
     out = np.where(mask, x, slope * x)
     return out, mask

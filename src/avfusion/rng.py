@@ -1,7 +1,7 @@
 """Named, seed-derived random streams.
 
 Every source of randomness in a run is derived from one base seed plus a
-stream name, so individual components (data, init, dropout, masking, trials)
+stream name, so individual components (data, init, dropout, masking, shuffle)
 can be varied independently while keeping runs reproducible.
 """
 
@@ -15,7 +15,6 @@ _STREAM_TAGS = {
     "init": 1,
     "dropout": 2,
     "masking": 3,
-    "trials": 4,
     "shuffle": 5,
 }
 

@@ -6,7 +6,7 @@ formatted at fixed precision and no timestamps or ids are embedded.
 
 from .errors import DegenerateInputError
 
-_COLORS = ["#c0392b", "#27ae60", "#2980b9", "#8e44ad", "#f39c12"]
+_COLOR = "#c0392b"
 
 BOX_WIDTH = 14
 GROUP_GAP = 18
@@ -20,33 +20,27 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
-def render_boxplot_svg(path, groups, labels, title=""):
-    """Grouped boxplots: one box per label inside each group.
+def render_boxplot_svg(path, groups, label, title):
+    """One box per group, and one legend entry, `label`, for all of them.
 
-    `groups` is an ordered list of (group_name, [BoxplotStats, ...]) with one
-    stats entry per label (None entries are skipped).
+    `groups` is an ordered list of (group_name, BoxplotStats or None); a
+    None group gets its name on the axis and no box.
     """
     groups = list(groups)
     if not groups:
         raise DegenerateInputError("no boxplot groups")
-    lows, highs = [], []
-    for _, stats_list in groups:
-        for stats in stats_list:
-            if stats is None:
-                continue
-            lows.append(min(stats.whisker_low, *(stats.outliers or (stats.whisker_low,))))
-            highs.append(max(stats.whisker_high, *(stats.outliers or (stats.whisker_high,))))
-    if not lows:
+    present = [stats for _, stats in groups if stats is not None]
+    if not present:
         raise DegenerateInputError("all boxplot groups are empty")
-    y_min, y_max = min(lows), max(highs)
+    y_min = min(min((s.whisker_low, *s.outliers)) for s in present)
+    y_max = max(max((s.whisker_high, *s.outliers)) for s in present)
     if y_max == y_min:
         y_max = y_min + 1.0
     pad = 0.05 * (y_max - y_min)
     y_min -= pad
     y_max += pad
 
-    n_labels = max(len(stats_list) for _, stats_list in groups)
-    group_width = n_labels * BOX_WIDTH + GROUP_GAP
+    group_width = BOX_WIDTH + GROUP_GAP
     width = MARGIN_LEFT + len(groups) * group_width + 140
     height = MARGIN_TOP + PLOT_HEIGHT + MARGIN_BOTTOM
 
@@ -58,12 +52,9 @@ def render_boxplot_svg(path, groups, labels, title=""):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        f'font-size="13" font-family="sans-serif">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif">{title}</text>'
-        )
     # y axis with ticks
     axis_bottom = MARGIN_TOP + PLOT_HEIGHT
     parts.append(
@@ -88,60 +79,54 @@ def render_boxplot_svg(path, groups, labels, title=""):
         "angle (degrees)</text>"
     )
 
-    for g, (group_name, stats_list) in enumerate(groups):
+    for g, (group_name, stats) in enumerate(groups):
         group_x = MARGIN_LEFT + GROUP_GAP / 2 + g * group_width
-        for b, stats in enumerate(stats_list):
-            if stats is None:
-                continue
-            color = _COLORS[b % len(_COLORS)]
-            x0 = group_x + b * BOX_WIDTH + 2
+        if stats is not None:
+            x0 = group_x + 2
             x1 = x0 + BOX_WIDTH - 4
             xc = (x0 + x1) / 2
             y_q1, y_q3 = y(stats.q1), y(stats.q3)
             parts.append(
                 f'<line x1="{_fmt(xc)}" y1="{_fmt(y(stats.whisker_high))}" '
-                f'x2="{_fmt(xc)}" y2="{_fmt(y_q3)}" stroke="{color}"/>'
+                f'x2="{_fmt(xc)}" y2="{_fmt(y_q3)}" stroke="{_COLOR}"/>'
             )
             parts.append(
                 f'<line x1="{_fmt(xc)}" y1="{_fmt(y_q1)}" x2="{_fmt(xc)}" '
-                f'y2="{_fmt(y(stats.whisker_low))}" stroke="{color}"/>'
+                f'y2="{_fmt(y(stats.whisker_low))}" stroke="{_COLOR}"/>'
             )
             parts.append(
                 f'<rect class="box" x="{_fmt(x0)}" y="{_fmt(y_q3)}" '
                 f'width="{_fmt(x1 - x0)}" height="{_fmt(y_q1 - y_q3)}" '
-                f'fill="{color}" fill-opacity="0.35" stroke="{color}"/>'
+                f'fill="{_COLOR}" fill-opacity="0.35" stroke="{_COLOR}"/>'
             )
             y_med = y(stats.median)
             parts.append(
                 f'<line x1="{_fmt(x0)}" y1="{_fmt(y_med)}" x2="{_fmt(x1)}" '
-                f'y2="{_fmt(y_med)}" stroke="{color}" stroke-width="2"/>'
+                f'y2="{_fmt(y_med)}" stroke="{_COLOR}" stroke-width="2"/>'
             )
             for outlier in stats.outliers:
                 parts.append(
                     f'<circle class="outlier" cx="{_fmt(xc)}" '
-                    f'cy="{_fmt(y(outlier))}" r="1.5" fill="{color}"/>'
+                    f'cy="{_fmt(y(outlier))}" r="1.5" fill="{_COLOR}"/>'
                 )
+        label_x = _fmt(group_x + BOX_WIDTH / 2)
         parts.append(
-            f'<text x="{_fmt(group_x + n_labels * BOX_WIDTH / 2)}" '
-            f'y="{axis_bottom + 14}" text-anchor="end" font-size="9" '
-            f'font-family="sans-serif" transform="rotate(-45 '
-            f'{_fmt(group_x + n_labels * BOX_WIDTH / 2)} {axis_bottom + 14})">'
-            f"{group_name}</text>"
+            f'<text x="{label_x}" y="{axis_bottom + 14}" text-anchor="end" '
+            f'font-size="9" font-family="sans-serif" transform="rotate(-45 '
+            f'{label_x} {axis_bottom + 14})">{group_name}</text>'
         )
 
     # legend
     legend_x = width - 130
-    for b, label in enumerate(labels):
-        color = _COLORS[b % len(_COLORS)]
-        ly = MARGIN_TOP + 10 + b * 16
-        parts.append(
-            f'<rect x="{legend_x}" y="{ly}" width="10" height="10" '
-            f'fill="{color}" fill-opacity="0.35" stroke="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 14}" y="{ly + 9}" font-size="10" '
-            f'font-family="sans-serif">{label}</text>'
-        )
+    legend_y = MARGIN_TOP + 10
+    parts.append(
+        f'<rect x="{legend_x}" y="{legend_y}" width="10" height="10" '
+        f'fill="{_COLOR}" fill-opacity="0.35" stroke="{_COLOR}"/>'
+    )
+    parts.append(
+        f'<text x="{legend_x + 14}" y="{legend_y + 9}" font-size="10" '
+        f'font-family="sans-serif">{label}</text>'
+    )
     parts.append("</svg>")
     document = "\n".join(parts) + "\n"
     with open(path, "w", encoding="utf-8") as fh:

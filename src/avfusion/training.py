@@ -20,14 +20,12 @@ from .errors import (
     DegenerateInputError,
     float_errors_as_degenerate,
 )
+from .layers import BatchNormLayer
 from .rng import substream
 
 @dataclass(frozen=True)
 class TrainingConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-08
     weight_decay: float = 0.01
     batch_size: int = 128
     max_epochs: int = 10
@@ -35,21 +33,17 @@ class TrainingConfig:
     lr_decay_factor: float = 0.95
     lambda_audio: float = 0.5
     lambda_video: float = 0.5
-    mask_probabilities: tuple = (1 / 3, 1 / 3, 1 / 3)  # (video, audio, none)
     seed: int = 0
 
     def validate(self):
         # Every check is written to fail on NaN.
-        for name in ("learning_rate", "beta1", "beta2", "eps", "weight_decay",
-                     "clip_norm", "lr_decay_factor", "lambda_audio", "lambda_video"):
+        for name in ("learning_rate", "weight_decay", "clip_norm", "lr_decay_factor",
+                     "lambda_audio", "lambda_video"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
         for name in ("learning_rate", "weight_decay", "lambda_audio", "lambda_video"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be in [0, 1)")
         if not 0 < self.lr_decay_factor <= 1:
             raise ConfigurationError("lr_decay_factor must be in (0, 1]")
         for name in ("batch_size", "max_epochs"):
@@ -57,10 +51,6 @@ class TrainingConfig:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.clip_norm <= 0:
             raise ConfigurationError("clip_norm must be > 0")
-        if not abs(sum(self.mask_probabilities) - 1.0) <= 1e-9:
-            raise ConfigurationError("mask probabilities must sum to 1")
-        if any(p < 0 for p in self.mask_probabilities):
-            raise ConfigurationError("mask probabilities must be >= 0")
         return self
 
 
@@ -72,6 +62,11 @@ class EpochRecord:
     lr: float
     is_best: bool
 
+
+# Adam's moment decay rates and denominator guard (Loshchilov & Hutter,
+# arXiv 1711.05101).
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-08
 
 # Elements per block of the fused AdamW pass: the block's slices of the
 # parameters, gradients, both moments and the two scratch arrays (6 x 128 KiB)
@@ -119,7 +114,7 @@ class ParamStore:
 class AdamW:
     """Adam with decoupled weight decay over one flat parameter buffer.
 
-    Per element, step t does
+    Per element, step t does, with (b1, b2) = ADAM_BETAS and eps = ADAM_EPS,
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
         p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
         p -= lr*wd * p
@@ -145,12 +140,11 @@ class AdamW:
                 f"{grads.shape} do not match the optimizer's "
                 f"{self.first_moment.shape}"
             )
-        cfg = self.config
         self.step_count += 1
         t = self.step_count
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2 = ADAM_BETAS
         c1, c2 = 1 - b1**t, 1 - b2**t
-        decay = lr * cfg.weight_decay
+        decay = lr * self.config.weight_decay
         for start in range(0, params.size, ADAMW_BLOCK):
             stop = start + ADAMW_BLOCK
             p, g = params[start:stop], grads[start:stop]
@@ -165,7 +159,7 @@ class AdamW:
             v += a
             np.divide(v, c2, out=a)
             np.sqrt(a, out=a)
-            a += cfg.eps
+            a += ADAM_EPS
             np.divide(m, c1, out=b)
             b *= lr
             b /= a
@@ -256,6 +250,11 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
 
 def _train_run(head, arc_head, train_samples, val_samples, config):
     config.validate()
+    if config.batch_size < 2 and any(isinstance(layer, BatchNormLayer)
+                                     for _, layer in head.named_layers()):
+        raise ConfigurationError(
+            f"batch_size must be >= 2 for the {head.kind} head: train-mode "
+            "batch norm needs two rows")
     train_ids = {s.sample_id for s in train_samples}
     if train_ids & {s.sample_id for s in val_samples}:
         raise ConfigurationError("train and validation splits must be disjoint")

@@ -40,7 +40,13 @@ from avfusion.persistence import (
     _is_number,
     _is_table,
 )
-from avfusion.training import ParamStore, TrainingConfig, batch_loss
+from avfusion.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    ParamStore,
+    TrainingConfig,
+    batch_loss,
+)
 
 # Default loss weights (lambda_audio = lambda_video = 0.5); built once, as
 # the gradient check evaluates the loss over a hundred thousand times.
@@ -353,12 +359,14 @@ def loop_silhouette_score(embeddings, labels, distance="cosine"):
 
 # Loop references of the optimizer: the per-tensor AdamW step and the copying
 # clip that the flat store's fused pass replaced, kept verbatim (renamed
-# loop_*).  `loop_adamw_step` is the former `AdamW.step` method, and
-# `LoopAdamW` the state it runs on.
+# loop_*) but for the Adam moments and eps, which `loop_adamw_step` reads from
+# ADAM_BETAS and ADAM_EPS as the config fields they replaced.  It is the former
+# `AdamW.step` method, and `LoopAdamW` the state it runs on.
 
 
 def loop_adamw_step(self, params: dict, grads: dict, lr: float):
     cfg = self.config
+    beta1, beta2 = ADAM_BETAS
     self.step_count += 1
     t = self.step_count
     for name in sorted(params):
@@ -371,13 +379,13 @@ def loop_adamw_step(self, params: dict, grads: dict, lr: float):
             )
         m = self.first_moment.setdefault(name, np.zeros_like(p))
         v = self.second_moment.setdefault(name, np.zeros_like(p))
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * np.square(g)
-        m_hat = m / (1 - cfg.beta1**t)
-        v_hat = v / (1 - cfg.beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * np.square(g)
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p -= lr * cfg.weight_decay * p
 
 

@@ -69,6 +69,18 @@ def huge_weight_checkpoint(pipeline, out_dir):
     return path
 
 
+def rewrite_header(source, target, edit):
+    """Writes framed file `source` to `target` with `edit` applied to its
+    JSON header."""
+    blob = source.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    edit(header)
+    body = json.dumps(header).encode("utf-8")
+    target.write_bytes(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + length :])
+    return target
+
+
 def run_recording_warnings(argv):
     """(exit code, RuntimeWarnings raised) of one CLI call."""
     with warnings.catch_warnings(record=True) as caught:
@@ -118,6 +130,22 @@ class TestGenerate:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "1.5" in err and "val_fraction" not in err
+
+    def test_single_identity_is_config_error(self, tmp_path, capsys):
+        # A verification trial pairs two identities; evaluate and diagnose
+        # could only reject a one-identity split.
+        out = tmp_path / "out"
+        assert run(generate_args(out, identities=1)) == cli.EXIT_CONFIG
+        assert "--n-identities must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_request_is_config_error(self, tmp_path, capsys):
+        # 2**42 identities' prototypes alone would take 2**49 bytes, more
+        # than any address space; the request is refused before allocation.
+        out = tmp_path / "out"
+        assert run(generate_args(out, identities=2**42)) == cli.EXIT_CONFIG
+        assert f"more than {2**31}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -211,6 +239,29 @@ class TestTrain:
         assert run(argv) == 0
         assert len(read_epoch_log(tmp_path / "mlp.log")) == 2
 
+    def test_batch_size_one_is_config_error_for_batch_norm(self, pipeline, tmp_path,
+                                                            capsys):
+        argv = train_args(pipeline, tmp_path, head="mlp", extra=["--batch-size", "1"])
+        assert run(argv) == cli.EXIT_CONFIG
+        assert "batch_size must be >= 2 for the mlp head" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # a head without batch norm trains on single rows
+        argv = train_args(pipeline, tmp_path, head="multiview",
+                          extra=["--batch-size", "1", "--max-epochs", "1"])
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize("head, extra", [
+        ("mean", ["--d-e", str(2**44)]), ("mlp", ["--hidden", str(2**40)]),
+    ])
+    def test_oversized_dimension_is_config_error(self, pipeline, tmp_path, capsys,
+                                                 head, extra):
+        # The first weight matrix alone would take 2**48 bytes or more, more
+        # than any address space; it is refused before it is allocated.
+        argv = train_args(pipeline, tmp_path, head=head, extra=extra)
+        assert run(argv) == cli.EXIT_CONFIG
+        assert f"more than {2**31}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def keep_identities(path, keep):
         write_embeddings(path, [s for s in read_embeddings(path) if keep(s.identity_id)])
@@ -292,14 +343,8 @@ class TestEvaluate:
         assert len(lines) == 3
 
     def test_header_without_d_a_is_io_error(self, pipeline, tmp_path, capsys):
-        blob = (pipeline / "test.emb").read_bytes()
-        (length,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12 : 12 + length])
-        del header["d_a"]
-        body = json.dumps(header).encode("utf-8")
-        damaged = tmp_path / "test.emb"
-        damaged.write_bytes(blob[:8] + struct.pack("<I", len(body)) + body
-                            + blob[12 + length :])
+        damaged = rewrite_header(pipeline / "test.emb", tmp_path / "test.emb",
+                                 lambda header: header.pop("d_a"))
         argv = self.evaluate_args(pipeline, tmp_path, [pipeline / "mean.ckpt"])
         argv[argv.index("--test-embeddings") + 1] = str(damaged)
         assert run(argv) == cli.EXIT_IO
@@ -459,6 +504,30 @@ class TestInconsistentCheckpoints:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "inconsistent tensors" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_negative_leaky_slope_is_io_error(self, pipeline, tmp_path, capsys,
+                                              command):
+        # The bad checkpoint fails at load, so evaluate writes no report of
+        # the good one given before it, and neither command makes --out-dir.
+        rng = np.random.default_rng(0)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, MlpFusionHead.create(rng, 16, 32, 8, hidden=24),
+                        ArcMarginHead.create(rng, 8, 6))
+        rewrite_header(bad, bad, lambda header: header["head"].update(leaky_slope=-0.5))
+        out = tmp_path / "out"
+        if command == "evaluate":
+            argv = ["evaluate", "--test-embeddings", str(pipeline / "test.emb"),
+                    "--checkpoint", str(pipeline / "mean.ckpt"), "--checkpoint", str(bad),
+                    "--n-positive", "30", "--n-negative", "30", "--out-dir", str(out)]
+        else:
+            argv = ["diagnose", "--checkpoint", str(bad),
+                    "--embeddings", str(pipeline / "test.emb"), "--out-dir", str(out)]
+        assert run(argv) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leaky ReLU slope must be >= 0, got -0.5" in captured.err
         assert not out.exists()
 
 

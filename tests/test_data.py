@@ -3,6 +3,7 @@ import pytest
 
 from avfusion.data import (
     DatasetConfig,
+    IdentitySpec,
     generate_identities,
     sample_dataset,
     split_dataset,
@@ -98,6 +99,17 @@ class TestSampleDataset:
         for x, y in zip(a, b):
             assert x.sample_id == y.sample_id
             assert np.array_equal(x.audio, y.audio)
+
+    def test_noise_stream_follows_position_not_name(self):
+        # Digit-free names (alice, bob) and names whose digits collide (id1,
+        # id01) get the noise of their position, as generated ids do.
+        config = DatasetConfig(n_identities=4, samples_per_identity=3, seed=2)
+        specs = generate_identities(config)
+        renamed = [IdentitySpec(name, spec.audio_prototype, spec.video_prototype)
+                   for name, spec in zip(("alice", "bob", "id1", "id01"), specs)]
+        for a, b in zip(sample_dataset(specs, config), sample_dataset(renamed, config)):
+            assert np.array_equal(a.audio, b.audio)
+            assert np.array_equal(a.video, b.video)
 
     def test_within_identity_angle_grows_with_sigma(self):
         medians = []

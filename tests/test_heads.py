@@ -3,13 +3,14 @@ import pytest
 
 from avfusion.arcmargin import ArcMarginHead
 from avfusion.errors import (
+    ConfigurationError,
     ConsistencyError,
     DegenerateBatchError,
     DegenerateInputError,
     ShapeError,
 )
 from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
-from avfusion.layers import BatchNormLayer, DropoutSpec, LinearLayer
+from avfusion.layers import BN_EPS, BatchNormLayer, DropoutSpec, LinearLayer
 
 from conftest import LOSS_CONFIG, dropout_state, gradient_check, make_head, replay
 
@@ -79,7 +80,7 @@ def mlp_reference_forward(head, x):
     for lin, bn in zip(head.layers, head.norms):
         z = x @ lin.weight.T + lin.bias
         r = np.where(z >= 0, z, head.leaky_slope * z)
-        x = bn.gamma * (r - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+        x = bn.gamma * (r - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
         x = x + bn.beta
     return x
 
@@ -130,6 +131,12 @@ class TestMlpFusion:
             norms[2] = BatchNormLayer.create(2)
         with pytest.raises(ShapeError):
             MlpFusionHead(layers, norms, 4)
+
+    def test_negative_slope_rejected(self, rng):
+        head = MlpFusionHead.create(rng, 4, 6, 3, hidden=5)
+        for slope in (-0.5, float("nan")):
+            with pytest.raises(ConfigurationError, match="leaky ReLU slope must be >= 0"):
+                MlpFusionHead(head.layers, head.norms, 4, leaky_slope=slope)
 
 
 class TestMultiView:

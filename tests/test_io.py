@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -397,36 +398,49 @@ class TestReports:
         assert list(tmp_path.iterdir()) == []
 
 
+# See TestSvgBoxplots.test_bytes_of_the_former_one_label_call.
+SVG_SHA256 = "61c544a18b9881456d3ef78fa3d93bc6725aa1b7f96a4c652dcefa1c113bd905"
+
+
 class TestSvgBoxplots:
     def test_single_box(self, tmp_path):
         stats = boxplot_stats([1.0, 2.0, 3.0])
         path = tmp_path / "one.svg"
-        doc = render_boxplot_svg(path, [("g0", [stats])], ["model"])
+        doc = render_boxplot_svg(path, [("g0", stats)], "model", "t")
         assert doc.startswith("<svg")
         assert doc.count('class="box"') == 1
         assert path.read_text() == doc
 
     def test_deterministic_bytes(self, tmp_path, rng):
-        groups = [
-            (f"id{i}", [boxplot_stats(rng.normal(size=20))]) for i in range(4)
-        ]
+        groups = [(f"id{i}", boxplot_stats(rng.normal(size=20))) for i in range(4)]
         p1 = tmp_path / "a.svg"
         p2 = tmp_path / "b.svg"
-        render_boxplot_svg(p1, groups, ["m"])
-        render_boxplot_svg(p2, groups, ["m"])
+        render_boxplot_svg(p1, groups, "m", "t")
+        render_boxplot_svg(p2, groups, "m", "t")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_box_count_three_models_five_groups(self, tmp_path, rng):
+    def test_box_per_group_and_one_legend_entry(self, tmp_path, rng):
+        groups = [(f"id{i}", boxplot_stats(rng.normal(size=20))) for i in range(4)]
+        doc = render_boxplot_svg(tmp_path / "g.svg", [*groups, ("id4", None)],
+                                 "mlp", "t")
+        assert doc.count('class="box"') == 4
+        assert doc.count(">id4</text>") == 1
+        assert doc.count(">mlp</text>") == 1
+
+    def test_bytes_of_the_former_one_label_call(self, tmp_path):
+        # sha256 of what the renderer wrote for these groups when it took a
+        # list of stats per group and a list of labels, called as
+        # `diagnose` called it: one stats entry per group and one label.
         groups = [
-            (f"id{i}", [boxplot_stats(rng.normal(size=20)) for _ in range(3)])
-            for i in range(5)
+            ("id0000", boxplot_stats([10.0, 12.5, 13.0, 40.0, 11.0])),
+            ("id0001", None),
+            ("id0002", boxplot_stats([7.25])),
+            ("id0003", boxplot_stats([20.0, 20.0, 21.0, 19.0, 90.0, 1.0])),
         ]
-        doc = render_boxplot_svg(
-            tmp_path / "grid.svg", groups, ["mean", "mlp", "multiview"]
-        )
-        assert doc.count('class="box"') == 15
+        doc = render_boxplot_svg(tmp_path / "f.svg", groups, "mean", "audio video")
+        assert hashlib.sha256(doc.encode()).hexdigest() == SVG_SHA256
 
     def test_outlier_markers(self, tmp_path):
         stats = boxplot_stats([1.0, 1.0, 1.0, 100.0])
-        doc = render_boxplot_svg(tmp_path / "o.svg", [("g", [stats])], ["m"])
+        doc = render_boxplot_svg(tmp_path / "o.svg", [("g", stats)], "m", "t")
         assert doc.count('class="outlier"') == 1
