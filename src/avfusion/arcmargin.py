@@ -8,7 +8,7 @@ cos(theta) - m*sin(m) is used instead.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,13 @@ class ArcMarginHead:
     def n_classes(self):
         return self.prototypes.shape[1]
 
+    def unit_prototypes(self):
+        """(w_hat, norms): the prototype columns scaled to unit length, and
+        their lengths.  A training step forms them once for all its loss
+        terms."""
+        norms = np.sqrt(np.add.reduce(self.prototypes * self.prototypes, axis=0))
+        return self.prototypes / norms, norms
+
 
 def softmax_cross_entropy(logits, target):
     """-log softmax(logits)[target] with max-subtraction stabilization."""
@@ -57,27 +64,30 @@ def softmax_cross_entropy(logits, target):
     return float(np.log(np.exp(shifted).sum()) - shifted[target])
 
 
-def _cosines(head, embeddings):
-    """Row-normalized embeddings against column-normalized prototypes.
+def _cosines(embeddings, w_hat):
+    """Row-normalized embeddings against the unit prototype columns `w_hat`.
 
     Exactly-zero rows (which a ReLU head can emit) keep an all-zero
     direction; the returned `zero` mask marks them, so a caller can reject
     them or zero their gradient.
     """
-    norms = np.linalg.norm(embeddings, axis=1)
+    # np.linalg.norm(embeddings, axis=1) as numpy forms it, without its
+    # argument handling.
+    norms = np.sqrt(np.add.reduce(embeddings * embeddings, axis=1))
     zero = norms == 0.0
     norms[zero] = 1.0
     e_hat = embeddings / norms[:, None]
-    proto_norms = np.linalg.norm(head.prototypes, axis=0)
-    w_hat = head.prototypes / proto_norms
-    cos = np.clip(e_hat @ w_hat, -1.0, 1.0)
-    return cos, e_hat, w_hat, norms, proto_norms, zero
+    cos = e_hat @ w_hat
+    np.minimum(cos, 1.0, out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    return cos, e_hat, norms, zero
 
 
 def _margin_logits(head, cos, targets):
-    """(logits, cos_t, stable): the scaled cosines with each row's target
-    angle penalized by the margin, that row's target cosine, and whether the
-    penalized angle stays in the stable region."""
+    """(logits, cos_t, stable, sin2): the scaled cosines with each row's
+    target angle penalized by the margin, that row's target cosine, whether
+    the penalized angle stays in the stable region, and 1 - cos_t**2.  The
+    logits are `cos`, scaled in place."""
     targets = np.asarray(targets)
     rows = np.arange(cos.shape[0])
     if targets.shape != rows.shape:
@@ -86,21 +96,22 @@ def _margin_logits(head, cos, targets):
         raise LabelError("target class index out of range")
     cos_t = cos[rows, targets]
     stable = cos_t > math.cos(math.pi - head.margin)
+    sin2 = 1.0 - cos_t**2
     phi = np.where(
         stable,
         cos_t * math.cos(head.margin)
-        - np.sqrt(np.maximum(1.0 - cos_t**2, 0.0)) * math.sin(head.margin),
+        - np.sqrt(np.maximum(sin2, 0.0)) * math.sin(head.margin),
         cos_t - head.margin * math.sin(head.margin),
     )
-    logits = head.scale * cos
+    logits = np.multiply(cos, head.scale, out=cos)
     logits[rows, targets] = head.scale * phi
-    return logits, cos_t, stable
+    return logits, cos_t, stable, sin2
 
 
 def arc_margin_logits_batch(head, embeddings, targets):
     """Scaled margin-penalized logits for a batch of raw embeddings."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    cos, *_, zero = _cosines(head, embeddings)
+    cos, *_, zero = _cosines(embeddings, head.unit_prototypes()[0])
     logits = _margin_logits(head, cos, targets)[0]
     if zero.any():
         raise DegenerateInputError("zero embedding has no direction")
@@ -112,44 +123,49 @@ def arc_margin_logits(head, embedding, target):
     return arc_margin_logits_batch(head, embedding, np.array([target]))[0]
 
 
-def arc_margin_loss_grad_batch(head, embeddings, targets):
+def arc_margin_loss_grad_batch(head, embeddings, targets, unit=None):
     """Mean loss over the batch plus gradients w.r.t. raw inputs.
 
     Returns (loss, grad_embeddings, grad_prototypes, per_sample_losses).
     Gradients include the normalization Jacobians for both the embeddings
-    and the prototype columns.
+    and the prototype columns.  `unit` is `head.unit_prototypes()`, passed
+    by a caller that makes several calls on the same prototypes.
     """
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     n = embeddings.shape[0]
-    cos, e_hat, w_hat, e_norms, w_norms, degenerate = _cosines(head, embeddings)
-    logits, cos_t, stable = _margin_logits(head, cos, targets)
+    w_hat, w_norms = unit or head.unit_prototypes()
+    cos, e_hat, e_norms, degenerate = _cosines(embeddings, w_hat)
+    logits, cos_t, stable, sin2 = _margin_logits(head, cos, targets)
     rows = np.arange(n)
-    sin_t = np.sqrt(np.maximum(1.0 - cos_t**2, _SIN_FLOOR))
+    sin_t = np.sqrt(np.maximum(sin2, _SIN_FLOOR))
     # d phi / d cos(theta_t)
     dphi = np.where(
         stable, math.cos(head.margin) + math.sin(head.margin) * cos_t / sin_t, 1.0
     )
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits
+    shifted -= np.maximum.reduce(logits, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    softmax = exp / exp.sum(axis=1, keepdims=True)
-    per_sample = -shifted[rows, targets] + np.log(exp.sum(axis=1))
-    loss = float(per_sample.mean())
+    total = np.add.reduce(exp, axis=1)
+    per_sample = np.log(total) - shifted[rows, targets]
+    loss = float(np.add.reduce(per_sample) / n)
 
-    dlogits = softmax.copy()
-    dlogits[rows, targets] -= 1.0
-    dlogits /= n
-    dcos = dlogits * head.scale
+    # The softmax, then the loss gradient, in the array of `exp`.
+    dcos = exp
+    dcos /= total[:, None]
+    dcos[rows, targets] -= 1.0
+    dcos /= n
+    dcos *= head.scale
     dcos[rows, targets] *= dphi
 
-    de_hat = dcos @ w_hat.T
-    dw_hat = e_hat.T @ dcos
     # Normalization Jacobian: d x_hat / d x = (I - x_hat x_hat^T) / ||x||.
-    grad_e = (de_hat - e_hat * (de_hat * e_hat).sum(axis=1, keepdims=True)) / e_norms[
-        :, None
-    ]
+    grad_e = dcos @ w_hat.T
+    grad_e -= e_hat * np.add.reduce(grad_e * e_hat, axis=1, keepdims=True)
+    grad_e /= e_norms[:, None]
     grad_e[degenerate] = 0.0  # zero rows have no direction to move in
-    grad_w = (dw_hat - w_hat * (dw_hat * w_hat).sum(axis=0, keepdims=True)) / w_norms
+    grad_w = e_hat.T @ dcos
+    grad_w -= w_hat * np.add.reduce(grad_w * w_hat, axis=0, keepdims=True)
+    grad_w /= w_norms
     return loss, grad_e, grad_w, per_sample
 
 
@@ -165,5 +181,5 @@ def plain_cosine_logits(head, embeddings):
     one collapsed sample cannot abort a validation pass.
     """
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    cos, *_ = _cosines(head, embeddings)
+    cos, *_ = _cosines(embeddings, head.unit_prototypes()[0])
     return head.scale * cos

@@ -7,9 +7,11 @@ explicit flags taking precedence.
 """
 
 import argparse
+import functools
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import data as data_mod
 from . import evaluation as eval_mod
@@ -105,7 +107,9 @@ FLAG_SPECS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="avfusion",
         description="Audio-visual fusion heads: synthetic data, training, "
@@ -168,21 +172,20 @@ def resolve_config(command, args):
         value = getattr(args, flag.dest, None)
         if value is not None:
             resolved[flag.dest] = value
+    # Every random stream is seeded from a SeedSequence, which takes no
+    # negative entropy.
+    if resolved["seed"] < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
-def cmd_generate(cfg):
-    import os
+def _config_of(cls, cfg):
+    """The config dataclass `cls`, each field set from the flag of its name."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
-    dataset_config = data_mod.DatasetConfig(
-        n_identities=cfg["n_identities"],
-        samples_per_identity=cfg["samples_per_identity"],
-        d_a=cfg["d_a"],
-        d_v=cfg["d_v"],
-        audio_noise_sigma=cfg["audio_noise_sigma"],
-        video_noise_sigma=cfg["video_noise_sigma"],
-        seed=cfg["seed"],
-    ).validate()
+
+def cmd_generate(cfg):
+    dataset_config = _config_of(data_mod.DatasetConfig, cfg).validate()
     # A verification trial pairs two identities; with one, evaluate and
     # diagnose could only reject the split.
     if dataset_config.n_identities < 2:
@@ -230,18 +233,8 @@ def cmd_train(cfg):
         substream(cfg["seed"], "init-arc"), head.d_e, n_classes,
         scale=cfg["scale"], margin=cfg["margin"],
     )
-    training_config = TrainingConfig(
-        learning_rate=cfg["learning_rate"],
-        weight_decay=cfg["weight_decay"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        clip_norm=cfg["clip_norm"],
-        lr_decay_factor=cfg["lr_decay_factor"],
-        lambda_audio=cfg["lambda_audio"],
-        lambda_video=cfg["lambda_video"],
-        seed=cfg["seed"],
-    )
-    result = train_run(head, arc, train_samples, val_samples, training_config)
+    result = train_run(head, arc, train_samples, val_samples,
+                       _config_of(TrainingConfig, cfg))
     provenance = {
         "config": {k: v for k, v in sorted(cfg.items()) if k != "config"},
         "best_epoch": result.best_epoch,
@@ -260,8 +253,6 @@ def cmd_train(cfg):
 
 
 def cmd_evaluate(cfg):
-    import os
-
     checkpoints = cfg["checkpoint"]
     if not checkpoints:
         raise ConfigurationError("at least one --checkpoint is required")
@@ -315,8 +306,6 @@ def cmd_evaluate(cfg):
 
 
 def cmd_diagnose(cfg):
-    import os
-
     head, arc, _ = persistence.load_checkpoint(cfg["checkpoint"])
     samples = persistence.read_embeddings(cfg["embeddings"])
     if not samples:
@@ -375,8 +364,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.command, args)
         return _COMMANDS[args.command](cfg)

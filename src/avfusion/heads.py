@@ -35,10 +35,17 @@ DESK_DIMS = {"d_a": 16, "d_v": 32, "d_e": 8, "hidden": 24}
 MASK_VIDEO, MASK_AUDIO, MASK_NONE = 0, 1, 2
 
 
+# The cumulative distribution of the three modes, normalised as
+# `Generator.choice(3, p=(1/3, 1/3, 1/3))` normalises it.
+_MODE_CDF = np.cumsum((1 / 3, 1 / 3, 1 / 3))
+_MODE_CDF /= _MODE_CDF[-1]
+
+
 def sample_mask_modes(rng, n):
     """One of MASK_VIDEO / MASK_AUDIO / MASK_NONE per sample, i.i.d. with
-    probability 1/3 each."""
-    return rng.choice(3, size=n, p=np.asarray((1 / 3, 1 / 3, 1 / 3)))
+    probability 1/3 each: the draws, and the generator state after them, of
+    `rng.choice(3, size=n, p=(1/3, 1/3, 1/3))`."""
+    return _MODE_CDF.searchsorted(rng.random(n), side="right")
 
 
 def apply_masks(audio, video, modes):
@@ -406,11 +413,13 @@ class MultiViewHead(_Head):
     def _backward_paths(self, caches, douts, grads):
         """`grads` of the audio path, then the video path.  The shared
         classifier's gradient is the audio path's with the video path's
-        added in place, the bits of the sum of the two."""
+        added in place, the bits of the sum of the two.  Every name keeps
+        its place in `grads`, the order clipping sums in."""
         self.backward_modality(caches[0], douts[0], grads)
-        audio_shared = {name: grads.pop(name) for name in self._SHARED}
+        audio_shared = [grads[name] for name in self._SHARED]
+        grads.update(dict.fromkeys(self._SHARED))  # the video path makes new arrays
         self.backward_modality(caches[1], douts[1], grads)
-        for name, g in audio_shared.items():
+        for name, g in zip(self._SHARED, audio_shared):
             g += grads[name]
             grads[name] = g
         return grads

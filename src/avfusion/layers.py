@@ -58,7 +58,7 @@ class LinearLayer:
         """(dx, dweight, dbias); dx is None without `input_grad`."""
         x = cache
         dweight = np.matmul(dout.T, x, out=out[0])
-        dbias = np.sum(dout, axis=0, out=out[1])
+        dbias = np.add.reduce(dout, 0, out=out[1])
         dx = dout @ self.weight if input_grad else None
         return dx, dweight, dbias
 
@@ -108,8 +108,11 @@ class BatchNormLayer:
                 raise DegenerateBatchError(
                     "train-mode batch norm needs a batch of size >= 2"
                 )
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # population convention
+            # x.mean(0) and x.var(0) (population convention) as numpy forms
+            # them, with the centred batch kept for xhat.
+            mean = np.add.reduce(x, 0) / n
+            centred = x - mean
+            var = np.add.reduce(centred * centred, 0) / n
             unbiased = var * n / (n - 1)
             self.running_mean = (
                 (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
@@ -118,25 +121,24 @@ class BatchNormLayer:
                 (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
             )
         else:
-            mean = self.running_mean
+            centred = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean) * inv_std
+        xhat = np.multiply(centred, inv_std, out=centred)
         out = self.gamma * xhat + self.beta
         cache = (xhat, inv_std, train, x.shape[0])
         return out, cache
 
     def backward(self, cache, dout, out=(None, None)):
         xhat, inv_std, train, n = cache
-        dgamma = np.sum(dout * xhat, axis=0, out=out[0])
-        dbeta = np.sum(dout, axis=0, out=out[1])
+        dgamma = np.add.reduce(dout * xhat, 0, out=out[0])
+        dbeta = np.add.reduce(dout, 0, out=out[1])
         dxhat = dout * self.gamma
         if train:
-            dx = (
-                inv_std
-                / n
-                * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-            )
+            dx = n * dxhat
+            dx -= np.add.reduce(dxhat, 0)
+            dx -= xhat * np.add.reduce(dxhat * xhat, 0)
+            dx *= inv_std / n
         else:
             dx = dxhat * inv_std
         return dx, dgamma, dbeta

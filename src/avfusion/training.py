@@ -103,12 +103,9 @@ class ParamStore:
 
     @classmethod
     def of_model(cls, head, arc_head):
-        """The store of a head and its arc-margin prototypes, named as
-        `batch_loss` names their gradients."""
-        return cls([
-            *((f"head.{name}", layer, attr) for name, layer, attr in head.parameters()),
-            ("arc.prototypes", arc_head, "prototypes"),
-        ])
+        """The store of a head's tensors, under their `parameters()` names,
+        and of its arc-margin prototypes, under "arc.prototypes"."""
+        return cls([*head.parameters(), ("arc.prototypes", arc_head, "prototypes")])
 
 
 class AdamW:
@@ -179,7 +176,8 @@ def clip_global_norm(grads: dict, max_norm: float, scratch):
         raise ConfigurationError("max_norm must be > 0")
     total = 0
     for g in grads.values():
-        total += float(np.sum(np.square(g, out=scratch[: g.size].reshape(g.shape))))
+        square = np.square(g, out=scratch[: g.size].reshape(g.shape))
+        total += float(np.add.reduce(square, axis=None))
     total = np.sqrt(total)
     if total <= max_norm:
         return grads, total
@@ -195,27 +193,27 @@ def batch_loss(head, arc_head, audio, video, labels, config, grads, mask_rng=Non
 
     Returns the loss, and writes the gradient of every trained tensor into
     the array `grads` holds under its name, as `ParamStore.grad_views`
-    names them.  A second term's prototype gradient is added in place.
+    names them.  The prototypes are normalised once for all terms, and a
+    second term's prototype gradient is added in place.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise DegenerateInputError("empty batch")
     terms, cache = head.loss_terms(audio, video, config, mask_rng, rng)
     loss, douts, grad_protos = 0.0, [], grads["arc.prototypes"]
+    unit = arc_head.unit_prototypes()
     for k, (weight, emb) in enumerate(terms):
         term_loss, grad_emb, term_protos, _ = arc_margin_loss_grad_batch(
-            arc_head, emb, labels
+            arc_head, emb, labels, unit
         )
         loss += weight * term_loss
-        douts.append(weight * grad_emb)
+        douts.append(np.multiply(grad_emb, weight, out=grad_emb))
         if k:
             term_protos *= weight
             grad_protos += term_protos
         else:
             np.multiply(weight, term_protos, out=grad_protos)
-    head.backward_terms(cache, douts, {name.removeprefix("head."): g
-                                       for name, g in grads.items()
-                                       if name != "arc.prototypes"})
+    head.backward_terms(cache, douts, grads)
     return loss
 
 
@@ -303,15 +301,7 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
             optimizer.step(store.params, store.grads, lr)
             losses.append(loss)
         acc = validate_accuracy(head, arc_head, validation)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                mean_loss=float(np.mean(losses)),
-                val_accuracy=acc,
-                lr=lr,
-                is_best=False,
-            )
-        )
+        records.append(EpochRecord(epoch, float(np.mean(losses)), acc, lr, is_best=False))
         if acc > best_acc:
             best_acc = acc
             best_epoch = epoch
@@ -319,9 +309,4 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
         else:
             lr *= config.lr_decay_factor
     records[best_epoch].is_best = True
-    return TrainResult(
-        best_head=best_snapshot[0],
-        best_arc=best_snapshot[1],
-        records=records,
-        best_epoch=best_epoch,
-    )
+    return TrainResult(*best_snapshot, records, best_epoch)

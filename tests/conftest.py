@@ -12,6 +12,7 @@ from avfusion.data import DatasetConfig, Sample, generate_identities, sample_dat
 from avfusion.errors import (
     ConfigurationError,
     ConsistencyError,
+    DegenerateBatchError,
     DegenerateInputError,
     LabelError,
     PersistenceError,
@@ -28,7 +29,7 @@ from avfusion.evaluation import (
     embed_samples,
 )
 from avfusion.heads import HEAD_KINDS, _check_cache
-from avfusion.layers import leaky_relu_backward
+from avfusion.layers import BN_EPS, BN_MOMENTUM, leaky_relu_backward
 from avfusion.linalg import angle_deg, cosine_similarity
 from avfusion.persistence import (
     _HEAD_FIELDS,
@@ -122,8 +123,7 @@ def gradient_check(head, arc, audio, video, labels, state, step=1e-5):
     """Max norm-relative error between analytic and central finite
     differences, with every pass's dropout masks drawn from `state`."""
     analytic = composed_grads(head, arc, audio, video, labels, state)
-    params = {f"head.{name}": getattr(layer, attr)
-              for name, layer, attr in head.parameters()}
+    params = {name: getattr(layer, attr) for name, layer, attr in head.parameters()}
     params["arc.prototypes"] = arc.prototypes
     worst = 0.0
     for name, p in params.items():
@@ -541,6 +541,12 @@ def loop_batch_loss(head, arc_head, audio, video, labels, config, mask_rng=None,
     return loss, grads
 
 
+def store_names(grads):
+    """The gradients of `loop_batch_loss` under the names of the flat store,
+    which names the head's tensors without the "head." prefix."""
+    return {name.removeprefix("head."): g for name, g in grads.items()}
+
+
 def loop_load_grads(self, grads: dict):
     """Copies `grads` into the gradient buffer and returns its views, by
     the names and in the order of `grads`."""
@@ -862,6 +868,77 @@ def loop_load_checkpoint(path):
     except FloatingPointError as exc:
         raise PersistenceError(f"{path}: tensor values out of range: {exc}") from exc
     return head, arc, header.get("provenance", {})
+
+
+# Loop references of the lean training step: batch norm's forward pass with
+# `x.mean`/`x.var` and a second centring, the mask draw by `rng.choice`, and
+# `batch_loss` with a prototype normalisation per loss term and a head
+# gradient dict per call, kept verbatim (renamed loop_*).  The batch-norm
+# forward pass is a method; it takes its layer as `self`.
+
+
+def loop_batchnorm_forward(self, x: np.ndarray, train: bool):
+    if x.shape[-1] != self.dim:
+        raise ShapeError(f"batchnorm expects dim {self.dim}, got {x.shape[-1]}")
+    if train:
+        n = x.shape[0]
+        if n < 2:
+            raise DegenerateBatchError(
+                "train-mode batch norm needs a batch of size >= 2"
+            )
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)  # population convention
+        unbiased = var * n / (n - 1)
+        self.running_mean = (
+            (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        )
+        self.running_var = (
+            (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
+        )
+    else:
+        mean = self.running_mean
+        var = self.running_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean) * inv_std
+    out = self.gamma * xhat + self.beta
+    cache = (xhat, inv_std, train, x.shape[0])
+    return out, cache
+
+
+def loop_sample_mask_modes(rng, n):
+    """One of MASK_VIDEO / MASK_AUDIO / MASK_NONE per sample, i.i.d. with
+    probability 1/3 each."""
+    return rng.choice(3, size=n, p=np.asarray((1 / 3, 1 / 3, 1 / 3)))
+
+
+def loop_batch_loss_in_place(head, arc_head, audio, video, labels, config, grads,
+                             mask_rng=None, rng=None):
+    """Weighted sum of the arc-margin losses of the head's loss terms.
+
+    Returns the loss, and writes the gradient of every trained tensor into
+    the array `grads` holds under its name, as `ParamStore.grad_views`
+    names them.  A second term's prototype gradient is added in place.
+    """
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise DegenerateInputError("empty batch")
+    terms, cache = head.loss_terms(audio, video, config, mask_rng, rng)
+    loss, douts, grad_protos = 0.0, [], grads["arc.prototypes"]
+    for k, (weight, emb) in enumerate(terms):
+        term_loss, grad_emb, term_protos, _ = arc_margin_loss_grad_batch(
+            arc_head, emb, labels
+        )
+        loss += weight * term_loss
+        douts.append(weight * grad_emb)
+        if k:
+            term_protos *= weight
+            grad_protos += term_protos
+        else:
+            np.multiply(weight, term_protos, out=grad_protos)
+    head.backward_terms(cache, douts, {name.removeprefix("head."): g
+                                       for name, g in grads.items()
+                                       if name != "arc.prototypes"})
+    return loss
 
 
 @pytest.fixture

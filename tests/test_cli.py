@@ -564,6 +564,7 @@ class TestConfigFile:
         ("generate", {"seed": None}),
         ("evaluate", {"checkpoint": ["a.ckpt", 3]}),
         ("generate", [6]),
+        ("generate", {"seed": -1}),
     ])
     def test_bad_file_value_is_config_error(self, pipeline, tmp_path, capsys,
                                             command, values):
@@ -603,6 +604,30 @@ class TestConfigFile:
             assert cli.resolve_config("evaluate", args)["checkpoint"] == checkpoints
 
 
+class TestSeed:
+    """Every random stream is seeded from a SeedSequence, which takes no
+    negative entropy; a negative --seed is refused before anything is read
+    or written."""
+
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "diagnose"])
+    def test_negative_seed_is_config_error(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "generate": generate_args(out),
+            "train": train_args(pipeline, out),
+            "evaluate": ["evaluate", "--test-embeddings", str(pipeline / "test.emb"),
+                         "--checkpoint", str(pipeline / "mean.ckpt"),
+                         "--n-positive", "30", "--n-negative", "30", "--out-dir", str(out)],
+            "diagnose": ["diagnose", "--checkpoint", str(pipeline / "mean.ckpt"),
+                         "--embeddings", str(pipeline / "test.emb"), "--out-dir", str(out)],
+        }[command]
+        assert run(argv + ["--seed", "-1"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert not out.exists()
+
+
 class TestModuleEntryPoint:
     """`python -m avfusion`, as the README documents it."""
 
@@ -617,6 +642,29 @@ class TestModuleEntryPoint:
         result = self.run_module("--help")
         assert result.returncode == 0
         assert "generate" in result.stdout
+
+    def test_parse_error_then_valid_call_as_in_fresh_processes(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """`main` builds its parser once per process; a call after a parse
+        error behaves as the same call in a fresh process."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width of the usage text
+        bad = ["generate", "--n-identities", "many"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        first = capsys.readouterr()
+        assert cli.main(generate_args(tmp_path / "in-process", seed=3)) == 0
+        second = capsys.readouterr()
+        fresh_bad = self.run_module(*bad)
+        fresh_good = self.run_module(*generate_args(tmp_path / "fresh", seed=3))
+        assert exc.value.code == fresh_bad.returncode == cli.EXIT_CONFIG
+        assert (first.out, first.err) == (fresh_bad.stdout, fresh_bad.stderr)
+        assert "invalid int value: 'many'" in first.err
+        assert fresh_good.returncode == 0
+        assert (second.out, second.err) == (fresh_good.stdout, fresh_good.stderr)
+        for name in ("train.emb", "val.emb", "test.emb"):
+            assert ((tmp_path / "in-process" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+        assert cli.build_parser() is cli.build_parser()
 
     def test_bad_config_is_config_error(self, tmp_path):
         result = self.run_module("generate", "--config", str(tmp_path / "absent.json"))

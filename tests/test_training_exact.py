@@ -38,6 +38,7 @@ from conftest import (
     loop_clip_in_place,
     loop_load_grads,
     make_head,
+    store_names,
 )
 
 EXACT = settings(max_examples=60, deadline=None)
@@ -172,7 +173,7 @@ def test_in_place_step_matches_loop(kind, dims, max_norm):
         ref_loss, ref_grads = loop_batch_loss(
             ref_head, ref_arc, audio, video, labels, config, **draws())
         expected, expected_total = loop_clip_in_place(
-            loop_load_grads(ref_store, ref_grads), max_norm)
+            loop_load_grads(ref_store, store_names(ref_grads)), max_norm)
         ref_optimizer.step(ref_store.params, ref_store.grads, config.learning_rate)
 
         loss = batch_loss(head, arc, audio, video, labels, config, grads, **draws())
