@@ -5,7 +5,7 @@ from .arcmargin import (
     arc_margin_logits,
     softmax_cross_entropy,
 )
-from .data import DatasetConfig, IdentitySpec, Sample, generate_identities, \
+from .data import DatasetConfig, IdentitySpec, Sample, SampleSet, generate_identities, \
     sample_dataset, split_dataset
 from .evaluation import (
     DiagnosticsReport,
@@ -34,6 +34,7 @@ __all__ = [
     "MlpFusionHead",
     "MultiViewHead",
     "Sample",
+    "SampleSet",
     "TrainingConfig",
     "TrialConfig",
     "angle_deg",

@@ -220,14 +220,21 @@ def _make_head(cfg, d_a, d_v):
     )
 
 
+def _check_dims(path, samples, d_a, d_v, source):
+    """A data error naming `path` unless its samples have the audio/video
+    dims (d_a, d_v) of `source`, the file they are to be used with."""
+    dims = (samples.audio.shape[1], samples.video.shape[1])
+    if dims != (d_a, d_v):
+        raise DegenerateInputError(
+            f"{path} holds audio/video dims {dims}, {source} takes ({d_a}, {d_v})")
+
+
 def cmd_train(cfg):
     train_samples = persistence.read_embeddings(cfg["train_embeddings"])
     val_samples = persistence.read_embeddings(cfg["val_embeddings"])
-    if not train_samples or not val_samples:
-        raise DegenerateInputError("train/val embedding files must be nonempty")
-    d_a = train_samples[0].audio.shape[0]
-    d_v = train_samples[0].video.shape[0]
-    n_classes = len({s.identity_id for s in train_samples})
+    d_a, d_v = train_samples.audio.shape[1], train_samples.video.shape[1]
+    _check_dims(cfg["val_embeddings"], val_samples, d_a, d_v, cfg["train_embeddings"])
+    n_classes = len(set(train_samples.identity_ids))
     head = _make_head(cfg, d_a, d_v)
     arc = ArcMarginHead.create(
         substream(cfg["seed"], "init-arc"), head.d_e, n_classes,
@@ -284,6 +291,8 @@ def cmd_evaluate(cfg):
     # and a trial request the test set cannot meet before it writes; every
     # head stays in memory until the last report is written.
     heads = [persistence.load_checkpoint(path)[0] for path in checkpoints]
+    for path, head in zip(checkpoints, heads):
+        _check_dims(cfg["test_embeddings"], samples, head.d_a, head.d_v, path)
     trials = eval_mod.build_mode_trials(samples, trial_config)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     rows = []
@@ -310,11 +319,12 @@ def cmd_diagnose(cfg):
     samples = persistence.read_embeddings(cfg["embeddings"])
     if not samples:
         raise DegenerateInputError("embedding file is empty")
+    _check_dims(cfg["embeddings"], samples, head.d_a, head.d_v, cfg["checkpoint"])
     os.makedirs(cfg["out_dir"], exist_ok=True)
     with float_errors_as_degenerate("diagnostics"):
         report = eval_mod.run_diagnostics(
             {exp: eval_mod.embed_samples(head, samples, exp) for exp in ("a", "v")},
-            [s.identity_id for s in samples],
+            samples.identity_ids,
         )
     families = {
         "audio_video": report.audio_video,
@@ -368,7 +378,9 @@ def main(argv=None):
     try:
         cfg = resolve_config(args.command, args)
         return _COMMANDS[args.command](cfg)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:
+        # A MemoryError comes from a size setting under the array-size bound
+        # that still exceeds this machine's memory.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateInputError, DegenerateBatchError, LabelError) as exc:

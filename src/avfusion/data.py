@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_array_size
+from .errors import ConfigurationError, ShapeError, check_array_size
 from .rng import substream
 
 
@@ -54,6 +54,67 @@ class Sample:
     video: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """n samples as matrices: row i of `audio` (n, d_a) and `video` (n, d_v)
+    is sample `sample_ids[i]` of identity `identity_ids[i]`.  An integer
+    index, and iteration, yield `Sample` rows of views; a slice or an
+    integer array yields the set of those rows."""
+
+    audio: np.ndarray
+    video: np.ndarray
+    identity_ids: list
+    sample_ids: list
+
+    def __post_init__(self):
+        n = len(self.sample_ids)
+        if not (self.audio.ndim == self.video.ndim == 2
+                and len(self.audio) == len(self.video) == len(self.identity_ids) == n):
+            raise ShapeError(f"{n} sample ids, {len(self.identity_ids)} identity ids, "
+                             f"audio {self.audio.shape} and video {self.video.shape}")
+
+    @classmethod
+    def of(cls, samples):
+        """A set as it is; a sequence of `Sample` rows, vectors of one shape
+        per modality, stacked."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        if not samples:
+            return cls(np.empty((0, 0)), np.empty((0, 0)), [], [])
+        try:
+            return cls(np.stack([s.audio for s in samples]),
+                       np.stack([s.video for s in samples]),
+                       [s.identity_id for s in samples], [s.sample_id for s in samples])
+        except ValueError as exc:
+            raise ShapeError(
+                f"samples do not share one vector shape per modality: {exc}") from exc
+
+    def __len__(self):
+        return len(self.sample_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Sample(self.identity_ids[index], self.sample_ids[index],
+                          self.audio[index], self.video[index])
+        rows = np.arange(len(self))[index].tolist()
+        return SampleSet(self.audio[index], self.video[index],
+                         [self.identity_ids[i] for i in rows],
+                         [self.sample_ids[i] for i in rows])
+
+    def __iter__(self):
+        return map(Sample, self.identity_ids, self.sample_ids, self.audio, self.video)
+
+    def identity_codes(self, identities=None):
+        """(codes, identities): `codes[i]` indexes `identities`, by default the
+        sorted distinct identities, at row i's identity."""
+        if identities is None:
+            identities = sorted(set(self.identity_ids))
+        index = dict(zip(identities, range(len(identities))))
+        codes = np.fromiter(map(index.__getitem__, self.identity_ids), np.intp, len(self))
+        return codes, identities
+
+
 def _unit_rows(rng, n, dim):
     rows = rng.normal(size=(n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -76,58 +137,45 @@ def sample_dataset(specs, config: DatasetConfig):
     config.validate()
     if not specs:
         raise ConfigurationError("no identity specs given")
-    samples = []
+    per = config.samples_per_identity
+    audio = np.empty((len(specs) * per, config.d_a))
+    video = np.empty((len(specs) * per, config.d_v))
+    identity_ids, sample_ids = [], []
     for index, spec in enumerate(specs):
         # Each identity's noise stream derives from its position in `specs`,
         # so no two identities share one, whatever their names.
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 100, index]))
-        noise_a = rng.normal(size=(config.samples_per_identity, config.d_a))
-        noise_v = rng.normal(size=(config.samples_per_identity, config.d_v))
-        for j in range(config.samples_per_identity):
-            samples.append(
-                Sample(
-                    identity_id=spec.identity_id,
-                    sample_id=f"{spec.identity_id}-s{j:04d}",
-                    audio=spec.audio_prototype + config.audio_noise_sigma * noise_a[j],
-                    video=spec.video_prototype + config.video_noise_sigma * noise_v[j],
-                )
-            )
-    return samples
+        noise_a = rng.normal(size=(per, config.d_a))
+        noise_v = rng.normal(size=(per, config.d_v))
+        rows = slice(index * per, (index + 1) * per)
+        np.add(spec.audio_prototype, config.audio_noise_sigma * noise_a, out=audio[rows])
+        np.add(spec.video_prototype, config.video_noise_sigma * noise_v, out=video[rows])
+        identity_ids += [spec.identity_id] * per
+        sample_ids += [f"{spec.identity_id}-s{j:04d}" for j in range(per)]
+    return SampleSet(audio, video, identity_ids, sample_ids)
 
 
 def split_dataset(samples, fraction, seed):
-    """Identity-stratified (kept, `fraction` held out) split, disjoint by sample id."""
+    """Identity-stratified (kept, `fraction` held out) split, disjoint by sample id.
+
+    Each identity, in sorted order, holds out the rows of the first `n_val`
+    entries of one `permutation` of its rows; both parts keep each
+    identity's rows in their order."""
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError(f"split fraction {fraction} must be in (0, 1)")
-    by_identity = {}
-    for s in samples:
-        by_identity.setdefault(s.identity_id, []).append(s)
+    samples = SampleSet.of(samples)
+    codes, identities = samples.identity_codes()
+    order = np.argsort(codes, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(identities))).tolist()]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 200]))
-    train, val = [], []
-    for identity_id in sorted(by_identity):
-        group = by_identity[identity_id]
-        n_val = int(round(len(group) * fraction))
-        if n_val < 1 or n_val >= len(group):
+    held = np.zeros(len(samples), dtype=bool)  # by position in `order`
+    for identity_id, start, stop in zip(identities, bounds, bounds[1:]):
+        size = stop - start
+        n_val = int(round(size * fraction))
+        if n_val < 1 or n_val >= size:
             raise ConfigurationError(
                 f"identity {identity_id} has too few samples "
-                f"({len(group)}) to stratify at split fraction {fraction}"
+                f"({size}) to stratify at split fraction {fraction}"
             )
-        perm = rng.permutation(len(group))
-        val.extend(group[i] for i in sorted(perm[:n_val]))
-        train.extend(group[i] for i in sorted(perm[n_val:]))
-    return train, val
-
-
-def stack_samples(samples, identities=None):
-    """(audio matrix, video matrix, labels, identity order) for a sample list.
-
-    Labels index `identities`, by default the sorted identities of the
-    samples; given, it must hold every sample's identity.
-    """
-    if identities is None:
-        identities = sorted({s.identity_id for s in samples})
-    index = {identity: i for i, identity in enumerate(identities)}
-    audio = np.stack([s.audio for s in samples])
-    video = np.stack([s.video for s in samples])
-    labels = np.array([index[s.identity_id] for s in samples])
-    return audio, video, labels, identities
+        held[start + rng.permutation(size)[:n_val]] = True
+    return samples[order[~held]], samples[order[held]]

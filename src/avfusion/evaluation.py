@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import SampleSet
 from .errors import ConfigurationError, DegenerateInputError
 # Unused here; perfbench/tracing.py counts calls through this name.
 from .linalg import cosine_similarity  # noqa: F401
@@ -134,7 +135,8 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
         raise ConfigurationError(f"unknown modality mode {mode!r}")
     if n_positive < 0 or n_negative < 0:
         raise ConfigurationError("trial counts must be >= 0")
-    _, order, bounds = _clusters([s.identity_id for s in samples])
+    samples = SampleSet.of(samples)
+    _, order, bounds = _clusters(samples.identity_ids)
     sizes = np.diff(bounds)
     if sizes.size < 2:
         raise ConfigurationError("need at least 2 identities to build trials")
@@ -196,9 +198,9 @@ def build_mode_trials(samples, trial_config: TrialConfig):
 
 def embed_samples(head, samples, exposure):
     """Eval-mode embeddings of every sample under one exposure."""
-    audio = np.stack([s.audio for s in samples]) if "a" in exposure else None
-    video = np.stack([s.video for s in samples]) if "v" in exposure else None
-    return head.embed(audio, video)
+    samples = SampleSet.of(samples)
+    return head.embed(samples.audio if "a" in exposure else None,
+                      samples.video if "v" in exposure else None)
 
 
 def _row_cosines(left, right):
@@ -475,6 +477,7 @@ def run_full_evaluation(head, samples, trial_config: TrialConfig, trials=None):
     `trials` is `build_mode_trials(samples, trial_config)` when the caller
     scores several heads against the same trials; it is built here otherwise.
     """
+    samples = SampleSet.of(samples)
     if trials is None:
         trials = build_mode_trials(samples, trial_config)
     embedded = {exp: embed_samples(head, samples, exp) for exp in ("av", "a", "v")}
@@ -482,6 +485,6 @@ def run_full_evaluation(head, samples, trial_config: TrialConfig, trials=None):
         mode: compute_eer(score_trials(embedded, mode_trials), mode_trials.labels)
         for mode, mode_trials in trials.items()
     }
-    report = run_diagnostics(embedded, np.array([s.identity_id for s in samples]))
+    report = run_diagnostics(embedded, samples.identity_ids)
     report.eer = eer
     return report

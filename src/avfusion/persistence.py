@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .data import Sample
+from .data import SampleSet
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -113,50 +113,48 @@ def _check_finite(path, values):
 
 
 def write_embeddings(path, samples):
-    """Serialize nonempty samples; read(write(x)) is bit-exact in float64."""
-    samples = list(samples)
-    if not samples:
+    """Serialize a nonempty sample set (or `Sample` sequence); the payload is
+    `[audio | video]` in one piece, and read(write(x)) is bit-exact in
+    float64."""
+    try:
+        samples = SampleSet.of(samples)
+    except ShapeError as exc:
+        raise PersistenceError(str(exc)) from exc
+    if not len(samples):
         raise PersistenceError(f"{path}: no samples to write")
-    d_a = samples[0].audio.shape[0]
-    d_v = samples[0].video.shape[0]
-    for s in samples:
-        if s.audio.shape != (d_a,) or s.video.shape != (d_v,):
-            raise PersistenceError(
-                f"sample {s.sample_id} does not match dims ({d_a}, {d_v})"
-            )
-        if not s.identity_id or not s.sample_id:
-            raise PersistenceError("identifiers must be nonempty")
+    if not (all(samples.identity_ids) and all(samples.sample_ids)):
+        raise PersistenceError("identifiers must be nonempty")
     header = {
         "version": 1,
         "endianness": "little",
-        "d_a": int(d_a),
-        "d_v": int(d_v),
+        "d_a": samples.audio.shape[1],
+        "d_v": samples.video.shape[1],
         "count": len(samples),
-        "records": [[s.identity_id, s.sample_id] for s in samples],
+        "records": list(zip(samples.identity_ids, samples.sample_ids)),
     }
-    payload = np.concatenate([np.concatenate([s.audio, s.video]) for s in samples])
+    payload = np.concatenate([samples.audio, samples.video], axis=1)
     _write_framed(path, EMBEDDING_MAGIC, header, [payload])
 
 
 def read_embeddings(path):
+    """The file's SampleSet; its audio and video are column views of the one
+    payload buffer."""
     header, payload, n_bytes = _read_framed(path, EMBEDDING_MAGIC)
     _check_fields(path, header, {
         "d_a": _is_count, "d_v": _is_count, "count": _is_count,
         "records": lambda r: _is_table(r, lambda sample_id: isinstance(sample_id, str)),
     })
     d_a, d_v, count = header["d_a"], header["d_v"], header["count"]
-    if len(header["records"]) != count:
+    records = header["records"]
+    if len(records) != count:
         raise PersistenceError(f"{path}: record table does not match count")
     expected = count * (d_a + d_v) * 8
     if n_bytes != expected:
         raise PersistenceError(f"{path}: payload length {n_bytes} != expected {expected}")
     _check_finite(path, payload)
     values = payload.reshape(count, d_a + d_v)
-    return [
-        Sample(identity_id=identity, sample_id=sample_id,
-               audio=values[i, :d_a], video=values[i, d_a:])
-        for i, (identity, sample_id) in enumerate(header["records"])
-    ]
+    return SampleSet(values[:, :d_a], values[:, d_a:], [r[0] for r in records],
+                     [r[1] for r in records])
 
 
 def save_checkpoint(path, head, arc_head, provenance=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arcmargin import arc_margin_loss_grad_batch, plain_cosine_logits
-from .data import stack_samples
+from .data import SampleSet
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -221,7 +221,8 @@ def validate_accuracy(head, arc_head, validation):
     """Argmax accuracy of margin-free cosine logits on unmasked inputs.
 
     `validation` is (audio, video, labels), the labels indexing the
-    prototype columns: `stack_samples(samples, training identities)[:3]`.
+    prototype columns, as `SampleSet.identity_codes(training identities)`
+    gives them.
     """
     audio, video, labels = validation
     logits = plain_cosine_logits(arc_head, head.embed(audio, video))
@@ -253,21 +254,23 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
         raise ConfigurationError(
             f"batch_size must be >= 2 for the {head.kind} head: train-mode "
             "batch norm needs two rows")
-    train_ids = {s.sample_id for s in train_samples}
-    if train_ids & {s.sample_id for s in val_samples}:
+    train, val = SampleSet.of(train_samples), SampleSet.of(val_samples)
+    if not set(train.sample_ids).isdisjoint(val.sample_ids):
         raise ConfigurationError("train and validation splits must be disjoint")
-    if not val_samples:
+    if not val:
         raise DegenerateInputError("empty validation set")
-    audio, video, labels, identities = stack_samples(train_samples)
+    if not train:
+        raise DegenerateInputError("empty training set")
+    labels, identities = train.identity_codes()
     # Validation is scored against the prototype columns of the training
     # identities, so its labels index the training identities too.
-    unknown = {s.identity_id for s in val_samples}.difference(identities)
+    unknown = set(val.identity_ids).difference(identities)
     if unknown:
         raise DegenerateInputError(
             f"{len(unknown)} validation identities are not in the training "
             f"set, first {min(unknown)!r}")
-    validation = stack_samples(val_samples, identities)[:3]
-    n = len(train_samples)
+    validation = (val.audio, val.video, val.identity_codes(identities)[0])
+    audio, video, n = train.audio, train.video, len(train)
     shuffle_rng = substream(config.seed, "shuffle")
     mask_rng = substream(config.seed, "masking")
     dropout_rng = substream(config.seed, "dropout")

@@ -40,6 +40,7 @@ from avfusion.persistence import (
     _is_count,
     _is_number,
     _is_table,
+    _write_framed,
 )
 from avfusion.training import (
     ADAM_BETAS,
@@ -939,6 +940,84 @@ def loop_batch_loss_in_place(head, arc_head, audio, video, labels, config, grads
                                        for name, g in grads.items()
                                        if name != "arc.prototypes"})
     return loss
+
+
+# Loop references of the sample lists: generation, the stratified split and
+# the embedding writer as they were when every sample was one `Sample`
+# object, kept verbatim (renamed loop_*).
+
+
+def loop_sample_dataset(specs, config: DatasetConfig):
+    """Prototype + Gaussian noise per sample; deterministic per seed."""
+    config.validate()
+    if not specs:
+        raise ConfigurationError("no identity specs given")
+    samples = []
+    for index, spec in enumerate(specs):
+        # Each identity's noise stream derives from its position in `specs`,
+        # so no two identities share one, whatever their names.
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 100, index]))
+        noise_a = rng.normal(size=(config.samples_per_identity, config.d_a))
+        noise_v = rng.normal(size=(config.samples_per_identity, config.d_v))
+        for j in range(config.samples_per_identity):
+            samples.append(
+                Sample(
+                    identity_id=spec.identity_id,
+                    sample_id=f"{spec.identity_id}-s{j:04d}",
+                    audio=spec.audio_prototype + config.audio_noise_sigma * noise_a[j],
+                    video=spec.video_prototype + config.video_noise_sigma * noise_v[j],
+                )
+            )
+    return samples
+
+
+def loop_split_dataset(samples, fraction, seed):
+    """Identity-stratified (kept, `fraction` held out) split, disjoint by sample id."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigurationError(f"split fraction {fraction} must be in (0, 1)")
+    by_identity = {}
+    for s in samples:
+        by_identity.setdefault(s.identity_id, []).append(s)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 200]))
+    train, val = [], []
+    for identity_id in sorted(by_identity):
+        group = by_identity[identity_id]
+        n_val = int(round(len(group) * fraction))
+        if n_val < 1 or n_val >= len(group):
+            raise ConfigurationError(
+                f"identity {identity_id} has too few samples "
+                f"({len(group)}) to stratify at split fraction {fraction}"
+            )
+        perm = rng.permutation(len(group))
+        val.extend(group[i] for i in sorted(perm[:n_val]))
+        train.extend(group[i] for i in sorted(perm[n_val:]))
+    return train, val
+
+
+def loop_write_embeddings(path, samples):
+    """Serialize nonempty samples; read(write(x)) is bit-exact in float64."""
+    samples = list(samples)
+    if not samples:
+        raise PersistenceError(f"{path}: no samples to write")
+    d_a = samples[0].audio.shape[0]
+    d_v = samples[0].video.shape[0]
+    for s in samples:
+        if s.audio.shape != (d_a,) or s.video.shape != (d_v,):
+            raise PersistenceError(
+                f"sample {s.sample_id} does not match dims ({d_a}, {d_v})"
+            )
+        if not s.identity_id or not s.sample_id:
+            raise PersistenceError("identifiers must be nonempty")
+    header = {
+        "version": 1,
+        "endianness": "little",
+        "d_a": int(d_a),
+        "d_v": int(d_v),
+        "count": len(samples),
+        "records": [[s.identity_id, s.sample_id] for s in samples],
+    }
+    payload = np.concatenate([np.concatenate([s.audio, s.video]) for s in samples])
+    _write_framed(path, EMBEDDING_MAGIC, header, [payload])
 
 
 @pytest.fixture

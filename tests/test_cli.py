@@ -60,6 +60,15 @@ def pipeline(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def other_dims(tmp_path_factory):
+    """A dataset of audio/video dims (5, 7), and a mean-head checkpoint of it."""
+    root = tmp_path_factory.mktemp("other-dims")
+    assert run([*generate_args(root), "--d-a", "5", "--d-v", "7"]) == 0
+    assert run(train_args(root, root, extra=["--checkpoint-out", str(root / "other.ckpt")])) == 0
+    return root
+
+
 def huge_weight_checkpoint(pipeline, out_dir):
     """The mean checkpoint with one finite weight whose embeddings overflow."""
     head, arc, provenance = load_checkpoint(pipeline / "mean.ckpt")
@@ -293,6 +302,45 @@ class TestTrain:
         assert not (tmp_path / "mean.ckpt").exists()
         assert not (tmp_path / "mean.log").exists()
 
+    def test_validation_of_other_dims_is_data_error(self, pipeline, other_dims, tmp_path,
+                                                    capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_run", no_training)
+        argv = train_args(pipeline, tmp_path)
+        argv[argv.index("--val-embeddings") + 1] = str(other_dims / "val.emb")
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"data error: {other_dims / 'val.emb'} holds audio/video dims "
+                       f"(5, 7), {pipeline / 'train.emb'} takes (16, 32)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("head, extra", [
+        ("mean", ["--d-e", "100000000"]), ("mlp", ["--hidden", "40000"]),
+    ])
+    def test_memory_exhaustion_is_config_error(self, pipeline, tmp_path, head, extra):
+        # Each request passes the array-size bound, yet one weight matrix
+        # would take 12.8 GB.  The child's address space is capped at 4 GiB
+        # once the library is loaded, so the allocation fails at once.
+        pytest.importorskip("resource")
+        limit = 4 * 2**30
+        code = ("import resource, sys\n"
+                "from avfusion import cli\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(avfusion.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code, *train_args(pipeline, tmp_path, head=head,
+                                                      extra=extra)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == cli.EXIT_CONFIG
+        assert result.stderr.startswith("config error: Unable to allocate ")
+        assert result.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_embeddings_is_io_error(self, tmp_path, capsys):
         code = run(train_args(tmp_path, tmp_path))
         assert code == cli.EXIT_IO
@@ -424,6 +472,17 @@ class TestEvaluate:
         argv[argv.index("--test-embeddings") + 1] = str(tmp_path / "missing.emb")
         assert run(argv) == cli.EXIT_CONFIG
 
+    def test_checkpoint_of_other_dims_is_data_error(self, pipeline, other_dims, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out"
+        argv = self.evaluate_args(pipeline, out,
+                                  [pipeline / "mean.ckpt", other_dims / "other.ckpt"])
+        assert run(argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {pipeline / 'test.emb'} holds audio/video dims (16, 32), "
+            f"{other_dims / 'other.ckpt'} takes (5, 7)\n")
+        assert not out.exists()
+
     def test_no_checkpoint_is_config_error(self, pipeline, tmp_path, capsys):
         code = run(["evaluate", "--test-embeddings",
                     str(pipeline / "test.emb"), "--out-dir", str(tmp_path)])
@@ -448,6 +507,18 @@ class TestDiagnose:
         svg = (tmp_path / "audio_video.svg").read_text()
         assert svg.count('class="box"') == 6
 
+
+    def test_checkpoint_of_other_dims_is_data_error(self, pipeline, other_dims, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out"
+        assert run([
+            "diagnose", "--checkpoint", str(other_dims / "other.ckpt"),
+            "--embeddings", str(pipeline / "test.emb"), "--out-dir", str(out),
+        ]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {pipeline / 'test.emb'} holds audio/video dims (16, 32), "
+            f"{other_dims / 'other.ckpt'} takes (5, 7)\n")
+        assert not out.exists()
 
     def test_huge_weight_is_data_error(self, pipeline, tmp_path, capsys):
         damaged = huge_weight_checkpoint(pipeline, tmp_path)

@@ -4,12 +4,13 @@ import pytest
 from avfusion.data import (
     DatasetConfig,
     IdentitySpec,
+    Sample,
+    SampleSet,
     generate_identities,
     sample_dataset,
     split_dataset,
-    stack_samples,
 )
-from avfusion.errors import ConfigurationError
+from avfusion.errors import ConfigurationError, ShapeError
 from avfusion.linalg import angle_deg
 
 
@@ -173,13 +174,44 @@ class TestSplitDataset:
             split_dataset([], 1.5, 0)
 
 
-class TestStackSamples:
-    def test_labels_follow_sorted_identities(self):
+class TestSampleSet:
+    def test_identity_codes_follow_sorted_identities(self):
         config = DatasetConfig(n_identities=3, samples_per_identity=2)
         samples = sample_dataset(generate_identities(config), config)
-        audio, video, labels, identities = stack_samples(samples)
+        labels, identities = samples.identity_codes()
         assert identities == sorted(identities)
-        assert audio.shape == (6, config.d_a)
-        assert video.shape == (6, config.d_v)
+        assert samples.audio.shape == (6, config.d_a)
+        assert samples.video.shape == (6, config.d_v)
         for sample, label in zip(samples, labels):
             assert identities[label] == sample.identity_id
+
+    def test_codes_index_given_identities(self):
+        samples = SampleSet(np.zeros((3, 1)), np.zeros((3, 2)), ["b", "a", "b"],
+                            ["s0", "s1", "s2"])
+        codes, identities = samples.identity_codes(["x", "b", "a"])
+        assert identities == ["x", "b", "a"]
+        assert codes.tolist() == [1, 2, 1]
+
+    def test_rows_are_views(self):
+        samples = SampleSet(np.arange(6.0).reshape(3, 2), np.zeros((3, 1)),
+                            ["a", "a", "b"], ["s0", "s1", "s2"])
+        row = samples[1]
+        assert (row.identity_id, row.sample_id) == ("a", "s1")
+        assert np.shares_memory(row.audio, samples.audio)
+        assert [s.sample_id for s in samples[1:]] == ["s1", "s2"]
+        assert [s.sample_id for s in samples[np.array([2, 0])]] == ["s2", "s0"]
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ShapeError):
+            SampleSet(np.zeros((3, 1)), np.zeros((2, 1)), ["a"] * 3, ["s"] * 3)
+        with pytest.raises(ShapeError):
+            SampleSet(np.zeros((3, 1)), np.zeros((3, 1)), ["a"] * 2, ["s"] * 3)
+        with pytest.raises(ShapeError):
+            SampleSet.of([Sample("a", "s0", np.zeros(2), np.zeros(1)),
+                          Sample("a", "s1", np.zeros(3), np.zeros(1))])
+
+    def test_of_a_set_is_the_set(self):
+        config = DatasetConfig(n_identities=2, samples_per_identity=2)
+        samples = sample_dataset(generate_identities(config), config)
+        assert SampleSet.of(samples) is samples
+        assert len(SampleSet.of([])) == 0

@@ -53,7 +53,9 @@ class TestEmbeddingFiles:
         header = {"version": 1, "endianness": "little", "d_a": 3, "d_v": 4,
                   "count": 0, "records": []}
         path.write_bytes(_framed(b"AVFEMB01", header, b""))
-        assert read_embeddings(path) == []
+        loaded = read_embeddings(path)
+        assert list(loaded) == []
+        assert loaded.audio.shape == (0, 3) and loaded.video.shape == (0, 4)
 
     def test_empty_list_not_written(self, tmp_path):
         path = tmp_path / "empty.emb"

@@ -12,13 +12,12 @@ from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
 from avfusion.cli import FLAG_SPECS
 from avfusion.data import (
     DatasetConfig,
-    Sample,
+    SampleSet,
     generate_identities,
     sample_dataset,
     split_dataset,
-    stack_samples,
 )
-from avfusion.errors import ConfigurationError, ConsistencyError
+from avfusion.errors import ConfigurationError, ConsistencyError, DegenerateInputError
 from avfusion.heads import (
     MASK_AUDIO,
     MASK_NONE,
@@ -58,7 +57,7 @@ class TestMasking:
     def test_apply_masks(self, rng):
         audio = rng.normal(size=(3, 4))
         video = rng.normal(size=(3, 6))
-        a, v = apply_masks(audio, video, [MASK_AUDIO, MASK_VIDEO, MASK_NONE])
+        a, v = apply_masks(audio, video, np.array([MASK_AUDIO, MASK_VIDEO, MASK_NONE]))
         assert np.array_equal(a[0], np.zeros(4))
         assert np.array_equal(v[1], np.zeros(6))
         assert np.array_equal(a[2], audio[2])
@@ -77,10 +76,6 @@ class TestMasking:
         assert np.array_equal(modes, expected)
         # the stream is left where the one call leaves it
         assert generator.random() == expected_generator.random()
-
-    def test_unknown_mode(self, rng):
-        with pytest.raises(ConfigurationError):
-            apply_masks(rng.normal(size=(2, 4)), rng.normal(size=(2, 6)), [0, 3])
 
 
 def scratch_for(grads):
@@ -372,6 +367,11 @@ class TestBatchLoss:
         assert loss1 == pytest.approx(loss2, abs=1e-12)
 
 
+def validation_of(samples):
+    """(audio, video, labels) of a set, labels indexing its sorted identities."""
+    return samples.audio, samples.video, samples.identity_codes()[0]
+
+
 class TestValidateAccuracy:
     def test_oracle_prototypes(self):
         # Head that passes the audio embedding through; prototypes placed
@@ -384,32 +384,32 @@ class TestValidateAccuracy:
         )
         protos = np.eye(3)
         arc = ArcMarginHead(prototypes=protos)
-        samples = [
-            Sample(f"id{i}", f"id{i}-s0", np.eye(3)[i], np.zeros(3))
-            for i in range(3)
-        ]
-        assert validate_accuracy(head, arc, stack_samples(samples)[:3]) == 1.0
+        samples = SampleSet(np.eye(3), np.zeros((3, 3)), [f"id{i}" for i in range(3)],
+                            [f"id{i}-s0" for i in range(3)])
+        assert validate_accuracy(head, arc, validation_of(samples)) == 1.0
 
     def test_single_class(self, rng):
         head = make_head("mean", rng, d_a=4, d_v=6, d_e=3)
         arc = ArcMarginHead.create(rng, 3, 1)
-        samples = [
-            Sample("id0", f"id0-s{j}", rng.normal(size=4), rng.normal(size=6))
-            for j in range(5)
-        ]
-        assert validate_accuracy(head, arc, stack_samples(samples)[:3]) == 1.0
+        audio = np.empty((5, 4))
+        video = np.empty((5, 6))
+        for j in range(5):  # the draws of the per-sample rows
+            audio[j], video[j] = rng.normal(size=4), rng.normal(size=6)
+        samples = SampleSet(audio, video, ["id0"] * 5, [f"id0-s{j}" for j in range(5)])
+        assert validate_accuracy(head, arc, validation_of(samples)) == 1.0
 
     def test_random_prototypes_chance_level(self):
         rng = np.random.default_rng(11)
         n_classes, n = 4, 2000
         head = make_head("mean", rng, d_a=4, d_v=6, d_e=8)
         arc = ArcMarginHead.create(rng, 8, n_classes)
-        samples = [
-            Sample(f"id{int(i % n_classes)}", f"s{i}",
-                   rng.normal(size=4), rng.normal(size=6))
-            for i in range(n)
-        ]
-        acc = validate_accuracy(head, arc, stack_samples(samples)[:3])
+        audio = np.empty((n, 4))
+        video = np.empty((n, 6))
+        for i in range(n):  # the draws of the per-sample rows
+            audio[i], video[i] = rng.normal(size=4), rng.normal(size=6)
+        samples = SampleSet(audio, video, [f"id{i % n_classes}" for i in range(n)],
+                            [f"s{i}" for i in range(n)])
+        acc = validate_accuracy(head, arc, validation_of(samples))
         p = 1 / n_classes
         assert abs(acc - p) <= 3 * np.sqrt(p * (1 - p) / n) + 0.02
 
@@ -486,6 +486,13 @@ class TestTrainRun:
         arc = ArcMarginHead.create(rng, 8, 8)
         with pytest.raises(ConfigurationError):
             train_run(head, arc, train, train[:5], TrainingConfig())
+
+    def test_empty_training_set_is_data_error(self, rng):
+        train, val = split_small()
+        head = make_head("mean", rng, d_e=8)
+        arc = ArcMarginHead.create(rng, 8, 8)
+        with pytest.raises(DegenerateInputError, match="empty training set"):
+            train_run(head, arc, train[:0], val, TrainingConfig())
 
     @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
     def test_single_sample_loss_decreases(self, kind):
