@@ -105,14 +105,25 @@ class SampleSet:
     def __iter__(self):
         return map(Sample, self.identity_ids, self.sample_ids, self.audio, self.video)
 
-    def identity_codes(self, identities=None):
-        """(codes, identities): `codes[i]` indexes `identities`, by default the
-        sorted distinct identities, at row i's identity."""
-        if identities is None:
-            identities = sorted(set(self.identity_ids))
-        index = dict(zip(identities, range(len(identities))))
-        codes = np.fromiter(map(index.__getitem__, self.identity_ids), np.intp, len(self))
-        return codes, identities
+
+def identity_codes(ids, identities=None):
+    """(codes, identities): `codes[i]` indexes `identities`, by default the
+    sorted distinct ids, at ids[i].  Ids are told apart by exact equality,
+    so `a` and `a\\x00` are two identities."""
+    if identities is None:
+        identities = sorted(set(ids))
+    index = dict(zip(identities, range(len(identities))))
+    return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids)), identities
+
+
+def group_rows(ids):
+    """(identities, order, bounds): the sorted distinct ids of
+    `identity_codes`, and `order` listing the rows grouped by id, each group
+    in row order; group k is order[bounds[k]:bounds[k + 1]]."""
+    codes, identities = identity_codes(ids)
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(identities))
+    return identities, order, np.concatenate(([0], np.cumsum(counts)))
 
 
 def _unit_rows(rng, n, dim):
@@ -164,9 +175,8 @@ def split_dataset(samples, fraction, seed):
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError(f"split fraction {fraction} must be in (0, 1)")
     samples = SampleSet.of(samples)
-    codes, identities = samples.identity_codes()
-    order = np.argsort(codes, kind="stable")
-    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(identities))).tolist()]
+    identities, order, bounds = group_rows(samples.identity_ids)
+    bounds = bounds.tolist()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 200]))
     held = np.zeros(len(samples), dtype=bool)  # by position in `order`
     for identity_id, start, stop in zip(identities, bounds, bounds[1:]):

@@ -13,12 +13,13 @@ values in the same order as a mean over one row.
 """
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SampleSet
+from .data import SampleSet, group_rows
 from .errors import ConfigurationError, DegenerateInputError
 # Unused here; perfbench/tracing.py counts calls through this name.
 from .linalg import cosine_similarity  # noqa: F401
@@ -121,30 +122,92 @@ class DiagnosticsReport:
     warnings: int = 0
 
 
-def build_trials(samples, mode, n_positive, n_negative, seed):
-    """Balanced-by-construction verification pairs, deterministic per seed.
+# The most 32-bit words `_raw_draws` takes from the raw stream at once.
+RAW_CHUNK_WORDS = 65536
+_LOW_WORD = 0xFFFFFFFF
 
-    Targets are `rng.choice` indices into every within-identity pair, listed
-    identity by identity in `np.triu_indices` order.  Each nontarget draws two
-    distinct identities with `rng.choice(..., size=2, replace=False)`, then a
-    sample of each with `rng.integers(len(group))`, which picks the value and
-    advances the generator exactly as `rng.choice(group)` does; a pair drawn
-    before is rejected and drawn anew.
+
+@contextlib.contextmanager
+def _raw_draws(rng):
+    """`draw(r)`, numpy's bounded draw of [0, r] from the PCG64 generator
+    `rng`, read in bulk from its raw stream.
+
+    `rng.integers(r + 1)`, and each draw inside `rng.choice`, is Lemire's
+    multiply-shift rule over 32-bit words (arXiv 1805.10941): m = w·(r + 1),
+    redrawn while m mod 2³² < (2³² − 1 − r) mod (r + 1); the value is m >> 32,
+    and r = 0 takes no word.  numpy splits each 64-bit output into its low
+    word, used first, and its high word, kept in the state's `uinteger` for
+    the next draw.  Chunks of raw outputs, from 64 words and doubling up to
+    RAW_CHUNK_WORDS, are read ahead; on exit the unread outputs are rewound with
+    `advance` and a pending high word is put back, so that the generator's
+    next draw is the one numpy would make next.  r must be below 2³² − 1.
     """
-    if mode not in MODALITY_MODES:
-        raise ConfigurationError(f"unknown modality mode {mode!r}")
+    bits = rng.bit_generator
+    state = bits.state
+    entry = state["uinteger"]
+    words = [entry] if state["has_uint32"] else []
+    pos, size = 0, 32
+
+    def draw(r):
+        nonlocal words, pos, size
+        if not r:
+            return 0
+        bound = r + 1
+        while True:
+            if pos == len(words):
+                size = min(2 * size, RAW_CHUNK_WORDS)
+                raw = bits.random_raw(size // 2)
+                words = raw.astype("<u8", copy=False).view("<u4").tolist()
+                pos = 0
+            m = words[pos] * bound
+            pos += 1
+            low = m & _LOW_WORD
+            # The threshold is below r + 1, so most words pass the first test.
+            if low >= bound or low >= (_LOW_WORD - r) % bound:
+                return m >> 32
+
+    try:
+        yield draw
+    finally:
+        unread = len(words) - pos
+        if unread > 1:
+            bits.advance(-(unread // 2))
+        state = bits.state
+        if unread % 2:
+            state["has_uint32"], state["uinteger"] = 1, words[pos]
+        else:
+            state["has_uint32"], state["uinteger"] = 0, words[pos - 1] if pos else entry
+        bits.state = state
+
+
+def _pairs(bounds, index):
+    """(first, second): the positions in `order` of within-identity pairs,
+    by their index in the list of all such pairs, identity by identity, each
+    in `np.triu_indices` order.  Every position but a group's last starts a
+    row of pairs (itself, each later position of its group); a pair is found
+    by its row."""
+    ends = np.repeat(bounds[1:], np.diff(bounds))  # each position's group end
+    rows = np.flatnonzero(np.arange(ends.size) < ends - 1)
+    lengths = ends[rows] - 1 - rows
+    row_start = np.cumsum(lengths) - lengths
+    row = np.searchsorted(row_start, index, side="right") - 1
+    first = rows[row]
+    return first, first + 1 + (index - row_start[row])
+
+
+def _draw_trials(groups, mode, n_positive, n_negative, seed):
+    """(left, right, labels) of `build_trials`, from `group_rows` of the
+    samples' identities."""
     if n_positive < 0 or n_negative < 0:
         raise ConfigurationError("trial counts must be >= 0")
-    samples = SampleSet.of(samples)
-    _, order, bounds = _clusters(samples.identity_ids)
+    _, order, bounds = groups
     sizes = np.diff(bounds)
     if sizes.size < 2:
         raise ConfigurationError("need at least 2 identities to build trials")
     # ordered pairs of samples from two different identities
-    n_cross = len(samples) ** 2 - int(np.sum(sizes * sizes))
+    n_cross = len(order) ** 2 - int(np.sum(sizes * sizes))
     if n_negative > n_cross:
         raise ConfigurationError(f"only {n_cross} distinct cross-identity pairs exist")
-    left_exp, right_exp = MODALITY_MODES[mode]
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, 300, _MODE_TAGS[mode]])
     )
@@ -152,47 +215,70 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
     n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if n_positive > 0 and not n_pairs:
         raise ConfigurationError("no identity has two samples; cannot build targets")
-    counts = sizes.tolist()
-    left, right = [], []
+    chosen = np.empty(0, dtype=np.intp)
     if n_positive > 0:
-        pairs = {size: np.triu_indices(size, k=1) for size in set(counts)}
-        firsts, seconds = [], []
-        for start, size in zip(bounds.tolist(), counts):
-            first, second = pairs[size]
-            firsts.append(order[start + first])
-            seconds.append(order[start + second])
         chosen = rng.choice(n_pairs, size=n_positive, replace=n_positive > n_pairs)
-        left = np.concatenate(firsts)[chosen].tolist()
-        right = np.concatenate(seconds)[chosen].tolist()
+    first, second = _pairs(bounds, chosen)
 
     groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
-    choice, integers = rng.choice, rng.integers
-    seen = set()  # one entry per nontarget trial drawn so far
+    tops = (sizes - 1).tolist()
+    last = len(groups) - 1
+    seen = {}  # one key per nontarget trial drawn so far, in draw order
     max_attempts = 1000 * max(n_negative, 1)
     attempts = 0
-    while len(seen) < n_negative:
-        attempts += 1
-        if attempts > max_attempts:
-            raise ConfigurationError("cannot sample enough distinct nontarget pairs")
-        i1, i2 = choice(len(groups), size=2, replace=False).tolist()
-        pair = (groups[i1][integers(counts[i1])], groups[i2][integers(counts[i2])])
-        if pair not in seen:
-            seen.add(pair)
-            left.append(pair[0])
-            right.append(pair[1])
-    labels = [True] * n_positive + [False] * n_negative
+    with _raw_draws(rng) as draw:
+        while len(seen) < n_negative:
+            attempts += 1
+            if attempts > max_attempts:
+                raise ConfigurationError("cannot sample enough distinct nontarget pairs")
+            # rng.choice(n, size=2, replace=False): Floyd's draws of [0, n - 2]
+            # and [0, n - 1], a repeat replaced by n - 1, then a shuffle.
+            i1, i2 = draw(last - 1), draw(last)
+            if i2 == i1:
+                i2 = last
+            if not draw(1):
+                i1, i2 = i2, i1
+            # rng.integers(len(group)) of each side
+            seen[groups[i1][draw(tops[i1])], groups[i2][draw(tops[i2])]] = None
+    negatives = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
+    labels = np.zeros(n_positive + n_negative, dtype=bool)
+    labels[:n_positive] = True
+    return (np.concatenate([order[first], negatives[:, 0]]),
+            np.concatenate([order[second], negatives[:, 1]]), labels)
+
+
+def build_trials(samples, mode, n_positive, n_negative, seed):
+    """Balanced-by-construction verification pairs, deterministic per seed.
+
+    Targets are `rng.choice` indices into every within-identity pair, listed
+    identity by identity in `np.triu_indices` order; each index is mapped to
+    its pair without listing the others.  Each nontarget draws two distinct
+    identities as `rng.choice(..., size=2, replace=False)` does, then a
+    sample of each as `rng.integers(len(group))` does, which picks the value
+    and advances the generator exactly as `rng.choice(group)` does; a pair
+    drawn before is rejected and drawn anew.  The nontarget draws are read
+    from the generator's raw stream (`_raw_draws`), and the generator is left
+    where those numpy calls would leave it.
+    """
+    if mode not in MODALITY_MODES:
+        raise ConfigurationError(f"unknown modality mode {mode!r}")
+    groups = group_rows(SampleSet.of(samples).identity_ids)
+    left, right, labels = _draw_trials(groups, mode, n_positive, n_negative, seed)
+    left_exp, right_exp = MODALITY_MODES[mode]
     return [Trial(a, b, left_exp, right_exp, label)
-            for a, b, label in zip(left, right, labels)]
+            for a, b, label in zip(left.tolist(), right.tolist(), labels.tolist())]
 
 
 def build_mode_trials(samples, trial_config: TrialConfig):
-    """The trials of all six modes, as {mode: TrialArrays}."""
+    """The trials of all six modes, as {mode: TrialArrays}: the trials of
+    `build_trials`, drawn as index arrays."""
+    groups = group_rows(SampleSet.of(samples).identity_ids)
     return {
-        mode: TrialArrays.from_trials(mode, build_trials(
-            samples, mode, trial_config.n_positive, trial_config.n_negative,
+        mode: TrialArrays(exposures, *_draw_trials(
+            groups, mode, trial_config.n_positive, trial_config.n_negative,
             trial_config.seed,
         ))
-        for mode in MODALITY_MODES
+        for mode, exposures in MODALITY_MODES.items()
     }
 
 
@@ -265,17 +351,6 @@ def compute_eer(scores, labels):
     raise DegenerateInputError("no FAR/FRR crossing found")  # unreachable
 
 
-def _clusters(labels):
-    """(sorted distinct labels, order, bounds): `order` lists the samples
-    grouped by label, each group in sample order, and group k is
-    order[bounds[k]:bounds[k + 1]]."""
-    distinct, inverse, counts = np.unique(
-        np.asarray(labels), return_inverse=True, return_counts=True
-    )
-    order = np.argsort(inverse, kind="stable")
-    return distinct.tolist(), order, np.concatenate(([0], np.cumsum(counts)))
-
-
 def _exposure(modality):
     if modality not in _MODALITY_EXPOSURES:
         raise ConfigurationError(f"modality must be audio or video, got {modality!r}")
@@ -299,7 +374,7 @@ def audio_video_angles(embedded, labels):
     """Per-sample angle between the audio-only and video-only embeddings."""
     if len(labels) == 0:
         raise DegenerateInputError("no samples")
-    identities, order, bounds = _clusters(labels)
+    identities, order, bounds = group_rows(labels)
     return _angle_report("audio_video", identities, bounds,
                          embedded["a"][order], embedded["v"][order])
 
@@ -307,19 +382,15 @@ def audio_video_angles(embedded, labels):
 def within_identity_angles(embedded, labels, modality):
     """All unordered within-identity pairs of single-modality embeddings."""
     exposure = _exposure(modality)
-    identities, order, bounds = _clusters(labels)
+    identities, order, bounds = group_rows(labels)
     sizes = np.diff(bounds)
     if not (sizes >= 2).any():
         raise DegenerateInputError("no identity has two samples")
-    left, right = [], []
-    for start, size in zip(bounds[:-1], sizes):
-        first, second = np.triu_indices(size, k=1)
-        left.append(order[start + first])
-        right.append(order[start + second])
     pair_bounds = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
+    first, second = _pairs(bounds, np.arange(pair_bounds[-1]))
     emb = embedded[exposure]
     return _angle_report(f"within_identity_{modality}", identities, pair_bounds,
-                         emb[np.concatenate(left)], emb[np.concatenate(right)])
+                         emb[order[first]], emb[order[second]])
 
 
 def centroid_angle_matrix(embedded, labels, modality):
@@ -329,7 +400,7 @@ def centroid_angle_matrix(embedded, labels, modality):
     centroid are dropped from the matrix and counted.
     """
     exposure = _exposure(modality)
-    identities, order, bounds = _clusters(labels)
+    identities, order, bounds = group_rows(labels)
     if len(identities) < 2:
         raise DegenerateInputError("need at least 2 identities")
     emb = embedded[exposure]
@@ -359,11 +430,10 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     if distance != "cosine":
         raise ConfigurationError(f"unknown distance {distance!r}")
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
     n = len(labels)
     if embeddings.shape[0] != n:
         raise ConfigurationError("embeddings and labels must align")
-    _, order, bounds = _clusters(labels)
+    _, order, bounds = group_rows(labels)
     if len(bounds) < 3:
         raise DegenerateInputError("silhouette needs at least 2 clusters")
     if not np.isfinite(embeddings).all():

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arcmargin import arc_margin_loss_grad_batch, plain_cosine_logits
-from .data import SampleSet
+from .data import SampleSet, identity_codes
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -165,19 +165,34 @@ class AdamW:
             p -= b
 
 
+def _sum_of_squares(flat, scratch):
+    """`np.add.reduce(np.square(flat))` of a contiguous 1-d array, bit for
+    bit, squaring at most `scratch.size` values at a time.
+
+    numpy sums a contiguous array pairwise: a node of n > 128 values is the
+    sum of its first n // 2 values, rounded down to a multiple of 8, and of
+    the rest.  A node that fits in `scratch` is squared and reduced whole;
+    a larger one is split as numpy splits it."""
+    n = flat.size
+    if n <= scratch.size:
+        return float(np.add.reduce(np.square(flat, out=scratch[:n])))
+    half = n // 2 - n // 2 % 8
+    return _sum_of_squares(flat[:half], scratch) + _sum_of_squares(flat[half:], scratch)
+
+
 def clip_global_norm(grads: dict, max_norm: float, scratch):
     """Scale all gradients in place by max_norm/global_norm when the norm
     exceeds it; returns (grads, global norm before clipping).
 
     The norm adds up each gradient's sum of squares in the order of
-    `grads`.  Each gradient is squared into the front of `scratch`, a flat
-    float64 array at least as large as the largest gradient."""
+    `grads`, each summed as `np.add.reduce` sums its square.  The squares
+    go through `scratch`, a flat float64 array of any size of at least 128,
+    or at least as large as the largest gradient."""
     if max_norm <= 0:
         raise ConfigurationError("max_norm must be > 0")
     total = 0
     for g in grads.values():
-        square = np.square(g, out=scratch[: g.size].reshape(g.shape))
-        total += float(np.add.reduce(square, axis=None))
+        total += _sum_of_squares(g.reshape(-1), scratch)
     total = np.sqrt(total)
     if total <= max_norm:
         return grads, total
@@ -221,7 +236,7 @@ def validate_accuracy(head, arc_head, validation):
     """Argmax accuracy of margin-free cosine logits on unmasked inputs.
 
     `validation` is (audio, video, labels), the labels indexing the
-    prototype columns, as `SampleSet.identity_codes(training identities)`
+    prototype columns, as `identity_codes(ids, training identities)`
     gives them.
     """
     audio, video, labels = validation
@@ -261,7 +276,7 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
         raise DegenerateInputError("empty validation set")
     if not train:
         raise DegenerateInputError("empty training set")
-    labels, identities = train.identity_codes()
+    labels, identities = identity_codes(train.identity_ids)
     # Validation is scored against the prototype columns of the training
     # identities, so its labels index the training identities too.
     unknown = set(val.identity_ids).difference(identities)
@@ -269,13 +284,13 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
         raise DegenerateInputError(
             f"{len(unknown)} validation identities are not in the training "
             f"set, first {min(unknown)!r}")
-    validation = (val.audio, val.video, val.identity_codes(identities)[0])
+    validation = (val.audio, val.video, identity_codes(val.identity_ids, identities)[0])
     audio, video, n = train.audio, train.video, len(train)
     shuffle_rng = substream(config.seed, "shuffle")
     mask_rng = substream(config.seed, "masking")
     dropout_rng = substream(config.seed, "dropout")
     store = ParamStore.of_model(head, arc_head)
-    clip_scratch = np.empty(max(g.size for g in store.grad_views.values()))
+    clip_scratch = np.empty(min(ADAMW_BLOCK, store.grads.size))
     optimizer = AdamW(config, store.params.size)
 
     # A trailing batch of one row joins the batch before it: train-mode

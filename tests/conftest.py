@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
-from avfusion.data import DatasetConfig, Sample, generate_identities, sample_dataset
+from avfusion.data import (
+    DatasetConfig,
+    Sample,
+    generate_identities,
+    group_rows,
+    sample_dataset,
+)
 from avfusion.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -25,7 +31,6 @@ from avfusion.evaluation import (
     BoxplotStats,
     EerResult,
     Trial,
-    _clusters,
     embed_samples,
 )
 from avfusion.heads import HEAD_KINDS, _check_cache
@@ -701,7 +706,7 @@ def loop_build_trials(samples, mode, n_positive, n_negative, seed):
         raise ConfigurationError(f"unknown modality mode {mode!r}")
     if n_positive < 0 or n_negative < 0:
         raise ConfigurationError("trial counts must be >= 0")
-    _, order, bounds = _clusters([s.identity_id for s in samples])
+    _, order, bounds = group_rows([s.identity_id for s in samples])
     groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
     if len(groups) < 2:
         raise ConfigurationError("need at least 2 identities to build trials")

@@ -7,6 +7,7 @@ from avfusion.data import (
     Sample,
     SampleSet,
     generate_identities,
+    identity_codes,
     sample_dataset,
     split_dataset,
 )
@@ -178,7 +179,7 @@ class TestSampleSet:
     def test_identity_codes_follow_sorted_identities(self):
         config = DatasetConfig(n_identities=3, samples_per_identity=2)
         samples = sample_dataset(generate_identities(config), config)
-        labels, identities = samples.identity_codes()
+        labels, identities = identity_codes(samples.identity_ids)
         assert identities == sorted(identities)
         assert samples.audio.shape == (6, config.d_a)
         assert samples.video.shape == (6, config.d_v)
@@ -188,7 +189,7 @@ class TestSampleSet:
     def test_codes_index_given_identities(self):
         samples = SampleSet(np.zeros((3, 1)), np.zeros((3, 2)), ["b", "a", "b"],
                             ["s0", "s1", "s2"])
-        codes, identities = samples.identity_codes(["x", "b", "a"])
+        codes, identities = identity_codes(samples.identity_ids, ["x", "b", "a"])
         assert identities == ["x", "b", "a"]
         assert codes.tolist() == [1, 2, 1]
 

@@ -9,6 +9,7 @@ turns drawn matrices into the embeddings both versions see.
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,19 +17,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from avfusion.data import Sample
+from avfusion import evaluation
+from avfusion.data import Sample, SampleSet, group_rows
 from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
+    _MODE_TAGS,
     MODALITY_MODES,
     Trial,
     TrialArrays,
+    _raw_draws,
     audio_video_angles,
     boxplot_stats,
+    build_mode_trials,
     build_trials,
     centroid_angle_matrix,
     compute_eer,
     embed_samples,
     score_trials,
+    TrialConfig,
     silhouette_score,
     within_identity_angles,
 )
@@ -320,6 +326,200 @@ class TestBuildTrials:
             args = (samples, mode, 500, 500, 0)
             assert trials_and_next_draw(build_trials, *args) == \
                 trials_and_next_draw(loop_build_trials, *args)
+
+
+def grouped_samples(sizes, order):
+    """Samples of identities id0, id1, ... of the given sizes, in the sample
+    order `order`; only the identities matter to the trial sampler."""
+    ids = [f"id{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    return [Sample(ids[i], f"s{i}", np.zeros(1), np.zeros(1)) for i in order]
+
+
+@st.composite
+def sized_samples(draw, sizes):
+    sizes = draw(sizes)
+    return grouped_samples(sizes, draw(st.permutations(range(sum(sizes)))))
+
+
+def assert_matches_loop(samples, mode, n_positive, n_negative, seed):
+    args = (samples, mode, n_positive, n_negative, seed)
+    assert trials_and_next_draw(build_trials, *args) == \
+        trials_and_next_draw(loop_build_trials, *args)
+
+
+def trial_generator(mode, seed):
+    return np.random.default_rng(np.random.SeedSequence([seed, 300, _MODE_TAGS[mode]]))
+
+
+MODES = st.sampled_from(list(MODALITY_MODES))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestRawDraws:
+    """Each branch of the raw-stream reader, against the numpy calls it
+    stands for: the trials, and the generator's next draw after them."""
+
+    @EXACT
+    @given(sized_samples(st.lists(st.integers(2, 4), min_size=2, max_size=5)), MODES,
+           st.integers(0, 20), st.integers(1, 30), SEEDS)
+    def test_pending_word_at_entry(self, samples, mode, k, n_negative, seed):
+        """Targets drawn with replacement, an odd number of one-word draws,
+        leave the high half of a 64-bit output for the nontargets' first."""
+        _, _, bounds = group_rows([s.identity_id for s in samples])
+        sizes = np.diff(bounds)
+        n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+        n_positive = n_pairs + 1 + (n_pairs % 2) + 2 * k  # odd, above n_pairs
+        rng = trial_generator(mode, seed)
+        rng.choice(n_pairs, size=n_positive, replace=True)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert_matches_loop(samples, mode, n_positive, min(n_negative, 8), seed)
+
+    @EXACT
+    @given(sized_samples(st.lists(st.integers(1, 6), min_size=2, max_size=2)), MODES,
+           st.integers(0, 10), st.integers(0, 40), SEEDS)
+    def test_two_identities(self, samples, mode, n_positive, n_negative, seed):
+        """Floyd's first draw, of [0, 0], takes no word."""
+        n_cross = 2 * sum(1 for s in samples if s.identity_id == "id0") * \
+            sum(1 for s in samples if s.identity_id == "id1")
+        n_positive = n_positive if len(samples) > 2 else 0
+        assert_matches_loop(samples, mode, n_positive, min(n_negative, n_cross), seed)
+
+    @EXACT
+    @given(sized_samples(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=2, max_size=8)),
+           MODES, st.integers(0, 10), st.integers(0, 40), SEEDS)
+    def test_one_sample_identities(self, samples, mode, n_positive, n_negative, seed):
+        """A sample draw from a one-sample identity, of [0, 0], takes no word."""
+        ids = [s.identity_id for s in samples]
+        if all(ids.count(i) == 1 for i in ids):
+            n_positive = 0
+        n_cross = len(ids) ** 2 - sum(ids.count(i) for i in ids)
+        assert_matches_loop(samples, mode, n_positive, min(n_negative, n_cross), seed)
+
+    @EXACT
+    @given(sized_samples(st.lists(st.integers(1, 5), min_size=3, max_size=8)), MODES,
+           st.integers(0, 7), st.integers(20, 60), st.sampled_from([2, 4, 6, 10]), SEEDS)
+    def test_chunk_refilled(self, samples, mode, n_positive, n_negative, chunk, seed):
+        """Chunks of 2-10 words, refilled many times in one request."""
+        ids = [s.identity_id for s in samples]
+        n_cross = len(ids) ** 2 - sum(ids.count(i) for i in ids)
+        if all(ids.count(i) == 1 for i in ids):
+            n_positive = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "RAW_CHUNK_WORDS", chunk)
+            assert_matches_loop(samples, mode, n_positive, min(n_negative, n_cross), seed)
+
+    @EXACT
+    @given(sized_samples(st.lists(st.integers(1, 5), min_size=2, max_size=6)), MODES,
+           st.integers(0, 15), SEEDS)
+    def test_no_nontargets(self, samples, mode, n_positive, seed):
+        ids = [s.identity_id for s in samples]
+        if all(ids.count(i) == 1 for i in ids):
+            n_positive = 0
+        assert_matches_loop(samples, mode, n_positive, 0, seed)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rejected_words_redrawn(self, pending, seed):
+        """At r = 3·2³⁰ Lemire's rule rejects about one word in four: the
+        draws and the next draw equal `rng.integers(r + 1)`'s, with a
+        pending word at entry or without."""
+        r = 3 * 2**30
+        ranges = [r, 0, 1, r, 6, r] * 300
+        rng, reference, unrejected = (np.random.default_rng(seed) for _ in range(3))
+        if pending:
+            for g in (rng, reference, unrejected):
+                g.integers(5)
+        with _raw_draws(rng) as draw:
+            got = [draw(k) for k in ranges]
+        assert got == [int(reference.integers(k + 1)) for k in ranges]
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random() == reference.random()
+        # Without rejections, every draw but those of [0, 0] takes one word.
+        for k in ranges:
+            if k:
+                unrejected.bit_generator.random_raw(0)
+        words = sum(1 for k in ranges if k)
+        with _raw_draws(unrejected) as draw:
+            for _ in range(words):
+                draw(1)
+        assert unrejected.bit_generator.state != reference.bit_generator.state
+
+
+class TestTargetPairs:
+    @EXACT
+    @given(sized_samples(st.lists(st.sampled_from([1, 2, 2, 3, 5]), min_size=2,
+                                  max_size=8)),
+           MODES, st.integers(1, 40), st.integers(0, 5), SEEDS)
+    @example(grouped_samples([1, 2, 1, 2], range(6)), "AxA", 30, 2, 3)  # replacement
+    def test_matches_loop(self, samples, mode, n_positive, n_negative, seed):
+        """One- and two-sample identities, with and without replacement."""
+        ids = [s.identity_id for s in samples]
+        n_cross = len(ids) ** 2 - sum(ids.count(i) for i in ids)
+        assert_matches_loop(samples, mode, n_positive, min(n_negative, n_cross), seed)
+
+    def test_paper_scale_lists_no_pair(self):
+        """1,251 identities of 120 samples hold 8.9 M within-identity pairs;
+        500 targets are drawn without listing them."""
+        n = 1251 * 120
+        ids = [f"id{k:04d}" for k in range(1251) for _ in range(120)]
+        samples = SampleSet(np.zeros((n, 1)), np.zeros((n, 1)), ids,
+                            list(map(str, range(n))))
+        tracemalloc.start()
+        try:
+            trials = build_trials(samples, "AVxAV", 500, 500, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert all(t.label == (ids[t.left] == ids[t.right]) for t in trials)
+        assert sum(t.label for t in trials) == 500
+
+
+class TestModeTrials:
+    def test_index_arrays_equal_build_trials(self):
+        samples = small_dataset(n_identities=12, samples_per_identity=5)
+        trials = build_mode_trials(samples, TrialConfig(40, 60, 3))
+        for mode, arrays in trials.items():
+            expected = TrialArrays.from_trials(
+                mode, build_trials(samples, mode, 40, 60, 3))
+            assert arrays.exposures == expected.exposures
+            for field in ("left", "right", "labels"):
+                got, want = getattr(arrays, field), getattr(expected, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestIdentitiesTrailingNul:
+    """`a` and `a\\x00` are two identities everywhere, as in training."""
+
+    IDS = ["a", "a\x00", "b", "b", "a", "a\x00"]
+
+    def test_groups(self):
+        identities, order, bounds = group_rows(self.IDS)
+        assert identities == ["a", "a\x00", "b"]
+        assert order.tolist() == [0, 4, 1, 5, 2, 3]
+        assert bounds.tolist() == [0, 2, 4, 6]
+
+    def test_trials(self):
+        samples = [Sample(i, f"s{k}", np.zeros(1), np.zeros(1))
+                   for k, i in enumerate(self.IDS)]
+        trials = build_trials(samples, "AxA", 3, 20, 0)
+        assert all(t.label == (self.IDS[t.left] == self.IDS[t.right]) for t in trials)
+        pair = [Sample("a", "s0", np.zeros(1), np.zeros(1)),
+                Sample("a\x00", "s1", np.zeros(1), np.zeros(1))]
+        assert sorted((t.left, t.right) for t in build_trials(pair, "AxA", 0, 2, 0)) == \
+            [(0, 1), (1, 0)]
+
+    def test_angles_and_silhouette(self):
+        emb = np.array([[1.0, 0.1], [0.2, 1.0], [1.0, 1.0], [1.0, 0.9], [0.9, 0.0],
+                        [0.0, 1.0]])
+        codes = [0, 1, 2, 2, 0, 1]
+        assert silhouette_score(emb, self.IDS, "cosine") == \
+            silhouette_score(emb, codes, "cosine")
+        assert silhouette_score(emb, self.IDS, "cosine") != \
+            silhouette_score(emb, [0, 0, 2, 2, 0, 0], "cosine")
+        report = within_identity_angles({"a": emb}, self.IDS, "audio")
+        assert list(report.per_identity) == ["a", "a\x00", "b"]
+        assert all(len(angles) == 1 for angles in report.per_identity.values())
 
 
 # A zero of either sign, ties, outliers, infinities and NaN.

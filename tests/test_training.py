@@ -14,6 +14,7 @@ from avfusion.data import (
     DatasetConfig,
     SampleSet,
     generate_identities,
+    identity_codes,
     sample_dataset,
     split_dataset,
 )
@@ -369,7 +370,7 @@ class TestBatchLoss:
 
 def validation_of(samples):
     """(audio, video, labels) of a set, labels indexing its sorted identities."""
-    return samples.audio, samples.video, samples.identity_codes()[0]
+    return samples.audio, samples.video, identity_codes(samples.identity_ids)[0]
 
 
 class TestValidateAccuracy:

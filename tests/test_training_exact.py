@@ -232,3 +232,62 @@ def test_mlp_step_allocates_no_array_as_large_as_the_first_layer(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == -(-len(train) // 16)  # one per batch
     assert max(peaks) < weight_bytes // 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    sizes=st.lists(st.integers(50_000, 500_000).map(lambda k: 2 * k + 1),
+                   min_size=1, max_size=2),
+    rows=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+    clip_scale=st.sampled_from([0.5, 2.0]),
+)
+def test_clip_through_a_block_scratch_matches_loop(sizes, rows, seed, clip_scale):
+    """Views of 10^5-10^6 values of odd length, and a 2-d view, clipped
+    through a scratch of ADAMW_BLOCK values: the norm and every clipped value
+    equal the loop's, which squares each gradient whole."""
+    rng = np.random.default_rng(seed)
+    shapes = [(size,) for size in sizes] + [(rows, ADAMW_BLOCK + 3)]
+    owner = types.SimpleNamespace(**{f"t{i}": np.zeros(s) for i, s in enumerate(shapes)})
+    store = ParamStore([(name, owner, name) for name in vars(owner)])
+    for view in store.grad_views.values():
+        view[...] = draw_values(rng, view.shape)
+    norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in store.grad_views.values()))
+    max_norm = clip_scale * norm
+    expected, expected_total = loop_clip_global_norm(
+        {name: g.copy() for name, g in store.grad_views.items()}, max_norm)
+
+    scratch = np.empty(ADAMW_BLOCK)
+    tracemalloc.start()
+    try:
+        clipped, total = clip_global_norm(store.grad_views, max_norm, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == expected_total
+    assert (total > max_norm) == (clip_scale < 1)
+    for name, g in expected.items():
+        assert np.array_equal(clipped[name], g)
+    assert peak < 2**16  # no square of a gradient, not even of one block
+
+
+def test_train_run_clips_through_one_block(monkeypatch):
+    """The clip scratch of a run holds at most ADAMW_BLOCK values, however
+    large its gradients: an MLP layer of 200 x 300 weights is clipped
+    through it."""
+    dataset = DatasetConfig(n_identities=3, samples_per_identity=6, d_a=100, d_v=200,
+                            seed=0)
+    train, val = split_dataset(
+        sample_dataset(generate_identities(dataset), dataset), 0.34, 0)
+    rng = np.random.default_rng(0)
+    head = make_head("mlp", rng, d_a=100, d_v=200, d_e=8, hidden=200)
+    arc = ArcMarginHead.create(rng, 8, 3)
+    sizes, clip = [], training.clip_global_norm
+
+    def recording(grads, max_norm, scratch):
+        sizes.append((scratch.size, max(g.size for g in grads.values())))
+        return clip(grads, max_norm, scratch)
+
+    monkeypatch.setattr(training, "clip_global_norm", recording)
+    train_run(head, arc, train, val, TrainingConfig(batch_size=4, max_epochs=1))
+    assert sizes and all(scratch == ADAMW_BLOCK < largest for scratch, largest in sizes)
