@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 from . import data as data_mod
 from . import evaluation as eval_mod
 from . import persistence
-from . import svgplot
 from .arcmargin import ArcMarginHead
 from .errors import (
     AvFusionError,
@@ -283,33 +282,34 @@ def cmd_evaluate(cfg):
                 f"checkpoints {prefixes[prefix]} and {path} would write the same "
                 f"report {prefix}; give them different file names")
         prefixes[prefix] = path
-    samples = persistence.read_embeddings(cfg["test_embeddings"])
-    trial_config = eval_mod.TrialConfig(
-        n_positive=cfg["n_positive"], n_negative=cfg["n_negative"], seed=cfg["seed"]
-    )
-    # A bad checkpoint fails the call before it writes or draws anything,
-    # and a trial request the test set cannot meet before it writes; every
-    # head stays in memory until the last report is written.
+    test_path = cfg["test_embeddings"]
+    samples = persistence.read_embeddings(test_path)
     heads = [persistence.load_checkpoint(path)[0] for path in checkpoints]
     for path, head in zip(checkpoints, heads):
-        _check_dims(cfg["test_embeddings"], samples, head.d_a, head.d_v, path)
-    trials = eval_mod.build_mode_trials(samples, trial_config)
+        _check_dims(test_path, samples, head.d_a, head.d_v, path)
+    # Trials pair two identities, and targets two samples of one; no flag
+    # makes up for a test set without them.
+    bounds = data_mod.group_rows(samples.identity_ids)[2]
+    sizes = (bounds[1:] - bounds[:-1]).tolist()
+    if len(sizes) < 2 or max(sizes) < 2:
+        raise DegenerateInputError(
+            f"{test_path} holds {len(sizes)} identities of at most {max(sizes, default=0)} "
+            "samples; trials need 2 identities, and targets 2 samples of one")
+    trial_config = _config_of(eval_mod.TrialConfig, cfg)
+    # Every report is computed before --out-dir is made, so that a failed
+    # call leaves none.
+    with float_errors_as_degenerate("evaluation", f"{test_path}: {len(samples)} samples"):
+        trials = eval_mod.build_mode_trials(samples, trial_config)
+        reports = [eval_mod.run_full_evaluation(head, samples, trial_config, trials)
+                   for head in heads]
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    rows = []
-    for prefix, head in zip(prefixes, heads):
-        with float_errors_as_degenerate("evaluation"):
-            report = eval_mod.run_full_evaluation(head, samples, trial_config, trials)
+    for prefix, head, report in zip(prefixes, heads, reports):
         persistence.write_report(prefix, report, cfg["format"])
-        rows.append((head.kind, {m: r.eer for m, r in report.eer.items()}))
         line = "  ".join(f"{m}={report.eer[m].eer:.4f}" for m in eval_mod.MODALITY_MODES)
         print(f"{head.kind}: {line}")
-    if len(rows) > 1:
-        comparison = os.path.join(cfg["out_dir"], "comparison.csv")
-        with open(comparison, "w", encoding="utf-8") as fh:
-            modes = list(eval_mod.MODALITY_MODES)
-            fh.write("model," + ",".join(modes) + "\n")
-            for kind, eers in rows:
-                fh.write(kind + "," + ",".join(f"{eers[m]:.6g}" for m in modes) + "\n")
+    if len(reports) > 1:
+        comparison = persistence.write_comparison(
+            cfg["out_dir"], [(head.kind, report.eer) for head, report in zip(heads, reports)])
         print(f"wrote {comparison}")
     return EXIT_OK
 
@@ -320,48 +320,17 @@ def cmd_diagnose(cfg):
     if not samples:
         raise DegenerateInputError("embedding file is empty")
     _check_dims(cfg["embeddings"], samples, head.d_a, head.d_v, cfg["checkpoint"])
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    with float_errors_as_degenerate("diagnostics"):
+    with float_errors_as_degenerate(
+            "diagnostics", f"{cfg['embeddings']}: {len(samples)} samples"):
         report = eval_mod.run_diagnostics(
             {exp: eval_mod.embed_samples(head, samples, exp) for exp in ("a", "v")},
             samples.identity_ids,
         )
-    families = {
-        "audio_video": report.audio_video,
-        "within_audio": report.within_identity["audio"],
-        "within_video": report.within_identity["video"],
-    }
-    warnings = 0
-    for name, family in families.items():
-        groups = [
-            (identity, eval_mod.boxplot_stats(angles) if angles else None)
-            for identity, angles in sorted(family.per_identity.items())
-        ]
-        svgplot.render_boxplot_svg(
-            os.path.join(cfg["out_dir"], f"{name}.svg"), groups, head.kind,
-            name.replace("_", " "),
-        )
-        warnings += family.warnings
-    summary = {"silhouette": dict(report.silhouette), "warnings": warnings,
-               "families": {}}
-    for name, family in families.items():
-        angles = family.all_angles()
-        stats = eval_mod.boxplot_stats(angles) if angles else None
-        summary["families"][name] = (
-            None if stats is None else
-            {"median": stats.median, "q1": stats.q1, "q3": stats.q3,
-             "n": len(angles)}
-        )
-    summary_path = os.path.join(cfg["out_dir"], "diagnostics_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    if warnings:
-        print(f"warning: {warnings} degenerate embeddings skipped")
-    print(
-        "silhouette audio %.4f video %.4f"
-        % (summary["silhouette"]["audio"], summary["silhouette"]["video"])
-    )
+    os.makedirs(cfg["out_dir"], exist_ok=True)
+    summary = persistence.write_diagnostics(cfg["out_dir"], report, head.kind)
+    if summary["warnings"]:
+        print(f"warning: {summary['warnings']} degenerate embeddings skipped")
+    print("silhouette audio {audio:.4f} video {video:.4f}".format(**summary["silhouette"]))
     return EXIT_OK
 
 

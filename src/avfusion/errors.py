@@ -49,12 +49,18 @@ def check_array_size(what, n_elements):
 
 
 @contextmanager
-def float_errors_as_degenerate(what):
+def float_errors_as_degenerate(what, data=None):
     """Runs the block with numpy overflow, 0/0 and x/0 raising, and reports
     them as DegenerateInputError, before they become numpy warnings or
-    non-finite results."""
+    non-finite results.  `data` names the input whose size alone decides the
+    block's memory; a MemoryError is then a DegenerateInputError too."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
     except FloatingPointError as exc:
         raise DegenerateInputError(f"non-finite values in {what}: {exc}") from exc
+    except MemoryError as exc:
+        if data is None:
+            raise
+        raise DegenerateInputError(
+            f"{data} exceed this machine's memory in {what}: {exc}") from exc

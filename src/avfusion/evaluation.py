@@ -56,18 +56,6 @@ class TrialArrays:
     right: np.ndarray
     labels: np.ndarray  # True = same identity
 
-    @classmethod
-    def from_trials(cls, mode, trials):
-        exposures = MODALITY_MODES[mode]
-        if any((t.left_exposure, t.right_exposure) != exposures for t in trials):
-            raise ConfigurationError(f"trials do not all have the exposures of {mode}")
-        return cls(
-            exposures,
-            np.array([t.left for t in trials], dtype=np.intp),
-            np.array([t.right for t in trials], dtype=np.intp),
-            np.array([t.label for t in trials], dtype=bool),
-        )
-
 
 @dataclass(frozen=True)
 class EerResult:

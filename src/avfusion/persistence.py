@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import svgplot
 from .data import SampleSet
 from .errors import (
     ConfigurationError,
@@ -22,7 +23,7 @@ from .errors import (
     PersistenceError,
     ShapeError,
 )
-from .evaluation import BoxplotStats, boxplot_stats
+from .evaluation import MODALITY_MODES, BoxplotStats, boxplot_stats
 from .heads import HEAD_KINDS
 from .arcmargin import ArcMarginHead
 
@@ -239,14 +240,11 @@ def write_epoch_log(path, records):
             fh.write("\n")
 
 
-def read_epoch_log(path):
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+def _write_json(path, doc):
+    """`doc` as sorted, one-space-indented JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1))
+        fh.write("\n")
 
 
 def _sig6(x):
@@ -265,6 +263,13 @@ def _stats_dict(stats: BoxplotStats):
         "whisker_high": _sig6(stats.whisker_high),
         "outliers": [_sig6(v) for v in stats.outliers],
     }
+
+
+def _identity_stats(angle_report):
+    """(identity, BoxplotStats, or None for no angles) of each identity of
+    an angle family, in sorted identity order."""
+    return [(identity, boxplot_stats(angles) if angles else None)
+            for identity, angles in sorted(angle_report.per_identity.items())]
 
 
 def report_document(report):
@@ -287,8 +292,8 @@ def report_document(report):
     def family_doc(angle_report):
         return {
             "per_identity": {
-                identity: _stats_dict(boxplot_stats(angles)) if angles else None
-                for identity, angles in sorted(angle_report.per_identity.items())
+                identity: None if stats is None else _stats_dict(stats)
+                for identity, stats in _identity_stats(angle_report)
             },
             "warnings": angle_report.warnings,
         }
@@ -321,9 +326,7 @@ def write_report(path_prefix, report, format="structured"):
     paths = []
     if format != "tabular":
         paths.append(f"{path_prefix}.json")
-        with open(paths[-1], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=1))
-            fh.write("\n")
+        _write_json(paths[-1], doc)
     if format == "structured":
         return paths
     eer_path = f"{path_prefix}_eer.csv"
@@ -345,32 +348,25 @@ def write_report(path_prefix, report, format="structured"):
         )
 
         def stats_row(family, modality, identity, stats):
-            writer.writerow(
-                [family, modality, identity]
-                + [f"{stats[k]:.6g}" for k in
-                   ("min", "q1", "median", "q3", "max", "whisker_low",
-                    "whisker_high")]
-                + [len(stats["outliers"])]
-            )
+            *values, outliers = stats.values()  # in the order of _stats_dict
+            writer.writerow([family, modality, identity,
+                             *(f"{v:.6g}" for v in values), len(outliers)])
 
         families = doc["angle_families"]
+        walks = [("within_identity", modality, fam)
+                 for modality, fam in families.get("within_identity", {}).items()]
         if "audio_video" in families:
-            for identity, stats in families["audio_video"]["per_identity"].items():
-                if stats is not None:
-                    stats_row("audio_video", "both", identity, stats)
-        for modality, fam in families.get("within_identity", {}).items():
+            walks.insert(0, ("audio_video", "both", families["audio_video"]))
+        for family, modality, fam in walks:
             for identity, stats in fam["per_identity"].items():
                 if stats is not None:
-                    stats_row("within_identity", modality, identity, stats)
+                    stats_row(family, modality, identity, stats)
         for modality, fam in families.get("between_centroids", {}).items():
-            matrix = np.asarray(fam["matrix"])
-            if matrix.size:
-                upper = matrix[np.triu_indices(matrix.shape[0], k=1)]
-                if upper.size:
-                    stats_row(
-                        "between_centroids", modality, "__all__",
-                        _stats_dict(boxplot_stats(upper)),
-                    )
+            # The upper triangle, row by row, as np.triu_indices lists it.
+            upper = [v for i, row in enumerate(fam["matrix"]) for v in row[i + 1:]]
+            if upper:
+                stats_row("between_centroids", modality, "__all__",
+                          _stats_dict(boxplot_stats(upper)))
         for modality, value in doc["silhouette"].items():
             writer.writerow(
                 ["silhouette", modality, "__all__", f"{value:.6g}", "", "", "", "",
@@ -378,6 +374,41 @@ def write_report(path_prefix, report, format="structured"):
             )
     paths.append(diag_path)
     return paths
+
+
+def write_diagnostics(out_dir, report, label):
+    """Write `diagnose`'s outputs into `out_dir`: an SVG boxplot per angle
+    family, a box per identity under the legend `label`, then
+    `diagnostics_summary.json`, whose `warnings` sums the families'.
+    Returns the summary."""
+    families = {
+        "audio_video": report.audio_video,
+        "within_audio": report.within_identity["audio"],
+        "within_video": report.within_identity["video"],
+    }
+    summary = {"silhouette": dict(report.silhouette),
+               "warnings": sum(family.warnings for family in families.values()),
+               "families": {}}
+    for name, family in families.items():
+        svgplot.render_boxplot_svg(os.path.join(out_dir, f"{name}.svg"),
+                                   _identity_stats(family), label, name.replace("_", " "))
+        angles = family.all_angles()
+        stats = boxplot_stats(angles) if angles else None
+        summary["families"][name] = None if stats is None else {
+            "median": stats.median, "q1": stats.q1, "q3": stats.q3, "n": len(angles)}
+    _write_json(os.path.join(out_dir, "diagnostics_summary.json"), summary)
+    return summary
+
+
+def write_comparison(out_dir, rows):
+    """Write `comparison.csv` into `out_dir`, a line of EERs per (model,
+    {mode: EerResult}) of `rows`; returns its path."""
+    path = os.path.join(out_dir, "comparison.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("model," + ",".join(MODALITY_MODES) + "\n")
+        for model, eers in rows:
+            fh.write(",".join([model, *(f"{eers[m].eer:.6g}" for m in MODALITY_MODES)]) + "\n")
+    return path
 
 
 def read_report(path):

@@ -1,7 +1,9 @@
 """Shared test helpers: finite-difference oracles and small data builders."""
 
+import csv
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -31,6 +33,8 @@ from avfusion.evaluation import (
     BoxplotStats,
     EerResult,
     Trial,
+    TrialArrays,
+    boxplot_stats,
     embed_samples,
 )
 from avfusion.heads import HEAD_KINDS, _check_cache
@@ -45,8 +49,10 @@ from avfusion.persistence import (
     _is_count,
     _is_number,
     _is_table,
+    _stats_dict,
     _write_framed,
 )
+from avfusion.svgplot import render_boxplot_svg
 from avfusion.training import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -1023,6 +1029,104 @@ def loop_write_embeddings(path, samples):
     }
     payload = np.concatenate([np.concatenate([s.audio, s.video]) for s in samples])
     _write_framed(path, EMBEDDING_MAGIC, header, [payload])
+
+
+
+def trial_arrays(mode, trials):
+    """Trial rows of one mode as the TrialArrays that score them."""
+    return TrialArrays(MODALITY_MODES[mode],
+                       np.array([t.left for t in trials], dtype=np.intp),
+                       np.array([t.right for t in trials], dtype=np.intp),
+                       np.array([t.label for t in trials], dtype=bool))
+
+
+def loop_write_diagnostics_csv(diag_path, doc):
+    """`<prefix>_diagnostics.csv` of `write_report`, from the report's
+    `report_document`."""
+    with open(diag_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["family", "modality", "identity", "min", "q1", "median", "q3", "max",
+             "whisker_low", "whisker_high", "n_outliers"]
+        )
+
+        def stats_row(family, modality, identity, stats):
+            writer.writerow(
+                [family, modality, identity]
+                + [f"{stats[k]:.6g}" for k in
+                   ("min", "q1", "median", "q3", "max", "whisker_low",
+                    "whisker_high")]
+                + [len(stats["outliers"])]
+            )
+
+        families = doc["angle_families"]
+        if "audio_video" in families:
+            for identity, stats in families["audio_video"]["per_identity"].items():
+                if stats is not None:
+                    stats_row("audio_video", "both", identity, stats)
+        for modality, fam in families.get("within_identity", {}).items():
+            for identity, stats in fam["per_identity"].items():
+                if stats is not None:
+                    stats_row("within_identity", modality, identity, stats)
+        for modality, fam in families.get("between_centroids", {}).items():
+            matrix = np.asarray(fam["matrix"])
+            if matrix.size:
+                upper = matrix[np.triu_indices(matrix.shape[0], k=1)]
+                if upper.size:
+                    stats_row(
+                        "between_centroids", modality, "__all__",
+                        _stats_dict(boxplot_stats(upper)),
+                    )
+        for modality, value in doc["silhouette"].items():
+            writer.writerow(
+                ["silhouette", modality, "__all__", f"{value:.6g}", "", "", "", "",
+                 "", "", ""]
+            )
+
+
+def loop_diagnose_outputs(out_dir, report, label):
+    """The SVG boxplots and `diagnostics_summary.json` that `diagnose` wrote
+    of a DiagnosticsReport, for a head of kind `label`; returns the summary."""
+    families = {
+        "audio_video": report.audio_video,
+        "within_audio": report.within_identity["audio"],
+        "within_video": report.within_identity["video"],
+    }
+    warnings = 0
+    for name, family in families.items():
+        groups = [
+            (identity, boxplot_stats(angles) if angles else None)
+            for identity, angles in sorted(family.per_identity.items())
+        ]
+        render_boxplot_svg(
+            os.path.join(out_dir, f"{name}.svg"), groups, label,
+            name.replace("_", " "),
+        )
+        warnings += family.warnings
+    summary = {"silhouette": dict(report.silhouette), "warnings": warnings,
+               "families": {}}
+    for name, family in families.items():
+        angles = family.all_angles()
+        stats = boxplot_stats(angles) if angles else None
+        summary["families"][name] = (
+            None if stats is None else
+            {"median": stats.median, "q1": stats.q1, "q3": stats.q3,
+             "n": len(angles)}
+        )
+    summary_path = os.path.join(out_dir, "diagnostics_summary.json")
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    return summary
+
+
+def loop_write_comparison(comparison, rows):
+    """`comparison.csv` of `evaluate`, from (head kind, {mode: EER}) rows."""
+    with open(comparison, "w", encoding="utf-8") as fh:
+        modes = list(MODALITY_MODES)
+        fh.write("model," + ",".join(modes) + "\n")
+        for kind, eers in rows:
+            fh.write(kind + "," + ",".join(f"{eers[m]:.6g}" for m in modes) + "\n")
 
 
 @pytest.fixture

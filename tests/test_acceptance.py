@@ -29,10 +29,9 @@ from avfusion.data import (
 )
 from avfusion.evaluation import (
     MODALITY_MODES,
-    TrialArrays,
     TrialConfig,
     audio_video_angles,
-    build_trials,
+    build_mode_trials,
     compute_eer,
     embed_samples,
     run_full_evaluation,
@@ -121,11 +120,10 @@ def single_modality_angles(family, head, samples, *modality):
 
 
 def held_out_eer(head, test, mode, seed):
-    trials = build_trials(test, mode, 500, 500, seed)
+    trials = build_mode_trials(test, TrialConfig(500, 500, seed))[mode]
     embedded = {exp: embed_samples(head, test, exp) for exp in MODALITY_MODES[mode]}
-    scores = score_trials(embedded, TrialArrays.from_trials(mode, trials))
-    labels = np.array([t.label for t in trials])
-    return compute_eer(scores, labels).eer
+    scores = score_trials(embedded, trials)
+    return compute_eer(scores, trials.labels).eer
 
 
 def test_criterion_01_gradient_correctness():

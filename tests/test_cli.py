@@ -13,12 +13,12 @@ from avfusion import cli
 from avfusion.persistence import (
     load_checkpoint,
     read_embeddings,
-    read_epoch_log,
     read_report,
     save_checkpoint,
     write_embeddings,
 )
 from avfusion.arcmargin import ArcMarginHead
+from avfusion.data import SampleSet
 from avfusion.heads import MeanFusionHead, MlpFusionHead
 from avfusion.rng import substream
 
@@ -88,6 +88,37 @@ def rewrite_header(source, target, edit):
     body = json.dumps(header).encode("utf-8")
     target.write_bytes(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + length :])
     return target
+
+
+def epoch_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def run_capped(argv, timeout=120):
+    """A CLI call in a child process whose address space is capped at 4 GiB
+    once the library is loaded, so that an allocation beyond it fails at
+    once."""
+    limit = 4 * 2**30
+    code = ("import resource, sys\n"
+            "from avfusion import cli\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avfusion.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def write_test_set(path, identities, per_identity, seed=0):
+    """Desk-dim (16/32) samples of `identities` identities, `per_identity`
+    each."""
+    rng = np.random.default_rng(seed)
+    n = identities * per_identity
+    write_embeddings(path, SampleSet(
+        rng.normal(size=(n, 16)), rng.normal(size=(n, 32)),
+        [f"id{i // per_identity:05d}" for i in range(n)], [f"s{i:06d}" for i in range(n)]))
+    return path
 
 
 def run_recording_warnings(argv):
@@ -203,7 +234,7 @@ class TestTrain:
             train_args(pipeline, tmp_path, seed=7,
                        extra=["--max-epochs", "6"])
         ) == 0
-        records = read_epoch_log(tmp_path / "mean.log")
+        records = epoch_records(tmp_path / "mean.log")
         assert len(records) == 6
         # replay the schedule: decay exactly when an epoch fails to improve
         lr = records[0]["lr"]
@@ -246,7 +277,7 @@ class TestTrain:
         assert len(read_embeddings(tmp_path / "train.emb")) == 28
         argv = train_args(tmp_path, tmp_path, head="mlp", extra=["--batch-size", "27"])
         assert run(argv) == 0
-        assert len(read_epoch_log(tmp_path / "mlp.log")) == 2
+        assert len(epoch_records(tmp_path / "mlp.log")) == 2
 
     def test_batch_size_one_is_config_error_for_batch_norm(self, pipeline, tmp_path,
                                                             capsys):
@@ -418,7 +449,44 @@ class TestEvaluate:
         assert code == cli.EXIT_DATA
         assert "non-finite values in evaluation" in capsys.readouterr().err
         assert not runtime_warnings
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+    def test_overflow_in_a_later_checkpoint_writes_nothing(self, pipeline, tmp_path,
+                                                           capsys):
+        # The intact checkpoint's report is computed first; it is not
+        # written, and its EER line is not printed, when the next one fails.
+        head, arc, provenance = load_checkpoint(pipeline / "mean.ckpt")
+        head.proj_audio.weight *= 1e200
+        scaled = tmp_path / "scaled.ckpt"
+        save_checkpoint(scaled, head, arc, provenance)
+        out = tmp_path / "out"
+        code, runtime_warnings = run_recording_warnings(
+            self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt", scaled]))
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite values in evaluation" in captured.err
+        assert not runtime_warnings
+        assert not out.exists()
+
+    @pytest.mark.parametrize("identities, per_identity, n_negative", [
+        (1, 5, 30),
+        # 10 singletons hold 90 cross-identity pairs, so the 6 nontargets
+        # could be drawn; no identity has the two samples of a target.
+        (10, 1, 6),
+    ])
+    def test_test_set_without_trials_is_data_error(self, pipeline, tmp_path, capsys,
+                                                   identities, per_identity, n_negative):
+        test = write_test_set(tmp_path / "test.emb", identities, per_identity)
+        out = tmp_path / "out"
+        argv = self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt"])
+        argv[argv.index("--test-embeddings") + 1] = str(test)
+        argv[argv.index("--n-negative") + 1] = str(n_negative)
+        assert run(argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {test} holds {identities} identities of at most {per_identity} "
+            "samples; trials need 2 identities, and targets 2 samples of one\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n-positive", "--n-negative"])
     def test_zero_trial_count_is_config_error(self, pipeline, tmp_path, capsys, flag):
@@ -530,8 +598,27 @@ class TestDiagnose:
         assert code == cli.EXIT_DATA
         assert "non-finite values in diagnostics" in capsys.readouterr().err
         assert not runtime_warnings
-        assert not list(out.glob("*.svg"))
-        assert not (out / "diagnostics_summary.json").exists()
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+def test_memory_exhaustion_is_data_error(pipeline, tmp_path, command):
+    # 30,000 samples in 1,500 identities: the silhouette's distance matrix
+    # alone would take 7.2 GB, and no flag changes its size.
+    pytest.importorskip("resource")
+    test = write_test_set(tmp_path / "large.emb", identities=1500, per_identity=20)
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--checkpoint", pipeline / "mean.ckpt",
+                "--test-embeddings", test, "--n-positive", "30", "--n-negative", "30"]
+    else:
+        argv = ["diagnose", "--checkpoint", pipeline / "mean.ckpt", "--embeddings", test]
+    result = run_capped([*argv, "--out-dir", out])
+    assert result.returncode == cli.EXIT_DATA, result.stderr
+    assert result.stderr.startswith(f"data error: {test}: 30000 samples exceed ")
+    assert "Unable to allocate " in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def inconsistent_mlp_checkpoint(path, damage):

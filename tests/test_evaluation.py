@@ -8,10 +8,10 @@ from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
     MODALITY_MODES,
     Trial,
-    TrialArrays,
     TrialConfig,
     audio_video_angles,
     boxplot_stats,
+    build_mode_trials,
     build_trials,
     centroid_angle_matrix,
     compute_eer,
@@ -25,7 +25,7 @@ from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
 from avfusion.layers import LinearLayer
 from avfusion.linalg import angle_deg, cosine_similarity
 
-from conftest import eer_oracle, make_head, small_dataset
+from conftest import eer_oracle, make_head, small_dataset, trial_arrays
 
 
 def passthrough_audio_head(d=2):
@@ -151,7 +151,7 @@ class TestScoreTrial:
     def test_self_similarity(self, rng):
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=2, samples_per_identity=2)
-        trials = TrialArrays.from_trials("AVxAV", [Trial(0, 0, "av", "av", True)])
+        trials = trial_arrays("AVxAV", [Trial(0, 0, "av", "av", True)])
         assert score_trials(embed_all(head, samples), trials)[0] == pytest.approx(1.0)
 
     def test_symmetry(self, rng):
@@ -159,26 +159,21 @@ class TestScoreTrial:
         samples = small_dataset(n_identities=3, samples_per_identity=2)
         trial = Trial(0, 3, "a", "a", False)
         swapped = Trial(3, 0, "a", "a", False)
-        trials = TrialArrays.from_trials("AxA", [trial, swapped])
+        trials = trial_arrays("AxA", [trial, swapped])
         scores = score_trials(embed_all(head, samples), trials)
         assert scores[0] == pytest.approx(scores[1], abs=1e-12)
 
     def test_batch_scoring_matches_loop(self, rng):
         head = make_head("mean", rng, d_e=8)
         samples = small_dataset(n_identities=4, samples_per_identity=3)
-        trials = build_trials(samples, "AVxA", 10, 10, 0)
-        batch = score_trials(embed_all(head, samples),
-                             TrialArrays.from_trials("AVxA", trials))
+        trials = build_mode_trials(samples, TrialConfig(10, 10, 0))["AVxA"]
+        batch = score_trials(embed_all(head, samples), trials)
         loop = np.array([
-            cosine_similarity(embed_one(head, samples[t.left], t.left_exposure),
-                              embed_one(head, samples[t.right], t.right_exposure))
-            for t in trials
+            cosine_similarity(embed_one(head, samples[left], "av"),
+                              embed_one(head, samples[right], "a"))
+            for left, right in zip(trials.left, trials.right)
         ])
         assert np.allclose(batch, loop, atol=1e-12)
-
-    def test_exposures_must_match_mode(self):
-        with pytest.raises(ConfigurationError):
-            TrialArrays.from_trials("AxA", [Trial(0, 1, "a", "v", False)])
 
 
 class TestComputeEer:
@@ -442,8 +437,6 @@ class TestRunFullEvaluation:
         samples = small_dataset(n_identities=5, samples_per_identity=4)
         config = TrialConfig(30, 30, 9)
         report = run_full_evaluation(head, samples, config)
-        trials = build_trials(samples, "AxA", 30, 30, 9)
-        scores = score_trials(embed_all(head, samples),
-                              TrialArrays.from_trials("AxA", trials))
-        labels = np.array([t.label for t in trials])
-        assert report.eer["AxA"].eer == compute_eer(scores, labels).eer
+        trials = build_mode_trials(samples, config)["AxA"]
+        scores = score_trials(embed_all(head, samples), trials)
+        assert report.eer["AxA"].eer == compute_eer(scores, trials.labels).eer

@@ -24,7 +24,6 @@ from avfusion.evaluation import (
     _MODE_TAGS,
     MODALITY_MODES,
     Trial,
-    TrialArrays,
     _raw_draws,
     audio_video_angles,
     boxplot_stats,
@@ -49,6 +48,7 @@ from conftest import (
     loop_silhouette_score,
     loop_within_identity_angles,
     small_dataset,
+    trial_arrays,
 )
 
 EXACT = settings(max_examples=150, deadline=None)
@@ -127,8 +127,7 @@ class TestScoreTrials:
                                                   max_size=20))
         ]
         expected = outcome(loop_score_trials, TableHead(), trials, samples)
-        got = outcome(score_trials, embedded(samples),
-                      TrialArrays.from_trials(mode, trials))
+        got = outcome(score_trials, embedded(samples), trial_arrays(mode, trials))
         if expected is DegenerateInputError:
             assert got is DegenerateInputError
         else:
@@ -139,7 +138,7 @@ class TestScoreTrials:
         audio = rng.normal(size=(50, 8))
         samples = [Sample("id0", f"s{i}", a, 3.0 * a) for i, a in enumerate(audio)]
         trials = [Trial(i, i, "a", "v", True) for i in range(50)]
-        got = score_trials(embedded(samples), TrialArrays.from_trials("AxV", trials))
+        got = score_trials(embedded(samples), trial_arrays("AxV", trials))
         assert np.array_equal(got, loop_score_trials(TableHead(), trials, samples))
         assert (got == 1.0).any()
 
@@ -151,7 +150,7 @@ class TestScoreTrials:
         with pytest.raises(DegenerateInputError):
             loop_score_trials(TableHead(), trials, samples)
         with pytest.raises(DegenerateInputError):
-            score_trials(embedded(samples), TrialArrays.from_trials("AxA", trials))
+            score_trials(embedded(samples), trial_arrays("AxA", trials))
 
 
 class TestComputeEer:
@@ -480,12 +479,14 @@ class TestModeTrials:
         samples = small_dataset(n_identities=12, samples_per_identity=5)
         trials = build_mode_trials(samples, TrialConfig(40, 60, 3))
         for mode, arrays in trials.items():
-            expected = TrialArrays.from_trials(
-                mode, build_trials(samples, mode, 40, 60, 3))
-            assert arrays.exposures == expected.exposures
-            for field in ("left", "right", "labels"):
-                got, want = getattr(arrays, field), getattr(expected, field)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            rows = build_trials(samples, mode, 40, 60, 3)
+            assert {(t.left_exposure, t.right_exposure) for t in rows} == {arrays.exposures}
+            assert arrays.exposures == MODALITY_MODES[mode]
+            assert arrays.left.dtype == arrays.right.dtype == np.intp
+            assert arrays.labels.dtype == bool
+            assert arrays.left.tolist() == [t.left for t in rows]
+            assert arrays.right.tolist() == [t.right for t in rows]
+            assert arrays.labels.tolist() == [t.label for t in rows]
 
 
 class TestIdentitiesTrailingNul:

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import os
+import pathlib
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -11,19 +13,25 @@ from hypothesis import strategies as st
 
 from avfusion.arcmargin import ArcMarginHead
 from avfusion.data import Sample
-from avfusion.errors import PersistenceError
+from avfusion.errors import AvFusionError, PersistenceError
 from avfusion.evaluation import (
+    MODALITY_MODES,
+    AngleReport,
+    DiagnosticsReport,
+    EerResult,
     TrialConfig,
     boxplot_stats,
     run_full_evaluation,
 )
 from avfusion.persistence import (
+    _stats_dict,
     load_checkpoint,
     read_embeddings,
-    read_epoch_log,
     read_report,
     report_document,
     save_checkpoint,
+    write_comparison,
+    write_diagnostics,
     write_embeddings,
     write_epoch_log,
     write_report,
@@ -32,8 +40,11 @@ from avfusion.svgplot import render_boxplot_svg
 from avfusion.training import EpochRecord
 
 from conftest import (
+    loop_diagnose_outputs,
     loop_load_checkpoint,
     loop_read_embeddings,
+    loop_write_comparison,
+    loop_write_diagnostics_csv,
     make_head,
     small_dataset,
 )
@@ -340,7 +351,7 @@ class TestEpochLog:
         ]
         path = tmp_path / "epochs.log"
         write_epoch_log(path, records)
-        loaded = read_epoch_log(path)
+        loaded = [json.loads(line) for line in path.read_text().splitlines()]
         assert loaded == [
             {"epoch": 0, "mean_loss": 1.5, "val_accuracy": 0.4, "lr": 0.001,
              "is_best": False},
@@ -398,6 +409,121 @@ class TestReports:
         with pytest.raises(PersistenceError):
             write_report(tmp_path / "report", sample_report, "xml")
         assert list(tmp_path.iterdir()) == []
+
+
+# Identities sort in an order of their own; an empty angle list is an
+# identity with no angles, and an empty dict a family with no identities.
+IDENTITIES = st.text(alphabet="ab0_", min_size=1, max_size=3)
+ANGLES = st.lists(st.one_of(st.sampled_from([0.0, 45.0, 90.0, 180.0]),
+                            st.floats(0.0, 180.0)), max_size=6)
+
+
+@st.composite
+def angle_reports(draw, family):
+    return AngleReport(family, draw(st.dictionaries(IDENTITIES, ANGLES, max_size=5)),
+                       draw(st.integers(0, 4)))
+
+
+@st.composite
+def centroid_matrices(draw):
+    """(identities, symmetric angle matrix); a zero centroid leaves fewer
+    identities than the family has, down to none."""
+    ids = sorted(draw(st.sets(IDENTITIES, max_size=5)))
+    matrix = np.zeros((len(ids), len(ids)))
+    first, second = np.triu_indices(len(ids), k=1)
+    upper = draw(st.lists(st.floats(0.0, 180.0), min_size=first.size,
+                          max_size=first.size))
+    matrix[first, second] = matrix[second, first] = upper
+    return ids, matrix
+
+
+@st.composite
+def diagnostics_reports(draw):
+    families = [draw(angle_reports(f)) for f in
+                ("audio_video", "within_identity_audio", "within_identity_video")]
+    skipped = draw(st.integers(0, 3))  # zero centroids; not in the summary
+    return DiagnosticsReport(
+        eer={}, audio_video=families[0],
+        within_identity={"audio": families[1], "video": families[2]},
+        between_centroids={m: draw(centroid_matrices()) for m in ("audio", "video")},
+        silhouette={m: draw(st.floats(-1.0, 1.0)) for m in ("audio", "video")},
+        warnings=sum(f.warnings for f in families) + skipped,
+    )
+
+
+def written(directory):
+    return {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AvFusionError as exc:
+        return type(exc), str(exc)
+
+
+class TestDiagnosticsOutputs:
+    """The writers of `diagnose` and `evaluate` against the files the CLI
+    wrote itself, byte for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(diagnostics_reports(), st.sampled_from(["mean", "mlp", "multiview"]))
+    def test_write_diagnostics_matches_loop(self, report, label):
+        with tempfile.TemporaryDirectory() as root:
+            got_dir, want_dir = pathlib.Path(root, "got"), pathlib.Path(root, "want")
+            got_dir.mkdir()
+            want_dir.mkdir()
+            got = outcome(write_diagnostics, got_dir, report, label)
+            want = outcome(loop_diagnose_outputs, want_dir, report, label)
+            assert got == want
+            assert written(got_dir) == written(want_dir)
+        if isinstance(got, dict):
+            families = (report.audio_video, *report.within_identity.values())
+            assert got["warnings"] == sum(f.warnings for f in families)
+
+    @settings(max_examples=120, deadline=None)
+    @given(diagnostics_reports())
+    def test_report_files_match_loop(self, report):
+        with tempfile.TemporaryDirectory() as root:
+            root = pathlib.Path(root)
+            doc = report_document(report)
+            paths = write_report(root / "got", report, "both")
+            loop_write_diagnostics_csv(root / "want.csv", doc)
+            assert (root / "got_diagnostics.csv").read_bytes() == (
+                root / "want.csv").read_bytes()
+            assert json.loads(pathlib.Path(paths[0]).read_text()) == doc
+        for fam, rep in [(doc["angle_families"]["audio_video"], report.audio_video),
+                         *[(doc["angle_families"]["within_identity"][m],
+                            report.within_identity[m]) for m in ("audio", "video")]]:
+            assert list(fam["per_identity"].items()) == [
+                (identity, _stats_dict(boxplot_stats(angles)) if angles else None)
+                for identity, angles in sorted(rep.per_identity.items())]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["mean", "mlp", "multiview", "x_1"]),
+                              st.fixed_dictionaries({m: st.floats(0.0, 1.0)
+                                                     for m in MODALITY_MODES})),
+                    min_size=1, max_size=4))
+    def test_write_comparison_matches_loop(self, rows):
+        with tempfile.TemporaryDirectory() as root:
+            root = pathlib.Path(root)
+            path = write_comparison(root, [
+                (model, {m: EerResult(eer, 0.0, 1, 1) for m, eer in eers.items()})
+                for model, eers in rows])
+            loop_write_comparison(root / "want.csv", rows)
+            assert path == os.path.join(root, "comparison.csv")
+            assert (root / "comparison.csv").read_bytes() == (root / "want.csv").read_bytes()
+
+    def test_one_and_several_checkpoints(self, tmp_path, sample_report):
+        rows = [("mean", sample_report.eer), ("mlp", sample_report.eer),
+                ("multiview", sample_report.eer)]
+        for n in (1, 3):
+            path = write_comparison(tmp_path, rows[:n])
+            loop_write_comparison(tmp_path / "want.csv", [
+                (model, {m: r.eer for m, r in eers.items()}) for model, eers in rows[:n]])
+            lines = (tmp_path / "comparison.csv").read_text().splitlines()
+            assert len(lines) == n + 1
+            assert open(path, "rb").read() == (tmp_path / "want.csv").read_bytes()
 
 
 # See TestSvgBoxplots.test_bytes_of_the_former_one_label_call.

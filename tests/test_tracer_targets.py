@@ -4,12 +4,21 @@
 program looks each name up.  This installs its patches on the same modules
 the benchmark runner passes it and removes them again, so that moving or
 renaming a traced name fails here and not only in a traced benchmark run.
+A tiny `evaluate` and `diagnose` under the patches must record the spans of
+the report writer, the renderer and the boxplot statistics.
 """
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+
+import numpy as np
+
+from avfusion.arcmargin import ArcMarginHead
+from avfusion.persistence import save_checkpoint, write_embeddings
+
+from conftest import make_head, small_dataset
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,3 +73,33 @@ def test_patches_install_and_restore():
         current = vars(owner)
         assert current.keys() == saved.keys()
         assert all(current[attr] is value for attr, value in saved.items())
+
+
+def test_evaluate_and_diagnose_record_their_spans(tmp_path):
+    # A call that reaches a traced function by a name the tracer does not
+    # patch (an import by name, say) records no span.
+    tracing = _tracing()
+    modules = {m: importlib.import_module(f"avfusion.{m}") for m in _runner_modules()}
+    write_embeddings(tmp_path / "test.emb", small_dataset(n_identities=4,
+                                                          samples_per_identity=4))
+    rng = np.random.default_rng(0)
+    save_checkpoint(tmp_path / "mean.ckpt", make_head("mean", rng),
+                    ArcMarginHead.create(rng, 8, 4))
+    calls = {
+        "evaluate": (["evaluate", "--test-embeddings", str(tmp_path / "test.emb"),
+                      "--n-positive", "5", "--n-negative", "5"],
+                     {"persistence.report", "evaluation.boxplot"}),
+        "diagnose": (["diagnose", "--embeddings", str(tmp_path / "test.emb")],
+                     {"svgplot.render", "evaluation.boxplot"}),
+    }
+    tracer = tracing.Tracer()
+    patches = tracing.Patches(tracer, modules)
+    patches.install()
+    try:
+        for command, (argv, spans) in calls.items():
+            tracer.reset()
+            assert modules["cli"].main([*argv, "--checkpoint", str(tmp_path / "mean.ckpt"),
+                                        "--out-dir", str(tmp_path / command)]) == 0
+            assert spans <= {span[3] for span in tracer.spans}, command
+    finally:
+        patches.uninstall()
