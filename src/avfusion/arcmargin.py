@@ -38,7 +38,7 @@ class ArcMarginHead:
             raise DegenerateInputError("every prototype column must be nonzero")
 
     @classmethod
-    def create(cls, rng, d_e, n_classes, scale=16.0, margin=0.125):
+    def create(cls, rng, d_e, n_classes, scale=scale, margin=margin):  # the fields' defaults
         protos = rng.normal(size=(d_e, n_classes))
         protos /= np.linalg.norm(protos, axis=0, keepdims=True)
         return cls(prototypes=protos, scale=scale, margin=margin)

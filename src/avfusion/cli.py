@@ -17,6 +17,7 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from . import persistence
 from .arcmargin import ArcMarginHead
+from .data import DatasetConfig
 from .errors import (
     AvFusionError,
     ConfigurationError,
@@ -26,7 +27,9 @@ from .errors import (
     PersistenceError,
     float_errors_as_degenerate,
 )
+from .evaluation import TrialConfig
 from .heads import DESK_DIMS, FULL_DIMS, HEAD_KINDS
+from .layers import DropoutSpec
 from .rng import substream
 from .training import TrainingConfig, train_run
 
@@ -49,6 +52,12 @@ class Flag:
     def dest(self):
         return self.name.replace("-", "_")
 
+    @classmethod
+    def of_field(cls, settings, name, help):
+        """The flag that fills a field of `settings`, of the field's type and default."""
+        field = {f.name: f for f in fields(settings)}[name.replace("-", "_")]
+        return cls(name, field.type, field.default, help)
+
 
 _COMMON = [
     Flag("config", str, None, "JSON config file; explicit flags override it"),
@@ -58,12 +67,12 @@ _COMMON = [
 FLAG_SPECS = {
     "generate": _COMMON + [
         Flag("out-dir", str, ".", "directory for train/val/test embedding files"),
-        Flag("n-identities", int, 50, "number of synthetic identities"),
-        Flag("samples-per-identity", int, 40, "samples drawn per identity"),
-        Flag("d-a", int, 16, "audio backbone output dimension"),
-        Flag("d-v", int, 32, "video backbone output dimension"),
-        Flag("audio-noise-sigma", float, 0.45, "audio noise sigma per coordinate"),
-        Flag("video-noise-sigma", float, 0.25, "video noise sigma per coordinate"),
+        Flag.of_field(DatasetConfig, "n-identities", "number of synthetic identities"),
+        Flag.of_field(DatasetConfig, "samples-per-identity", "samples drawn per identity"),
+        Flag.of_field(DatasetConfig, "d-a", "audio backbone output dimension"),
+        Flag.of_field(DatasetConfig, "d-v", "video backbone output dimension"),
+        Flag.of_field(DatasetConfig, "audio-noise-sigma", "audio noise sigma per coordinate"),
+        Flag.of_field(DatasetConfig, "video-noise-sigma", "video noise sigma per coordinate"),
         Flag("val-fraction", float, 0.1, "fraction of non-test samples held for validation"),
         Flag("test-fraction", float, 0.2, "fraction of samples held out for testing"),
     ],
@@ -74,17 +83,17 @@ FLAG_SPECS = {
         Flag("profile", str, "desk", "dimension profile", choices=("desk", "full")),
         Flag("d-e", int, None, "fused embedding dimension (overrides profile)"),
         Flag("hidden", int, None, "MLP hidden dimension (overrides profile)"),
-        Flag("dropout", float, 0.1, "dropout probability for the head"),
-        Flag("scale", float, 16.0, "arc-margin feature scale"),
-        Flag("margin", float, 0.125, "arc-margin additive angular margin (radians)"),
-        Flag("learning-rate", float, 0.001, "AdamW learning rate"),
-        Flag("weight-decay", float, 0.01, "AdamW decoupled weight decay"),
-        Flag("batch-size", int, 128, "minibatch size"),
-        Flag("max-epochs", int, 10, "number of training epochs"),
-        Flag("clip-norm", float, 5.0, "global gradient-norm clip"),
-        Flag("lr-decay-factor", float, 0.95, "LR decay on non-improving epochs"),
-        Flag("lambda-audio", float, 0.5, "multi-view audio loss weight"),
-        Flag("lambda-video", float, 0.5, "multi-view video loss weight"),
+        Flag("dropout", float, DropoutSpec.probability, "dropout probability for the head"),
+        Flag.of_field(ArcMarginHead, "scale", "arc-margin feature scale"),
+        Flag.of_field(ArcMarginHead, "margin", "arc-margin additive angular margin (radians)"),
+        Flag.of_field(TrainingConfig, "learning-rate", "AdamW learning rate"),
+        Flag.of_field(TrainingConfig, "weight-decay", "AdamW decoupled weight decay"),
+        Flag.of_field(TrainingConfig, "batch-size", "minibatch size"),
+        Flag.of_field(TrainingConfig, "max-epochs", "number of training epochs"),
+        Flag.of_field(TrainingConfig, "clip-norm", "global gradient-norm clip"),
+        Flag.of_field(TrainingConfig, "lr-decay-factor", "LR decay on non-improving epochs"),
+        Flag.of_field(TrainingConfig, "lambda-audio", "multi-view audio loss weight"),
+        Flag.of_field(TrainingConfig, "lambda-video", "multi-view video loss weight"),
         Flag("checkpoint-out", str, "model.ckpt", "checkpoint output path"),
         Flag("epoch-log-out", str, "epochs.log", "epoch log output path"),
     ],
@@ -92,8 +101,8 @@ FLAG_SPECS = {
         Flag("checkpoint", str, None, "checkpoint path (repeat to compare models)",
              repeatable=True),
         Flag("test-embeddings", str, "test.emb", "held-out embedding file"),
-        Flag("n-positive", int, 500, "target trials per modality mode"),
-        Flag("n-negative", int, 500, "nontarget trials per modality mode"),
+        Flag.of_field(TrialConfig, "n-positive", "target trials per modality mode"),
+        Flag.of_field(TrialConfig, "n-negative", "nontarget trials per modality mode"),
         Flag("out-dir", str, ".", "directory for report files"),
         Flag("format", str, "both", "report output format",
              choices=("structured", "tabular", "both")),
@@ -184,7 +193,7 @@ def _config_of(cls, cfg):
 
 
 def cmd_generate(cfg):
-    dataset_config = _config_of(data_mod.DatasetConfig, cfg).validate()
+    dataset_config = _config_of(DatasetConfig, cfg)
     # A verification trial pairs two identities; with one, evaluate and
     # diagnose could only reject the split.
     if dataset_config.n_identities < 2:
@@ -229,6 +238,12 @@ def _check_dims(path, samples, d_a, d_v, source):
 
 
 def cmd_train(cfg):
+    # Every setting and output path is checked before a file is read.
+    config = _config_of(TrainingConfig, cfg)
+    for path in (cfg["checkpoint_out"], cfg["epoch_log_out"]):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise PersistenceError(
+                f"cannot write {path}: it is a directory, or its directory does not exist")
     train_samples = persistence.read_embeddings(cfg["train_embeddings"])
     val_samples = persistence.read_embeddings(cfg["val_embeddings"])
     d_a, d_v = train_samples.audio.shape[1], train_samples.video.shape[1]
@@ -239,8 +254,7 @@ def cmd_train(cfg):
         substream(cfg["seed"], "init-arc"), head.d_e, n_classes,
         scale=cfg["scale"], margin=cfg["margin"],
     )
-    result = train_run(head, arc, train_samples, val_samples,
-                       _config_of(TrainingConfig, cfg))
+    result = train_run(head, arc, train_samples, val_samples, config)
     provenance = {
         "config": {k: v for k, v in sorted(cfg.items()) if k != "config"},
         "best_epoch": result.best_epoch,
@@ -249,7 +263,11 @@ def cmd_train(cfg):
     persistence.save_checkpoint(
         cfg["checkpoint_out"], result.best_head, result.best_arc, provenance
     )
-    persistence.write_epoch_log(cfg["epoch_log_out"], result.records)
+    try:
+        persistence.write_epoch_log(cfg["epoch_log_out"], result.records)
+    except OSError:
+        os.remove(cfg["checkpoint_out"])  # a failed call leaves no checkpoint
+        raise
     best = result.records[result.best_epoch]
     print(
         f"trained {cfg['head']} head: best epoch {best.epoch} "
@@ -295,7 +313,7 @@ def cmd_evaluate(cfg):
         raise DegenerateInputError(
             f"{test_path} holds {len(sizes)} identities of at most {max(sizes, default=0)} "
             "samples; trials need 2 identities, and targets 2 samples of one")
-    trial_config = _config_of(eval_mod.TrialConfig, cfg)
+    trial_config = _config_of(TrialConfig, cfg)
     # Every report is computed before --out-dir is made, so that a failed
     # call leaves none.
     with float_errors_as_degenerate("evaluation", f"{test_path}: {len(samples)} samples"):
@@ -361,7 +379,3 @@ def main(argv=None):
     except AvFusionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,19 +24,17 @@ class DatasetConfig:
     video_noise_sigma: float = 0.25
     seed: int = 0
 
-    def validate(self):
-        if self.n_identities < 1 or self.samples_per_identity < 1:
-            raise ConfigurationError("identity and sample counts must be >= 1")
-        if self.d_a < 1 or self.d_v < 1:
-            raise ConfigurationError("embedding dimensions must be >= 1")
-        if self.audio_noise_sigma < 0:
-            raise ConfigurationError("audio_noise_sigma must be >= 0")
-        if self.video_noise_sigma < 0:
-            raise ConfigurationError("video_noise_sigma must be >= 0")
+    def __post_init__(self):
+        # Every check is written to fail on NaN.
+        for name in ("n_identities", "samples_per_identity", "d_a", "d_v"):
+            if not getattr(self, name) >= 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        for name in ("audio_noise_sigma", "video_noise_sigma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
         check_array_size(
             "the samples",
             self.n_identities * self.samples_per_identity * (self.d_a + self.d_v))
-        return self
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,6 @@ def _unit_rows(rng, n, dim):
 
 def generate_identities(config: DatasetConfig):
     """Per-identity unit prototypes, uniform on the sphere, seeded."""
-    config.validate()
     rng = substream(config.seed, "data")
     audio = _unit_rows(rng, config.n_identities, config.d_a)
     video = _unit_rows(rng, config.n_identities, config.d_v)
@@ -145,24 +142,29 @@ def generate_identities(config: DatasetConfig):
 
 def sample_dataset(specs, config: DatasetConfig):
     """Prototype + Gaussian noise per sample; deterministic per seed."""
-    config.validate()
     if not specs:
         raise ConfigurationError("no identity specs given")
     per = config.samples_per_identity
     audio = np.empty((len(specs) * per, config.d_a))
     video = np.empty((len(specs) * per, config.d_v))
     identity_ids, sample_ids = [], []
-    for index, spec in enumerate(specs):
-        # Each identity's noise stream derives from its position in `specs`,
-        # so no two identities share one, whatever their names.
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 100, index]))
-        noise_a = rng.normal(size=(per, config.d_a))
-        noise_v = rng.normal(size=(per, config.d_v))
-        rows = slice(index * per, (index + 1) * per)
-        np.add(spec.audio_prototype, config.audio_noise_sigma * noise_a, out=audio[rows])
-        np.add(spec.video_prototype, config.video_noise_sigma * noise_v, out=video[rows])
-        identity_ids += [spec.identity_id] * per
-        sample_ids += [f"{spec.identity_id}-s{j:04d}" for j in range(per)]
+    try:
+        with np.errstate(over="raise"):
+            for index, spec in enumerate(specs):
+                # Each identity's noise stream derives from its position in
+                # `specs`, so no two identities share one, whatever their names.
+                rng = np.random.default_rng(np.random.SeedSequence([config.seed, 100, index]))
+                rows = slice(index * per, (index + 1) * per)
+                for name, prototype, out in (
+                        ("audio_noise_sigma", spec.audio_prototype, audio),
+                        ("video_noise_sigma", spec.video_prototype, video)):
+                    noise = rng.normal(size=(per, out.shape[1]))
+                    np.add(prototype, getattr(config, name) * noise, out=out[rows])
+                identity_ids += [spec.identity_id] * per
+                sample_ids += [f"{spec.identity_id}-s{j:04d}" for j in range(per)]
+    except FloatingPointError as exc:
+        raise ConfigurationError(
+            f"{name} {getattr(config, name)} overflows the samples") from exc
     return SampleSet(audio, video, identity_ids, sample_ids)
 
 

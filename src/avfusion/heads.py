@@ -170,7 +170,7 @@ class MeanFusionHead(_Head):
         self.dropout = dropout or DropoutSpec()
 
     @classmethod
-    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=0.1):
+    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=DropoutSpec.probability):
         return cls(
             LinearLayer.create(rng, d_a, d_e),
             LinearLayer.create(rng, d_v, d_e),
@@ -226,7 +226,7 @@ class MlpFusionHead(_Head):
         self.leaky_slope = leaky_slope
 
     @classmethod
-    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=0.1):
+    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=DropoutSpec.probability):
         dims = [d_a + d_v, hidden, hidden, d_e]
         layers = [
             LinearLayer.create(rng, dims[i], dims[i + 1]) for i in range(3)
@@ -321,7 +321,7 @@ class MultiViewHead(_Head):
         self.dropout = dropout or DropoutSpec()
 
     @classmethod
-    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=0.1):
+    def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=DropoutSpec.probability):
         return cls(
             LinearLayer.create(rng, d_a, d_e),
             LinearLayer.create(rng, d_v, d_e),

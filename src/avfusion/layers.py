@@ -32,6 +32,8 @@ class LinearLayer:
     @classmethod
     def create(cls, rng, in_dim, out_dim):
         """Weight and bias uniform in +-1/sqrt(in_dim)."""
+        if in_dim < 1:
+            raise ShapeError(f"a linear layer needs an input dim >= 1, got {in_dim}")
         check_array_size(f"a {out_dim} x {in_dim} weight matrix", out_dim * in_dim)
         bound = 1.0 / np.sqrt(in_dim)
         weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))

@@ -153,6 +153,8 @@ def read_embeddings(path):
     if n_bytes != expected:
         raise PersistenceError(f"{path}: payload length {n_bytes} != expected {expected}")
     _check_finite(path, payload)
+    if count and not (d_a and d_v):
+        raise PersistenceError(f"{path}: audio/video dims ({d_a}, {d_v}) must be >= 1")
     values = payload.reshape(count, d_a + d_v)
     return SampleSet(values[:, :d_a], values[:, d_a:], [r[0] for r in records],
                      [r[1] for r in records])
@@ -230,6 +232,8 @@ def load_checkpoint(path):
         raise PersistenceError(f"{path}: inconsistent tensors: {exc}") from exc
     except FloatingPointError as exc:
         raise PersistenceError(f"{path}: tensor values out of range: {exc}") from exc
+    if head.meta() != meta:
+        raise PersistenceError(f"{path}: header head {meta} disagrees with its tensors")
     return head, arc, header.get("provenance", {})
 
 
@@ -274,20 +278,6 @@ def _identity_stats(angle_report):
 
 def report_document(report):
     """The structured (JSON-ready) form of a DiagnosticsReport."""
-    doc = {
-        "eer": {
-            mode: {
-                "eer": _sig6(r.eer),
-                "threshold": _sig6(r.threshold),
-                "n_target": r.n_target,
-                "n_nontarget": r.n_nontarget,
-            }
-            for mode, r in sorted(report.eer.items())
-        },
-        "angle_families": {},
-        "silhouette": {m: _sig6(v) for m, v in sorted(report.silhouette.items())},
-        "warnings": report.warnings,
-    }
 
     def family_doc(angle_report):
         return {
@@ -298,22 +288,33 @@ def report_document(report):
             "warnings": angle_report.warnings,
         }
 
-    if report.audio_video is not None:
-        doc["angle_families"]["audio_video"] = family_doc(report.audio_video)
-    if report.within_identity:
-        doc["angle_families"]["within_identity"] = {
-            modality: family_doc(rep)
-            for modality, rep in sorted(report.within_identity.items())
-        }
-    if report.between_centroids:
-        doc["angle_families"]["between_centroids"] = {
-            modality: {
-                "identities": ids,
-                "matrix": [[_sig6(v) for v in row] for row in matrix],
+    return {
+        "eer": {
+            mode: {
+                "eer": _sig6(r.eer),
+                "threshold": _sig6(r.threshold),
+                "n_target": r.n_target,
+                "n_nontarget": r.n_nontarget,
             }
-            for modality, (ids, matrix) in sorted(report.between_centroids.items())
-        }
-    return doc
+            for mode, r in sorted(report.eer.items())
+        },
+        "angle_families": {
+            "audio_video": family_doc(report.audio_video),
+            "within_identity": {
+                modality: family_doc(rep)
+                for modality, rep in sorted(report.within_identity.items())
+            },
+            "between_centroids": {
+                modality: {
+                    "identities": ids,
+                    "matrix": [[_sig6(v) for v in row] for row in matrix],
+                }
+                for modality, (ids, matrix) in sorted(report.between_centroids.items())
+            },
+        },
+        "silhouette": {m: _sig6(v) for m, v in sorted(report.silhouette.items())},
+        "warnings": report.warnings,
+    }
 
 
 def write_report(path_prefix, report, format="structured"):
@@ -353,15 +354,14 @@ def write_report(path_prefix, report, format="structured"):
                              *(f"{v:.6g}" for v in values), len(outliers)])
 
         families = doc["angle_families"]
-        walks = [("within_identity", modality, fam)
-                 for modality, fam in families.get("within_identity", {}).items()]
-        if "audio_video" in families:
-            walks.insert(0, ("audio_video", "both", families["audio_video"]))
+        walks = [("audio_video", "both", families["audio_video"]),
+                 *(("within_identity", modality, fam)
+                   for modality, fam in families["within_identity"].items())]
         for family, modality, fam in walks:
             for identity, stats in fam["per_identity"].items():
                 if stats is not None:
                     stats_row(family, modality, identity, stats)
-        for modality, fam in families.get("between_centroids", {}).items():
+        for modality, fam in families["between_centroids"].items():
             # The upper triangle, row by row, as np.triu_indices lists it.
             upper = [v for i, row in enumerate(fam["matrix"]) for v in row[i + 1:]]
             if upper:

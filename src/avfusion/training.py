@@ -35,7 +35,7 @@ class TrainingConfig:
     lambda_video: float = 0.5
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         # Every check is written to fail on NaN.
         for name in ("learning_rate", "weight_decay", "clip_norm", "lr_decay_factor",
                      "lambda_audio", "lambda_video"):
@@ -47,11 +47,10 @@ class TrainingConfig:
         if not 0 < self.lr_decay_factor <= 1:
             raise ConfigurationError("lr_decay_factor must be in (0, 1]")
         for name in ("batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.clip_norm <= 0:
             raise ConfigurationError("clip_norm must be > 0")
-        return self
 
 
 @dataclass
@@ -258,12 +257,6 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
     An overflow, 0/0 or x/0 stops the run with DegenerateInputError, before
     it becomes a numpy warning or a non-finite parameter.
     """
-    with float_errors_as_degenerate("training"):
-        return _train_run(head, arc_head, train_samples, val_samples, config)
-
-
-def _train_run(head, arc_head, train_samples, val_samples, config):
-    config.validate()
     if config.batch_size < 2 and any(isinstance(layer, BatchNormLayer)
                                      for _, layer in head.named_layers()):
         raise ConfigurationError(
@@ -304,27 +297,28 @@ def _train_run(head, arc_head, train_samples, val_samples, config):
     best_epoch = -1
     best_snapshot = None
     records = []
-    for epoch in range(config.max_epochs):
-        perm = shuffle_rng.permutation(n)
-        losses = []
-        for start, stop in zip(bounds, bounds[1:]):
-            idx = perm[start:stop]
-            loss = batch_loss(
-                head, arc_head, audio[idx], video[idx], labels[idx], config,
-                store.grad_views, mask_rng=mask_rng, rng=dropout_rng,
-            )
-            if not np.isfinite(loss):
-                raise DegenerateInputError(f"non-finite batch loss in epoch {epoch}")
-            clip_global_norm(store.grad_views, config.clip_norm, clip_scratch)
-            optimizer.step(store.params, store.grads, lr)
-            losses.append(loss)
-        acc = validate_accuracy(head, arc_head, validation)
-        records.append(EpochRecord(epoch, float(np.mean(losses)), acc, lr, is_best=False))
-        if acc > best_acc:
-            best_acc = acc
-            best_epoch = epoch
-            best_snapshot = (copy.deepcopy(head), copy.deepcopy(arc_head))
-        else:
-            lr *= config.lr_decay_factor
+    with float_errors_as_degenerate("training"):
+        for epoch in range(config.max_epochs):
+            perm = shuffle_rng.permutation(n)
+            losses = []
+            for start, stop in zip(bounds, bounds[1:]):
+                idx = perm[start:stop]
+                loss = batch_loss(
+                    head, arc_head, audio[idx], video[idx], labels[idx], config,
+                    store.grad_views, mask_rng=mask_rng, rng=dropout_rng,
+                )
+                if not np.isfinite(loss):
+                    raise DegenerateInputError(f"non-finite batch loss in epoch {epoch}")
+                clip_global_norm(store.grad_views, config.clip_norm, clip_scratch)
+                optimizer.step(store.params, store.grads, lr)
+                losses.append(loss)
+            acc = validate_accuracy(head, arc_head, validation)
+            records.append(EpochRecord(epoch, float(np.mean(losses)), acc, lr, is_best=False))
+            if acc > best_acc:
+                best_acc = acc
+                best_epoch = epoch
+                best_snapshot = (copy.deepcopy(head), copy.deepcopy(arc_head))
+            else:
+                lr *= config.lr_decay_factor
     records[best_epoch].is_best = True
     return TrainResult(*best_snapshot, records, best_epoch)

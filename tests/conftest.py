@@ -960,7 +960,6 @@ def loop_batch_loss_in_place(head, arc_head, audio, video, labels, config, grads
 
 def loop_sample_dataset(specs, config: DatasetConfig):
     """Prototype + Gaussian noise per sample; deterministic per seed."""
-    config.validate()
     if not specs:
         raise ConfigurationError("no identity specs given")
     samples = []

@@ -165,6 +165,19 @@ class TestGenerate:
         assert code == cli.EXIT_CONFIG
         assert "audio_noise_sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--audio-noise-sigma", "--video-noise-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_non_finite_or_overflowing_sigma_is_config_error(self, tmp_path, capsys, flag,
+                                                             value):
+        out = tmp_path / "out"
+        code, runtime_warnings = run_recording_warnings(generate_args(out) + [flag, value])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[2:].replace("-", "_") in captured.err
+        assert not runtime_warnings
+        assert not out.exists()
+
     def test_invalid_test_fraction(self, tmp_path, capsys):
         code = run(generate_args(tmp_path) + ["--test-fraction", "1.5"])
         assert code == cli.EXIT_CONFIG
@@ -376,6 +389,66 @@ class TestTrain:
         code = run(train_args(tmp_path, tmp_path))
         assert code == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    def test_bad_setting_is_config_error_before_any_file_is_read(self, tmp_path, capsys):
+        code = run(train_args(tmp_path / "missing", tmp_path, extra=["--learning-rate", "-1"]))
+        assert code == cli.EXIT_CONFIG
+        assert "learning_rate must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-out", "--epoch-log-out"])
+    @pytest.mark.parametrize("target", ["missing/out", "."])
+    def test_unwritable_output_path_is_io_error_before_training(
+            self, pipeline, tmp_path, capsys, monkeypatch, flag, target):
+        def no_training(*args):
+            raise AssertionError("train_run called")
+        monkeypatch.setattr(cli, "train_run", no_training)
+        path = tmp_path / target
+        code = run(train_args(pipeline, tmp_path, extra=[flag, str(path)]))
+        assert code == cli.EXIT_IO
+        assert f"cannot write {path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_epoch_log_write_removes_the_checkpoint(self, pipeline, tmp_path,
+                                                          capsys, monkeypatch):
+        def failing_write(path, records):
+            raise OSError(28, "No space left on device", str(path))
+        monkeypatch.setattr(cli.persistence, "write_epoch_log", failing_write)
+        assert run(train_args(pipeline, tmp_path)) == cli.EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("head", ["mean", "mlp", "multiview"])
+    @pytest.mark.parametrize("modality", ["audio", "video"])
+    def test_zero_dim_embeddings_are_io_error(self, tmp_path, capsys, head, modality):
+        rng = np.random.default_rng(0)
+        for split, n in (("train", 12), ("val", 4)):
+            dims = {"audio": 16, "video": 32, modality: 0}
+            write_embeddings(tmp_path / f"{split}.emb", SampleSet(
+                rng.normal(size=(n, dims["audio"])), rng.normal(size=(n, dims["video"])),
+                [f"id{i % 4}" for i in range(n)], [f"{split}{i:02d}" for i in range(n)]))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(train_args(tmp_path, out, head=head)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert "i/o error" in captured.err and "must be >= 1" in captured.err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("head", ["mean", "mlp", "multiview"])
+    def test_empty_zero_dim_embeddings_are_data_error(self, tmp_path, capsys, head):
+        # A file without samples may have any dims; a head cannot take a
+        # zero-dim input.
+        header = json.dumps({"version": 1, "endianness": "little", "d_a": 0, "d_v": 32,
+                             "count": 0, "records": []}).encode("utf-8")
+        empty = tmp_path / "empty.emb"
+        empty.write_bytes(b"AVFEMB01" + struct.pack("<I", len(header)) + header)
+        argv = train_args(tmp_path, tmp_path, head=head, extra=[
+            "--train-embeddings", str(empty), "--val-embeddings", str(empty)])
+        code, runtime_warnings = run_recording_warnings(argv)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and " dim " in err
+        assert not runtime_warnings
+        assert list(tmp_path.iterdir()) == [empty]
 
 
 class TestEvaluate:
@@ -686,6 +759,25 @@ class TestInconsistentCheckpoints:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "leaky ReLU slope must be >= 0, got -0.5" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_header_disagreeing_with_tensors_is_io_error(self, pipeline, tmp_path, capsys,
+                                                         command):
+        bad = rewrite_header(pipeline / "mean.ckpt", tmp_path / "bad.ckpt",
+                             lambda header: header["head"].update(d_a=999, d_e=3))
+        out = tmp_path / "out"
+        if command == "evaluate":
+            argv = ["evaluate", "--test-embeddings", str(pipeline / "test.emb"),
+                    "--checkpoint", str(bad), "--n-positive", "30", "--n-negative", "30",
+                    "--out-dir", str(out)]
+        else:
+            argv = ["diagnose", "--checkpoint", str(bad),
+                    "--embeddings", str(pipeline / "test.emb"), "--out-dir", str(out)]
+        assert run(argv) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "disagrees with its tensors" in captured.err
         assert not out.exists()
 
 

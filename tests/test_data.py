@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ class TestGenerateIdentities:
         mean = np.mean([s.audio_prototype for s in specs], axis=0)
         assert np.linalg.norm(mean) < 0.05
 
+    @pytest.mark.parametrize("field", ["audio_noise_sigma", "video_noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_out_of_range_sigma_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite and >= 0"):
+            DatasetConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_identities", "samples_per_identity", "d_a", "d_v"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_out_of_range_size_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+            DatasetConfig(**{field: value})
+
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             generate_identities(DatasetConfig(n_identities=0))
@@ -48,6 +62,14 @@ class TestGenerateIdentities:
 
 
 class TestSampleDataset:
+    @pytest.mark.parametrize("field", ["audio_noise_sigma", "video_noise_sigma"])
+    def test_overflowing_sigma_is_config_error(self, field):
+        config = DatasetConfig(n_identities=3, samples_per_identity=4, **{field: 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=f"{field} 1e\\+308 overflows"):
+                sample_dataset(generate_identities(config), config)
+
     def test_noiseless_samples_equal_prototype(self):
         config = DatasetConfig(
             n_identities=3, samples_per_identity=4,

@@ -107,6 +107,13 @@ class TestEmbeddingFiles:
         with pytest.raises(PersistenceError):
             read_embeddings(tmp_path / "nope.emb")
 
+    @pytest.mark.parametrize("dims", [(0, 4), (3, 0), (0, 0)])
+    def test_zero_dim_rejected(self, tmp_path, rng, dims):
+        path = tmp_path / "zero.emb"
+        write_embeddings(path, random_samples(rng, 3, *dims))
+        with pytest.raises(PersistenceError, match=r"dims \(\d, \d\) must be >= 1"):
+            read_embeddings(path)
+
     def test_dimension_mismatch_on_write(self, tmp_path, rng):
         samples = random_samples(rng, 2) + random_samples(rng, 1, d_a=9)
         with pytest.raises(PersistenceError):
@@ -159,6 +166,20 @@ class TestCheckpoints:
         path = tmp_path / "mean.ckpt"
         save_checkpoint(path, head, ArcMarginHead.create(rng, 3, 7))
         with pytest.raises(PersistenceError, match="dropout"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("mean", {"d_a": 999, "d_e": 3}), ("mlp", {"hidden": 4}), ("multiview", {"x": 1.0}),
+    ])
+    def test_header_disagreeing_with_tensors_rejected(self, tmp_path, kind, edit):
+        rng = np.random.default_rng(3)
+        head = make_head(kind, rng, d_a=4, d_v=6, d_e=3, hidden=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, head, ArcMarginHead.create(rng, 3, 7))
+        header, payload = _split(path.read_bytes(), b"AVFCKP01")
+        header["head"].update(edit)
+        path.write_bytes(_framed(b"AVFCKP01", header, payload))
+        with pytest.raises(PersistenceError, match="disagrees with its tensors"):
             load_checkpoint(path)
 
     def test_truncated_checkpoint(self, tmp_path):
@@ -228,15 +249,31 @@ def _read_outcome(reader, path):
             {k: (v.dtype, v.shape, v.tobytes()) for k, v in tensors.items()})
 
 
+def _refused_since_the_loop_reader(magic, blob, loaded):
+    """Whether the file `blob`, which the loop reader loaded as `loaded`, is
+    one the reader now refuses: an embedding file of samples of a zero audio
+    or video dim, or a checkpoint whose header `head` entry differs from the
+    loaded head's meta()."""
+    header = _split(blob, magic)[0]
+    if magic == b"AVFEMB01":
+        return header["count"] > 0 and 0 in (header["d_a"], header["d_v"])
+    return header["head"] != loaded[1]
+
+
 def _read_or_persistence_error(intact_files, name, blob):
     """Reads `blob` as file `name`, which may fail with PersistenceError and
     nothing else, and with the message or values of the loop reader that
-    copied the payload per tensor."""
+    copied the payload per tensor, except where that reader loaded a file
+    that the reader now refuses."""
     root, files = intact_files
-    reader = files[name][0]
+    reader, magic, _ = files[name]
     path = root / "damaged"
     path.write_bytes(blob)
-    assert _read_outcome(reader, path) == _read_outcome(_LOOP_READERS[reader], path)
+    got, expected = _read_outcome(reader, path), _read_outcome(_LOOP_READERS[reader], path)
+    if not isinstance(expected, str) and _refused_since_the_loop_reader(magic, blob, expected):
+        assert isinstance(got, str), got
+    else:
+        assert got == expected
 
 
 _FILE_NAMES = st.sampled_from(["emb", "mean", "mlp", "multiview"])
@@ -384,17 +421,6 @@ class TestReports:
         assert len(eer_lines) == 7  # header + 6 modes
         assert eer_lines[0] == "mode,eer,threshold,n_target,n_nontarget"
         assert len(paths) == 2
-
-    def test_empty_diagnostics_section(self, tmp_path):
-        from avfusion.evaluation import DiagnosticsReport
-
-        report = DiagnosticsReport()
-        paths = write_report(tmp_path / "empty", report, "tabular")
-        diag_lines = (tmp_path / "empty_diagnostics.csv").read_text().splitlines()
-        assert len(diag_lines) == 1  # header only
-        assert (tmp_path / "empty_eer.csv").read_text().splitlines()[0].startswith(
-            "mode,"
-        )
 
     def test_both_formats(self, tmp_path, sample_report):
         both = write_report(tmp_path / "both", sample_report, "both")

@@ -27,7 +27,8 @@ from avfusion.heads import (
     apply_masks,
     sample_mask_modes,
 )
-from avfusion.layers import LinearLayer
+from avfusion.evaluation import TrialConfig
+from avfusion.layers import DropoutSpec, LinearLayer
 from avfusion.rng import substream
 from avfusion.training import (
     AdamW,
@@ -478,8 +479,31 @@ class TestTrainRun:
             TrainingConfig(**{field: value})
 
     def test_every_config_field_has_a_flag(self):
-        flags = {flag.dest for flag in FLAG_SPECS["train"]}
-        assert {f.name for f in dataclasses.fields(TrainingConfig)} <= flags
+        # Each setting is declared once: the flag of a field's name has the
+        # field's type and default, except the common --seed.
+        pairs = [(command, settings, f.name, f.name) for command, settings in (
+            ("generate", DatasetConfig), ("train", TrainingConfig), ("evaluate", TrialConfig),
+        ) for f in dataclasses.fields(settings)]
+        pairs += [("train", ArcMarginHead, "scale", "scale"),
+                  ("train", ArcMarginHead, "margin", "margin"),
+                  ("train", DropoutSpec, "probability", "dropout")]
+        for command, settings, name, dest in pairs:
+            flags = {flag.dest: flag for flag in FLAG_SPECS[command]}
+            assert dest in flags, (command, dest)
+            field = {f.name: f for f in dataclasses.fields(settings)}[name]
+            if name != "seed":
+                assert (flags[dest].type, flags[dest].default) == (field.type, field.default), (
+                    command, dest)
+                assert type(field.default) is field.type, (settings, name)
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("learning_rate", "weight_decay", "clip_norm",
+                                     "lr_decay_factor", "lambda_audio", "lambda_video")
+        for value in (math.nan, math.inf, -1.0)
+    ] + [(field, value) for field in ("batch_size", "max_epochs") for value in (math.nan, 0)])
+    def test_out_of_range_setting_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainingConfig(**{field: value})
 
     def test_overlapping_splits_rejected(self, rng):
         train, val = split_small()
