@@ -240,6 +240,14 @@ def _check_dims(path, samples, d_a, d_v, source):
 def cmd_train(cfg):
     # Every setting and output path is checked before a file is read.
     config = _config_of(TrainingConfig, cfg)
+    # An output path that names another path of the call would overwrite it.
+    named = {}
+    for flag in ("train-embeddings", "val-embeddings", "checkpoint-out", "epoch-log-out"):
+        real = os.path.realpath(cfg[flag.replace("-", "_")])
+        if real in named and flag.endswith("-out"):
+            raise ConfigurationError(
+                f"--{named[real]} and --{flag} name the same file {real}")
+        named.setdefault(real, flag)
     for path in (cfg["checkpoint_out"], cfg["epoch_log_out"]):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise PersistenceError(
@@ -320,14 +328,21 @@ def cmd_evaluate(cfg):
         trials = eval_mod.build_mode_trials(samples, trial_config)
         reports = [eval_mod.run_full_evaluation(head, samples, trial_config, trials)
                    for head in heads]
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    for prefix, head, report in zip(prefixes, heads, reports):
-        persistence.write_report(prefix, report, cfg["format"])
+    # Every file's text is laid out before the first is written, a failed
+    # write removes what the call wrote, and the EERs are printed once the
+    # last write succeeded.
+    files = {}
+    for prefix, report in zip(prefixes, reports):
+        persistence.write_report(prefix, report, cfg["format"], files)
+    if len(reports) > 1:
+        comparison = persistence.write_comparison(
+            cfg["out_dir"], [(head.kind, report.eer) for head, report in zip(heads, reports)],
+            files)
+    persistence.write_files(files, cfg["out_dir"])
+    for head, report in zip(heads, reports):
         line = "  ".join(f"{m}={report.eer[m].eer:.4f}" for m in eval_mod.MODALITY_MODES)
         print(f"{head.kind}: {line}")
     if len(reports) > 1:
-        comparison = persistence.write_comparison(
-            cfg["out_dir"], [(head.kind, report.eer) for head, report in zip(heads, reports)])
         print(f"wrote {comparison}")
     return EXIT_OK
 
@@ -344,7 +359,6 @@ def cmd_diagnose(cfg):
             {exp: eval_mod.embed_samples(head, samples, exp) for exp in ("a", "v")},
             samples.identity_ids,
         )
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     summary = persistence.write_diagnostics(cfg["out_dir"], report, head.kind)
     if summary["warnings"]:
         print(f"warning: {summary['warnings']} degenerate embeddings skipped")

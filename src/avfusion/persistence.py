@@ -3,10 +3,12 @@
 Binary payloads are little-endian float64 behind a magic + JSON header, so
 files round-trip losslessly and are readable across platforms.  Tabular
 outputs are CSV with a fixed column order; structured reports are a single
-JSON document with numbers rendered at 6 significant digits.
+JSON document with numbers rendered at 6 significant digits, spelled as
+`json.dumps(doc, sort_keys=True, indent=1)` spells it.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -244,11 +246,131 @@ def write_epoch_log(path, records):
             fh.write("\n")
 
 
-def _write_json(path, doc):
-    """`doc` as sorted, one-space-indented JSON and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1))
-        fh.write("\n")
+# The spelling of each JSON string (ASCII, as `json.dumps` escapes it by
+# default) and of each number; `float.__repr__` and `int.__repr__` also
+# spell the subclasses (`np.float64`) as plain numbers, as `json` does.
+_JSON_STRING = json.encoder.encode_basestring_ascii
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x):
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# The spelling of a scalar of each of these exact types; a subclass takes
+# the isinstance path of `_json_parts`.
+_JSON_SCALAR = {
+    float: _json_float,
+    int: int.__repr__,
+    str: _JSON_STRING,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+# A list of one of these exact types is spelled by one join; a float join
+# spells nan and inf as repr does, and they are renamed after it.
+_JSON_JOINED = {float: float.__repr__, int: int.__repr__, str: _JSON_STRING}
+
+
+def _json_key(key):
+    """A dict key that is not a str as the string `json` makes of it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return _JSON_SCALAR[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_parts(value, newline, parts):
+    """Append the JSON text of `value` to `parts`; `newline` is a line break
+    and the indent of the line that `value` starts on."""
+    spell = _JSON_SCALAR.get(type(value))
+    if spell is not None:
+        parts.append(spell(value))
+    elif isinstance(value, str):
+        parts.append(_JSON_STRING(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_json_float(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + " "
+        separator = "," + inner
+        if isinstance(value, dict):
+            lead = "{" + inner
+            for key, item in sorted(value.items()):
+                lead += _JSON_STRING(key if type(key) is str else _json_key(key)) + ": "
+                spell = _JSON_SCALAR.get(type(item))
+                if spell is None:
+                    parts.append(lead)
+                    _json_parts(item, inner, parts)
+                else:
+                    parts.append(lead + spell(item))
+                lead = separator
+            parts.append(newline + "}")
+            return
+        kinds = set(map(type, value))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _JSON_JOINED:
+            text = separator.join(map(_JSON_JOINED[kind], value))
+            if kind is float and "n" in text:  # only nan and inf spell an n
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            parts.append("[" + inner + text + newline + "]")
+            return
+        lead = "[" + inner
+        for item in value:
+            parts.append(lead)
+            _json_parts(item, inner, parts)
+            lead = separator
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(doc):
+    """`json.dumps(doc, sort_keys=True, indent=1)`, byte for byte, and the
+    same exception type for what it refuses (no circular-reference check):
+    each dict's keys sorted once, and each list of floats, ints or strings
+    spelled by one join."""
+    parts = []
+    _json_parts(doc, "\n", parts)
+    return "".join(parts)
+
+
+def write_files(files, out_dir=None):
+    """Write the text of each path of `files` ({path: text}), making
+    `out_dir` first when one is given and it is missing.  All or nothing: on
+    an OSError, every file this call opened and every directory it made is
+    removed before the error is raised again."""
+    made = []
+    parent = os.path.abspath(out_dir) if out_dir is not None else "."
+    while not os.path.lexists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    opened = []
+    try:
+        if made:
+            os.makedirs(out_dir)
+        for path, text in files.items():
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for remove, paths in ((os.remove, opened), (os.rmdir, made)):
+            for path in paths:  # the directories innermost first
+                try:
+                    remove(path)
+                except OSError:
+                    pass
+        raise
 
 
 def _sig6(x):
@@ -256,17 +378,29 @@ def _sig6(x):
     return float(f"{float(x):.6g}")
 
 
+def _sig6_all(values):
+    """[_sig6(v) for v in values] of floats, each a C-level format and parse."""
+    return list(map(float, map("{:.6g}".format, values)))
+
+
+def _sig6_matrix(matrix):
+    """[[_sig6(v) for v in row] for row in matrix], rounding each distinct
+    float (by bit pattern, so 0.0 and -0.0 apart) once."""
+    values = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    rounded = np.array(_sig6_all(bits.view(np.float64).tolist()), dtype=np.float64)
+    return rounded[inverse].reshape(values.shape).tolist()
+
+
+_STATS_KEYS = ("min", "q1", "median", "q3", "max", "whisker_low", "whisker_high")
+
+
 def _stats_dict(stats: BoxplotStats):
-    return {
-        "min": _sig6(stats.minimum),
-        "q1": _sig6(stats.q1),
-        "median": _sig6(stats.median),
-        "q3": _sig6(stats.q3),
-        "max": _sig6(stats.maximum),
-        "whisker_low": _sig6(stats.whisker_low),
-        "whisker_high": _sig6(stats.whisker_high),
-        "outliers": [_sig6(v) for v in stats.outliers],
-    }
+    values = (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum,
+              stats.whisker_low, stats.whisker_high)
+    doc = dict(zip(_STATS_KEYS, _sig6_all(values)))
+    doc["outliers"] = _sig6_all(stats.outliers)
+    return doc
 
 
 def _identity_stats(angle_report):
@@ -305,10 +439,7 @@ def report_document(report):
                 for modality, rep in sorted(report.within_identity.items())
             },
             "between_centroids": {
-                modality: {
-                    "identities": ids,
-                    "matrix": [[_sig6(v) for v in row] for row in matrix],
-                }
+                modality: {"identities": ids, "matrix": _sig6_matrix(matrix)}
                 for modality, (ids, matrix) in sorted(report.between_centroids.items())
             },
         },
@@ -317,70 +448,74 @@ def report_document(report):
     }
 
 
-def write_report(path_prefix, report, format="structured"):
-    """Write the report as "structured" JSON (`<prefix>.json`), "tabular" CSV
-    (`<prefix>_eer.csv`, `<prefix>_diagnostics.csv`) or "both"; returns the
-    list of paths written."""
+def _csv_text(rows):
+    """The rows as `csv.writer` writes them, lines ending in CRLF."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _diagnostics_rows(doc):
+    """The rows of `<prefix>_diagnostics.csv`: each value of the report
+    document's per-identity stats, the stats of the upper triangle of each
+    rounded centroid matrix, and the silhouettes, at 6 significant digits."""
+    yield ["family", "modality", "identity", "min", "q1", "median", "q3", "max",
+           "whisker_low", "whisker_high", "n_outliers"]
+
+    def stats_row(family, modality, identity, stats):
+        *values, outliers = stats.values()  # in the order of _stats_dict
+        return [family, modality, identity, *map("{:.6g}".format, values), len(outliers)]
+
+    families = doc["angle_families"]
+    walks = [("audio_video", "both", families["audio_video"]),
+             *(("within_identity", modality, fam)
+               for modality, fam in families["within_identity"].items())]
+    for family, modality, fam in walks:
+        for identity, stats in fam["per_identity"].items():
+            if stats is not None:
+                yield stats_row(family, modality, identity, stats)
+    for modality, fam in families["between_centroids"].items():
+        # The upper triangle, row by row, as np.triu_indices lists it.
+        upper = [v for i, row in enumerate(fam["matrix"]) for v in row[i + 1:]]
+        if upper:
+            yield stats_row("between_centroids", modality, "__all__",
+                            _stats_dict(boxplot_stats(upper)))
+    for modality, value in doc["silhouette"].items():
+        yield ["silhouette", modality, "__all__", f"{value:.6g}", "", "", "", "", "", "", ""]
+
+
+def write_report(path_prefix, report, format="structured", files=None):
+    """Lay out the report as "structured" JSON (`<prefix>.json`), "tabular"
+    CSV (`<prefix>_eer.csv`, `<prefix>_diagnostics.csv`) or "both", and
+    write it; returns the list of paths.  Given `files`, a dict, the path and
+    text of each file go into it instead, for one `write_files` of several
+    reports."""
     if format not in ("structured", "tabular", "both"):
         raise PersistenceError(f"unknown report format {format!r}")
     doc = report_document(report)
-    paths = []
+    texts = {}
     if format != "tabular":
-        paths.append(f"{path_prefix}.json")
-        _write_json(paths[-1], doc)
-    if format == "structured":
-        return paths
-    eer_path = f"{path_prefix}_eer.csv"
-    with open(eer_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "eer", "threshold", "n_target", "n_nontarget"])
-        for mode, entry in doc["eer"].items():
-            writer.writerow(
-                [mode, f"{entry['eer']:.6g}", f"{entry['threshold']:.6g}",
-                 entry["n_target"], entry["n_nontarget"]]
-            )
-    paths.append(eer_path)
-    diag_path = f"{path_prefix}_diagnostics.csv"
-    with open(diag_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["family", "modality", "identity", "min", "q1", "median", "q3", "max",
-             "whisker_low", "whisker_high", "n_outliers"]
-        )
-
-        def stats_row(family, modality, identity, stats):
-            *values, outliers = stats.values()  # in the order of _stats_dict
-            writer.writerow([family, modality, identity,
-                             *(f"{v:.6g}" for v in values), len(outliers)])
-
-        families = doc["angle_families"]
-        walks = [("audio_video", "both", families["audio_video"]),
-                 *(("within_identity", modality, fam)
-                   for modality, fam in families["within_identity"].items())]
-        for family, modality, fam in walks:
-            for identity, stats in fam["per_identity"].items():
-                if stats is not None:
-                    stats_row(family, modality, identity, stats)
-        for modality, fam in families["between_centroids"].items():
-            # The upper triangle, row by row, as np.triu_indices lists it.
-            upper = [v for i, row in enumerate(fam["matrix"]) for v in row[i + 1:]]
-            if upper:
-                stats_row("between_centroids", modality, "__all__",
-                          _stats_dict(boxplot_stats(upper)))
-        for modality, value in doc["silhouette"].items():
-            writer.writerow(
-                ["silhouette", modality, "__all__", f"{value:.6g}", "", "", "", "",
-                 "", "", ""]
-            )
-    paths.append(diag_path)
-    return paths
+        texts[f"{path_prefix}.json"] = _json_text(doc) + "\n"
+    if format != "structured":
+        texts[f"{path_prefix}_eer.csv"] = _csv_text([
+            ["mode", "eer", "threshold", "n_target", "n_nontarget"],
+            *([mode, f"{entry['eer']:.6g}", f"{entry['threshold']:.6g}",
+               entry["n_target"], entry["n_nontarget"]]
+              for mode, entry in doc["eer"].items()),
+        ])
+        texts[f"{path_prefix}_diagnostics.csv"] = _csv_text(_diagnostics_rows(doc))
+    if files is None:
+        write_files(texts)
+    else:
+        files.update(texts)
+    return list(texts)
 
 
 def write_diagnostics(out_dir, report, label):
-    """Write `diagnose`'s outputs into `out_dir`: an SVG boxplot per angle
-    family, a box per identity under the legend `label`, then
-    `diagnostics_summary.json`, whose `warnings` sums the families'.
-    Returns the summary."""
+    """Write `diagnose`'s outputs into `out_dir`, all or nothing (see
+    `write_files`): an SVG boxplot per angle family, a box per identity
+    under the legend `label`, then `diagnostics_summary.json`, whose
+    `warnings` sums the families'.  Returns the summary."""
     families = {
         "audio_video": report.audio_video,
         "within_audio": report.within_identity["audio"],
@@ -389,25 +524,31 @@ def write_diagnostics(out_dir, report, label):
     summary = {"silhouette": dict(report.silhouette),
                "warnings": sum(family.warnings for family in families.values()),
                "families": {}}
+    files = {}
     for name, family in families.items():
-        svgplot.render_boxplot_svg(os.path.join(out_dir, f"{name}.svg"),
-                                   _identity_stats(family), label, name.replace("_", " "))
+        files[os.path.join(out_dir, f"{name}.svg")] = svgplot.render_boxplot_svg(
+            _identity_stats(family), label, name.replace("_", " "))
         angles = family.all_angles()
         stats = boxplot_stats(angles) if angles else None
         summary["families"][name] = None if stats is None else {
             "median": stats.median, "q1": stats.q1, "q3": stats.q3, "n": len(angles)}
-    _write_json(os.path.join(out_dir, "diagnostics_summary.json"), summary)
+    files[os.path.join(out_dir, "diagnostics_summary.json")] = _json_text(summary) + "\n"
+    write_files(files, out_dir)
     return summary
 
 
-def write_comparison(out_dir, rows):
+def write_comparison(out_dir, rows, files=None):
     """Write `comparison.csv` into `out_dir`, a line of EERs per (model,
-    {mode: EerResult}) of `rows`; returns its path."""
+    {mode: EerResult}) of `rows`; returns its path.  Given `files`, a dict,
+    its path and text go into it instead, as in `write_report`."""
     path = os.path.join(out_dir, "comparison.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model," + ",".join(MODALITY_MODES) + "\n")
-        for model, eers in rows:
-            fh.write(",".join([model, *(f"{eers[m].eer:.6g}" for m in MODALITY_MODES)]) + "\n")
+    lines = ["model," + ",".join(MODALITY_MODES) + "\n"]
+    for model, eers in rows:
+        lines.append(",".join([model, *(f"{eers[m].eer:.6g}" for m in MODALITY_MODES)]) + "\n")
+    if files is None:
+        write_files({path: "".join(lines)})
+    else:
+        files[path] = "".join(lines)
     return path
 
 

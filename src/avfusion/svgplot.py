@@ -20,8 +20,9 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
-def render_boxplot_svg(path, groups, label, title):
-    """One box per group, and one legend entry, `label`, for all of them.
+def render_boxplot_svg(groups, label, title):
+    """The SVG text of one box per group, and one legend entry, `label`, for
+    all of them.
 
     `groups` is an ordered list of (group_name, BoxplotStats or None); a
     None group gets its name on the axis and no box.
@@ -128,7 +129,4 @@ def render_boxplot_svg(path, groups, label, title):
         f'font-family="sans-serif">{label}</text>'
     )
     parts.append("</svg>")
-    document = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document)
-    return document
+    return "\n".join(parts) + "\n"

@@ -1097,10 +1097,8 @@ def loop_diagnose_outputs(out_dir, report, label):
             (identity, boxplot_stats(angles) if angles else None)
             for identity, angles in sorted(family.per_identity.items())
         ]
-        render_boxplot_svg(
-            os.path.join(out_dir, f"{name}.svg"), groups, label,
-            name.replace("_", " "),
-        )
+        with open(os.path.join(out_dir, f"{name}.svg"), "w", encoding="utf-8") as fh:
+            fh.write(render_boxplot_svg(groups, label, name.replace("_", " ")))
         warnings += family.warnings
     summary = {"silhouette": dict(report.silhouette), "warnings": warnings,
                "families": {}}

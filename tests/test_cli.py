@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import avfusion
-from avfusion import cli
+from avfusion import cli, persistence
 from avfusion.persistence import (
     load_checkpoint,
     read_embeddings,
@@ -119,6 +121,20 @@ def write_test_set(path, identities, per_identity, seed=0):
         rng.normal(size=(n, 16)), rng.normal(size=(n, 32)),
         [f"id{i // per_identity:05d}" for i in range(n)], [f"s{i:06d}" for i in range(n)]))
     return path
+
+
+def fail_writes_after(monkeypatch, n):
+    """`persistence` opens its first `n` files for writing as usual; the next
+    open for writing fails as a full disk would."""
+    writes = []
+
+    def limited_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(file)
+            if len(writes) > n:
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+        return open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(persistence, "open", limited_open, raising=False)
 
 
 def run_recording_warnings(argv):
@@ -417,6 +433,31 @@ class TestTrain:
         assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, other", [
+        ("--epoch-log-out", "--checkpoint-out"),
+        ("--checkpoint-out", "--train-embeddings"),
+        ("--epoch-log-out", "--val-embeddings"),
+    ])
+    def test_output_path_naming_another_path_is_config_error(self, pipeline, tmp_path,
+                                                              capsys, flag, other):
+        # The epoch log would overwrite the checkpoint, and a checkpoint the
+        # training file; the clash is found whatever the spelling of the path.
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("train", "val"):
+            shutil.copy(pipeline / f"{split}.emb", data)
+        before = {path.name: path.read_bytes() for path in data.iterdir()}
+        argv = train_args(data, tmp_path)
+        target = argv[argv.index(other) + 1]
+        argv[argv.index(flag) + 1] = os.path.join(os.path.dirname(target), ".",
+                                                  os.path.basename(target))
+        assert run(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {other} and {flag} name the same file "
+            f"{os.path.realpath(target)}\n")
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+        assert sorted(tmp_path.iterdir()) == [data]
+
     @pytest.mark.parametrize("head", ["mean", "mlp", "multiview"])
     @pytest.mark.parametrize("modality", ["audio", "video"])
     def test_zero_dim_embeddings_are_io_error(self, tmp_path, capsys, head, modality):
@@ -613,6 +654,32 @@ class TestEvaluate:
         argv[argv.index("--test-embeddings") + 1] = str(tmp_path / "missing.emb")
         assert run(argv) == cli.EXIT_CONFIG
 
+    def test_failed_write_leaves_nothing(self, pipeline, tmp_path, capsys):
+        # The mean report is written before the mlp report's CSV path, a
+        # directory, fails; the call removes what it wrote and prints no EER.
+        mlp = tmp_path / "mlp.ckpt"
+        shutil.copy(pipeline / "mean.ckpt", mlp)
+        out = tmp_path / "r2"
+        (out / "mlp_report_eer.csv").mkdir(parents=True)
+        argv = self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt", mlp])
+        assert run(argv) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert os.listdir(out) == ["mlp_report_eer.csv"]
+
+    def test_failed_write_removes_the_out_dir_it_made(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        fail_writes_after(monkeypatch, 4)
+        out = tmp_path / "made" / "out"
+        mlp = tmp_path / "mlp.ckpt"
+        shutil.copy(pipeline / "mean.ckpt", mlp)
+        assert run(self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt", mlp])) == (
+            cli.EXIT_IO)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No space left on device" in captured.err
+        assert sorted(tmp_path.iterdir()) == [mlp]
+
     def test_checkpoint_of_other_dims_is_data_error(self, pipeline, other_dims, tmp_path,
                                                     capsys):
         out = tmp_path / "out"
@@ -648,6 +715,28 @@ class TestDiagnose:
         svg = (tmp_path / "audio_video.svg").read_text()
         assert svg.count('class="box"') == 6
 
+
+    def diagnose_args(self, pipeline, out):
+        return ["diagnose", "--checkpoint", str(pipeline / "mean.ckpt"),
+                "--embeddings", str(pipeline / "test.emb"), "--out-dir", str(out)]
+
+    def test_failed_write_leaves_nothing(self, pipeline, tmp_path, capsys):
+        # The summary's path is a directory: the SVGs written before it go.
+        out = tmp_path / "out"
+        (out / "diagnostics_summary.json").mkdir(parents=True)
+        assert run(self.diagnose_args(pipeline, out)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert os.listdir(out) == ["diagnostics_summary.json"]
+
+    def test_failed_write_removes_the_out_dir_it_made(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        fail_writes_after(monkeypatch, 3)
+        assert run(self.diagnose_args(pipeline, tmp_path / "made" / "out")) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No space left on device" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_of_other_dims_is_data_error(self, pipeline, other_dims, tmp_path,
                                                     capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import struct
@@ -24,6 +25,10 @@ from avfusion.evaluation import (
     run_full_evaluation,
 )
 from avfusion.persistence import (
+    _json_text,
+    _sig6,
+    _sig6_all,
+    _sig6_matrix,
     _stats_dict,
     load_checkpoint,
     read_embeddings,
@@ -502,7 +507,9 @@ class TestDiagnosticsOutputs:
             got = outcome(write_diagnostics, got_dir, report, label)
             want = outcome(loop_diagnose_outputs, want_dir, report, label)
             assert got == want
-            assert written(got_dir) == written(want_dir)
+            # A refused report leaves no file, where the loop wrote the SVGs
+            # before the one it refused.
+            assert written(got_dir) == (written(want_dir) if isinstance(got, dict) else {})
         if isinstance(got, dict):
             families = (report.audio_video, *report.within_identity.values())
             assert got["warnings"] == sum(f.warnings for f in families)
@@ -517,7 +524,8 @@ class TestDiagnosticsOutputs:
             loop_write_diagnostics_csv(root / "want.csv", doc)
             assert (root / "got_diagnostics.csv").read_bytes() == (
                 root / "want.csv").read_bytes()
-            assert json.loads(pathlib.Path(paths[0]).read_text()) == doc
+            assert pathlib.Path(paths[0]).read_bytes() == (
+                json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
         for fam, rep in [(doc["angle_families"]["audio_video"], report.audio_video),
                          *[(doc["angle_families"]["within_identity"][m],
                             report.within_identity[m]) for m in ("audio", "video")]]:
@@ -552,36 +560,138 @@ class TestDiagnosticsOutputs:
             assert open(path, "rb").read() == (tmp_path / "want.csv").read_bytes()
 
 
+# Floats whose spelling or rounding is a case of its own: the non-finite
+# ones, the signed zeros, the smallest subnormal, where repr switches to
+# exponents, sixth-digit ties, and both sides of where `.6g` switches.
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072e-308, 1e-5, 1e16, 1e22, 12.34565, 0.1234565,
+                  123456.5, 9.999995e-5, 1e-4, 1.000005e-4, 999999.5, 1e6,
+                  1000005.0, 1e300]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+JSON_STRINGS = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "漢", "😀",
+                     "\ud800", "\udfff"]),
+    st.characters(exclude_categories=())))  # surrogates included
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
+    FLOATS, FLOATS.map(np.float64), JSON_STRINGS)
+# What json refuses, as a rare leaf: each must raise json's exception type.
+UNSUPPORTED = st.sampled_from([np.int64(3), np.float32(1.5), {1, 2}, b"x", 1j, object()])
+
+
+def json_documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=5).map(tuple),
+            st.lists(FLOATS, max_size=8), st.lists(st.integers(), max_size=8),
+            st.lists(JSON_STRINGS, max_size=8),
+            st.dictionaries(JSON_STRINGS, children, max_size=5),
+            st.dictionaries(st.one_of(st.integers(), FLOATS), children, max_size=4),
+            st.dictionaries(st.sampled_from([True, False, None]), children, max_size=1),
+        ),
+        max_leaves=30)
+
+
+def json_outcome(encode, doc):
+    try:
+        return encode(doc)
+    except Exception as exc:  # the type is what the two must agree on
+        return type(exc)
+
+
+class TestJsonText:
+    """`_json_text` against its oracle, `json.dumps(doc, sort_keys=True,
+    indent=1)`, byte for byte."""
+
+    @staticmethod
+    def oracle(doc):
+        return json.dumps(doc, sort_keys=True, indent=1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_documents(JSON_SCALARS))
+    def test_bytes_match_json_dumps(self, doc):
+        want = json_outcome(self.oracle, doc)
+        assert isinstance(want, str)
+        assert _json_text(doc) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_documents(st.one_of(JSON_SCALARS, UNSUPPORTED)),
+           st.dictionaries(st.tuples(st.integers()), st.integers(), max_size=2))
+    def test_refusals_match_json_dumps(self, doc, tuple_keys):
+        for case in (doc, [doc, tuple_keys]):
+            assert json_outcome(_json_text, case) == json_outcome(self.oracle, case)
+
+    def test_unsupported_values(self):
+        for value in (np.int64(3), {1}, [1.0, np.float32(2.0)], {"k": {"a": b"x"}},
+                      {(1,): 2}, {"a": 1, 2: 3}):
+            assert json_outcome(_json_text, value) is TypeError
+            assert json_outcome(self.oracle, value) is TypeError
+
+
+ROUNDING_VALUES = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                            st.sampled_from(SPECIAL_FLOATS).map(lambda v: -v),
+                            st.floats(), st.floats(0.0, 180.0))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of any values: neither symmetric nor zero on the
+    diagonal, as the rounding must not assume."""
+    n = draw(st.integers(0, 7))
+    return np.array(draw(st.lists(st.lists(ROUNDING_VALUES, min_size=n, max_size=n),
+                                  min_size=n, max_size=n)), dtype=np.float64).reshape(n, n)
+
+
+def hexes(rows):
+    return [[float.hex(v) for v in row] for row in rows]
+
+
+class TestRounding:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_matrix_rounding_equals_sig6_per_value(self, matrix):
+        assert hexes(_sig6_matrix(matrix)) == hexes([[_sig6(v) for v in row]
+                                                     for row in matrix])
+        flat = matrix.ravel().tolist()
+        assert hexes([_sig6_all(flat)]) == hexes([[_sig6(v) for v in flat]])
+
+    def test_every_special_value_in_one_matrix(self):
+        values = SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]
+        n = math.isqrt(len(values)) + 1
+        matrix = np.resize(np.array(values), (n, n))
+        matrix[0, 1], matrix[1, 0] = 0.0, -0.0
+        got = _sig6_matrix(matrix)
+        assert hexes(got) == hexes([[_sig6(v) for v in row] for row in matrix])
+        assert (math.copysign(1.0, got[0][1]), math.copysign(1.0, got[1][0])) == (1.0, -1.0)
+
+
 # See TestSvgBoxplots.test_bytes_of_the_former_one_label_call.
 SVG_SHA256 = "61c544a18b9881456d3ef78fa3d93bc6725aa1b7f96a4c652dcefa1c113bd905"
 
 
 class TestSvgBoxplots:
-    def test_single_box(self, tmp_path):
+    def test_single_box(self):
         stats = boxplot_stats([1.0, 2.0, 3.0])
-        path = tmp_path / "one.svg"
-        doc = render_boxplot_svg(path, [("g0", stats)], "model", "t")
+        doc = render_boxplot_svg([("g0", stats)], "model", "t")
         assert doc.startswith("<svg")
+        assert doc.endswith("</svg>\n")
         assert doc.count('class="box"') == 1
-        assert path.read_text() == doc
 
-    def test_deterministic_bytes(self, tmp_path, rng):
+    def test_deterministic_bytes(self, rng):
         groups = [(f"id{i}", boxplot_stats(rng.normal(size=20))) for i in range(4)]
-        p1 = tmp_path / "a.svg"
-        p2 = tmp_path / "b.svg"
-        render_boxplot_svg(p1, groups, "m", "t")
-        render_boxplot_svg(p2, groups, "m", "t")
-        assert p1.read_bytes() == p2.read_bytes()
+        assert render_boxplot_svg(groups, "m", "t") == render_boxplot_svg(groups, "m", "t")
 
-    def test_box_per_group_and_one_legend_entry(self, tmp_path, rng):
+    def test_box_per_group_and_one_legend_entry(self, rng):
         groups = [(f"id{i}", boxplot_stats(rng.normal(size=20))) for i in range(4)]
-        doc = render_boxplot_svg(tmp_path / "g.svg", [*groups, ("id4", None)],
-                                 "mlp", "t")
+        doc = render_boxplot_svg([*groups, ("id4", None)], "mlp", "t")
         assert doc.count('class="box"') == 4
         assert doc.count(">id4</text>") == 1
         assert doc.count(">mlp</text>") == 1
 
-    def test_bytes_of_the_former_one_label_call(self, tmp_path):
+    def test_bytes_of_the_former_one_label_call(self):
         # sha256 of what the renderer wrote for these groups when it took a
         # list of stats per group and a list of labels, called as
         # `diagnose` called it: one stats entry per group and one label.
@@ -591,10 +701,10 @@ class TestSvgBoxplots:
             ("id0002", boxplot_stats([7.25])),
             ("id0003", boxplot_stats([20.0, 20.0, 21.0, 19.0, 90.0, 1.0])),
         ]
-        doc = render_boxplot_svg(tmp_path / "f.svg", groups, "mean", "audio video")
+        doc = render_boxplot_svg(groups, "mean", "audio video")
         assert hashlib.sha256(doc.encode()).hexdigest() == SVG_SHA256
 
-    def test_outlier_markers(self, tmp_path):
+    def test_outlier_markers(self):
         stats = boxplot_stats([1.0, 1.0, 1.0, 100.0])
-        doc = render_boxplot_svg(tmp_path / "o.svg", [("g", stats)], "m", "t")
+        doc = render_boxplot_svg([("g", stats)], "m", "t")
         assert doc.count('class="outlier"') == 1
