@@ -203,11 +203,12 @@ def cmd_generate(cfg):
     samples = data_mod.sample_dataset(specs, dataset_config)
     rest, test = data_mod.split_dataset(samples, cfg["test_fraction"], cfg["seed"])
     train, val = data_mod.split_dataset(rest, cfg["val_fraction"], cfg["seed"] + 1)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        persistence.write_embeddings(
-            os.path.join(cfg["out_dir"], f"{name}.emb"), part
-        )
+    # All or nothing: a failed write removes the files written before it.
+    with persistence.all_or_nothing(cfg["out_dir"]) as written:
+        for name, part in (("train", train), ("val", val), ("test", test)):
+            path = os.path.join(cfg["out_dir"], f"{name}.emb")
+            persistence.write_embeddings(path, part)
+            written.append(path)
     print(
         f"generated {len(samples)} samples "
         f"({len(train)} train / {len(val)} val / {len(test)} test)"
@@ -268,14 +269,12 @@ def cmd_train(cfg):
         "best_epoch": result.best_epoch,
         "best_val_accuracy": result.records[result.best_epoch].val_accuracy,
     }
-    persistence.save_checkpoint(
-        cfg["checkpoint_out"], result.best_head, result.best_arc, provenance
-    )
-    try:
+    with persistence.all_or_nothing() as written:  # a failed call leaves no checkpoint
+        persistence.save_checkpoint(
+            cfg["checkpoint_out"], result.best_head, result.best_arc, provenance
+        )
+        written.append(cfg["checkpoint_out"])
         persistence.write_epoch_log(cfg["epoch_log_out"], result.records)
-    except OSError:
-        os.remove(cfg["checkpoint_out"])  # a failed call leaves no checkpoint
-        raise
     best = result.records[result.best_epoch]
     print(
         f"trained {cfg['head']} head: best epoch {best.epoch} "

@@ -289,10 +289,14 @@ def _row_cosines(left, right):
 
 
 def score_trials(embedded, trials: TrialArrays):
-    """Cosine score of every trial, from embeddings keyed by exposure."""
-    left_exp, right_exp = trials.exposures
-    return _row_cosines(embedded[left_exp][trials.left],
-                        embedded[right_exp][trials.right])
+    """Cosine score of every trial, from embeddings keyed by exposure.  An
+    exactly zero embedding has no direction: its trials score 0, as its
+    validation logits are 0 in `arcmargin.plain_cosine_logits`."""
+    left, right = (embedded[exposure] for exposure in trials.exposures)
+    keep = left.any(axis=1)[trials.left] & right.any(axis=1)[trials.right]
+    scores = np.zeros(keep.size)
+    scores[keep] = _row_cosines(left[trials.left[keep]], right[trials.right[keep]])
+    return scores
 
 
 def compute_eer(scores, labels):
@@ -427,6 +431,7 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     if not np.isfinite(embeddings).all():
         raise DegenerateInputError("silhouette of NaN or Inf embeddings")
     norms = np.linalg.norm(embeddings, axis=1)
+    norms[~embeddings.any(axis=1)] = 1.0  # a zero row stays zero: distance 1 to all
     if np.any(norms == 0.0):
         raise DegenerateInputError("cosine distance undefined for zero vectors")
     unit = embeddings / norms[:, None]

@@ -7,6 +7,7 @@ JSON document with numbers rendered at 6 significant digits, spelled as
 `json.dumps(doc, sort_keys=True, indent=1)` spells it.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -39,9 +40,10 @@ def _json_bytes(obj) -> bytes:
 
 def _write_framed(path, magic, header: dict, tensors):
     """Magic, header length, JSON header, then each tensor's little-endian
-    float64 bytes, written from its own buffer."""
+    float64 bytes from its own buffer; a failed write removes the file."""
     header_bytes = _json_bytes(header)
-    with open(path, "wb") as fh:
+    with all_or_nothing() as written, open(path, "wb") as fh:
+        written.append(path)
         fh.write(magic)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
@@ -246,131 +248,36 @@ def write_epoch_log(path, records):
             fh.write("\n")
 
 
-# The spelling of each JSON string (ASCII, as `json.dumps` escapes it by
-# default) and of each number; `float.__repr__` and `int.__repr__` also
-# spell the subclasses (`np.float64`) as plain numbers, as `json` does.
-_JSON_STRING = json.encoder.encode_basestring_ascii
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x):
-    text = float.__repr__(x)
-    return _JSON_NONFINITE.get(text, text)
-
-
-# The spelling of a scalar of each of these exact types; a subclass takes
-# the isinstance path of `_json_parts`.
-_JSON_SCALAR = {
-    float: _json_float,
-    int: int.__repr__,
-    str: _JSON_STRING,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-# A list of one of these exact types is spelled by one join; a float join
-# spells nan and inf as repr does, and they are renamed after it.
-_JSON_JOINED = {float: float.__repr__, int: int.__repr__, str: _JSON_STRING}
-
-
-def _json_key(key):
-    """A dict key that is not a str as the string `json` makes of it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True or key is False or key is None:
-        return _JSON_SCALAR[type(key)](key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _json_parts(value, newline, parts):
-    """Append the JSON text of `value` to `parts`; `newline` is a line break
-    and the indent of the line that `value` starts on."""
-    spell = _JSON_SCALAR.get(type(value))
-    if spell is not None:
-        parts.append(spell(value))
-    elif isinstance(value, str):
-        parts.append(_JSON_STRING(value))
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        parts.append(_json_float(value))
-    elif isinstance(value, (list, tuple, dict)):
-        if not value:
-            parts.append("{}" if isinstance(value, dict) else "[]")
-            return
-        inner = newline + " "
-        separator = "," + inner
-        if isinstance(value, dict):
-            lead = "{" + inner
-            for key, item in sorted(value.items()):
-                lead += _JSON_STRING(key if type(key) is str else _json_key(key)) + ": "
-                spell = _JSON_SCALAR.get(type(item))
-                if spell is None:
-                    parts.append(lead)
-                    _json_parts(item, inner, parts)
-                else:
-                    parts.append(lead + spell(item))
-                lead = separator
-            parts.append(newline + "}")
-            return
-        kinds = set(map(type, value))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind in _JSON_JOINED:
-            text = separator.join(map(_JSON_JOINED[kind], value))
-            if kind is float and "n" in text:  # only nan and inf spell an n
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            parts.append("[" + inner + text + newline + "]")
-            return
-        lead = "[" + inner
-        for item in value:
-            parts.append(lead)
-            _json_parts(item, inner, parts)
-            lead = separator
-        parts.append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _json_text(doc):
-    """`json.dumps(doc, sort_keys=True, indent=1)`, byte for byte, and the
-    same exception type for what it refuses (no circular-reference check):
-    each dict's keys sorted once, and each list of floats, ints or strings
-    spelled by one join."""
-    parts = []
-    _json_parts(doc, "\n", parts)
-    return "".join(parts)
-
-
-def write_files(files, out_dir=None):
-    """Write the text of each path of `files` ({path: text}), making
-    `out_dir` first when one is given and it is missing.  All or nothing: on
-    an OSError, every file this call opened and every directory it made is
-    removed before the error is raised again."""
+@contextlib.contextmanager
+def all_or_nothing(out_dir=None):
+    """Make `out_dir` if given and missing, then run the body with a list of
+    the paths it opens for writing.  If the body raises, every listed file
+    and every directory made here is removed before the error goes on."""
     made = []
     parent = os.path.abspath(out_dir) if out_dir is not None else "."
     while not os.path.lexists(parent):
         made.append(parent)
         parent = os.path.dirname(parent)
-    opened = []
+    written = []
     try:
         if made:
             os.makedirs(out_dir)
+        yield written
+    except BaseException:
+        for remove, paths in ((os.remove, written), (os.rmdir, made)):
+            for path in paths:  # the directories innermost first
+                with contextlib.suppress(OSError):
+                    remove(path)
+        raise
+
+
+def write_files(files, out_dir=None):
+    """Write the text of each path of `files` ({path: text}), all or nothing."""
+    with all_or_nothing(out_dir) as written:
         for path, text in files.items():
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                opened.append(path)
+                written.append(path)
                 fh.write(text)
-    except OSError:
-        for remove, paths in ((os.remove, opened), (os.rmdir, made)):
-            for path in paths:  # the directories innermost first
-                try:
-                    remove(path)
-                except OSError:
-                    pass
-        raise
 
 
 def _sig6(x):
@@ -448,6 +355,43 @@ def report_document(report):
     }
 
 
+# What `json.dumps` makes of a "matrix" key whose value is the string "\0".
+# Inside a JSON string every quote is escaped, so no identity can spell it.
+_MATRIX_MARKER = '"matrix": "\\u0000"'
+# `report_document` puts each matrix four levels deep, so `json.dumps(...,
+# indent=1)` indents its rows by five spaces and their values by six.
+_ROW_BREAK, _VALUE_BREAK = "\n" + 5 * " ", "\n" + 6 * " "
+
+
+def _matrix_json(rows):
+    """The JSON text of a `report_document` centroid matrix where the report
+    holds it: each distinct value (by bit pattern) spelled once, by one
+    `json.dumps` call for them all, and joined row by row."""
+    if not rows:
+        return "[]"
+    values = np.array(rows, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    # No float's JSON text holds ", ", so the list splits at its separators.
+    spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    texts = np.array(spelled, dtype=object)[inverse].reshape(values.shape)
+    lines = ["[" + _VALUE_BREAK + ("," + _VALUE_BREAK).join(row) + _ROW_BREAK + "]"
+             for row in texts.tolist()]
+    return "[" + _ROW_BREAK + ("," + _ROW_BREAK).join(lines) + "\n    ]"
+
+
+def _report_json(doc):
+    """`json.dumps(doc, sort_keys=True, indent=1)` of a `report_document`.
+    The standard encoder lays out the document with a marker in place of
+    each centroid matrix, and `_matrix_json` spells the matrices (most of a
+    report's numbers) into the markers' places, in sorted modality order."""
+    matrices = doc["angle_families"]["between_centroids"]
+    shell = {**doc, "angle_families": {**doc["angle_families"], "between_centroids": {
+        modality: {**family, "matrix": "\0"} for modality, family in matrices.items()}}}
+    pieces = json.dumps(shell, sort_keys=True, indent=1).split(_MATRIX_MARKER)
+    texts = ['"matrix": ' + _matrix_json(matrices[m]["matrix"]) for m in sorted(matrices)]
+    return "".join(piece + text for piece, text in zip(pieces, texts + [""]))
+
+
 def _csv_text(rows):
     """The rows as `csv.writer` writes them, lines ending in CRLF."""
     buffer = io.StringIO()
@@ -495,7 +439,7 @@ def write_report(path_prefix, report, format="structured", files=None):
     doc = report_document(report)
     texts = {}
     if format != "tabular":
-        texts[f"{path_prefix}.json"] = _json_text(doc) + "\n"
+        texts[f"{path_prefix}.json"] = _report_json(doc) + "\n"
     if format != "structured":
         texts[f"{path_prefix}_eer.csv"] = _csv_text([
             ["mode", "eer", "threshold", "n_target", "n_nontarget"],
@@ -532,7 +476,8 @@ def write_diagnostics(out_dir, report, label):
         stats = boxplot_stats(angles) if angles else None
         summary["families"][name] = None if stats is None else {
             "median": stats.median, "q1": stats.q1, "q3": stats.q3, "n": len(angles)}
-    files[os.path.join(out_dir, "diagnostics_summary.json")] = _json_text(summary) + "\n"
+    files[os.path.join(out_dir, "diagnostics_summary.json")] = json.dumps(
+        summary, sort_keys=True, indent=1) + "\n"
     write_files(files, out_dir)
     return summary
 

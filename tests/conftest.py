@@ -202,9 +202,10 @@ def loop_score_trials(head, trials, samples):
     embedded = {exp: embed_samples(head, samples, exp) for exp in exposures}
     scores = np.empty(len(trials))
     for i, t in enumerate(trials):
-        scores[i] = cosine_similarity(
-            embedded[t.left_exposure][t.left], embedded[t.right_exposure][t.right]
-        )
+        left = embedded[t.left_exposure][t.left]
+        right = embedded[t.right_exposure][t.right]
+        # An exactly zero embedding scores 0 against any other.
+        scores[i] = cosine_similarity(left, right) if left.any() and right.any() else 0.0
     return scores
 
 
@@ -348,6 +349,7 @@ def loop_silhouette_score(embeddings, labels, distance="cosine"):
         dist = np.sqrt(np.sum(diff**2, axis=2))
     elif distance == "cosine":
         norms = np.linalg.norm(embeddings, axis=1)
+        norms[~embeddings.any(axis=1)] = 1.0  # a zero row is at distance 1 from all
         if np.any(norms == 0.0):
             raise DegenerateInputError("cosine distance undefined for zero vectors")
         unit = embeddings / norms[:, None]

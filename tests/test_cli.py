@@ -216,6 +216,46 @@ class TestGenerate:
         assert f"more than {2**31}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_write_leaves_nothing(self, tmp_path, capsys):
+        # test.emb is a directory: train.emb and val.emb, written before it, go.
+        out = tmp_path / "out"
+        (out / "test.emb").mkdir(parents=True)
+        assert run(generate_args(out)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert os.listdir(out) == ["test.emb"]
+
+    def test_failed_write_removes_the_out_dir_it_made(self, tmp_path, capsys, monkeypatch):
+        fail_writes_after(monkeypatch, 2)
+        assert run(generate_args(tmp_path / "made" / "out")) == cli.EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_failing_within_a_file_removes_it(self, tmp_path, capsys, monkeypatch):
+        class FullDisk:
+            """An open file whose first write fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(persistence, "open", lambda *args: FullDisk(open(*args)),
+                            raising=False)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(generate_args(out)) == cli.EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestTrain:
     def test_zero_lr_checkpoint_equals_init(self, pipeline, tmp_path):
@@ -781,6 +821,61 @@ def test_memory_exhaustion_is_data_error(pipeline, tmp_path, command):
     assert "Unable to allocate " in result.stderr
     assert result.stderr.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def zero_embeddings(tmp_path_factory):
+    """The default data set, a mean head, and a multi-view head trained at
+    learning rate 0.1 for two epochs, whose final ReLU makes some of its
+    audio-only test embeddings exactly zero; then `evaluate` of both heads
+    and `diagnose` of the multi-view one, with their exit codes."""
+    root = tmp_path_factory.mktemp("zero")
+    data = root / "data"
+    assert run(["generate", "--out-dir", str(data)]) == 0
+    for head in ("mean", "multiview"):
+        assert run(["train", "--train-embeddings", str(data / "train.emb"),
+                    "--val-embeddings", str(data / "val.emb"), "--head", head,
+                    "--learning-rate", "0.1", "--max-epochs", "2",
+                    "--checkpoint-out", str(root / f"{head}.ckpt"),
+                    "--epoch-log-out", str(root / f"{head}.log")]) == 0
+    head = load_checkpoint(root / "multiview.ckpt")[0]
+    audio = head.embed(read_embeddings(data / "test.emb").audio, None)
+    codes = {
+        "n_zero": int((~audio.any(axis=1)).sum()),
+        "evaluate": run(["evaluate", "--checkpoint", str(root / "mean.ckpt"),
+                         "--checkpoint", str(root / "multiview.ckpt"),
+                         "--test-embeddings", str(data / "test.emb"),
+                         "--out-dir", str(root / "reports")]),
+        "diagnose": run(["diagnose", "--checkpoint", str(root / "multiview.ckpt"),
+                         "--embeddings", str(data / "test.emb"),
+                         "--out-dir", str(root / "diagnose")]),
+    }
+    return root, codes
+
+
+class TestZeroEmbeddings:
+    def test_evaluate_and_diagnose_succeed(self, zero_embeddings):
+        # A zero embedding scores 0 in every trial and is at cosine distance 1
+        # from every embedding in the silhouette.
+        root, codes = zero_embeddings
+        assert codes == {"n_zero": 7, "evaluate": 0, "diagnose": 0}
+        assert sorted(os.listdir(root / "reports")) == [
+            "comparison.csv", "mean_report.json", "mean_report_diagnostics.csv",
+            "mean_report_eer.csv", "multiview_report.json",
+            "multiview_report_diagnostics.csv", "multiview_report_eer.csv"]
+        # Each zero audio embedding skips its audio-video pair, at least.
+        summary = json.loads((root / "diagnose" / "diagnostics_summary.json").read_text())
+        assert summary["warnings"] >= 7
+        assert read_report(root / "reports" / "multiview_report.json")["warnings"] >= 7
+
+    def test_json_files_are_the_standard_layout(self, zero_embeddings):
+        root, _ = zero_embeddings
+        paths = [*(root / "reports").glob("*.json"),
+                 root / "diagnose" / "diagnostics_summary.json"]
+        assert len(paths) == 3
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
 
 
 def inconsistent_mlp_checkpoint(path, damage):

@@ -142,7 +142,16 @@ class TestScoreTrials:
         assert np.array_equal(got, loop_score_trials(TableHead(), trials, samples))
         assert (got == 1.0).any()
 
-    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_embedding_scores_zero(self):
+        samples = [Sample("id0", "s0", np.array([3.0, 4.0]), np.array([1.0, 0.0])),
+                   Sample("id1", "s1", np.array([0.0, 0.0]), np.array([-1.0, 1.0]))]
+        trials = [Trial(a, b, "a", "a", a == b) for a, b in ((0, 1), (1, 1), (1, 0), (0, 0))]
+        got = score_trials(embedded(samples), trial_arrays("AxA", trials))
+        assert np.array_equal(got, loop_score_trials(TableHead(), trials, samples))
+        assert [float.hex(x) for x in got] == [float.hex(0.0)] * 3 + [float.hex(1.0)]
+
+    # A zero row alone is scored (above); a NaN or Inf one is refused.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_zero_and_non_finite_embeddings_rejected(self, bad):
         samples = [Sample("id0", "s0", np.array([1.0, 2.0]), np.array([1.0, 0.0])),
                    Sample("id1", "s1", np.array([bad, bad]), np.array([0.0, 1.0]))]
@@ -257,6 +266,13 @@ class TestSilhouette:
         labels = [0, 0, 1, 1, 2]
         assert silhouette_score(emb, labels, "cosine") == loop_silhouette_score(
             emb, labels, "cosine")
+
+    def test_zero_row_is_at_distance_one(self):
+        # Rows 0 and 1 are at distance 1 from every row (s = 0); rows 2 and 3
+        # coincide and are at distance 1 from the other cluster (s = 1).
+        emb = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        labels = [0, 0, 1, 1]
+        assert silhouette_score(emb, labels) == loop_silhouette_score(emb, labels) == 0.5
 
     def test_non_finite_rejected(self):
         emb = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]])

@@ -25,7 +25,7 @@ from avfusion.evaluation import (
     run_full_evaluation,
 )
 from avfusion.persistence import (
-    _json_text,
+    _report_json,
     _sig6,
     _sig6_all,
     _sig6_matrix,
@@ -568,67 +568,66 @@ SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                   123456.5, 9.999995e-5, 1e-4, 1.000005e-4, 999999.5, 1e6,
                   1000005.0, 1e300]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
-JSON_STRINGS = st.text(st.one_of(
-    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "漢", "😀",
-                     "\ud800", "\udfff"]),
-    st.characters(exclude_categories=())))  # surrogates included
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
-    FLOATS, FLOATS.map(np.float64), JSON_STRINGS)
-# What json refuses, as a rare leaf: each must raise json's exception type.
-UNSUPPORTED = st.sampled_from([np.int64(3), np.float32(1.5), {1, 2}, b"x", 1j, object()])
+# Identities whose JSON text a report writer must not take for its layout:
+# quotes, backslashes, NUL, the key "matrix" and the text that marks a
+# matrix's place, non-ASCII text and lone surrogates.
+IDENTITY_PIECES = ['"', "\\", "\x00", ": ", "matrix", '"matrix": "\\u0000"',
+                   '"matrix": "\x00"', "é", "漢", "😀", "\ud800", "\udfff", "a"]
+ADVERSARIAL_IDENTITIES = st.one_of(
+    st.lists(st.sampled_from(IDENTITY_PIECES), min_size=1, max_size=4).map("".join),
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=4))
 
 
-def json_documents(leaves):
-    return st.recursive(
-        leaves,
-        lambda children: st.one_of(
-            st.lists(children, max_size=5),
-            st.lists(children, max_size=5).map(tuple),
-            st.lists(FLOATS, max_size=8), st.lists(st.integers(), max_size=8),
-            st.lists(JSON_STRINGS, max_size=8),
-            st.dictionaries(JSON_STRINGS, children, max_size=5),
-            st.dictionaries(st.one_of(st.integers(), FLOATS), children, max_size=4),
-            st.dictionaries(st.sampled_from([True, False, None]), children, max_size=1),
-        ),
-        max_leaves=30)
+@st.composite
+def adversarial_reports(draw):
+    """Reports of adversarial identities, with centroid matrices of 0, 1 or
+    several rows whose values are mostly special floats, often repeated."""
+
+    def family(name):
+        return AngleReport(name, draw(st.dictionaries(ADVERSARIAL_IDENTITIES, ANGLES,
+                                                      max_size=3)), draw(st.integers(0, 2)))
+
+    def centroids():
+        n = draw(st.integers(0, 5))
+        values = draw(st.lists(FLOATS, min_size=n * n, max_size=n * n))
+        return (draw(st.lists(ADVERSARIAL_IDENTITIES, min_size=n, max_size=n)),
+                np.array(values, dtype=np.float64).reshape(n, n))
+
+    modes = draw(st.sets(st.sampled_from(list(MODALITY_MODES))))
+    return DiagnosticsReport(
+        eer={mode: EerResult(draw(FLOATS), draw(FLOATS), 1, 1) for mode in modes},
+        audio_video=family("audio_video"),
+        within_identity={m: family(f"within_identity_{m}") for m in ("audio", "video")},
+        between_centroids={m: centroids() for m in ("audio", "video")},
+        silhouette={m: draw(FLOATS) for m in ("audio", "video")},
+        warnings=draw(st.integers(0, 9)),
+    )
 
 
-def json_outcome(encode, doc):
-    try:
-        return encode(doc)
-    except Exception as exc:  # the type is what the two must agree on
-        return type(exc)
-
-
-class TestJsonText:
-    """`_json_text` against its oracle, `json.dumps(doc, sort_keys=True,
-    indent=1)`, byte for byte."""
-
-    @staticmethod
-    def oracle(doc):
-        return json.dumps(doc, sort_keys=True, indent=1)
+class TestReportJson:
+    """The report writer against its definition, `json.dumps(doc,
+    sort_keys=True, indent=1)` of the report's document, byte for byte."""
 
     @settings(max_examples=400, deadline=None)
-    @given(json_documents(JSON_SCALARS))
-    def test_bytes_match_json_dumps(self, doc):
-        want = json_outcome(self.oracle, doc)
-        assert isinstance(want, str)
-        assert _json_text(doc) == want
+    @given(adversarial_reports())
+    def test_equals_json_dumps(self, report):
+        doc = report_document(report)
+        assert _report_json(doc) == json.dumps(doc, sort_keys=True, indent=1)
 
-    @settings(max_examples=200, deadline=None)
-    @given(json_documents(st.one_of(JSON_SCALARS, UNSUPPORTED)),
-           st.dictionaries(st.tuples(st.integers()), st.integers(), max_size=2))
-    def test_refusals_match_json_dumps(self, doc, tuple_keys):
-        for case in (doc, [doc, tuple_keys]):
-            assert json_outcome(_json_text, case) == json_outcome(self.oracle, case)
-
-    def test_unsupported_values(self):
-        for value in (np.int64(3), {1}, [1.0, np.float32(2.0)], {"k": {"a": b"x"}},
-                      {(1,): 2}, {"a": 1, 2: 3}):
-            assert json_outcome(_json_text, value) is TypeError
-            assert json_outcome(self.oracle, value) is TypeError
+    def test_marker_text_as_identity(self):
+        marker = '"matrix": "\\u0000"'
+        report = DiagnosticsReport(
+            audio_video=AngleReport("audio_video", {"matrix": [1.0], marker: [2.0]}),
+            within_identity={m: AngleReport(m, {"\x00": []}) for m in ("audio", "video")},
+            between_centroids={"audio": (["\x00", marker], np.array([[0.0, 5e-324],
+                                                                     [math.nan, -0.0]])),
+                               "video": ([], np.zeros((0, 0)))},
+            silhouette={"audio": math.inf, "video": -math.inf})
+        doc = report_document(report)
+        text = _report_json(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=1)
+        assert json.loads(text)["angle_families"]["between_centroids"]["audio"][
+            "identities"] == ["\x00", marker]
 
 
 ROUNDING_VALUES = st.one_of(st.sampled_from(SPECIAL_FLOATS),
