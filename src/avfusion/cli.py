@@ -289,12 +289,7 @@ def cmd_evaluate(cfg):
         raise ConfigurationError("at least one --checkpoint is required")
     if isinstance(checkpoints, str):
         checkpoints = [checkpoints]
-    for name, value in (("n-positive", cfg["n_positive"]), ("n-negative", cfg["n_negative"])):
-        if value < 1:
-            raise ConfigurationError(f"--{name} must be >= 1, got {value}")
-        if value > eval_mod.MAX_TRIALS_PER_CLASS:
-            raise ConfigurationError(
-                f"--{name} must be <= {eval_mod.MAX_TRIALS_PER_CLASS}, got {value}")
+    trial_config = _config_of(TrialConfig, cfg)
     # Each report is named after its checkpoint's file name; two checkpoints
     # of one name would write one report.
     prefixes = {}
@@ -320,24 +315,21 @@ def cmd_evaluate(cfg):
         raise DegenerateInputError(
             f"{test_path} holds {len(sizes)} identities of at most {max(sizes, default=0)} "
             "samples; trials need 2 identities, and targets 2 samples of one")
-    trial_config = _config_of(TrialConfig, cfg)
     # Every report is computed before --out-dir is made, so that a failed
     # call leaves none.
     with float_errors_as_degenerate("evaluation", f"{test_path}: {len(samples)} samples"):
         trials = eval_mod.build_mode_trials(samples, trial_config)
         reports = [eval_mod.run_full_evaluation(head, samples, trial_config, trials)
                    for head in heads]
-    # Every file's text is laid out before the first is written, a failed
-    # write removes what the call wrote, and the EERs are printed once the
-    # last write succeeded.
-    files = {}
-    for prefix, report in zip(prefixes, reports):
-        persistence.write_report(prefix, report, cfg["format"], files)
-    if len(reports) > 1:
-        comparison = persistence.write_comparison(
-            cfg["out_dir"], [(head.kind, report.eer) for head, report in zip(heads, reports)],
-            files)
-    persistence.write_files(files, cfg["out_dir"])
+    # A failed write removes what the call wrote, and the EERs are printed
+    # once the last write succeeded.
+    with persistence.all_or_nothing(cfg["out_dir"]) as written:
+        for prefix, report in zip(prefixes, reports):
+            written += persistence.write_report(prefix, report, cfg["format"])
+        if len(reports) > 1:
+            rows = [(head.kind, report.eer) for head, report in zip(heads, reports)]
+            comparison = persistence.write_comparison(cfg["out_dir"], rows)
+            written.append(comparison)
     for head, report in zip(heads, reports):
         line = "  ".join(f"{m}={report.eer[m].eer:.4f}" for m in eval_mod.MODALITY_MODES)
         print(f"{head.kind}: {line}")

@@ -153,7 +153,7 @@ def sample_dataset(specs, config: DatasetConfig):
             for index, spec in enumerate(specs):
                 # Each identity's noise stream derives from its position in
                 # `specs`, so no two identities share one, whatever their names.
-                rng = np.random.default_rng(np.random.SeedSequence([config.seed, 100, index]))
+                rng = substream(config.seed, "noise", index)
                 rows = slice(index * per, (index + 1) * per)
                 for name, prototype, out in (
                         ("audio_noise_sigma", spec.audio_prototype, audio),
@@ -179,7 +179,7 @@ def split_dataset(samples, fraction, seed):
     samples = SampleSet.of(samples)
     identities, order, bounds = group_rows(samples.identity_ids)
     bounds = bounds.tolist()
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 200]))
+    rng = substream(seed, "split")
     held = np.zeros(len(samples), dtype=bool)  # by position in `order`
     for identity_id, start, stop in zip(identities, bounds, bounds[1:]):
         size = stop - start

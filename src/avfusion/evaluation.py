@@ -23,6 +23,7 @@ from .data import SampleSet, group_rows
 from .errors import ConfigurationError, DegenerateInputError
 # Unused here; perfbench/tracing.py counts calls through this name.
 from .linalg import cosine_similarity  # noqa: F401
+from .rng import substream
 
 # mode -> (left exposure, right exposure); exposures are "av", "a", "v".
 MODALITY_MODES = {
@@ -98,6 +99,14 @@ class TrialConfig:
     n_positive: int = 500
     n_negative: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        # Written to fail on NaN, as DatasetConfig's checks are.
+        for name in ("n_positive", "n_negative"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_TRIALS_PER_CLASS:
+                raise ConfigurationError(
+                    f"{name} must be in [1, {MAX_TRIALS_PER_CLASS}], got {value}")
 
 
 @dataclass
@@ -196,9 +205,7 @@ def _draw_trials(groups, mode, n_positive, n_negative, seed):
     n_cross = len(order) ** 2 - int(np.sum(sizes * sizes))
     if n_negative > n_cross:
         raise ConfigurationError(f"only {n_cross} distinct cross-identity pairs exist")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, 300, _MODE_TAGS[mode]])
-    )
+    rng = substream(seed, "trials", _MODE_TAGS[mode])
 
     n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if n_positive > 0 and not n_pairs:

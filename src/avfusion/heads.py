@@ -17,7 +17,7 @@ interface; HEAD_KINDS maps each kind name to its class.
 
 import numpy as np
 
-from .errors import ConfigurationError, ConsistencyError, DegenerateInputError, ShapeError
+from .errors import ConsistencyError, DegenerateInputError, ShapeError
 from .layers import (
     BatchNormLayer,
     DropoutSpec,
@@ -25,8 +25,6 @@ from .layers import (
     leaky_relu,
     leaky_relu_backward,
 )
-
-DEFAULT_LEAKY_SLOPE = 0.01
 
 # Full-scale dims: audio 356, video 2048, embedding 256, MLP hidden 1330.
 FULL_DIMS = {"d_a": 356, "d_v": 2048, "d_e": 256, "hidden": 1330}
@@ -204,9 +202,11 @@ class MlpFusionHead(_Head):
     """
 
     kind = "mlp"
+    # Checkpoints record it in their header, and one that records another
+    # slope is refused as disagreeing with its tensors.
+    leaky_slope = 0.01
 
-    def __init__(self, layers, norms, d_a, dropout=None,
-                 leaky_slope=DEFAULT_LEAKY_SLOPE):
+    def __init__(self, layers, norms, d_a, dropout=None):
         self.layers = list(layers)
         self.norms = list(norms)
         if len(self.layers) != 3 or len(self.norms) != 3:
@@ -218,12 +218,8 @@ class MlpFusionHead(_Head):
         if not 0 < d_a < self.layers[0].in_dim:
             raise ShapeError(f"audio dim {d_a} does not split input dim "
                              f"{self.layers[0].in_dim}")
-        if not leaky_slope >= 0:
-            raise ConfigurationError(
-                f"leaky ReLU slope must be >= 0, got {leaky_slope}")
         self._d_a = d_a
         self.dropout = dropout or DropoutSpec()
-        self.leaky_slope = leaky_slope
 
     @classmethod
     def create(cls, rng, d_a, d_v, d_e, *, hidden=None, dropout_p=DropoutSpec.probability):
@@ -242,8 +238,7 @@ class MlpFusionHead(_Head):
                 "gamma", "beta", "running_mean", "running_var")})
             for i in (1, 2, 3)
         ]
-        return cls(layers, norms, meta["d_a"], DropoutSpec(meta["dropout_p"]),
-                   meta.get("leaky_slope", DEFAULT_LEAKY_SLOPE))
+        return cls(layers, norms, meta["d_a"], DropoutSpec(meta["dropout_p"]))
 
     @property
     def d_a(self):
@@ -262,8 +257,8 @@ class MlpFusionHead(_Head):
             (f"layer{i}", self.layers[i - 1]), (f"bn{i}", self.norms[i - 1]))]
 
     def meta(self):
-        return dict(super().meta(), hidden=self.layers[0].out_dim,
-                    leaky_slope=self.leaky_slope)
+        return {**super().meta(), "hidden": self.layers[0].out_dim,
+                "leaky_slope": self.leaky_slope}
 
     def forward(self, audio, video, train=False, rng=None):
         a, v, cache = self._inputs(audio, video, train, rng)
@@ -390,14 +385,14 @@ class MultiViewHead(_Head):
                        input_grad=False)
         return grads
 
-    def forward_joint(self, audio, video, train=False, rng=None):
+    def forward_joint(self, audio, video):
         if audio is None or video is None:
             raise DegenerateInputError(
                 "joint multi-view embedding needs both modalities; "
                 "use forward_modality for a single one"
             )
-        ea, cache_a = self.forward_modality("audio", audio, train, rng)
-        ev, cache_v = self.forward_modality("video", video, train, rng)
+        ea, cache_a = self.forward_modality("audio", audio)
+        ev, cache_v = self.forward_modality("video", video)
         cache = {"kind": self.kind, "head": id(self), "audio": cache_a, "video": cache_v}
         return 0.5 * (ea + ev), cache
 

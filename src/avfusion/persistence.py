@@ -159,9 +159,17 @@ def read_embeddings(path):
     _check_finite(path, payload)
     if count and not (d_a and d_v):
         raise PersistenceError(f"{path}: audio/video dims ({d_a}, {d_v}) must be >= 1")
+    identity_ids, sample_ids = [r[0] for r in records], [r[1] for r in records]
+    try:
+        # Reports spell identifiers in UTF-8, which cannot encode a lone
+        # surrogate that a JSON header can spell.
+        "".join(identity_ids + sample_ids).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise PersistenceError(
+            f"{path}: an identifier holds {exc.object[exc.start:exc.end]!r}, "
+            "which UTF-8 cannot encode") from exc
     values = payload.reshape(count, d_a + d_v)
-    return SampleSet(values[:, :d_a], values[:, d_a:], [r[0] for r in records],
-                     [r[1] for r in records])
+    return SampleSet(values[:, :d_a], values[:, d_a:], identity_ids, sample_ids)
 
 
 def save_checkpoint(path, head, arc_head, provenance=None):
@@ -242,7 +250,9 @@ def load_checkpoint(path):
 
 
 def write_epoch_log(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
+    """One JSON line per epoch record; a failed write removes the file."""
+    with all_or_nothing() as written, open(path, "w", encoding="utf-8") as fh:
+        written.append(path)
         for r in records:
             fh.write(_json_bytes(asdict(r)).decode("utf-8"))
             fh.write("\n")
@@ -428,12 +438,10 @@ def _diagnostics_rows(doc):
         yield ["silhouette", modality, "__all__", f"{value:.6g}", "", "", "", "", "", "", ""]
 
 
-def write_report(path_prefix, report, format="structured", files=None):
+def write_report(path_prefix, report, format="structured"):
     """Lay out the report as "structured" JSON (`<prefix>.json`), "tabular"
     CSV (`<prefix>_eer.csv`, `<prefix>_diagnostics.csv`) or "both", and
-    write it; returns the list of paths.  Given `files`, a dict, the path and
-    text of each file go into it instead, for one `write_files` of several
-    reports."""
+    write it (see `write_files`); returns the list of paths."""
     if format not in ("structured", "tabular", "both"):
         raise PersistenceError(f"unknown report format {format!r}")
     doc = report_document(report)
@@ -448,10 +456,7 @@ def write_report(path_prefix, report, format="structured", files=None):
               for mode, entry in doc["eer"].items()),
         ])
         texts[f"{path_prefix}_diagnostics.csv"] = _csv_text(_diagnostics_rows(doc))
-    if files is None:
-        write_files(texts)
-    else:
-        files.update(texts)
+    write_files(texts)
     return list(texts)
 
 
@@ -482,18 +487,14 @@ def write_diagnostics(out_dir, report, label):
     return summary
 
 
-def write_comparison(out_dir, rows, files=None):
+def write_comparison(out_dir, rows):
     """Write `comparison.csv` into `out_dir`, a line of EERs per (model,
-    {mode: EerResult}) of `rows`; returns its path.  Given `files`, a dict,
-    its path and text go into it instead, as in `write_report`."""
+    {mode: EerResult}) of `rows`; returns its path."""
     path = os.path.join(out_dir, "comparison.csv")
     lines = ["model," + ",".join(MODALITY_MODES) + "\n"]
     for model, eers in rows:
         lines.append(",".join([model, *(f"{eers[m].eer:.6g}" for m in MODALITY_MODES)]) + "\n")
-    if files is None:
-        write_files({path: "".join(lines)})
-    else:
-        files[path] = "".join(lines)
+    write_files({path: "".join(lines)})
     return path
 
 

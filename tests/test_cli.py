@@ -473,6 +473,24 @@ class TestTrain:
         assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_failing_within_the_epoch_log_removes_it(self, pipeline, tmp_path,
+                                                          capsys, monkeypatch):
+        # The first record is written, the second fails as a full disk
+        # would: neither the partial log nor the checkpoint is left.
+        json_bytes, records = persistence._json_bytes, []
+
+        def failing_json_bytes(obj):
+            if "epoch" in obj:
+                records.append(obj)
+                if len(records) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return json_bytes(obj)
+        monkeypatch.setattr(persistence, "_json_bytes", failing_json_bytes)
+        assert run(train_args(pipeline, tmp_path)) == cli.EXIT_IO
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+        assert len(records) == 2
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, other", [
         ("--epoch-log-out", "--checkpoint-out"),
         ("--checkpoint-out", "--train-embeddings"),
@@ -648,7 +666,8 @@ class TestEvaluate:
         argv = self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt"])
         argv[argv.index(flag) + 1] = "0"
         assert run(argv) == cli.EXIT_CONFIG
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be in [1, 1000000], got 0" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n-positive", "--n-negative"])
@@ -661,7 +680,8 @@ class TestEvaluate:
         argv = self.evaluate_args(pipeline, out, [pipeline / "mean.ckpt"])
         argv[argv.index(flag) + 1] = str(2**40)
         assert run(argv) == cli.EXIT_CONFIG
-        assert f"{flag} must be <= 1000000" in capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be in [1, 1000000], got {2**40}" in \
+            capsys.readouterr().err
         assert not out.exists()
         argv[argv.index("--test-embeddings") + 1] = str(tmp_path / "missing.emb")
         assert run(argv) == cli.EXIT_CONFIG
@@ -942,7 +962,7 @@ class TestInconsistentCheckpoints:
         assert run(argv) == cli.EXIT_IO
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "leaky ReLU slope must be >= 0, got -0.5" in captured.err
+        assert "disagrees with its tensors" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
@@ -963,6 +983,44 @@ class TestInconsistentCheckpoints:
         assert captured.out == ""
         assert "disagrees with its tensors" in captured.err
         assert not out.exists()
+
+
+class TestNonUtf8Identifiers:
+    """A JSON header can spell a lone surrogate, which no output can encode
+    as UTF-8: the file is refused when read."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose", "train"])
+    @pytest.mark.parametrize("column", [0, 1])  # the identity, the sample id
+    def test_is_io_error(self, pipeline, tmp_path, capsys, command, column):
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("train", "val", "test"):
+            shutil.copy(pipeline / f"{split}.emb", data)
+        bad = data / ("train.emb" if command == "train" else "test.emb")
+
+        def rename(header):
+            header["records"][0][column] = "\ud800"
+        rewrite_header(bad, bad, rename)
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--test-embeddings", str(bad),
+                         "--checkpoint", str(pipeline / "mean.ckpt"),
+                         "--n-positive", "30", "--n-negative", "30", "--out-dir", str(out)],
+            "diagnose": ["diagnose", "--checkpoint", str(pipeline / "mean.ckpt"),
+                         "--embeddings", str(bad), "--out-dir", str(out)],
+            "train": train_args(data, out),
+        }[command]
+        if command == "train":
+            out.mkdir()
+        assert run(argv) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"i/o error: {bad}: an identifier holds '\\ud800', "
+                                "which UTF-8 cannot encode\n")
+        if command == "train":
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
 
 
 class TestConfigFile:

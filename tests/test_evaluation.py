@@ -6,6 +6,7 @@ import pytest
 from avfusion.data import Sample
 from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
+    MAX_TRIALS_PER_CLASS,
     MODALITY_MODES,
     Trial,
     TrialConfig,
@@ -112,6 +113,15 @@ class TestBuildTrials:
         samples = small_dataset(n_identities=2, samples_per_identity=2)
         with pytest.raises(ConfigurationError):
             build_trials(samples, "XxX", 1, 1, 0)
+
+    @pytest.mark.parametrize("field", ["n_positive", "n_negative"])
+    @pytest.mark.parametrize("value", [0, -1, MAX_TRIALS_PER_CLASS + 1, float("nan")])
+    def test_out_of_range_trial_count_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be in"):
+            TrialConfig(**{field: value})
+
+    def test_trial_count_bounds_accepted(self):
+        assert TrialConfig(1, MAX_TRIALS_PER_CLASS).n_negative == MAX_TRIALS_PER_CLASS
 
 
 class TestFusedEmbedding:
