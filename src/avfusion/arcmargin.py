@@ -67,16 +67,17 @@ def softmax_cross_entropy(logits, target):
 def _cosines(embeddings, w_hat):
     """Row-normalized embeddings against the unit prototype columns `w_hat`.
 
-    Exactly-zero rows (which a ReLU head can emit) keep an all-zero
-    direction; the returned `zero` mask marks them, so a caller can reject
-    them or zero their gradient.
+    `embeddings` is (n, d_e) or a (T, n, d_e) stack; each row is normalized
+    on its own.  Exactly-zero rows (which a ReLU head can emit) keep an
+    all-zero direction; the returned `zero` mask marks them, so a caller
+    can reject them or zero their gradient.
     """
-    # np.linalg.norm(embeddings, axis=1) as numpy forms it, without its
+    # np.linalg.norm(embeddings, axis=-1) as numpy forms it, without its
     # argument handling.
-    norms = np.sqrt(np.add.reduce(embeddings * embeddings, axis=1))
+    norms = np.sqrt(np.add.reduce(embeddings * embeddings, axis=-1))
     zero = norms == 0.0
     norms[zero] = 1.0
-    e_hat = embeddings / norms[:, None]
+    e_hat = embeddings / norms[..., None]
     cos = e_hat @ w_hat
     np.minimum(cos, 1.0, out=cos)
     np.maximum(cos, -1.0, out=cos)
@@ -84,17 +85,20 @@ def _cosines(embeddings, w_hat):
 
 
 def _margin_logits(head, cos, targets):
-    """(logits, cos_t, stable, sin2): the scaled cosines with each row's
-    target angle penalized by the margin, that row's target cosine, whether
-    the penalized angle stays in the stable region, and 1 - cos_t**2.  The
-    logits are `cos`, scaled in place."""
+    """(logits, index, cos_t, stable, sin2): the scaled cosines with each
+    row's target angle penalized by the margin, the flat index in `cos` of
+    each row's target entry, that row's target cosine, whether the
+    penalized angle stays in the stable region, and 1 - cos_t**2.  The
+    logits are `cos`, scaled in place.  `cos` is (..., n, n_classes): a
+    stack of terms shares the n targets."""
     targets = np.asarray(targets)
-    rows = np.arange(cos.shape[0])
-    if targets.shape != rows.shape:
+    n = cos.shape[-2]
+    if targets.shape != (n,):
         raise ShapeError("targets must be a 1-d integer array, one per embedding")
     if ((targets < 0) | (targets >= head.n_classes)).any():
         raise LabelError("target class index out of range")
-    cos_t = cos[rows, targets]
+    index = np.arange(0, cos.size, head.n_classes).reshape(cos.shape[:-1]) + targets
+    cos_t = cos.take(index)
     stable = cos_t > math.cos(math.pi - head.margin)
     sin2 = 1.0 - cos_t**2
     phi = np.where(
@@ -104,8 +108,8 @@ def _margin_logits(head, cos, targets):
         cos_t - head.margin * math.sin(head.margin),
     )
     logits = np.multiply(cos, head.scale, out=cos)
-    logits[rows, targets] = head.scale * phi
-    return logits, cos_t, stable, sin2
+    logits.put(index, head.scale * phi)
+    return logits, index, cos_t, stable, sin2
 
 
 def arc_margin_logits_batch(head, embeddings, targets):
@@ -123,48 +127,59 @@ def arc_margin_logits(head, embedding, target):
     return arc_margin_logits_batch(head, embedding, np.array([target]))[0]
 
 
-def arc_margin_loss_grad_batch(head, embeddings, targets, unit=None):
+def arc_margin_loss_grad_batch(head, embeddings, targets):
     """Mean loss over the batch plus gradients w.r.t. raw inputs.
 
     Returns (loss, grad_embeddings, grad_prototypes, per_sample_losses).
     Gradients include the normalization Jacobians for both the embeddings
-    and the prototype columns.  `unit` is `head.unit_prototypes()`, passed
-    by a caller that makes several calls on the same prototypes.
+    and the prototype columns.  `embeddings` may also be a (T, n, d_e)
+    stack of T loss terms on the same targets, or a sequence of T (n, d_e)
+    arrays to stack: every result then has a leading term axis (the loss
+    is a list of T floats), and each term's figures are, bit for bit,
+    those of its own (n, d_e) call.
     """
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    n = embeddings.shape[0]
-    w_hat, w_norms = unit or head.unit_prototypes()
+    n = embeddings.shape[-2]
+    w_hat, w_norms = head.unit_prototypes()
     cos, e_hat, e_norms, degenerate = _cosines(embeddings, w_hat)
-    logits, cos_t, stable, sin2 = _margin_logits(head, cos, targets)
-    rows = np.arange(n)
+    logits, index, cos_t, stable, sin2 = _margin_logits(head, cos, targets)
     sin_t = np.sqrt(np.maximum(sin2, _SIN_FLOOR))
     # d phi / d cos(theta_t)
     dphi = np.where(
         stable, math.cos(head.margin) + math.sin(head.margin) * cos_t / sin_t, 1.0
     )
 
+    # Each row's maximum from a class-major copy, reduced along its
+    # contiguous rows: a maximum is exact in any order.
+    n_classes = logits.shape[-1]
+    row_max = np.maximum.reduce(logits.reshape(-1, n_classes).T.copy(), axis=0)
     shifted = logits
-    shifted -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted -= row_max.reshape(*logits.shape[:-1], 1)
     exp = np.exp(shifted)
-    total = np.add.reduce(exp, axis=1)
-    per_sample = np.log(total) - shifted[rows, targets]
-    loss = float(np.add.reduce(per_sample) / n)
+    total = np.add.reduce(exp, axis=-1)
+    per_sample = np.log(total) - shifted.take(index)
+    loss = (np.add.reduce(per_sample, axis=-1) / n).tolist()
 
-    # The softmax, then the loss gradient, in the array of `exp`.
+    # The softmax, then the loss gradient, in the array of `exp`; the
+    # target entries are formed apart, in the same order of operations.
     dcos = exp
-    dcos /= total[:, None]
-    dcos[rows, targets] -= 1.0
+    dcos /= total[..., None]
+    dcos_t = dcos.take(index)
+    dcos_t -= 1.0
+    dcos_t /= n
+    dcos_t *= head.scale
+    dcos_t *= dphi
     dcos /= n
     dcos *= head.scale
-    dcos[rows, targets] *= dphi
+    dcos.put(index, dcos_t)
 
     # Normalization Jacobian: d x_hat / d x = (I - x_hat x_hat^T) / ||x||.
     grad_e = dcos @ w_hat.T
-    grad_e -= e_hat * np.add.reduce(grad_e * e_hat, axis=1, keepdims=True)
-    grad_e /= e_norms[:, None]
+    grad_e -= e_hat * np.add.reduce(grad_e * e_hat, axis=-1, keepdims=True)
+    grad_e /= e_norms[..., None]
     grad_e[degenerate] = 0.0  # zero rows have no direction to move in
-    grad_w = e_hat.T @ dcos
-    grad_w -= w_hat * np.add.reduce(grad_w * w_hat, axis=0, keepdims=True)
+    grad_w = e_hat.swapaxes(-1, -2) @ dcos
+    grad_w -= w_hat * np.add.reduce(grad_w * w_hat, axis=-2, keepdims=True)
     grad_w /= w_norms
     return loss, grad_e, grad_w, per_sample
 

@@ -284,14 +284,32 @@ def embed_samples(head, samples, exposure):
                       samples.video if "v" in exposure else None)
 
 
+def _rescale_underflowing(rows, norms):
+    """(rows, norms) with each nonzero row whose norm underflowed to 0 (every
+    entry below about 1e-154 in magnitude) divided by its largest magnitude,
+    and its norm taken again; the other rows and norms are kept as they
+    are.  A cosine does not change with the scale of a row, and the scaled
+    row's norm is at least 1."""
+    tiny = np.flatnonzero((norms == 0.0) & rows.any(axis=1))
+    if tiny.size:
+        rows, norms = rows.copy(), norms.copy()
+        rows[tiny] /= np.abs(rows[tiny]).max(axis=1, keepdims=True)
+        norms[tiny] = np.sqrt(np.vecdot(rows[tiny], rows[tiny]))
+    return rows, norms
+
+
 def _row_cosines(left, right):
-    """Clamped cosine of each pair of rows, as `cosine_similarity` gives it."""
+    """Clamped cosine of each pair of rows, as `cosine_similarity` gives it
+    for rows whose norm does not underflow."""
     if not (np.isfinite(left).all() and np.isfinite(right).all()):
         raise DegenerateInputError("vector contains NaN or Inf")
     left_norms = np.sqrt(np.vecdot(left, left))
     right_norms = np.sqrt(np.vecdot(right, right))
     if (left_norms == 0.0).any() or (right_norms == 0.0).any():
-        raise DegenerateInputError("cosine similarity undefined for the zero vector")
+        left, left_norms = _rescale_underflowing(left, left_norms)
+        right, right_norms = _rescale_underflowing(right, right_norms)
+        if (left_norms == 0.0).any() or (right_norms == 0.0).any():
+            raise DegenerateInputError("cosine similarity undefined for the zero vector")
     return np.clip(np.vecdot(left, right) / (left_norms * right_norms), -1.0, 1.0)
 
 
@@ -440,7 +458,7 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     norms = np.linalg.norm(embeddings, axis=1)
     norms[~embeddings.any(axis=1)] = 1.0  # a zero row stays zero: distance 1 to all
     if np.any(norms == 0.0):
-        raise DegenerateInputError("cosine distance undefined for zero vectors")
+        embeddings, norms = _rescale_underflowing(embeddings, norms)
     unit = embeddings / norms[:, None]
     dist = unit @ unit.T
     np.clip(dist, -1.0, 1.0, out=dist)

@@ -293,15 +293,16 @@ class MlpFusionHead(_Head):
 class MultiViewHead(_Head):
     """Per-modality projections into a shared classification layer.
 
-    Each modality is processed separately: projection -> shared linear layer
-    -> ReLU -> (train-time) dropout.  The joint two-modality embedding is the
-    mean of the two single-modality embeddings.  Training is unmasked, on
-    the audio and video paths weighted by lambda_audio and lambda_video.
+    Each modality has its own path: projection -> shared linear layer ->
+    ReLU -> (train-time) dropout, where the paths present go through the
+    shared stage in one pass, stacked on a leading path axis.  The joint
+    two-modality embedding is the mean of the two single-modality
+    embeddings.  Training is unmasked, on the audio and video paths
+    weighted by lambda_audio and lambda_video.
     """
 
     kind = "multiview"
     _linears = ("proj_audio", "shared_classifier", "proj_video")
-    _SHARED = ("shared_classifier.weight", "shared_classifier.bias")
 
     def __init__(self, proj_audio, proj_video, shared_classifier, dropout=None):
         if proj_audio.out_dim != proj_video.out_dim:
@@ -336,54 +337,20 @@ class MultiViewHead(_Head):
 
     def loss_terms(self, audio, video, config, mask_rng=None, rng=None):
         """The audio and video paths as two terms; `mask_rng` is unused."""
-        emb_a, cache_a = self.forward_modality("audio", audio, True, rng)
-        emb_v, cache_v = self.forward_modality("video", video, True, rng)
-        terms = [(config.lambda_audio, emb_a), (config.lambda_video, emb_v)]
-        return terms, (cache_a, cache_v)
+        out, caches = self._forward_paths({"audio": audio, "video": video}, True, rng)
+        return [(config.lambda_audio, out[0]), (config.lambda_video, out[1])], caches
 
     def backward_terms(self, cache, douts, grads):
         self._backward_paths(cache, douts, grads)
 
     def forward_modality(self, modality, x, train=False, rng=None):
-        if modality not in ("audio", "video"):
-            raise ShapeError(f"unknown modality {modality!r}")
-        proj = self.proj_audio if modality == "audio" else self.proj_video
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != proj.in_dim:
-            raise ShapeError(
-                f"{modality} input must have dim {proj.in_dim}, got shape {x.shape}"
-            )
-        p, proj_cache = proj.forward(x)
-        c, shared_cache = self.shared_classifier.forward(p)
-        relu_mask = c >= 0
-        r = np.where(relu_mask, c, 0.0)
-        out, drop_mask = self.dropout.apply(r, train, rng)
-        cache = {
-            "kind": self.kind,
-            "head": id(self),
-            "modality": modality,
-            "proj": proj_cache,
-            "shared": shared_cache,
-            "relu_mask": relu_mask,
-            "drop_mask": drop_mask,
-        }
-        return out, cache
+        out, caches = self._forward_paths({modality: x}, train, rng)
+        return out[0], caches[0]
 
     def backward_modality(self, cache, dout, grads):
         """`grads`, with the gradients of the modality's projection and of
         the shared classifier written into it."""
-        _check_cache(self, cache)
-        modality = cache["modality"]
-        proj = self.proj_audio if modality == "audio" else self.proj_video
-        dx = dout
-        if cache["drop_mask"] is not None:
-            dx = dx * cache["drop_mask"]
-        dx = np.where(cache["relu_mask"], dx, 0.0)
-        dp = _backward_into(grads, "shared_classifier", self.shared_classifier,
-                            cache["shared"], dx)
-        _backward_into(grads, f"proj_{modality}", proj, cache["proj"], dp,
-                       input_grad=False)
-        return grads
+        return self._backward_paths((cache,), (dout,), grads)
 
     def forward_joint(self, audio, video):
         if audio is None or video is None:
@@ -391,10 +358,9 @@ class MultiViewHead(_Head):
                 "joint multi-view embedding needs both modalities; "
                 "use forward_modality for a single one"
             )
-        ea, cache_a = self.forward_modality("audio", audio)
-        ev, cache_v = self.forward_modality("video", video)
+        out, (cache_a, cache_v) = self._forward_paths({"audio": audio, "video": video})
         cache = {"kind": self.kind, "head": id(self), "audio": cache_a, "video": cache_v}
-        return 0.5 * (ea + ev), cache
+        return 0.5 * (out[0] + out[1]), cache
 
     def backward_joint(self, cache, dout, grads):
         """`grads`, with the parameter gradients written into it."""
@@ -402,18 +368,65 @@ class MultiViewHead(_Head):
         half = 0.5 * dout
         return self._backward_paths((cache["audio"], cache["video"]), (half, half), grads)
 
+    def _forward_paths(self, inputs, train=False, rng=None):
+        """The paths of `inputs`, {modality: batch}, in that order: each
+        batch through its modality's projection, then all of them, stacked
+        on a leading path axis, through one shared classifier -> ReLU ->
+        dropout stage.  The one dropout draw of shape (paths, n, d_e) is
+        the draws of the paths one after another.
+
+        Returns the (paths, n, d_e) embeddings and one cache per path; a
+        path's cache holds its slices of the stage's arrays, and every
+        path's cache the whole stage under "stage"."""
+        projected, caches = [], []
+        for modality, x in inputs.items():
+            if modality not in ("audio", "video"):
+                raise ShapeError(f"unknown modality {modality!r}")
+            proj = getattr(self, f"proj_{modality}")
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim != 2 or x.shape[1] != proj.in_dim:
+                raise ShapeError(
+                    f"{modality} input must have dim {proj.in_dim}, got shape {x.shape}"
+                )
+            if projected and x.shape[0] != projected[0].shape[0]:
+                raise ShapeError("audio and video batches differ in size")
+            p, proj_cache = proj.forward(x)
+            projected.append(p)
+            caches.append({"kind": self.kind, "head": id(self), "modality": modality,
+                           "proj": proj_cache})
+        c, shared_cache = self.shared_classifier.forward(np.asarray(projected))
+        relu_mask = c >= 0
+        out, drop_mask = self.dropout.apply(np.where(relu_mask, c, 0.0), train, rng)
+        stage = (shared_cache, relu_mask, drop_mask)
+        for k, cache in enumerate(caches):
+            cache.update(shared=shared_cache[k], relu_mask=relu_mask[k],
+                         drop_mask=None if drop_mask is None else drop_mask[k],
+                         stage=stage)
+        return out, caches
+
     def _backward_paths(self, caches, douts, grads):
-        """`grads` of the audio path, then the video path.  The shared
-        classifier's gradient is the audio path's with the video path's
-        added in place, the bits of the sum of the two.  Every name keeps
-        its place in `grads`, the order clipping sums in."""
-        self.backward_modality(caches[0], douts[0], grads)
-        audio_shared = [grads[name] for name in self._SHARED]
-        grads.update(dict.fromkeys(self._SHARED))  # the video path makes new arrays
-        self.backward_modality(caches[1], douts[1], grads)
-        for name, g in zip(self._SHARED, audio_shared):
-            g += grads[name]
-            grads[name] = g
+        """`grads`, with the parameter gradients of the paths of `caches`
+        written into it, given each path's loss gradient in `douts`: the
+        shared stage's backward pass once over the stacked paths, then each
+        path's projection.  The shared classifier's gradient is the sum of
+        the paths' in path order.  Every name keeps its place in `grads`,
+        the order clipping sums in."""
+        for cache in caches:
+            _check_cache(self, cache)
+        stage = caches[0]["stage"]
+        shared_cache, relu_mask, drop_mask = stage
+        if len(relu_mask) != len(caches) or any(c["stage"] is not stage for c in caches):
+            raise ConsistencyError("path caches are not the paths of one forward pass")
+        dx = np.asarray(douts)
+        if drop_mask is not None:
+            dx = dx * drop_mask
+        dx = np.where(relu_mask, dx, 0.0)
+        dp = _backward_into(grads, "shared_classifier", self.shared_classifier,
+                            shared_cache, dx)
+        for cache, dp_path in zip(caches, dp):
+            modality = cache["modality"]
+            _backward_into(grads, f"proj_{modality}", getattr(self, f"proj_{modality}"),
+                           cache["proj"], dp_path, input_grad=False)
         return grads
 
 

@@ -1,10 +1,12 @@
 """Building-block layers with manual forward/backward passes.
 
-All layers operate on batches of shape (N, features).  Forward passes return
-(output, cache); backward passes consume the cache and the upstream gradient
-and return gradients for parameters and inputs.  A backward pass given `out`,
-one array per trained tensor in TRAINED order, writes the parameter gradients
-into those arrays; a None entry makes a new array.
+All layers operate on batches of shape (N, features); a linear layer also
+takes a (T, N, features) stack of T batches through the same weights.
+Forward passes return (output, cache); backward passes consume the cache
+and the upstream gradient and return gradients for parameters and inputs.
+A backward pass given `out`, one array per trained tensor in TRAINED order,
+writes the parameter gradients into those arrays; a None entry makes a new
+array.
 """
 
 from dataclasses import dataclass
@@ -57,10 +59,17 @@ class LinearLayer:
         return out, x
 
     def backward(self, cache, dout, out=(None, None), input_grad=True):
-        """(dx, dweight, dbias); dx is None without `input_grad`."""
+        """(dx, dweight, dbias); dx is None without `input_grad`.
+
+        A (T, n, in_dim) stack of T inputs sums its terms' weight and bias
+        gradients, each formed as its own (n, in_dim) call forms it."""
         x = cache
-        dweight = np.matmul(dout.T, x, out=out[0])
-        dbias = np.add.reduce(dout, 0, out=out[1])
+        if x.ndim == 2:
+            dweight = np.matmul(dout.T, x, out=out[0])
+            dbias = np.add.reduce(dout, 0, out=out[1])
+        else:
+            dweight = np.add.reduce(np.matmul(dout.transpose(0, 2, 1), x), 0, out=out[0])
+            dbias = np.add.reduce(np.add.reduce(dout, 1), 0, out=out[1])
         dx = dout @ self.weight if input_grad else None
         return dx, dweight, dbias
 

@@ -207,26 +207,27 @@ def batch_loss(head, arc_head, audio, video, labels, config, grads, mask_rng=Non
 
     Returns the loss, and writes the gradient of every trained tensor into
     the array `grads` holds under its name, as `ParamStore.grad_views`
-    names them.  The prototypes are normalised once for all terms, and a
-    second term's prototype gradient is added in place.
+    names them.  The terms' embeddings go through one arc-margin call,
+    stacked on a leading term axis; each term's gradients are scaled by its
+    weight, and a second term's prototype gradient is added in place.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise DegenerateInputError("empty batch")
     terms, cache = head.loss_terms(audio, video, config, mask_rng, rng)
-    loss, douts, grad_protos = 0.0, [], grads["arc.prototypes"]
-    unit = arc_head.unit_prototypes()
-    for k, (weight, emb) in enumerate(terms):
-        term_loss, grad_emb, term_protos, _ = arc_margin_loss_grad_batch(
-            arc_head, emb, labels, unit
-        )
-        loss += weight * term_loss
-        douts.append(np.multiply(grad_emb, weight, out=grad_emb))
+    weights, embeddings = zip(*terms)
+    term_losses, douts, term_protos, _ = arc_margin_loss_grad_batch(
+        arc_head, embeddings, labels
+    )
+    loss, grad_protos = 0.0, grads["arc.prototypes"]
+    for k, weight in enumerate(weights):
+        loss += weight * term_losses[k]
+        douts[k] *= weight
         if k:
-            term_protos *= weight
-            grad_protos += term_protos
+            term_protos[k] *= weight
+            grad_protos += term_protos[k]
         else:
-            np.multiply(weight, term_protos, out=grad_protos)
+            np.multiply(weight, term_protos[0], out=grad_protos)
     head.backward_terms(cache, douts, grads)
     return loss
 
@@ -307,7 +308,7 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
                     head, arc_head, audio[idx], video[idx], labels[idx], config,
                     store.grad_views, mask_rng=mask_rng, rng=dropout_rng,
                 )
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise DegenerateInputError(f"non-finite batch loss in epoch {epoch}")
                 clip_global_norm(store.grad_views, config.clip_norm, clip_scratch)
                 optimizer.step(store.params, store.grads, lr)

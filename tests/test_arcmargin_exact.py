@@ -6,7 +6,8 @@ comparison is exact (`==`): the loss gradients feed the checkpoints, so a
 difference in the last bit changes output bytes.  The drawn batches mix
 free rows with zero rows, rows along their target prototype or a hair off
 it (|cos| within 1e-9 of 1) and rows opposite it, which puts the target
-angle in the unstable region cos(theta_t) <= cos(pi - m).
+angle in the unstable region cos(theta_t) <= cos(pi - m).  A stack of two
+loss terms in one call gives each term the bytes of its own former call.
 """
 
 import math
@@ -22,7 +23,7 @@ from avfusion.arcmargin import (
     arc_margin_logits_batch,
     arc_margin_loss_grad_batch,
 )
-from avfusion.errors import ShapeError
+from avfusion.errors import LabelError, ShapeError
 
 from conftest import loop_arc_margin_logits_batch, loop_arc_margin_loss_grad_batch
 
@@ -121,3 +122,58 @@ def test_one_target_per_embedding():
             fn(head, np.ones((4, 3)), np.array([0]))
         with pytest.raises(ShapeError):
             fn(head, np.ones((2, 3)), np.array([0, 1, 2]))
+
+
+def assert_terms_match_loop(head, stack, targets):
+    """Each term of one stacked call against its own former call, byte for
+    byte, the signs of zeros included."""
+    losses, grad_e, grad_w, per_sample = arc_margin_loss_grad_batch(head, stack, targets)
+    assert len(losses) == len(stack)
+    for k, embeddings in enumerate(stack):
+        expected = loop_arc_margin_loss_grad_batch(head, embeddings, targets)
+        assert type(losses[k]) is float and losses[k] == expected[0]
+        for got, want in zip((grad_e[k], grad_w[k], per_sample[k]), expected[1:]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def stacked_cases(draw):
+    """(head, stack, targets): a second batch of its own row kinds beside a
+    drawn case, on the same head and targets."""
+    head, first, targets = draw(cases())
+    n, d_e = first.shape
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=n, max_size=n))
+    free = draw(hnp.arrays(np.float64, (n, d_e), elements=ELEMENTS))
+    offsets = draw(hnp.arrays(np.float64, (n, d_e), elements=st.floats(-1.0, 1.0)))
+    return head, np.stack([first, batch(head, targets, kinds, free, offsets)]), targets
+
+
+@EXACT
+@given(stacked_cases())
+def test_stacked_terms_match_their_former_calls(case):
+    assert_terms_match_loop(*case)
+
+
+@pytest.mark.parametrize("n, d_e, n_classes", [(2, 8, 50), (42, 8, 50), (128, 8, 50),
+                                               (128, 256, 40), (1, 1, 1)])
+def test_stacked_relu_terms_match_their_former_calls(n, d_e, n_classes):
+    # ReLU outputs, as the multi-view head's two paths give them: exactly
+    # zero entries, and whole rows of zeros in either term
+    rng = np.random.default_rng(n)
+    head = ArcMarginHead.create(rng, d_e, n_classes)
+    stack = np.maximum(rng.normal(size=(2, n, d_e)), 0.0)
+    stack[0, ::3] = 0.0
+    stack[1, 1::4] = 0.0
+    assert_terms_match_loop(head, stack, rng.integers(0, n_classes, size=n))
+
+
+def test_stacked_targets_are_checked():
+    head = ArcMarginHead(prototypes=np.eye(3))
+    stack = np.ones((2, 4, 3))
+    for targets in ([0, 1, 2, -1], [0, 1, 2, 3]):
+        with pytest.raises(LabelError):
+            arc_margin_loss_grad_batch(head, stack, np.array(targets))
+    for targets in ([0], [0, 1, 2, 0, 1], [[0, 1], [2, 0]]):
+        with pytest.raises(ShapeError):
+            arc_margin_loss_grad_batch(head, stack, np.array(targets))

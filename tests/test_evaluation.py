@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from avfusion import evaluation
 from avfusion.data import Sample
 from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
@@ -382,6 +383,34 @@ class TestSilhouette:
         score = silhouette_score(emb, labels, "cosine")
         # two near-parallel points score ~1, singleton scores 0
         assert score == pytest.approx(2 / 3, abs=0.01)
+
+
+class TestUnderflowingNorms:
+    """A nonzero row whose squared norm underflows to 0 keeps its direction."""
+
+    def test_scaled_rows_keep_their_cosines(self, rng):
+        audio, video = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        tiny_audio, tiny_video = audio.copy(), video.copy()
+        tiny_audio[1] *= 1e-200
+        tiny_video[[2, 4]] *= 1e-200
+        trials = trial_arrays("AxV", [Trial(i, i, "a", "v", True) for i in range(6)])
+        expected = score_trials({"a": audio, "v": video}, trials)
+        got = score_trials({"a": tiny_audio, "v": tiny_video}, trials)
+        assert np.abs(got - expected).max() <= 1e-12
+        # the other rows keep their arithmetic
+        assert np.array_equal(got[[0, 3, 5]], expected[[0, 3, 5]])
+
+    def test_scaled_row_keeps_its_silhouette(self, rng):
+        emb = rng.normal(size=(12, 4))
+        labels = np.repeat([0, 1, 2], 4)
+        tiny = emb.copy()
+        tiny[5] *= 1e-200
+        assert abs(silhouette_score(tiny, labels) - silhouette_score(emb, labels)) <= 1e-12
+
+    def test_zero_row_still_refused(self):
+        tiny = np.array([[1e-200, -3e-200], [1.0, 2.0]])
+        with pytest.raises(DegenerateInputError, match="zero vector"):
+            evaluation._row_cosines(tiny, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestBoxplotStats:

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -111,6 +111,22 @@ def embedded(samples):
     return {exp: embed_samples(TableHead(), samples, exp) for exp in ("av", "a", "v")}
 
 
+def underflowing(*matrices):
+    """Whether a nonzero row's norm underflows to 0 (every entry below about
+    1e-154 in magnitude).  The vectorised code scales such a row and keeps
+    its direction; the loop references refuse it, so a comparison with them
+    leaves it out."""
+    return any((rows.any(axis=1) & (np.sqrt(np.vecdot(rows, rows)) == 0.0)).any()
+               for rows in matrices)
+
+
+def centroids(samples, exposure):
+    """Each identity's mean row under `exposure`, as the loop reference forms it."""
+    emb = embed_samples(TableHead(), samples, exposure)
+    ids = np.array(identities(samples))
+    return np.array([emb[ids == identity].mean(axis=0) for identity in set(ids)])
+
+
 def identities(samples):
     return [s.identity_id for s in samples]
 
@@ -126,6 +142,7 @@ class TestScoreTrials:
             for a, b, label in data.draw(st.lists(st.tuples(index, index, st.booleans()),
                                                   max_size=20))
         ]
+        assume(not underflowing(*embedded(samples).values()))
         expected = outcome(loop_score_trials, TableHead(), trials, samples)
         got = outcome(score_trials, embedded(samples), trial_arrays(mode, trials))
         if expected is DegenerateInputError:
@@ -197,12 +214,14 @@ class TestAngleFamilies:
     @EXACT
     @given(tables(nan=True))
     def test_audio_video_matches_loop(self, samples):
+        assume(not underflowing(*embedded(samples).values()))
         assert outcome(audio_video_angles, embedded(samples), identities(samples)) == (
             outcome(loop_audio_video_angles, TableHead(), samples))
 
     @EXACT
     @given(tables(nan=True), st.sampled_from(["audio", "video"]))
     def test_within_identity_matches_loop(self, samples, modality):
+        assume(not underflowing(*embedded(samples).values()))
         got = outcome(within_identity_angles, embedded(samples), identities(samples),
                       modality)
         assert got == outcome(loop_within_identity_angles, TableHead(), samples, modality)
@@ -210,6 +229,8 @@ class TestAngleFamilies:
     @EXACT
     @given(tables(nan=True), st.sampled_from(["audio", "video"]))
     def test_centroid_matrix_matches_loop(self, samples, modality):
+        exposure = modality[0]
+        assume(not underflowing(embedded(samples)[exposure], centroids(samples, exposure)))
         got = outcome(centroid_angle_matrix, embedded(samples), identities(samples),
                       modality)
         expected = outcome(loop_centroid_angle_matrix, TableHead(), samples, modality)
@@ -243,6 +264,7 @@ class TestSilhouette:
     def test_matches_loop(self, samples):
         emb = np.array([s.audio for s in samples])
         labels = identities(samples)
+        assume(not underflowing(emb))
         assert outcome(silhouette_score, emb, labels, "cosine") == outcome(
             loop_silhouette_score, emb, labels, "cosine")
 
@@ -251,6 +273,7 @@ class TestSilhouette:
     def test_random_clusters_match_loop(self, n, d, k, data):
         emb = data.draw(hnp.arrays(np.float64, (n, d), elements=ELEMENTS))
         labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        assume(not underflowing(emb))
         assert outcome(silhouette_score, emb, labels, "cosine") == outcome(
             loop_silhouette_score, emb, labels, "cosine")
 

@@ -2,7 +2,8 @@
 
 Batch norm forms its statistics from one centred pass, the mask draw runs
 `choice`'s inverse-CDF lookup without its argument checks, and `batch_loss`
-normalises the prototypes once for all its loss terms.  `conftest.loop_*`
+makes one arc-margin call for all its loss terms, which normalises the
+prototypes once.  `conftest.loop_*`
 keeps the forms they replaced.  Every comparison is exact, down to the sign
 of zero: the outputs feed the checkpoints, so a difference in the last bit
 changes output bytes.
@@ -125,11 +126,10 @@ def margin_cases(draw):
 def test_loss_grad_with_unit_prototypes_matches_loop(case):
     head, embeddings, targets = case
     expected = loop_arc_margin_loss_grad_batch(head, embeddings, targets)
-    for unit in (None, head.unit_prototypes()):
-        got = arc_margin_loss_grad_batch(head, embeddings, targets, unit)
-        assert got[0] == expected[0]
-        for a, b in zip(got[1:], expected[1:]):
-            assert_same(a, b)
+    got = arc_margin_loss_grad_batch(head, embeddings, targets)
+    assert got[0] == expected[0]
+    for a, b in zip(got[1:], expected[1:]):
+        assert_same(a, b)
 
 
 def models(kind, seed, dropout_p, dims):

@@ -350,9 +350,37 @@ class TestBatchLoss:
                    rng.integers(0, 5, size=6), TrainingConfig(), model_grads(head, arc),
                    mask_rng=rng, rng=rng)
         first = [head.layers[0]] if kind == "mlp" else [head.proj_audio, head.proj_video]
-        assert len(formed) == {"mean": 2, "mlp": 3, "multiview": 4}[kind]
+        assert len(formed) == {"mean": 2, "mlp": 3, "multiview": 3}[kind]
         for layer, has_input_grad in formed:
             assert has_input_grad == all(layer is not f for f in first)
+
+    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+    def test_one_arc_margin_call_per_step(self, kind, monkeypatch):
+        # every loss term goes through one stacked arc-margin call, and the
+        # multi-view paths through one shared-classifier forward and backward
+        rng = np.random.default_rng(10)
+        head = make_head(kind, rng, d_a=4, d_v=6, d_e=3, hidden=5)
+        arc = ArcMarginHead.create(rng, 3, 5)
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(training, "arc_margin_loss_grad_batch", recording(
+            "loss", arc_margin_loss_grad_batch))
+        for method in ("forward", "backward"):
+            monkeypatch.setattr(LinearLayer, method, recording(
+                method, getattr(LinearLayer, method)))
+        batch_loss(head, arc, rng.normal(size=(6, 4)), rng.normal(size=(6, 6)),
+                   rng.integers(0, 5, size=6), TrainingConfig(), model_grads(head, arc),
+                   mask_rng=rng, rng=rng)
+        assert [name for name, _ in calls].count("loss") == 1
+        if kind == "multiview":
+            shared = [name for name, layer in calls if layer is head.shared_classifier]
+            assert shared == ["forward", "backward"]
 
     def test_duplicate_sample_mean_invariance(self, rng):
         head = make_head("mean", rng, d_a=4, d_v=6, d_e=3, dropout_p=0.0)
