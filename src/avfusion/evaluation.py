@@ -7,8 +7,8 @@ its shared classifier and averages both paths when both are present.
 
 Scoring and diagnostics work on embeddings computed once per exposure, and
 on whole arrays.  Each result is bit for bit what the per-pair definition
-gives: a row's dot product is `np.vecdot`, which sums it exactly as `np.dot`
-sums one pair in `linalg.cosine_similarity`, and every mean reduces the same
+gives: the cosines are `linalg.row_cosines`, of which
+`linalg.cosine_similarity` is one row, and every mean reduces the same
 values in the same order as a mean over one row.
 """
 
@@ -21,8 +21,9 @@ import numpy as np
 
 from .data import SampleSet, group_rows
 from .errors import ConfigurationError, DegenerateInputError
-# Unused here; perfbench/tracing.py counts calls through this name.
-from .linalg import cosine_similarity  # noqa: F401
+# cosine_similarity is unused here; perfbench/tracing.py counts calls through
+# this name.
+from .linalg import cosine_distances, cosine_similarity, row_cosines  # noqa: F401
 from .rng import substream
 
 # mode -> (left exposure, right exposure); exposures are "av", "a", "v".
@@ -284,35 +285,6 @@ def embed_samples(head, samples, exposure):
                       samples.video if "v" in exposure else None)
 
 
-def _rescale_underflowing(rows, norms):
-    """(rows, norms) with each nonzero row whose norm underflowed to 0 (every
-    entry below about 1e-154 in magnitude) divided by its largest magnitude,
-    and its norm taken again; the other rows and norms are kept as they
-    are.  A cosine does not change with the scale of a row, and the scaled
-    row's norm is at least 1."""
-    tiny = np.flatnonzero((norms == 0.0) & rows.any(axis=1))
-    if tiny.size:
-        rows, norms = rows.copy(), norms.copy()
-        rows[tiny] /= np.abs(rows[tiny]).max(axis=1, keepdims=True)
-        norms[tiny] = np.sqrt(np.vecdot(rows[tiny], rows[tiny]))
-    return rows, norms
-
-
-def _row_cosines(left, right):
-    """Clamped cosine of each pair of rows, as `cosine_similarity` gives it
-    for rows whose norm does not underflow."""
-    if not (np.isfinite(left).all() and np.isfinite(right).all()):
-        raise DegenerateInputError("vector contains NaN or Inf")
-    left_norms = np.sqrt(np.vecdot(left, left))
-    right_norms = np.sqrt(np.vecdot(right, right))
-    if (left_norms == 0.0).any() or (right_norms == 0.0).any():
-        left, left_norms = _rescale_underflowing(left, left_norms)
-        right, right_norms = _rescale_underflowing(right, right_norms)
-        if (left_norms == 0.0).any() or (right_norms == 0.0).any():
-            raise DegenerateInputError("cosine similarity undefined for the zero vector")
-    return np.clip(np.vecdot(left, right) / (left_norms * right_norms), -1.0, 1.0)
-
-
 def score_trials(embedded, trials: TrialArrays):
     """Cosine score of every trial, from embeddings keyed by exposure.  An
     exactly zero embedding has no direction: its trials score 0, as its
@@ -320,7 +292,7 @@ def score_trials(embedded, trials: TrialArrays):
     left, right = (embedded[exposure] for exposure in trials.exposures)
     keep = left.any(axis=1)[trials.left] & right.any(axis=1)[trials.right]
     scores = np.zeros(keep.size)
-    scores[keep] = _row_cosines(left[trials.left[keep]], right[trials.right[keep]])
+    scores[keep] = row_cosines(left[trials.left[keep]], right[trials.right[keep]])
     return scores
 
 
@@ -380,7 +352,7 @@ def _angle_report(family, identities, bounds, left, right):
     it is skipped and counted as a warning."""
     keep = left.any(axis=1) & right.any(axis=1)
     angles = np.zeros(keep.size)
-    angles[keep] = np.degrees(np.arccos(_row_cosines(left[keep], right[keep])))
+    angles[keep] = np.degrees(np.arccos(row_cosines(left[keep], right[keep])))
     report = AngleReport(family=family, warnings=int(keep.size - keep.sum()))
     for identity, start, stop in zip(identities, bounds[:-1], bounds[1:]):
         report.per_identity[identity] = angles[start:stop][keep[start:stop]].tolist()
@@ -429,7 +401,7 @@ def centroid_angle_matrix(embedded, labels, modality):
     kept = [identity for identity, keep in zip(identities, nonzero) if keep]
     centroids = centroids[nonzero]
     first, second = np.triu_indices(len(kept), k=1)
-    angles = np.degrees(np.arccos(_row_cosines(centroids[first], centroids[second])))
+    angles = np.degrees(np.arccos(row_cosines(centroids[first], centroids[second])))
     matrix = np.zeros((len(kept), len(kept)))
     matrix[first, second] = angles
     matrix[second, first] = angles
@@ -455,14 +427,7 @@ def silhouette_score(embeddings, labels, distance="cosine"):
         raise DegenerateInputError("silhouette needs at least 2 clusters")
     if not np.isfinite(embeddings).all():
         raise DegenerateInputError("silhouette of NaN or Inf embeddings")
-    norms = np.linalg.norm(embeddings, axis=1)
-    norms[~embeddings.any(axis=1)] = 1.0  # a zero row stays zero: distance 1 to all
-    if np.any(norms == 0.0):
-        embeddings, norms = _rescale_underflowing(embeddings, norms)
-    unit = embeddings / norms[:, None]
-    dist = unit @ unit.T
-    np.clip(dist, -1.0, 1.0, out=dist)
-    np.subtract(1.0, dist, out=dist)
+    dist = cosine_distances(embeddings)
     sizes = np.diff(bounds)
     cluster = np.empty(n, dtype=np.intp)
     cluster[order] = np.repeat(np.arange(sizes.size), sizes)

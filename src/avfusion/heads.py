@@ -6,10 +6,10 @@ boundary, which is what the heads are trained to interpret via masking.
 
 Forward passes return (embeddings, cache); the cache replays dropout masks
 and batch statistics exactly in the matching backward pass.  Backward passes
-write the parameter gradients into a flat dict keyed like the parameters()
-names: into the arrays it holds under those names (training passes views of
-its gradient buffer), or as new arrays where it holds none.  They form no
-gradient of the head's inputs, which no caller reads.
+write the parameter gradients into the arrays of a flat dict keyed like the
+parameters() names (training passes views of its gradient buffer), and
+allocate none of their own.  They form no gradient of the head's inputs,
+which no caller reads.
 
 Training, evaluation and persistence reach every head through the `_Head`
 interface; HEAD_KINDS maps each kind name to its class.
@@ -343,8 +343,8 @@ class MultiViewHead(_Head):
     def backward_terms(self, cache, douts, grads):
         self._backward_paths(cache, douts, grads)
 
-    def forward_modality(self, modality, x, train=False, rng=None):
-        out, caches = self._forward_paths({modality: x}, train, rng)
+    def forward_modality(self, modality, x):
+        out, caches = self._forward_paths({modality: x})
         return out[0], caches[0]
 
     def backward_modality(self, cache, dout, grads):
@@ -437,13 +437,9 @@ def _check_cache(head, cache):
 
 def _backward_into(grads, prefix, layer, cache, dout, **kwargs):
     """The input gradient of `layer`, named `prefix`; its parameter gradients
-    go into the arrays `grads` holds under their names, or into new arrays
-    stored there where it holds none."""
-    names = [f"{prefix}.{attr}" for attr in layer.TRAINED]
-    dx, *params = layer.backward(cache, dout, [grads.get(name) for name in names],
-                                 **kwargs)
-    grads.update(zip(names, params))
-    return dx
+    go into the arrays `grads` holds under their names."""
+    out = [grads[f"{prefix}.{attr}"] for attr in layer.TRAINED]
+    return layer.backward(cache, dout, out, **kwargs)[0]
 
 
 HEAD_KINDS = {cls.kind: cls for cls in (MeanFusionHead, MlpFusionHead, MultiViewHead)}

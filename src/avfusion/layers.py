@@ -4,9 +4,8 @@ All layers operate on batches of shape (N, features); a linear layer also
 takes a (T, N, features) stack of T batches through the same weights.
 Forward passes return (output, cache); backward passes consume the cache
 and the upstream gradient and return gradients for parameters and inputs.
-A backward pass given `out`, one array per trained tensor in TRAINED order,
-writes the parameter gradients into those arrays; a None entry makes a new
-array.
+A backward pass writes the parameter gradients into `out`, one array per
+trained tensor in TRAINED order, and allocates none of its own.
 """
 
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ class LinearLayer:
         out = x @ self.weight.T + self.bias
         return out, x
 
-    def backward(self, cache, dout, out=(None, None), input_grad=True):
+    def backward(self, cache, dout, out, input_grad=True):
         """(dx, dweight, dbias); dx is None without `input_grad`.
 
         A (T, n, in_dim) stack of T inputs sums its terms' weight and bias
@@ -140,7 +139,7 @@ class BatchNormLayer:
         cache = (xhat, inv_std, train, x.shape[0])
         return out, cache
 
-    def backward(self, cache, dout, out=(None, None)):
+    def backward(self, cache, dout, out):
         xhat, inv_std, train, n = cache
         dgamma = np.add.reduce(dout * xhat, 0, out=out[0])
         dbeta = np.add.reduce(dout, 0, out=out[1])

@@ -251,11 +251,8 @@ def load_checkpoint(path):
 
 def write_epoch_log(path, records):
     """One JSON line per epoch record; a failed write removes the file."""
-    with all_or_nothing() as written, open(path, "w", encoding="utf-8") as fh:
-        written.append(path)
-        for r in records:
-            fh.write(_json_bytes(asdict(r)).decode("utf-8"))
-            fh.write("\n")
+    write_files({path: "".join(_json_bytes(asdict(r)).decode("utf-8") + "\n"
+                               for r in records)})
 
 
 @contextlib.contextmanager

@@ -7,6 +7,10 @@ formatted at fixed precision and no timestamps or ids are embedded.
 from .errors import DegenerateInputError
 
 _COLOR = "#c0392b"
+# `<text>` content: `&`, `<` and `>` escaped, and what XML 1.0 cannot hold
+# (C0 controls but tab, LF and CR; U+FFFE and U+FFFF) written as U+FFFD.
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+    [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")})
 
 BOX_WIDTH = 14
 GROUP_GAP = 18
@@ -54,7 +58,7 @@ def render_boxplot_svg(groups, label, title):
         f'height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{title}</text>',
+        f'font-size="13" font-family="sans-serif">{title.translate(_TEXT)}</text>',
     ]
     # y axis with ticks
     axis_bottom = MARGIN_TOP + PLOT_HEIGHT
@@ -114,7 +118,7 @@ def render_boxplot_svg(groups, label, title):
         parts.append(
             f'<text x="{label_x}" y="{axis_bottom + 14}" text-anchor="end" '
             f'font-size="9" font-family="sans-serif" transform="rotate(-45 '
-            f'{label_x} {axis_bottom + 14})">{group_name}</text>'
+            f'{label_x} {axis_bottom + 14})">{group_name.translate(_TEXT)}</text>'
         )
 
     # legend
@@ -126,7 +130,7 @@ def render_boxplot_svg(groups, label, title):
     )
     parts.append(
         f'<text x="{legend_x + 14}" y="{legend_y + 9}" font-size="10" '
-        f'font-family="sans-serif">{label}</text>'
+        f'font-family="sans-serif">{label.translate(_TEXT)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -475,8 +476,8 @@ class TestTrain:
 
     def test_write_failing_within_the_epoch_log_removes_it(self, pipeline, tmp_path,
                                                           capsys, monkeypatch):
-        # The first record is written, the second fails as a full disk
-        # would: neither the partial log nor the checkpoint is left.
+        # The second record fails as a full disk would: neither the log nor
+        # the checkpoint is left.
         json_bytes, records = persistence._json_bytes, []
 
         def failing_json_bytes(obj):
@@ -775,6 +776,27 @@ class TestDiagnose:
         svg = (tmp_path / "audio_video.svg").read_text()
         assert svg.count('class="box"') == 6
 
+    def test_svg_text_is_escaped(self, pipeline, tmp_path):
+        # Identity ids come from the .emb header: XML markup and a control
+        # character in them must leave every SVG well-formed.
+        ids = ["a<b", "c&d", 'e"f', "g\x01h"]
+        rng = np.random.default_rng(0)
+        n = 5 * len(ids)
+        embeddings = tmp_path / "test.emb"
+        write_embeddings(embeddings, SampleSet(
+            rng.normal(size=(n, 16)), rng.normal(size=(n, 32)),
+            [ids[i // 5] for i in range(n)], [f"s{i}" for i in range(n)]))
+        out = tmp_path / "out"
+        assert run(["diagnose", "--checkpoint", str(pipeline / "mean.ckpt"),
+                    "--embeddings", str(embeddings), "--out-dir", str(out)]) == 0
+        for name in ("audio_video", "within_audio", "within_video"):
+            root = ElementTree.parse(out / f"{name}.svg").getroot()
+            texts = root.findall("{http://www.w3.org/2000/svg}text")
+            axis_labels = [t.text for t in texts
+                           if t.get("transform", "").startswith("rotate(-45")]
+            assert axis_labels == ["a<b", "c&d", 'e"f', "g\ufffdh"]
+            assert texts[0].text == name.replace("_", " ")
+            assert texts[-1].text == "mean"
 
     def diagnose_args(self, pipeline, out):
         return ["diagnose", "--checkpoint", str(pipeline / "mean.ckpt"),

@@ -3,7 +3,6 @@ import time
 import numpy as np
 import pytest
 
-from avfusion import evaluation
 from avfusion.data import Sample
 from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
@@ -25,7 +24,7 @@ from avfusion.evaluation import (
 )
 from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
 from avfusion.layers import LinearLayer
-from avfusion.linalg import angle_deg, cosine_similarity
+from avfusion.linalg import angle_deg, cosine_similarity, row_cosines
 
 from conftest import eer_oracle, make_head, small_dataset, trial_arrays
 
@@ -410,7 +409,7 @@ class TestUnderflowingNorms:
     def test_zero_row_still_refused(self):
         tiny = np.array([[1e-200, -3e-200], [1.0, 2.0]])
         with pytest.raises(DegenerateInputError, match="zero vector"):
-            evaluation._row_cosines(tiny, np.array([[1.0, 0.0], [0.0, 0.0]]))
+            row_cosines(tiny, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestBoxplotStats:

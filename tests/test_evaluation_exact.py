@@ -113,18 +113,22 @@ def embedded(samples):
 
 def underflowing(*matrices):
     """Whether a nonzero row's norm underflows to 0 (every entry below about
-    1e-154 in magnitude).  The vectorised code scales such a row and keeps
-    its direction; the loop references refuse it, so a comparison with them
-    leaves it out."""
+    1e-154 in magnitude).  The silhouette scales such a row and keeps its
+    direction; its loop reference normalises rows itself and refuses it, so
+    a comparison with it leaves it out."""
     return any((rows.any(axis=1) & (np.sqrt(np.vecdot(rows, rows)) == 0.0)).any()
                for rows in matrices)
 
 
-def centroids(samples, exposure):
-    """Each identity's mean row under `exposure`, as the loop reference forms it."""
-    emb = embed_samples(TableHead(), samples, exposure)
-    ids = np.array(identities(samples))
-    return np.array([emb[ids == identity].mean(axis=0) for identity in set(ids)])
+def scaled_samples():
+    """Three identities of three samples each, with the audio rows of
+    samples 0, 6, 7 and 8 (so also identity id2's audio centroid) and the
+    video rows of samples 1 and 8 scaled by 1e-200: their norms underflow."""
+    rng = np.random.default_rng(7)
+    audio, video = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+    audio[[0, 6, 7, 8]] *= 1e-200
+    video[[1, 8]] *= 1e-200
+    return [Sample(f"id{i // 3}", f"s{i}", audio[i], video[i]) for i in range(9)]
 
 
 def identities(samples):
@@ -142,13 +146,20 @@ class TestScoreTrials:
             for a, b, label in data.draw(st.lists(st.tuples(index, index, st.booleans()),
                                                   max_size=20))
         ]
-        assume(not underflowing(*embedded(samples).values()))
         expected = outcome(loop_score_trials, TableHead(), trials, samples)
         got = outcome(score_trials, embedded(samples), trial_arrays(mode, trials))
         if expected is DegenerateInputError:
             assert got is DegenerateInputError
         else:
             assert np.array_equal(got, expected)
+
+    def test_underflowing_rows_match_loop(self):
+        samples = scaled_samples()
+        pairs = [(a, b) for a in range(9) for b in range(9)]
+        for mode, (left_exp, right_exp) in MODALITY_MODES.items():
+            trials = [Trial(a, b, left_exp, right_exp, a // 3 == b // 3) for a, b in pairs]
+            got = score_trials(embedded(samples), trial_arrays(mode, trials))
+            assert np.array_equal(got, loop_score_trials(TableHead(), trials, samples))
 
     def test_parallel_embeddings_clamp_to_one(self):
         rng = np.random.default_rng(0)
@@ -214,14 +225,12 @@ class TestAngleFamilies:
     @EXACT
     @given(tables(nan=True))
     def test_audio_video_matches_loop(self, samples):
-        assume(not underflowing(*embedded(samples).values()))
         assert outcome(audio_video_angles, embedded(samples), identities(samples)) == (
             outcome(loop_audio_video_angles, TableHead(), samples))
 
     @EXACT
     @given(tables(nan=True), st.sampled_from(["audio", "video"]))
     def test_within_identity_matches_loop(self, samples, modality):
-        assume(not underflowing(*embedded(samples).values()))
         got = outcome(within_identity_angles, embedded(samples), identities(samples),
                       modality)
         assert got == outcome(loop_within_identity_angles, TableHead(), samples, modality)
@@ -229,8 +238,6 @@ class TestAngleFamilies:
     @EXACT
     @given(tables(nan=True), st.sampled_from(["audio", "video"]))
     def test_centroid_matrix_matches_loop(self, samples, modality):
-        exposure = modality[0]
-        assume(not underflowing(embedded(samples)[exposure], centroids(samples, exposure)))
         got = outcome(centroid_angle_matrix, embedded(samples), identities(samples),
                       modality)
         expected = outcome(loop_centroid_angle_matrix, TableHead(), samples, modality)
@@ -239,6 +246,24 @@ class TestAngleFamilies:
         else:
             assert got[0] == expected[0] and got[2] == expected[2]
             assert np.array_equal(got[1], expected[1])
+
+    def test_audio_video_underflowing_rows_match_loop(self):
+        samples = scaled_samples()
+        assert audio_video_angles(embedded(samples), identities(samples)) == (
+            loop_audio_video_angles(TableHead(), samples))
+
+    @pytest.mark.parametrize("modality", ["audio", "video"])
+    def test_within_identity_underflowing_rows_match_loop(self, modality):
+        samples = scaled_samples()
+        assert within_identity_angles(embedded(samples), identities(samples), modality) == (
+            loop_within_identity_angles(TableHead(), samples, modality))
+
+    def test_centroid_matrix_underflowing_rows_match_loop(self):
+        samples = scaled_samples()
+        got = centroid_angle_matrix(embedded(samples), identities(samples), "audio")
+        expected = loop_centroid_angle_matrix(TableHead(), samples, "audio")
+        assert got[0] == expected[0] == ["id0", "id1", "id2"] and got[2] == expected[2]
+        assert np.array_equal(got[1], expected[1])
 
     def test_zero_rows_and_centroids_counted(self):
         samples = [

@@ -24,6 +24,13 @@ def embed_one(head, audio, video):
     return head.embed(*rows)[0]
 
 
+def gradient_arrays(head):
+    """An array shaped like each trained tensor, by name, filled with NaN so
+    that an entry a backward pass leaves unwritten shows."""
+    return {name: np.full_like(getattr(layer, attr), np.nan)
+            for name, layer, attr in head.parameters()}
+
+
 def null_embedding(head):
     """The embedding of a sample with both modalities null."""
     return head.forward(np.zeros((1, head.d_a)), np.zeros((1, head.d_v)))[0][0]
@@ -201,10 +208,10 @@ class TestBackward:
         v = rng.normal(size=(4, 6))
         if kind == "multiview":
             out, cache = head.forward_joint(a, v)
-            grads = head.backward_joint(cache, np.zeros_like(out), {})
+            grads = head.backward_joint(cache, np.zeros_like(out), gradient_arrays(head))
         else:
             out, cache = head.forward(a, v, train=True, rng=rng)
-            grads = head.backward(cache, np.zeros_like(out), {})
+            grads = head.backward(cache, np.zeros_like(out), gradient_arrays(head))
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
     def test_mean_weight_gradient_is_half_outer_product(self):
@@ -214,7 +221,7 @@ class TestBackward:
         v = rng.normal(size=(5, 6))
         dout = rng.normal(size=(5, 3))
         _, cache = head.forward(a, v, train=True, rng=rng)
-        grads = head.backward(cache, dout, {})
+        grads = head.backward(cache, dout, gradient_arrays(head))
         assert np.allclose(grads["proj_audio.weight"], 0.5 * dout.T @ a)
         assert np.allclose(grads["proj_video.weight"], 0.5 * dout.T @ v)
 

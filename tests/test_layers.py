@@ -47,7 +47,7 @@ class TestLinear:
             return float((out * dout).sum())
 
         _, cache = layer.forward(x)
-        dx, dw, db = layer.backward(cache, dout)
+        dx, dw, db = layer.backward(cache, dout, (np.empty((3, 4)), np.empty(3)))
         h = 1e-6
         for param, grad in ((layer.weight, dw), (layer.bias, db)):
             flat = param.reshape(-1)
@@ -121,7 +121,7 @@ class TestBatchNorm:
         x = rng.normal(size=(6, 3))
         dout = rng.normal(size=(6, 3))
         _, cache = bn.forward(x, train=True)
-        dx, dgamma, dbeta = bn.backward(cache, dout)
+        dx, dgamma, dbeta = bn.backward(cache, dout, (np.empty(3), np.empty(3)))
 
         def loss(arr):
             out, _ = bn.forward(x, train=True)

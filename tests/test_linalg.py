@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avfusion.errors import DegenerateInputError
-from avfusion.linalg import angle_deg, centroid, cosine_similarity, l2_normalize
+from avfusion.linalg import (
+    angle_deg,
+    centroid,
+    cosine_similarity,
+    l2_normalize,
+    row_cosines,
+)
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -101,3 +107,58 @@ class TestCentroid:
     def test_empty(self):
         with pytest.raises(DegenerateInputError):
             centroid([])
+
+
+def any_magnitude_vectors(dim):
+    """Finite vectors of `dim` entries at a drawn scale from 1e-300 to
+    1e300, or of any finite floats."""
+    scaled = st.builds(
+        lambda v, k: np.array(v) * 10.0**k,
+        st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim),
+        st.integers(-300, 300),
+    )
+    raw = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=dim, max_size=dim).map(np.array)
+    return st.one_of(scaled, raw)
+
+
+class TestUnderflowingNorms:
+    """A nonzero vector whose squared norm underflows to 0 keeps its
+    direction, as a row of `row_cosines` does."""
+
+    def test_cosine_and_angle_are_the_row_cosine(self):
+        tiny, other = [1e-200, 2e-200], [1.0, 0.0]
+        row = row_cosines(np.array([tiny]), np.array([other]))[0]
+        assert cosine_similarity(tiny, other) == row == 0.4472135954999579
+        assert cosine_similarity(other, tiny) == row
+        assert angle_deg(tiny, other) == float(np.degrees(np.arccos(row)))
+
+    def test_normalize_gives_the_rescaled_unit_vector(self):
+        v = np.array([1e-200, -3e-200, 0.0])
+        rescaled = v / 3e-200
+        assert np.array_equal(l2_normalize(v), rescaled / np.sqrt(np.dot(rescaled, rescaled)))
+        assert np.allclose(l2_normalize(v), np.array([1.0, -3.0, 0.0]) / np.sqrt(10.0))
+
+    def test_zero_vectors_still_refused(self):
+        with pytest.raises(DegenerateInputError, match="cannot normalize the zero vector"):
+            l2_normalize([0.0, 0.0])
+        for fn in (cosine_similarity, angle_deg):
+            with pytest.raises(DegenerateInputError,
+                               match="cosine similarity undefined for the zero vector"):
+                fn([1e-200, 0.0], [0.0, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda dim: st.tuples(any_magnitude_vectors(dim), any_magnitude_vectors(dim))))
+    def test_defined_vectors_keep_their_bits(self, pair):
+        # The formulas these helpers had before they took a row of
+        # `row_cosines`, which refused a vector whose norm is 0.
+        a, b = pair
+        with np.errstate(all="ignore"):
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            assume(na != 0.0 and nb != 0.0)
+            cos = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+            expected = (a / na, cos, float(np.degrees(np.arccos(cos))))
+            got = (l2_normalize(a), cosine_similarity(a, b), angle_deg(a, b))
+        for g, e in zip(got, expected):
+            assert np.asarray(g).tobytes() == np.asarray(e).tobytes()

@@ -291,7 +291,7 @@ class TestBatchLoss:
             head, arc, audio, video, labels,
             TrainingConfig(lambda_audio=1.0, lambda_video=0.0), model_grads(head, arc),
         )
-        emb_a, _ = head.forward_modality("audio", audio, train=False)
+        emb_a, _ = head.forward_modality("audio", audio)
         loss_audio, *_ = arc_margin_loss_grad_batch(arc, emb_a, labels)
         assert loss_joint == pytest.approx(loss_audio, abs=1e-12)
 
