@@ -5,11 +5,13 @@ is passed as None and materializes as an all-zeros input at the head
 boundary, which is what the heads are trained to interpret via masking.
 
 Forward passes return (embeddings, cache); the cache replays dropout masks
-and batch statistics exactly in the matching backward pass.  Backward passes
-write the parameter gradients into the arrays of a flat dict keyed like the
-parameters() names (training passes views of its gradient buffer), and
-allocate none of their own.  They form no gradient of the head's inputs,
-which no caller reads.
+and batch statistics exactly in the matching backward pass, and serves one
+backward pass: the MLP head releases each stage's arrays as its backward
+pass consumes them.  Backward passes write the parameter gradients into the
+arrays of a flat dict keyed like the parameters() names (training passes
+views of its gradient buffer), and allocate none of their own.  They form
+no gradient of the head's inputs, which no caller reads.  No pass writes
+into an array its caller passed in.
 
 Training, evaluation and persistence reach every head through the `_Head`
 interface; HEAD_KINDS maps each kind name to its class.
@@ -44,14 +46,6 @@ def sample_mask_modes(rng, n):
     probability 1/3 each: the draws, and the generator state after them, of
     `rng.choice(3, size=n, p=(1/3, 1/3, 1/3))`."""
     return _MODE_CDF.searchsorted(rng.random(n), side="right")
-
-
-def apply_masks(audio, video, modes):
-    """Zero out the masked modality per sample, at the backbone boundary;
-    returns new arrays.  `modes` is an array that `sample_mask_modes` drew."""
-    audio = np.where((modes == MASK_AUDIO)[:, None], 0.0, audio)
-    video = np.where((modes == MASK_VIDEO)[:, None], 0.0, video)
-    return audio, video
 
 
 def _linear(tensors, prefix):
@@ -122,10 +116,8 @@ class _Head:
     def loss_terms(self, audio, video, config, mask_rng=None, rng=None):
         """([(weight, train-mode embeddings)], cache); `mask_rng` draws the
         modality masks."""
-        if mask_rng is not None:
-            modes = sample_mask_modes(mask_rng, len(audio))
-            audio, video = apply_masks(audio, video, modes)
-        emb, cache = self.forward(audio, video, train=True, rng=rng)
+        modes = None if mask_rng is None else sample_mask_modes(mask_rng, len(audio))
+        emb, cache = self.forward(audio, video, train=True, rng=rng, modes=modes)
         return [(1.0, emb)], cache
 
     def backward_terms(self, cache, douts, grads):
@@ -133,26 +125,34 @@ class _Head:
         term, into `grads`."""
         self.backward(cache, douts[0], grads)
 
-    def _inputs(self, audio, video, train, rng):
-        """The input stage of a fused forward pass: (a, v, cache).
+    def _inputs(self, audio, video, train, rng, modes):
+        """The input stage of a fused forward pass: (x, cache).
 
-        A None modality becomes the null (all-zeros) input, with the other
-        modality's batch size; input dropout is applied to both sides, and
-        the cache starts with the head's identity and the input dropout
-        masks."""
+        x is a new (n, d_a + d_v) block, the audio side first.  A None
+        modality is the null (all-zeros) input, with the other modality's
+        batch size.  `modes`, if given, zeroes each sample's masked modality
+        (see sample_mask_modes); input dropout then scales the audio side
+        and the video side in place, in that order; the masks are not kept,
+        as no backward pass forms an input gradient.  The cache starts with
+        the head's identity."""
         if audio is None and video is None:
             raise DegenerateInputError("both modalities are null")
-        n = np.asarray(audio if audio is not None else video).shape[0]
-        a, v = (np.zeros((n, dim)) if x is None else np.asarray(x, dtype=np.float64)
-                for x, dim in ((audio, self.d_a), (video, self.d_v)))
-        for x, dim in ((a, self.d_a), (v, self.d_v)):
-            if x.ndim != 2 or x.shape[1] != dim:
-                raise ShapeError(f"expected batch of dim {dim}, got shape {x.shape}")
-        a, mask_a = self.dropout.apply(a, train, rng)
-        v, mask_v = self.dropout.apply(v, train, rng)
-        cache = {"kind": self.kind, "head": id(self),
-                 "mask_a": mask_a, "mask_v": mask_v}
-        return a, v, cache
+        n = np.shape(audio if audio is not None else video)[0]
+        x = np.zeros((n, self.d_a + self.d_v))
+        sides = (x[:, :self.d_a], x[:, self.d_a:])
+        for side, data, masked in zip(sides, (audio, video), (MASK_AUDIO, MASK_VIDEO)):
+            if data is None:
+                continue
+            data = np.asarray(data, dtype=np.float64)
+            if data.shape != side.shape:
+                raise ShapeError(f"expected a batch of shape {side.shape}, got {data.shape}")
+            if modes is None:
+                side[...] = data
+            else:
+                np.copyto(side, data, where=(modes != masked)[:, None])
+        for side in sides:
+            self.dropout.apply(side, train, rng)
+        return x, {"kind": self.kind, "head": id(self)}
 
 
 class MeanFusionHead(_Head):
@@ -175,10 +175,10 @@ class MeanFusionHead(_Head):
             DropoutSpec(dropout_p),
         )
 
-    def forward(self, audio, video, train=False, rng=None):
-        a, v, cache = self._inputs(audio, video, train, rng)
-        pa, cache["a"] = self.proj_audio.forward(a)
-        pv, cache["v"] = self.proj_video.forward(v)
+    def forward(self, audio, video, train=False, rng=None, modes=None):
+        x, cache = self._inputs(audio, video, train, rng, modes)
+        pa, cache["a"] = self.proj_audio.forward(x[:, :self.d_a])
+        pv, cache["v"] = self.proj_video.forward(x[:, self.d_a:])
         return 0.5 * (pa + pv), cache
 
     def backward(self, cache, dout, grads):
@@ -260,29 +260,32 @@ class MlpFusionHead(_Head):
         return {**super().meta(), "hidden": self.layers[0].out_dim,
                 "leaky_slope": self.leaky_slope}
 
-    def forward(self, audio, video, train=False, rng=None):
-        a, v, cache = self._inputs(audio, video, train, rng)
-        x = np.concatenate([a, v], axis=1)
+    def forward(self, audio, video, train=False, rng=None, modes=None):
+        """Each activation exists once: the leaky ReLU and the dropout
+        write over the array the stage before them made."""
+        x, cache = self._inputs(audio, video, train, rng, modes)
         cache["stages"] = []
         for i in range(3):
             z, lin_cache = self.layers[i].forward(x)
-            r, relu_mask = leaky_relu(z, self.leaky_slope)
-            b, bn_cache = self.norms[i].forward(r, train)
+            z, relu_mask = leaky_relu(z, self.leaky_slope)
+            x, bn_cache = self.norms[i].forward(z, train)
             drop_mask = None
             if i < 2:
-                b, drop_mask = self.dropout.apply(b, train, rng)
+                x, drop_mask = self.dropout.apply(x, train, rng)
             cache["stages"].append((lin_cache, relu_mask, bn_cache, drop_mask))
-            x = b
         return x, cache
 
     def backward(self, cache, dout, grads):
-        """`grads`, with the parameter gradients written into it."""
+        """`grads`, with the parameter gradients written into it.  Each
+        stage's arrays leave the cache as they are consumed, so a cache
+        serves one backward pass."""
         _check_cache(self, cache)
+        stages = cache["stages"]
         dx = dout
         for i in reversed(range(3)):
-            lin_cache, relu_mask, bn_cache, drop_mask = cache["stages"][i]
+            lin_cache, relu_mask, bn_cache, drop_mask = stages.pop()
             if drop_mask is not None:
-                dx = dx * drop_mask
+                dx *= drop_mask  # the input gradient of the later stage
             dx = _backward_into(grads, f"bn{i + 1}", self.norms[i], bn_cache, dx)
             dx = leaky_relu_backward(relu_mask, self.leaky_slope, dx)
             dx = _backward_into(grads, f"layer{i + 1}", self.layers[i], lin_cache, dx,

@@ -54,7 +54,8 @@ class LinearLayer:
             raise ShapeError(
                 f"linear layer expects input dim {self.in_dim}, got {x.shape[-1]}"
             )
-        out = x @ self.weight.T + self.bias
+        out = x @ self.weight.T
+        out += self.bias
         return out, x
 
     def backward(self, cache, dout, out, input_grad=True):
@@ -135,34 +136,48 @@ class BatchNormLayer:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = np.multiply(centred, inv_std, out=centred)
-        out = self.gamma * xhat + self.beta
+        out = self.gamma * xhat
+        out += self.beta
         cache = (xhat, inv_std, train, x.shape[0])
         return out, cache
 
     def backward(self, cache, dout, out):
+        """(dx, dgamma, dbeta).  Train mode forms
+            dx = inv_std/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
+        with dxhat = dout*gamma, in two batch-sized arrays: dx starts as
+        dxhat, and `scratch` holds each product that is summed or
+        subtracted."""
         xhat, inv_std, train, n = cache
-        dgamma = np.add.reduce(dout * xhat, 0, out=out[0])
+        scratch = dout * xhat
+        dgamma = np.add.reduce(scratch, 0, out=out[0])
         dbeta = np.add.reduce(dout, 0, out=out[1])
-        dxhat = dout * self.gamma
+        dx = dout * self.gamma
         if train:
-            dx = n * dxhat
-            dx -= np.add.reduce(dxhat, 0)
-            dx -= xhat * np.add.reduce(dxhat * xhat, 0)
+            dxhat_sum = np.add.reduce(dx, 0)
+            np.multiply(dx, xhat, out=scratch)
+            np.multiply(xhat, np.add.reduce(scratch, 0), out=scratch)
+            dx *= n
+            dx -= dxhat_sum
+            dx -= scratch
             dx *= inv_std / n
         else:
-            dx = dxhat * inv_std
+            dx *= inv_std
         return dx, dgamma, dbeta
 
 
 def leaky_relu(x: np.ndarray, slope: float):
-    """Element-wise max(x, slope*x); cache is the input sign mask."""
+    """Element-wise max(x, slope*x), for a slope in [0, 1], written over
+    `x`; cache is the input sign mask."""
     mask = x >= 0
-    out = np.where(mask, x, slope * x)
-    return out, mask
+    np.maximum(x, slope * x, out=x)
+    return x, mask
 
 
 def leaky_relu_backward(mask, slope, dout):
-    return np.where(mask, dout, slope * dout)
+    """`dout` where the input was >= 0 and slope*dout elsewhere, written
+    over `dout`."""
+    dout *= np.where(mask, 1.0, slope)
+    return dout
 
 
 @dataclass
@@ -178,12 +193,13 @@ class DropoutSpec:
     def draw_mask(self, rng: np.random.Generator, shape):
         if self.probability == 0.0:
             return np.ones(shape)
-        keep = rng.random(shape) >= self.probability
-        return keep / (1.0 - self.probability)
+        mask = rng.random(shape)
+        return np.divide(mask >= self.probability, 1.0 - self.probability, out=mask)
 
     def apply(self, x: np.ndarray, train: bool, rng=None):
-        """Returns (output, mask); mask is None in eval mode."""
+        """Returns (output, mask); mask is None in eval mode.  The output
+        is `x`, in train mode dropped out in place."""
         if not train:
             return x, None
         mask = self.draw_mask(rng, x.shape)
-        return x * mask, mask
+        return np.multiply(x, mask, out=x), mask

@@ -318,6 +318,9 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
             if acc > best_acc:
                 best_acc = acc
                 best_epoch = epoch
+                # The last snapshot goes before the new one is copied, so a
+                # run never holds two.
+                best_snapshot = None
                 best_snapshot = (copy.deepcopy(head), copy.deepcopy(arc_head))
             else:
                 lr *= config.lr_decay_factor

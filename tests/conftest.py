@@ -455,12 +455,6 @@ def loop_batchnorm_backward(self, cache, dout):
     return dx, dgamma, dbeta
 
 
-def loop_input_grads(cache, grads, da, dv):
-    if cache["mask_a"] is not None:
-        da, dv = da * cache["mask_a"], dv * cache["mask_v"]
-    return grads, da, dv
-
-
 def loop_mean_backward(self, cache, dout):
     _check_cache(self, cache)
     dpa = 0.5 * dout
@@ -472,7 +466,7 @@ def loop_mean_backward(self, cache, dout):
         "proj_video.weight": dwv,
         "proj_video.bias": dbv,
     }
-    return loop_input_grads(cache, grads, da, dv)
+    return grads, da, dv
 
 
 def loop_mlp_backward(self, cache, dout):
@@ -490,7 +484,7 @@ def loop_mlp_backward(self, cache, dout):
         grads[f"layer{i + 1}.bias"] = dbias
         grads[f"bn{i + 1}.gamma"] = dgamma
         grads[f"bn{i + 1}.beta"] = dbeta
-    return loop_input_grads(cache, grads, dx[:, : self.d_a], dx[:, self.d_a :])
+    return grads, dx[:, : self.d_a], dx[:, self.d_a :]
 
 
 def loop_backward_modality(self, cache, dout):

@@ -250,7 +250,13 @@ class TestBackward:
         if kind == "multiview":
             masks = [c["drop_mask"] for c in cache]
         else:
-            masks = [cache["mask_a"], cache["mask_v"]]
+            # the cache keeps the dropped-out input block, not the input
+            # masks; no input is 0, so the block over the inputs is the mask
+            if kind == "mlp":
+                block = cache["stages"][0][0]
+            else:
+                block = np.concatenate([cache["a"], cache["v"]], axis=1)
+            masks = [block[:, :4] / audio, block[:, 4:] / video]
             masks += [stage[3] for stage in cache.get("stages", [])[:2]]
         shapes = {"mean": [(n, 4), (n, 6)], "mlp": [(n, 4), (n, 6), (n, 5), (n, 5)],
                   "multiview": [(n, 3), (n, 3)]}[kind]
@@ -269,6 +275,33 @@ class TestBackward:
         out, cache = head1.forward(np.ones((2, 4)), np.ones((2, 6)))
         with pytest.raises(ConsistencyError):
             head2.backward(cache, np.zeros_like(out), {})
+
+
+class TestInputs:
+    """What the heads' input stage accepts, and that the heads work in place
+    only on arrays they made themselves."""
+
+    @pytest.mark.parametrize("kind", ["mean", "mlp"])
+    def test_batches_of_different_sizes_rejected(self, kind):
+        head = make_head(kind, np.random.default_rng(15), d_a=4, d_v=6, d_e=3, hidden=5)
+        with pytest.raises(ShapeError):
+            head.forward(np.ones((3, 4)), np.ones((2, 6)))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+    def test_train_pass_leaves_the_inputs_unchanged(self, kind, masked):
+        rng = np.random.default_rng(12)
+        head = make_head(kind, rng, d_a=4, d_v=6, d_e=3, hidden=5, dropout_p=0.5)
+        audio = rng.normal(size=(6, 4))
+        video = rng.normal(size=(6, 6))
+        given = audio.copy(), video.copy()
+        mask_rng = np.random.default_rng(13) if masked else None
+        terms, cache = head.loss_terms(audio, video, LOSS_CONFIG, mask_rng=mask_rng, rng=rng)
+        head.backward_terms(cache, [np.ones_like(emb) for _, emb in terms],
+                            gradient_arrays(head))
+        if kind != "multiview":
+            head.forward(audio, video, train=True, rng=rng)
+        assert np.array_equal(audio, given[0]) and np.array_equal(video, given[1])
 
 
 class TestEvalDeterminism:

@@ -145,8 +145,9 @@ class TestBatchNorm:
 class TestLeakyRelu:
     def test_positive_passthrough(self):
         x = np.array([[0.5, 2.0, 7.0]])
+        expected = x.copy()
         out, mask = leaky_relu(x, 0.01)
-        assert np.array_equal(out, x)
+        assert np.array_equal(out, expected)
         assert mask.all()
 
     def test_slope_zero_is_relu(self):
@@ -175,7 +176,7 @@ class TestDropout:
     def test_zero_probability_identity(self, rng):
         spec = DropoutSpec(0.0)
         x = rng.normal(size=(2, 5))
-        out, mask = spec.apply(x, train=True, rng=rng)
+        out, mask = spec.apply(x.copy(), train=True, rng=rng)
         assert np.array_equal(out, x)
         assert np.array_equal(mask, np.ones_like(x))
 
@@ -184,9 +185,9 @@ class TestDropout:
         spec = DropoutSpec(0.5)
         x = rng.normal(size=(4, 6))
         state = rng.bit_generator.state
-        out, mask = spec.apply(x, train=True, rng=rng)
+        out, mask = spec.apply(x.copy(), train=True, rng=rng)
         rng.bit_generator.state = state
-        replayed, replayed_mask = spec.apply(x, train=True, rng=rng)
+        replayed, replayed_mask = spec.apply(x.copy(), train=True, rng=rng)
         assert np.array_equal(replayed, out)
         assert np.array_equal(replayed_mask, mask)
         # survivors are scaled by 1/(1-p), the rest dropped

@@ -1,13 +1,15 @@
+import collections
 import copy
 import dataclasses
 import math
+import tracemalloc
 import types
 import weakref
 
 import numpy as np
 import pytest
 
-from avfusion import training
+from avfusion import heads, training
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
 from avfusion.cli import FLAG_SPECS
 from avfusion.data import (
@@ -24,11 +26,10 @@ from avfusion.heads import (
     MASK_NONE,
     MASK_VIDEO,
     MeanFusionHead,
-    apply_masks,
     sample_mask_modes,
 )
 from avfusion.evaluation import TrialConfig
-from avfusion.layers import DropoutSpec, LinearLayer
+from avfusion.layers import BatchNormLayer, DropoutSpec, LinearLayer
 from avfusion.rng import substream
 from avfusion.training import (
     AdamW,
@@ -56,10 +57,14 @@ class TestMasking:
         b = sample_mask_modes(np.random.default_rng(7), 5)
         assert np.array_equal(a, b)
 
-    def test_apply_masks(self, rng):
+    def test_input_block_zeroes_the_masked_modality(self, rng):
         audio = rng.normal(size=(3, 4))
         video = rng.normal(size=(3, 6))
-        a, v = apply_masks(audio, video, np.array([MASK_AUDIO, MASK_VIDEO, MASK_NONE]))
+        head = MeanFusionHead.create(rng, 4, 6, 3, dropout_p=0.0)
+        _, cache = head.forward(audio, video, train=True, rng=rng,
+                                modes=np.array([MASK_AUDIO, MASK_VIDEO, MASK_NONE]))
+        # the projections' inputs are the two sides of the masked input block
+        a, v = cache["a"], cache["v"]
         assert np.array_equal(a[0], np.zeros(4))
         assert np.array_equal(v[1], np.zeros(6))
         assert np.array_equal(a[2], audio[2])
@@ -273,6 +278,21 @@ class TestLrSchedule:
         # a new best after the decays keeps the decayed rate
         assert lrs[5] == pytest.approx(0.001 * 0.95**3)
 
+    def test_one_best_snapshot_at_a_time(self, monkeypatch):
+        # every epoch improves; each copy starts with no earlier copy alive
+        copies, alive = [], []
+
+        def deepcopy(obj):
+            alive.append(sum(ref() is not None for ref in copies))
+            result = copy.deepcopy(obj)
+            copies.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(training, "copy", types.SimpleNamespace(deepcopy=deepcopy))
+        _, best_epoch = self.epoch_lrs(monkeypatch, [0.1, 0.2, 0.3])
+        assert best_epoch == 2
+        assert alive == [0, 1] * 3
+
     def test_first_epoch_no_decay(self, monkeypatch):
         # the first epoch is a new best even at zero accuracy
         lrs, best_epoch = self.epoch_lrs(monkeypatch, [0.0, 0.0])
@@ -382,6 +402,41 @@ class TestBatchLoss:
             shared = [name for name, layer in calls if layer is head.shared_classifier]
             assert shared == ["forward", "backward"]
 
+    @pytest.mark.parametrize("kind, expected", [
+        ("mean", {"LinearLayer.forward": 2, "LinearLayer.backward": 2,
+                  "DropoutSpec.apply": 2}),
+        ("mlp", {"LinearLayer.forward": 3, "LinearLayer.backward": 3,
+                 "BatchNormLayer.forward": 3, "BatchNormLayer.backward": 3,
+                 "leaky_relu": 3, "leaky_relu_backward": 3, "DropoutSpec.apply": 4}),
+        ("multiview", {"LinearLayer.forward": 3, "LinearLayer.backward": 3,
+                       "DropoutSpec.apply": 1}),
+    ])
+    def test_layer_calls_per_step(self, kind, expected, monkeypatch):
+        # the layer functions a benchmark trace counts and times, patched
+        # where the heads look them up: one call per layer and pass
+        rng = np.random.default_rng(11)
+        head = make_head(kind, rng, d_a=4, d_v=6, d_e=3, hidden=5)
+        arc = ArcMarginHead.create(rng, 3, 5)
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner in (LinearLayer, BatchNormLayer, DropoutSpec):
+            for method in ("forward", "backward", "apply"):
+                if method in vars(owner):
+                    monkeypatch.setattr(owner, method, counting(
+                        f"{owner.__name__}.{method}", getattr(owner, method)))
+        for name in ("leaky_relu", "leaky_relu_backward"):
+            monkeypatch.setattr(heads, name, counting(name, getattr(heads, name)))
+        batch_loss(head, arc, rng.normal(size=(6, 4)), rng.normal(size=(6, 6)),
+                   rng.integers(0, 5, size=6), TrainingConfig(), model_grads(head, arc),
+                   mask_rng=rng, rng=rng)
+        assert calls == expected
+
     def test_duplicate_sample_mean_invariance(self, rng):
         head = make_head("mean", rng, d_a=4, d_v=6, d_e=3, dropout_p=0.0)
         arc = ArcMarginHead.create(rng, 3, 5)
@@ -395,6 +450,38 @@ class TestBatchLoss:
             np.concatenate([labels, labels]), TrainingConfig(), grads,
         )
         assert loss1 == pytest.approx(loss2, abs=1e-12)
+
+
+class TestStepMemory:
+    def test_mlp_step_holds_one_copy_of_each_activation(self):
+        # With hidden = d_a + d_v every activation is the size of the input
+        # block.  The backward pass of stage 2 is the step's peak: the input
+        # block, five stored activations (stage 1's normalised values,
+        # dropout mask and output; stage 2's normalised values and dropout
+        # mask), and batch norm's upstream gradient and its two work arrays
+        # are 9 blocks; sign masks and the narrow arrays of the output stage
+        # and the loss add about half a block.
+        rng = np.random.default_rng(14)
+        n, d_a, d_v, hidden = 128, 64, 448, 512
+        head = make_head("mlp", rng, d_a=d_a, d_v=d_v, d_e=32, hidden=hidden)
+        arc = ArcMarginHead.create(rng, 32, 50)
+        grads = model_grads(head, arc)
+        audio, video = rng.normal(size=(n, d_a)), rng.normal(size=(n, d_v))
+        labels = rng.integers(0, 50, size=n)
+
+        def step():
+            batch_loss(head, arc, audio, video, labels, TrainingConfig(), grads,
+                       mask_rng=rng, rng=rng)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = n * (d_a + d_v) * 8
+        assert peak < 10 * block, f"peak {peak / block:.2f} input blocks"
 
 
 def validation_of(samples):
