@@ -23,7 +23,7 @@ from .data import SampleSet, group_rows
 from .errors import ConfigurationError, DegenerateInputError
 # cosine_similarity is unused here; perfbench/tracing.py counts calls through
 # this name.
-from .linalg import cosine_distances, cosine_similarity, row_cosines  # noqa: F401
+from .linalg import cosine_similarity, rescale_underflowing, row_cosines  # noqa: F401
 from .rng import substream
 
 # mode -> (left exposure, right exposure); exposures are "av", "a", "v".
@@ -123,6 +123,7 @@ class DiagnosticsReport:
 # The most 32-bit words `_raw_draws` takes from the raw stream at once.
 RAW_CHUNK_WORDS = 65536
 _LOW_WORD = 0xFFFFFFFF
+SILHOUETTE_BLOCK = 2**21  # the most distances in one block of `silhouette_score`
 
 
 @contextlib.contextmanager
@@ -410,11 +411,12 @@ def centroid_angle_matrix(embedded, labels, modality):
 
 def silhouette_score(embeddings, labels, distance="cosine"):
     """Mean silhouette s(i) = (b - a)/max(a, b) over all points, under the
-    cosine distance 1 - cos; `distance` must be "cosine".
-
-    Singleton clusters and coincident geometry (a == b == 0) contribute 0.
-    The n x n distance matrix is kept whole: each mean below reduces one
-    contiguous row slice of it, which is what keeps the result bit-exact.
+    cosine distance 1 - cos (an exactly zero row is at distance 1 from every
+    row); `distance` must be "cosine".  Singleton clusters and coincident
+    geometry (a == b == 0) contribute 0.  A block of rows has its columns
+    gathered cluster by cluster, clusters of one size side by side; each mean
+    reduces a contiguous run of a row, so one block (n <= 1,448), which is
+    `unit @ unit.T`, gives the whole n x n matrix's result bit for bit.
     """
     if distance != "cosine":
         raise ConfigurationError(f"unknown distance {distance!r}")
@@ -427,26 +429,37 @@ def silhouette_score(embeddings, labels, distance="cosine"):
         raise DegenerateInputError("silhouette needs at least 2 clusters")
     if not np.isfinite(embeddings).all():
         raise DegenerateInputError("silhouette of NaN or Inf embeddings")
-    dist = cosine_distances(embeddings)
+    norms = np.linalg.norm(embeddings, axis=1)
+    norms[~embeddings.any(axis=1)] = 1.0
+    embeddings, norms = rescale_underflowing(embeddings, norms)
+    unit = embeddings / norms[:, None]
     sizes = np.diff(bounds)
-    cluster = np.empty(n, dtype=np.intp)
-    cluster[order] = np.repeat(np.arange(sizes.size), sizes)
-    to_cluster = np.empty((n, sizes.size))  # mean distance to each cluster
+    cols = order[np.argsort(np.repeat(sizes, sizes), kind="stable")]
+    at = np.argsort(cols)  # each row's column in a gathered block
+    size = np.sort(np.repeat(sizes, sizes))[at]  # the size of each row's cluster
     own = np.zeros(n)  # mean distance to the rest of its own cluster
-    for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        members = order[start:stop]
-        to_cluster[:, k] = np.take(dist, members, axis=1).mean(axis=1)
-        m = members.size
-        if m > 1:
-            block = np.take(dist[members], members, axis=1)
-            own[members] = block[~np.eye(m, dtype=bool)].reshape(m, m - 1).mean(axis=1)
-    to_cluster[np.arange(n), cluster] = np.inf
-    nearest = to_cluster.min(axis=1)
+    nearest = np.full(n, np.inf)  # least mean distance to another cluster
+    step = max(1, SILHOUETTE_BLOCK // n)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        dist = np.take(unit[block] @ unit.T, cols, axis=1)
+        dist = np.subtract(1.0, np.clip(dist, -1.0, 1.0, out=dist), out=dist)
+        col = 0
+        for m, c in zip(*np.unique(sizes, return_counts=True)):
+            span = dist[:, col:col + m * c].reshape(-1, c, m)  # (rows, clusters, m)
+            rows = start + np.flatnonzero(size[block] == m)
+            j = at[rows] - col  # each row's column in this size class
+            means = span.mean(axis=-1)
+            means[rows - start, j // m] = np.inf
+            np.minimum(nearest[block], means.min(axis=1), out=nearest[block])
+            if m > 1:
+                others = np.arange(m) != (j % m)[:, None]
+                own[rows] = span[rows - start, j // m][others].reshape(-1, m - 1).mean(axis=1)
+            col += m * c
+        del dist, span  # before the next block's product is allocated
     denom = np.maximum(own, nearest)
-    scored = (sizes[cluster] > 1) & (denom > 0.0)
-    scores = np.zeros(n)
-    scores[scored] = (nearest[scored] - own[scored]) / denom[scored]
-    return float(scores.mean())
+    scored = (size > 1) & (denom > 0.0)
+    return float(np.divide(nearest - own, denom, out=np.zeros(n), where=scored).mean())
 
 
 def _lerp(a, b, t):

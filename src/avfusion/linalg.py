@@ -46,19 +46,6 @@ def row_cosines(left, right):
     return np.clip(np.vecdot(left, right) / (left_norms * right_norms), -1.0, 1.0)
 
 
-def cosine_distances(rows):
-    """1 - clamped cosine of every pair of rows, with the norms of
-    `np.linalg.norm(rows, axis=1)`; an exactly zero row is at distance 1
-    from every row."""
-    norms = np.linalg.norm(rows, axis=1)
-    norms[~rows.any(axis=1)] = 1.0
-    rows, norms = rescale_underflowing(rows, norms)
-    unit = rows / norms[:, None]
-    dist = unit @ unit.T
-    np.clip(dist, -1.0, 1.0, out=dist)
-    return np.subtract(1.0, dist, out=dist)
-
-
 def l2_normalize(v) -> np.ndarray:
     """Scale v to unit L2 norm, preserving direction."""
     v = as_vector(v)[None]

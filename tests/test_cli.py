@@ -847,10 +847,11 @@ class TestDiagnose:
 
 @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
 def test_memory_exhaustion_is_data_error(pipeline, tmp_path, command):
-    # 30,000 samples in 1,500 identities: the silhouette's distance matrix
-    # alone would take 7.2 GB, and no flag changes its size.
+    # 100,000 samples in 50,000 identities: the index pairs of the K x K
+    # centroid angle matrix alone would take 9.3 GiB, and no flag changes
+    # its size.
     pytest.importorskip("resource")
-    test = write_test_set(tmp_path / "large.emb", identities=1500, per_identity=20)
+    test = write_test_set(tmp_path / "large.emb", identities=50000, per_identity=2)
     out = tmp_path / "out"
     if command == "evaluate":
         argv = ["evaluate", "--checkpoint", pipeline / "mean.ckpt",
@@ -859,7 +860,7 @@ def test_memory_exhaustion_is_data_error(pipeline, tmp_path, command):
         argv = ["diagnose", "--checkpoint", pipeline / "mean.ckpt", "--embeddings", test]
     result = run_capped([*argv, "--out-dir", out])
     assert result.returncode == cli.EXIT_DATA, result.stderr
-    assert result.stderr.startswith(f"data error: {test}: 30000 samples exceed ")
+    assert result.stderr.startswith(f"data error: {test}: 100000 samples exceed ")
     assert "Unable to allocate " in result.stderr
     assert result.stderr.count("\n") == 1
     assert not out.exists()

@@ -327,6 +327,58 @@ class TestSilhouette:
         with pytest.raises(DegenerateInputError):
             silhouette_score(emb, [0, 0, 1], "cosine")
 
+    @EXACT
+    @given(st.integers(4, 60), st.integers(2, 8), st.integers(2, 12), st.integers(1, 400),
+           st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_row_blocks_match_loop(self, n, d, k, block, seed, zero, data):
+        """Blocks of 1-400 distances, from one row per block to one block,
+        over clusters of several sizes and singletons, in random directions
+        with two coincident rows and, if `zero`, a zero row.  No row sees
+        only rounding noise (as three coincident rows split two and one
+        would): blocks round that noise otherwise than the whole matrix."""
+        emb = np.random.default_rng(seed).normal(size=(n, d))
+        emb[2] = emb[1]
+        if zero:
+            emb[0] = 0.0
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        expected = outcome(loop_silhouette_score, emb, labels, "cosine")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "SILHOUETTE_BLOCK", block)
+            got = outcome(silhouette_score, emb, labels, "cosine")
+        if expected is DegenerateInputError:
+            assert got is DegenerateInputError
+        else:
+            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 5, 7, 64, 290])
+    def test_blocks_split_clusters(self, rows_per_block):
+        # 291 rows in clusters of 1 to 9 rows, shuffled, so that most blocks
+        # end inside a cluster; one zero row and four coincident ones.
+        rng = np.random.default_rng(3)
+        labels = rng.permutation(np.repeat(np.arange(60), np.arange(60) % 9 + 1))
+        emb = rng.normal(size=(labels.size, 6))
+        emb[10] = 0.0
+        emb[[20, 30, 40]] = emb[50]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "SILHOUETTE_BLOCK", labels.size * rows_per_block)
+            got = silhouette_score(emb, labels, "cosine")
+        assert got == pytest.approx(loop_silhouette_score(emb, labels, "cosine"),
+                                    rel=0, abs=1e-12)
+
+    def test_memory_bounded_by_block(self):
+        # The whole 8,000 x 8,000 distance matrix would take 488 MiB.
+        rng = np.random.default_rng(4)
+        emb = rng.normal(size=(8000, 8))
+        labels = rng.integers(0, 50, size=8000)
+        tracemalloc.start()
+        try:
+            score = silhouette_score(emb, labels, "cosine")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert -1.0 <= score <= 1.0
+
     def test_scales_with_cluster_slices(self):
         # The parent's per-sample loop took 1.42 s at n = 1600.
         rng = np.random.default_rng(2)
