@@ -120,10 +120,24 @@ class DiagnosticsReport:
     warnings: int = 0
 
 
-# The most 32-bit words `_raw_draws` takes from the raw stream at once.
+# The most 32-bit words `_raw_draws` takes from the raw stream at once, and
+# in one chunk of nontarget attempts (a chunk holds at least one attempt).
 RAW_CHUNK_WORDS = 65536
 _LOW_WORD = 0xFFFFFFFF
+# The words of a regular nontarget attempt: Floyd's two identity draws, the
+# swap draw, and one sample draw per side.
+_ATTEMPT_WORDS = 5
+# Chunks of attempts are drawn when more than this many regular attempts
+# are expected per irregular one.  A chunk's fixed cost is that of about 18
+# attempts made one by one, and an irregular attempt costs two or three
+# chunks, so below about 64 the attempts are faster one by one.
+_REGULAR_RUN = 64
+# The most attempts per requested nontarget before a request is refused.
+NONTARGET_ATTEMPTS = 1000
 SILHOUETTE_BLOCK = 2**21  # the most distances in one block of `silhouette_score`
+# The most embedding values gathered per side in one block of pairs of
+# `within_identity_angles` and `centroid_angle_matrix`.
+PAIR_BLOCK = 2**20
 
 
 @contextlib.contextmanager
@@ -137,27 +151,32 @@ def _raw_draws(rng):
     and r = 0 takes no word.  numpy splits each 64-bit output into its low
     word, used first, and its high word, kept in the state's `uinteger` for
     the next draw.  Chunks of raw outputs, from 64 words and doubling up to
-    RAW_CHUNK_WORDS, are read ahead; on exit the unread outputs are rewound with
-    `advance` and a pending high word is put back, so that the generator's
-    next draw is the one numpy would make next.  r must be below 2³² − 1.
+    RAW_CHUNK_WORDS, are read ahead.  `draw.ahead(count)` gives the next
+    `count` words as an array, reading as far as they need, and
+    `draw.skip(count)` takes them as drawn.  On exit the unread outputs are
+    rewound with `advance` and a pending high word is put back, so that the
+    generator's next draw is the one numpy would make next.  r must be below
+    2³² − 1.
     """
     bits = rng.bit_generator
     state = bits.state
     entry = state["uinteger"]
-    words = [entry] if state["has_uint32"] else []
+    buf = np.array([entry] if state["has_uint32"] else [], dtype="<u4")
+    words = buf.tolist()  # `buf` as a list for `draw`, () after `ahead` grew it
     pos, size = 0, 32
 
     def draw(r):
-        nonlocal words, pos, size
+        nonlocal buf, words, pos, size
         if not r:
             return 0
         bound = r + 1
         while True:
-            if pos == len(words):
-                size = min(2 * size, RAW_CHUNK_WORDS)
-                raw = bits.random_raw(size // 2)
-                words = raw.astype("<u8", copy=False).view("<u4").tolist()
-                pos = 0
+            if pos >= len(words):
+                if pos == len(buf):
+                    size = min(2 * size, RAW_CHUNK_WORDS)
+                    buf = bits.random_raw(size // 2).astype("<u8", copy=False).view("<u4")
+                    pos = 0
+                words = buf.tolist()
             m = words[pos] * bound
             pos += 1
             low = m & _LOW_WORD
@@ -165,18 +184,50 @@ def _raw_draws(rng):
             if low >= bound or low >= (_LOW_WORD - r) % bound:
                 return m >> 32
 
+    def ahead(count):
+        nonlocal buf, words, pos
+        missing = count - (len(buf) - pos)
+        if missing > 0:
+            keep = max(pos - 1, 0)  # the last word drawn, for the rewind
+            raw = bits.random_raw((missing + 1) // 2).astype("<u8", copy=False)
+            buf = np.concatenate([buf[keep:], raw.view("<u4")])
+            pos -= keep
+            words = ()
+        return buf[pos:pos + count]
+
+    def skip(count):
+        nonlocal pos
+        pos += count
+
+    draw.ahead, draw.skip = ahead, skip
     try:
         yield draw
     finally:
-        unread = len(words) - pos
+        unread = len(buf) - pos
         if unread > 1:
             bits.advance(-(unread // 2))
         state = bits.state
         if unread % 2:
-            state["has_uint32"], state["uinteger"] = 1, words[pos]
+            state["has_uint32"], state["uinteger"] = 1, int(buf[pos])
         else:
-            state["has_uint32"], state["uinteger"] = 0, words[pos - 1] if pos else entry
+            state["has_uint32"], state["uinteger"] = 0, int(buf[pos - 1]) if pos else entry
         bits.state = state
+
+
+def _reject_below(bounds):
+    """Lemire's threshold for each bound b = r + 1, as uint64: a word w is
+    redrawn when (w·b) mod 2³² is below (2³² − b) mod b.  A draw of [0, 0]
+    takes no word; its threshold 2³² marks every word, so that an attempt
+    with such a draw is irregular."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    return np.where(bounds > 1, (2**32 - bounds) % bounds, 2**32).astype(np.uint64)
+
+
+def _lemire(words, bounds, reject_below):
+    """Lemire's rule on many words at once: the value of each word's draw
+    of [0, bound − 1], and whether the word is redrawn instead."""
+    m = words * bounds
+    return m >> 32, (m & _LOW_WORD) < reject_below
 
 
 def _pairs(bounds, index):
@@ -192,6 +243,95 @@ def _pairs(bounds, index):
     row = np.searchsorted(row_start, index, side="right") - 1
     first = rows[row]
     return first, first + 1 + (index - row_start[row])
+
+
+def _nontargets(rng, order, bounds, n_negative):
+    """(left, right): the first `n_negative` distinct nontarget pairs that
+    the per-attempt draws of `build_trials` give, and the generator left
+    where those draws leave it.
+
+    A regular attempt takes `_ATTEMPT_WORDS` words, so a chunk of attempts
+    is drawn as array operations on words read ahead: Lemire's rule,
+    Floyd's repeat replacement and the swap, then each side's sample.  The
+    chunk is cut at its first irregular attempt, one with a redrawn word or
+    a draw of [0, 0] (two identities, or a one-sample identity), which takes
+    no word; that attempt is made by `draw`, and the next chunk starts after
+    it.  After a cut, a chunk holds at most twice the regular attempts of
+    the last one, plus one; the limit doubles back after a chunk that is not
+    cut.  Within that limit a chunk holds the attempts that the missing
+    nontargets are expected to take at the last chunk's rate of new pairs,
+    twice the last estimate after a chunk without one; the attempts after
+    the one that completes the request are read but not made.  When
+    irregular attempts are common (see _REGULAR_RUN), every attempt is made
+    by `draw`.
+    """
+    sizes = np.diff(bounds)
+    n, last = len(order), len(sizes) - 1
+    groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
+    tops = (sizes - 1).tolist()
+    # Floyd's draws of [0, K - 2] and [0, K - 1], then the swap draw of [0, 1].
+    head_bounds = np.array([last, last + 1, 2], dtype=np.uint64)
+    head_reject = _reject_below(head_bounds)
+    side_bounds, side_reject = sizes.astype(np.uint64), _reject_below(sizes)
+    starts = bounds[:-1].astype(np.uint64)
+    cap = max(1, RAW_CHUNK_WORDS // _ATTEMPT_WORDS)
+    # Of the K(K - 1) ordered identity pairs, equally likely, those of two
+    # identities with two samples or more give regular attempts (a word is
+    # redrawn less often than once in 2³²/K).  With two identities, Floyd's
+    # first draw takes no word.
+    multi = int(np.count_nonzero(sizes > 1))
+    regular, pairs = multi * (multi - 1), (last + 1) * last
+    run = cap if last > 1 and regular > _REGULAR_RUN * (pairs - regular) else 0
+    need = n_negative  # the attempts the missing nontargets are expected to take
+    max_attempts = NONTARGET_ATTEMPTS * max(n_negative, 1)
+    attempts = 0
+    seen = {}  # key left·n + right of each nontarget drawn so far, in draw order
+    with _raw_draws(rng) as draw:
+        while len(seen) < n_negative:
+            count = run and min(run, need, max_attempts - attempts)
+            if count:
+                words = draw.ahead(_ATTEMPT_WORDS * count).reshape(count, _ATTEMPT_WORDS)
+                values, rejected = _lemire(words[:, :3], head_bounds, head_reject)
+                irregular = rejected.any(axis=1)
+                i1, i2, swap = values.T
+                i2[i2 == i1] = last
+                sides = np.where(swap == 0, [i2, i1], [i1, i2])
+                samples, rejected = _lemire(words[:, 3:].T, side_bounds[sides],
+                                            side_reject[sides])
+                irregular |= rejected.any(axis=0)
+                rows = order[starts[sides] + samples]
+                cut = np.flatnonzero(irregular)
+                used = int(cut[0]) if cut.size else count
+                keys = (rows[0, :used] * n + rows[1, :used]).tolist()
+                before = len(seen)
+                seen.update(dict.fromkeys(keys))
+                if len(seen) >= n_negative:
+                    # The request is complete at the attempt that drew its
+                    # last nontarget, and the later attempts are not made.
+                    while len(seen) > n_negative:
+                        seen.popitem()
+                    used = keys.index(next(reversed(seen))) + 1
+                attempts += used
+                draw.skip(_ATTEMPT_WORDS * used)
+                new = len(seen) - before
+                need = (n_negative - len(seen)) * used // new + 1 if new else 2 * need
+                if used == count or len(seen) == n_negative:
+                    run = min(cap, 2 * run)
+                    continue
+                run = min(cap, 2 * used + 1)
+            attempts += 1
+            if attempts > max_attempts:
+                raise ConfigurationError("cannot sample enough distinct nontarget pairs")
+            # rng.choice(n, size=2, replace=False): Floyd's draws of [0, n - 2]
+            # and [0, n - 1], a repeat replaced by n - 1, then a shuffle.
+            i1, i2 = draw(last - 1), draw(last)
+            if i2 == i1:
+                i2 = last
+            if not draw(1):
+                i1, i2 = i2, i1
+            # rng.integers(len(group)) of each side
+            seen[groups[i1][draw(tops[i1])] * n + groups[i2][draw(tops[i2])]] = None
+    return np.divmod(np.fromiter(seen, dtype=np.intp, count=len(seen)), n)
 
 
 def _draw_trials(groups, mode, n_positive, n_negative, seed):
@@ -217,31 +357,11 @@ def _draw_trials(groups, mode, n_positive, n_negative, seed):
         chosen = rng.choice(n_pairs, size=n_positive, replace=n_positive > n_pairs)
     first, second = _pairs(bounds, chosen)
 
-    groups = [order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
-    tops = (sizes - 1).tolist()
-    last = len(groups) - 1
-    seen = {}  # one key per nontarget trial drawn so far, in draw order
-    max_attempts = 1000 * max(n_negative, 1)
-    attempts = 0
-    with _raw_draws(rng) as draw:
-        while len(seen) < n_negative:
-            attempts += 1
-            if attempts > max_attempts:
-                raise ConfigurationError("cannot sample enough distinct nontarget pairs")
-            # rng.choice(n, size=2, replace=False): Floyd's draws of [0, n - 2]
-            # and [0, n - 1], a repeat replaced by n - 1, then a shuffle.
-            i1, i2 = draw(last - 1), draw(last)
-            if i2 == i1:
-                i2 = last
-            if not draw(1):
-                i1, i2 = i2, i1
-            # rng.integers(len(group)) of each side
-            seen[groups[i1][draw(tops[i1])], groups[i2][draw(tops[i2])]] = None
-    negatives = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
+    left, right = _nontargets(rng, order, bounds, n_negative)
     labels = np.zeros(n_positive + n_negative, dtype=bool)
     labels[:n_positive] = True
-    return (np.concatenate([order[first], negatives[:, 0]]),
-            np.concatenate([order[second], negatives[:, 1]]), labels)
+    return (np.concatenate([order[first], left]),
+            np.concatenate([order[second], right]), labels)
 
 
 def build_trials(samples, mode, n_positive, n_negative, seed):
@@ -254,8 +374,9 @@ def build_trials(samples, mode, n_positive, n_negative, seed):
     sample of each as `rng.integers(len(group))` does, which picks the value
     and advances the generator exactly as `rng.choice(group)` does; a pair
     drawn before is rejected and drawn anew.  The nontarget draws are read
-    from the generator's raw stream (`_raw_draws`), and the generator is left
-    where those numpy calls would leave it.
+    from the generator's raw stream (`_raw_draws`) and made in chunks of
+    attempts (`_nontargets`), and the generator is left where those numpy
+    calls would leave it.
     """
     if mode not in MODALITY_MODES:
         raise ConfigurationError(f"unknown modality mode {mode!r}")
@@ -347,17 +468,31 @@ def _exposure(modality):
     return _MODALITY_EXPOSURES[modality]
 
 
-def _angle_report(family, identities, bounds, left, right):
-    """Angles in degrees between pairs of rows; identity k owns the pairs
-    bounds[k]:bounds[k + 1].  A pair with an exactly zero row has no angle;
-    it is skipped and counted as a warning."""
+def _pair_angles(left, right):
+    """(angles, has_angle): the angle in degrees between each pair of rows.
+    A pair with an exactly zero row has no angle, and its entry is 0."""
     keep = left.any(axis=1) & right.any(axis=1)
     angles = np.zeros(keep.size)
     angles[keep] = np.degrees(np.arccos(row_cosines(left[keep], right[keep])))
+    return angles, keep
+
+
+def _angle_report(family, identities, bounds, angles, keep):
+    """Identity k owns the pairs bounds[k]:bounds[k + 1]; a pair without an
+    angle is skipped and counted as a warning."""
     report = AngleReport(family=family, warnings=int(keep.size - keep.sum()))
     for identity, start, stop in zip(identities, bounds[:-1], bounds[1:]):
         report.per_identity[identity] = angles[start:stop][keep[start:stop]].tolist()
     return report
+
+
+def _size_classes(order, bounds):
+    """(rows, classes): `order` with the groups of one size side by side, in
+    increasing size and, within a size, in group order; and (size, count)
+    of each size class, in that order."""
+    sizes = np.diff(bounds)
+    rows = order[np.argsort(np.repeat(sizes, sizes), kind="stable")]
+    return rows, list(zip(*np.unique(sizes, return_counts=True)))
 
 
 def audio_video_angles(embedded, labels):
@@ -366,47 +501,66 @@ def audio_video_angles(embedded, labels):
         raise DegenerateInputError("no samples")
     identities, order, bounds = group_rows(labels)
     return _angle_report("audio_video", identities, bounds,
-                         embedded["a"][order], embedded["v"][order])
+                         *_pair_angles(embedded["a"][order], embedded["v"][order]))
 
 
 def within_identity_angles(embedded, labels, modality):
-    """All unordered within-identity pairs of single-modality embeddings."""
+    """All unordered within-identity pairs of single-modality embeddings,
+    gathered in blocks of at most PAIR_BLOCK values per side."""
     exposure = _exposure(modality)
     identities, order, bounds = group_rows(labels)
     sizes = np.diff(bounds)
     if not (sizes >= 2).any():
         raise DegenerateInputError("no identity has two samples")
     pair_bounds = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
-    first, second = _pairs(bounds, np.arange(pair_bounds[-1]))
     emb = embedded[exposure]
+    total = pair_bounds[-1]
+    angles, keep = np.zeros(total), np.zeros(total, dtype=bool)
+    step = max(1, PAIR_BLOCK // max(1, emb.shape[1]))
+    for start in range(0, total, step):
+        block = slice(start, min(start + step, total))
+        first, second = _pairs(bounds, np.arange(block.start, block.stop))
+        angles[block], keep[block] = _pair_angles(emb[order[first]], emb[order[second]])
     return _angle_report(f"within_identity_{modality}", identities, pair_bounds,
-                         emb[order[first]], emb[order[second]])
+                         angles, keep)
 
 
 def centroid_angle_matrix(embedded, labels, modality):
     """Pairwise angles between per-identity centroid embeddings.
 
     Returns (identities, matrix, n_skipped); identities with an exactly zero
-    centroid are dropped from the matrix and counted.
+    centroid are dropped from the matrix and counted.  The centroids of one
+    identity size are one mean over a (count, size, d) block, and the
+    matrix is filled a block of rows at a time, at most PAIR_BLOCK values
+    per side.
     """
     exposure = _exposure(modality)
     identities, order, bounds = group_rows(labels)
     if len(identities) < 2:
         raise DegenerateInputError("need at least 2 identities")
     emb = embedded[exposure]
-    centroids = np.array([
-        emb[order[start:stop]].mean(axis=0)
-        for start, stop in zip(bounds[:-1], bounds[1:])
-    ])
+    d = emb.shape[1]
+    rows, classes = _size_classes(order, bounds)
+    grouped, col, means = emb[rows], 0, []
+    for m, c in classes:
+        means.append(grouped[col:col + m * c].reshape(c, m, d).mean(axis=1))
+        col += m * c
+    centroids = np.empty((len(identities), d))
+    centroids[np.argsort(np.diff(bounds), kind="stable")] = np.concatenate(means)
     nonzero = centroids.any(axis=1)
     kept = [identity for identity, keep in zip(identities, nonzero) if keep]
     centroids = centroids[nonzero]
-    first, second = np.triu_indices(len(kept), k=1)
-    angles = np.degrees(np.arccos(row_cosines(centroids[first], centroids[second])))
-    matrix = np.zeros((len(kept), len(kept)))
-    matrix[first, second] = angles
-    matrix[second, first] = angles
-    return kept, matrix, len(identities) - len(kept)
+    k = len(kept)
+    matrix = np.zeros((k, k))
+    step = max(1, PAIR_BLOCK // max(1, k * d))
+    for start in range(0, k, step):
+        upper = np.arange(k) > np.arange(start, min(start + step, k))[:, None]
+        first, second = np.nonzero(upper)
+        first += start
+        angles = np.degrees(np.arccos(row_cosines(centroids[first], centroids[second])))
+        matrix[first, second] = angles
+        matrix[second, first] = angles
+    return kept, matrix, len(identities) - k
 
 
 def silhouette_score(embeddings, labels, distance="cosine"):
@@ -434,18 +588,25 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     embeddings, norms = rescale_underflowing(embeddings, norms)
     unit = embeddings / norms[:, None]
     sizes = np.diff(bounds)
-    cols = order[np.argsort(np.repeat(sizes, sizes), kind="stable")]
+    cols, classes = _size_classes(order, bounds)
     at = np.argsort(cols)  # each row's column in a gathered block
     size = np.sort(np.repeat(sizes, sizes))[at]  # the size of each row's cluster
     own = np.zeros(n)  # mean distance to the rest of its own cluster
     nearest = np.full(n, np.inf)  # least mean distance to another cluster
     step = max(1, SILHOUETTE_BLOCK // n)
+    # Every block's product and gathered copy live in these two buffers, so
+    # that the blocks reuse their pages rather than map new ones.
+    buffers = np.empty((2, min(step, n), n))
     for start in range(0, n, step):
-        block = slice(start, start + step)
-        dist = np.take(unit[block] @ unit.T, cols, axis=1)
-        dist = np.subtract(1.0, np.clip(dist, -1.0, 1.0, out=dist), out=dist)
+        block = slice(start, min(start + step, n))
+        product, dist = buffers[:, :block.stop - start]
+        np.matmul(unit[block], unit.T, out=product)
+        # `cols` is in range, so "clip" changes no index; unlike "raise", it
+        # writes `dist` without a temporary copy.
+        np.take(product, cols, axis=1, out=dist, mode="clip")
+        np.subtract(1.0, np.clip(dist, -1.0, 1.0, out=dist), out=dist)
         col = 0
-        for m, c in zip(*np.unique(sizes, return_counts=True)):
+        for m, c in classes:
             span = dist[:, col:col + m * c].reshape(-1, c, m)  # (rows, clusters, m)
             rows = start + np.flatnonzero(size[block] == m)
             j = at[rows] - col  # each row's column in this size class
@@ -456,7 +617,6 @@ def silhouette_score(embeddings, labels, distance="cosine"):
                 others = np.arange(m) != (j % m)[:, None]
                 own[rows] = span[rows - start, j // m][others].reshape(-1, m - 1).mean(axis=1)
             col += m * c
-        del dist, span  # before the next block's product is allocated
     denom = np.maximum(own, nearest)
     scored = (size > 1) & (denom > 0.0)
     return float(np.divide(nearest - own, denom, out=np.zeros(n), where=scored).mean())

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from avfusion import evaluation
 from avfusion.arcmargin import ArcMarginHead, arc_margin_loss_grad_batch
 from avfusion.data import (
     DatasetConfig,
@@ -738,7 +739,7 @@ def loop_build_trials(samples, mode, n_positive, n_negative, seed):
     attempts = 0
     while len(seen) < n_negative:
         attempts += 1
-        if attempts > 1000 * max(n_negative, 1):
+        if attempts > evaluation.NONTARGET_ATTEMPTS * max(n_negative, 1):
             raise ConfigurationError("cannot sample enough distinct nontarget pairs")
         i1, i2 = rng.choice(len(groups), size=2, replace=False)
         a = int(rng.choice(groups[i1]))

@@ -847,9 +847,9 @@ class TestDiagnose:
 
 @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
 def test_memory_exhaustion_is_data_error(pipeline, tmp_path, command):
-    # 100,000 samples in 50,000 identities: the index pairs of the K x K
-    # centroid angle matrix alone would take 9.3 GiB, and no flag changes
-    # its size.
+    # 100,000 samples in 50,000 identities: the K x K centroid angle matrix
+    # alone would take 18.6 GiB (it is allocated before its pairs, which are
+    # taken in blocks), and no flag changes its size.
     pytest.importorskip("resource")
     test = write_test_set(tmp_path / "large.emb", identities=50000, per_identity=2)
     out = tmp_path / "out"

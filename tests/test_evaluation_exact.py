@@ -10,6 +10,7 @@ import math
 import re
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from avfusion.evaluation import (
     _MODE_TAGS,
     MODALITY_MODES,
     Trial,
+    _lemire,
     _raw_draws,
+    _reject_below,
     audio_video_angles,
     boxplot_stats,
     build_mode_trials,
@@ -105,6 +108,15 @@ def tables(draw, nan=False):
     ids = [f"id{k}" for k, size in enumerate(sizes) for _ in range(size)]
     order = draw(st.permutations(range(n)))
     return [Sample(ids[i], f"s{i}", audio[i], video[i]) for i in order]
+
+
+def sized_table(sizes, d, seed=0):
+    """Samples of identities id0, id1, ... of the given sizes, with random
+    audio and video rows of dimension d, in a shuffled sample order."""
+    rng = np.random.default_rng(seed)
+    ids = [f"id{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    audio, video = rng.normal(size=(2, len(ids), d))
+    return [Sample(ids[i], f"s{i}", audio[i], video[i]) for i in rng.permutation(len(ids))]
 
 
 def embedded(samples):
@@ -237,6 +249,8 @@ class TestAngleFamilies:
 
     @EXACT
     @given(tables(nan=True), st.sampled_from(["audio", "video"]))
+    @example(sized_table([1, 3, 1, 2, 4, 3], 3), "audio")  # sizes 1-4, two singletons
+    @example(sized_table([2, 1, 2], 1), "video")
     def test_centroid_matrix_matches_loop(self, samples, modality):
         got = outcome(centroid_angle_matrix, embedded(samples), identities(samples),
                       modality)
@@ -264,6 +278,50 @@ class TestAngleFamilies:
         expected = loop_centroid_angle_matrix(TableHead(), samples, "audio")
         assert got[0] == expected[0] == ["id0", "id1", "id2"] and got[2] == expected[2]
         assert np.array_equal(got[1], expected[1])
+
+    @EXACT
+    @given(tables(nan=True), st.sampled_from(["audio", "video"]), st.integers(1, 40))
+    def test_pair_blocks_match_loop(self, samples, modality, block):
+        """PAIR_BLOCK patched to 1-40 values: the pairs are taken a few at a
+        time, and every angle keeps its bits."""
+        emb, ids = embedded(samples), identities(samples)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "PAIR_BLOCK", block)
+            within = outcome(within_identity_angles, emb, ids, modality)
+            got = outcome(centroid_angle_matrix, emb, ids, modality)
+        assert within == outcome(loop_within_identity_angles, TableHead(), samples, modality)
+        expected = outcome(loop_centroid_angle_matrix, TableHead(), samples, modality)
+        if expected is DegenerateInputError:
+            assert got is DegenerateInputError
+        else:
+            assert got[0] == expected[0] and got[2] == expected[2]
+            assert np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_centroids_by_size_class_match_loop(self, d):
+        """Identities of eight sizes, singletons and sizes past numpy's
+        pairwise-summation block of 128 among them."""
+        samples = sized_table([1, 5, 2, 130, 1, 29, 5, 3, 2, 200, 5], d, seed=d)
+        got = centroid_angle_matrix(embedded(samples), identities(samples), "audio")
+        expected = loop_centroid_angle_matrix(TableHead(), samples, "audio")
+        assert got[0] == expected[0] and got[2] == expected[2] == 0
+        assert np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("family", [within_identity_angles, centroid_angle_matrix])
+    def test_pairs_memory_bounded_by_block(self, family):
+        """1,251 identities of 24 rows, d = 32: gathering every pair at once
+        took 331 MiB (within-identity) and 403 MiB (centroids) above the
+        inputs; blocks of PAIR_BLOCK values hold the peak under 64 MiB."""
+        rng = np.random.default_rng(0)
+        ids = [f"id{k:04d}" for k in range(1251) for _ in range(24)]
+        emb = {"a": rng.normal(size=(len(ids), 32))}
+        tracemalloc.start()
+        try:
+            family(emb, ids, "audio")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_zero_rows_and_centroids_counted(self):
         samples = [
@@ -558,6 +616,187 @@ class TestRawDraws:
             for _ in range(words):
                 draw(1)
         assert unrejected.bit_generator.state != reference.bit_generator.state
+
+
+class WordStream:
+    """A stand-in for a PCG64 bit generator whose raw outputs carry the given
+    32-bit words, low word first, and after them the word 0x9E3779B9."""
+
+    FILL = 0x9E3779B9
+
+    def __init__(self, words):
+        words = [*words, self.FILL][: len(words) + len(words) % 2]
+        self.outputs = [low | high << 32 for low, high in zip(words[::2], words[1::2])]
+        self.taken = 0
+        self._state = {"has_uint32": 0, "uinteger": 0}
+
+    @property
+    def state(self):
+        return dict(self._state)
+
+    @state.setter
+    def state(self, state):
+        self._state = dict(state)
+
+    def random_raw(self, size):
+        out = self.outputs[self.taken:self.taken + size]
+        self.taken += size
+        return np.array(out + [self.FILL * (2**32 + 1)] * (size - len(out)), dtype=np.uint64)
+
+    def advance(self, delta):
+        self.taken += delta
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_output_at(rng, k, x):
+    """Set the PCG64 generator `rng` so that its raw outputs 0 .. k - 1 are
+    those of some state and output k is 0: two 32-bit words 0.  PCG64 steps
+    its 128-bit state s to s·M + inc and outputs the high half XOR the low
+    half, rotated; a stepped state x·(2⁶⁴ + 1) outputs 0."""
+    bits = rng.bit_generator
+    state = bits.state
+    inc = state["state"]["inc"]
+    stepped = x * (2**64 + 1)
+    state["state"]["state"] = (stepped - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bits.state = state
+    bits.advance(-k)
+    return rng
+
+
+def trials_and_state(*args):
+    """`trials_and_next_draw` of `build_trials` and of `loop_build_trials`,
+    each with the whole generator state after the call."""
+    states = []
+    default_rng = np.random.default_rng
+
+    def recording(*rng_args):
+        states.append(default_rng(*rng_args))
+        return states[-1]
+
+    results = []
+    for build in (build_trials, loop_build_trials):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", recording)
+            result = trials_and_next_draw(build, *args)
+        results.append((result, states[-1].bit_generator.state if states else None))
+    return results
+
+
+def cross_pairs(samples):
+    ids = [s.identity_id for s in samples]
+    return len(ids) ** 2 - sum(ids.count(i) for i in ids)
+
+
+# Identities of two samples or more, with at most one singleton among 131 or
+# more: more than 64 regular attempts are expected between irregular ones,
+# so the nontargets are drawn in chunks.
+CHUNKED_SIZES = st.one_of(
+    st.lists(st.integers(2, 6), min_size=3, max_size=12),
+    st.lists(st.integers(2, 3), min_size=130, max_size=140).map(lambda sizes: [1, *sizes]),
+)
+
+
+class TestBulkNontargets:
+    """The nontargets drawn in chunks of regular attempts, with a cut at
+    each irregular one, against the per-draw loop: the trials, the next
+    draw and the whole generator state after the call."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 6, 7, 49, 1251, 3 * 2**30 + 1, 2**32 - 1])
+    def test_array_rule_matches_draw(self, bound):
+        """Words just below, at and above Lemire's threshold, and random
+        words: the array form's value and redraw flag are what `draw` makes
+        of each word, fed to it as the next word of a stream."""
+        threshold = int(_reject_below([bound])[0])
+        rng = np.random.default_rng(bound)
+        crafted = [0, 1, 2**32 - 1, *rng.integers(0, 2**32, 40).tolist()]
+        if bound % 2 and bound > 1:  # (t·bound⁻¹ mod 2³²)·bound = t mod 2³²
+            inverse = pow(bound, -1, 2**32)
+            crafted += [t * inverse % 2**32 for t in (threshold - 1, threshold, threshold + 1)
+                        if 0 <= t < 2**32]
+        values, redrawn = _lemire(np.array(crafted, dtype=np.uint32), np.uint64(bound),
+                                  _reject_below([bound]))
+        for word, value, again in zip(crafted, values.tolist(), redrawn.tolist()):
+            stream = SimpleNamespace(bit_generator=WordStream([word]))
+            with _raw_draws(stream) as draw:
+                got = draw(bound - 1)
+            if bound == 1:  # a draw of [0, 0] takes no word: irregular in a chunk
+                assert again and got == value == 0
+                assert stream.bit_generator.taken == 0
+            else:
+                fill = (WordStream.FILL * bound) >> 32
+                assert got == (fill if again else value)
+                assert again == (word * bound % 2**32 < threshold)
+        if bound % 2 and 0 < threshold < 2**32:
+            assert redrawn[-3] and not redrawn[-2]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_words_read_ahead_are_not_drawn(self, seed):
+        """`ahead` reads words past the buffer without drawing them: on exit
+        the generator is where the draws before it left it."""
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        with _raw_draws(rng) as draw:
+            got = [draw(6), draw(6)]
+            draw.ahead(100)
+        assert got == [int(reference.integers(7)) for _ in range(2)]
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @EXACT
+    @given(sized_samples(CHUNKED_SIZES), MODES, st.integers(0, 2**64 - 1),
+           st.integers(0, 120), st.integers(0, 2), st.integers(1, 80), SEEDS)
+    def test_zero_words_inside_chunks(self, samples, mode, x, k, n_positive, n_negative,
+                                      seed):
+        """Two zero words at output k of the stream.  Lemire's rule redraws
+        a zero word for every bound that does not divide 2³², so an attempt
+        inside a chunk is irregular there and is made by `draw`."""
+        original = np.random.default_rng
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng",
+                          lambda *a: zero_output_at(original(*a), k, x))
+            got, expected = trials_and_state(
+                samples, mode, n_positive, min(n_negative, cross_pairs(samples)), seed)
+        assert got == expected
+
+    @EXACT
+    @given(sized_samples(CHUNKED_SIZES), MODES, st.integers(0, 20), st.integers(1, 200),
+           st.sampled_from([2, 4, 6, 10, 64, evaluation.RAW_CHUNK_WORDS]), SEEDS)
+    def test_chunks_match_loop(self, samples, mode, n_positive, n_negative, chunk, seed):
+        """Chunked draws, with or without a pending word at entry (targets
+        with replacement draw an odd number of words), a one-sample
+        identity, and RAW_CHUNK_WORDS patched small."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "RAW_CHUNK_WORDS", chunk)
+            got, expected = trials_and_state(
+                samples, mode, n_positive, min(n_negative, cross_pairs(samples)), seed)
+        assert got == expected
+
+    @EXACT
+    @given(sized_samples(st.lists(st.integers(2, 5), min_size=3, max_size=6)), MODES,
+           st.integers(0, 1), st.integers(0, 5), SEEDS)
+    def test_near_exhaustion(self, samples, mode, short, n_positive, seed):
+        """Every cross-identity pair, or all but one: most late attempts
+        draw a pair drawn before."""
+        got, expected = trials_and_state(
+            samples, mode, n_positive, cross_pairs(samples) - short, seed)
+        assert got == expected
+        assert isinstance(got[0][0], list)
+
+    @EXACT
+    @given(sized_samples(st.lists(st.integers(2, 5), min_size=3, max_size=6)), MODES,
+           st.integers(1, 3), st.integers(0, 1), SEEDS)
+    def test_attempt_limit_fires_at_the_same_attempt(self, samples, mode, per_nontarget,
+                                                     short, seed):
+        """NONTARGET_ATTEMPTS patched to 1-3, which the loop reads too: the
+        request is refused after the same attempt, with the generator left
+        at the same draw."""
+        n_cross = cross_pairs(samples)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "NONTARGET_ATTEMPTS", per_nontarget)
+            got, expected = trials_and_state(samples, mode, 0, n_cross - short, seed)
+        assert got == expected
+        if per_nontarget == 1 and not short:
+            assert got[0][0] == "cannot sample enough distinct nontarget pairs"
 
 
 class TestTargetPairs:
