@@ -134,7 +134,11 @@ _ATTEMPT_WORDS = 5
 _REGULAR_RUN = 64
 # The most attempts per requested nontarget before a request is refused.
 NONTARGET_ATTEMPTS = 1000
-SILHOUETTE_BLOCK = 2**21  # the most distances in one block of `silhouette_score`
+SILHOUETTE_BLOCK = 2**21  # the most (row, cluster) means in one block of `silhouette_score`
+# A silhouette row whose own and nearest mean distances are both at most this
+# scores 0: they are rounding noise, well above the d·2^-53 error of a unit
+# row's dot product, not geometry.
+SILHOUETTE_NOISE = 2**-40
 # The most embedding values gathered per side in one block of pairs of
 # `within_identity_angles` and `centroid_angle_matrix`.
 PAIR_BLOCK = 2**20
@@ -486,15 +490,6 @@ def _angle_report(family, identities, bounds, angles, keep):
     return report
 
 
-def _size_classes(order, bounds):
-    """(rows, classes): `order` with the groups of one size side by side, in
-    increasing size and, within a size, in group order; and (size, count)
-    of each size class, in that order."""
-    sizes = np.diff(bounds)
-    rows = order[np.argsort(np.repeat(sizes, sizes), kind="stable")]
-    return rows, list(zip(*np.unique(sizes, return_counts=True)))
-
-
 def audio_video_angles(embedded, labels):
     """Per-sample angle between the audio-only and video-only embeddings."""
     if len(labels) == 0:
@@ -540,13 +535,12 @@ def centroid_angle_matrix(embedded, labels, modality):
         raise DegenerateInputError("need at least 2 identities")
     emb = embedded[exposure]
     d = emb.shape[1]
-    rows, classes = _size_classes(order, bounds)
-    grouped, col, means = emb[rows], 0, []
-    for m, c in classes:
-        means.append(grouped[col:col + m * c].reshape(c, m, d).mean(axis=1))
-        col += m * c
+    sizes = np.diff(bounds)
     centroids = np.empty((len(identities), d))
-    centroids[np.argsort(np.diff(bounds), kind="stable")] = np.concatenate(means)
+    for m in np.unique(sizes):
+        of_size = np.flatnonzero(sizes == m)
+        rows = order[(bounds[of_size, None] + np.arange(m)).ravel()]
+        centroids[of_size] = emb[rows].reshape(-1, m, d).mean(axis=1)
     nonzero = centroids.any(axis=1)
     kept = [identity for identity, keep in zip(identities, nonzero) if keep]
     centroids = centroids[nonzero]
@@ -566,11 +560,14 @@ def centroid_angle_matrix(embedded, labels, modality):
 def silhouette_score(embeddings, labels, distance="cosine"):
     """Mean silhouette s(i) = (b - a)/max(a, b) over all points, under the
     cosine distance 1 - cos (an exactly zero row is at distance 1 from every
-    row); `distance` must be "cosine".  Singleton clusters and coincident
-    geometry (a == b == 0) contribute 0.  A block of rows has its columns
-    gathered cluster by cluster, clusters of one size side by side; each mean
-    reduces a contiguous run of a row, so one block (n <= 1,448), which is
-    `unit @ unit.T`, gives the whole n x n matrix's result bit for bit.
+    row); `distance` must be "cosine".  Singleton clusters contribute 0, as
+    does a row whose a and b are both at most SILHOUETTE_NOISE.
+
+    For unit rows u the mean distance from row i to cluster C is
+    1 - u_i·S_C/|C|, S_C the sum of C's rows, and to the rest of its own
+    cluster 1 - (u_i·S_C - u_i·u_i)/(|C| - 1); each is clamped at 0.  The
+    rows are taken in blocks of at most SILHOUETTE_BLOCK products with the
+    K cluster sums, so the time is O(n·K·d).
     """
     if distance != "cosine":
         raise ConfigurationError(f"unknown distance {distance!r}")
@@ -579,7 +576,8 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     if embeddings.shape[0] != n:
         raise ConfigurationError("embeddings and labels must align")
     _, order, bounds = group_rows(labels)
-    if len(bounds) < 3:
+    k = len(bounds) - 1
+    if k < 2:
         raise DegenerateInputError("silhouette needs at least 2 clusters")
     if not np.isfinite(embeddings).all():
         raise DegenerateInputError("silhouette of NaN or Inf embeddings")
@@ -588,37 +586,27 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     embeddings, norms = rescale_underflowing(embeddings, norms)
     unit = embeddings / norms[:, None]
     sizes = np.diff(bounds)
-    cols, classes = _size_classes(order, bounds)
-    at = np.argsort(cols)  # each row's column in a gathered block
-    size = np.sort(np.repeat(sizes, sizes))[at]  # the size of each row's cluster
-    own = np.zeros(n)  # mean distance to the rest of its own cluster
-    nearest = np.full(n, np.inf)  # least mean distance to another cluster
-    step = max(1, SILHOUETTE_BLOCK // n)
-    # Every block's product and gathered copy live in these two buffers, so
-    # that the blocks reuse their pages rather than map new ones.
-    buffers = np.empty((2, min(step, n), n))
+    sums = np.add.reduceat(unit[order], bounds[:-1], axis=0)
+    cluster = np.empty(n, dtype=np.intp)
+    cluster[order] = np.repeat(np.arange(k), sizes)
+    size = sizes[cluster]
+    own = np.zeros(n)  # mean cosine with the rest of its own cluster
+    nearest = np.empty(n)  # greatest mean cosine with another cluster
+    step = max(1, SILHOUETTE_BLOCK // k)
     for start in range(0, n, step):
         block = slice(start, min(start + step, n))
-        product, dist = buffers[:, :block.stop - start]
-        np.matmul(unit[block], unit.T, out=product)
-        # `cols` is in range, so "clip" changes no index; unlike "raise", it
-        # writes `dist` without a temporary copy.
-        np.take(product, cols, axis=1, out=dist, mode="clip")
-        np.subtract(1.0, np.clip(dist, -1.0, 1.0, out=dist), out=dist)
-        col = 0
-        for m, c in classes:
-            span = dist[:, col:col + m * c].reshape(-1, c, m)  # (rows, clusters, m)
-            rows = start + np.flatnonzero(size[block] == m)
-            j = at[rows] - col  # each row's column in this size class
-            means = span.mean(axis=-1)
-            means[rows - start, j // m] = np.inf
-            np.minimum(nearest[block], means.min(axis=1), out=nearest[block])
-            if m > 1:
-                others = np.arange(m) != (j % m)[:, None]
-                own[rows] = span[rows - start, j // m][others].reshape(-1, m - 1).mean(axis=1)
-            col += m * c
+        rows = np.arange(block.stop - start)
+        dots = unit[block] @ sums.T
+        rest = dots[rows, cluster[block]] - np.vecdot(unit[block], unit[block])
+        np.divide(rest, size[block] - 1, out=own[block], where=size[block] > 1)
+        np.divide(dots, sizes, out=dots)
+        dots[rows, cluster[block]] = -np.inf
+        dots.max(axis=1, out=nearest[block])
+    # 1 - x rounds monotonically, so 1 - max(x) is the least of the 1 - x.
+    own = np.maximum(1.0 - own, 0.0)
+    nearest = np.maximum(1.0 - nearest, 0.0)
     denom = np.maximum(own, nearest)
-    scored = (size > 1) & (denom > 0.0)
+    scored = (size > 1) & (denom > SILHOUETTE_NOISE)
     return float(np.divide(nearest - own, denom, out=np.zeros(n), where=scored).mean())
 
 

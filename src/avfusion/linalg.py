@@ -20,15 +20,20 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
+# Below this norm a row's sum of squares is subnormal or 0, so its norm has
+# lost precision (2**-1022 is the least normal float).
+TINY_NORM = 2.0**-511
+
+
 def rescale_underflowing(rows, norms):
-    """(rows, norms) with each nonzero row whose norm underflowed to 0 (every
-    entry below about 1e-154 in magnitude) divided by its largest magnitude,
-    and its norm taken again; the other rows and norms are kept as they
-    are.  A cosine does not change with the scale of a row, and the scaled
-    row's norm is at least 1."""
-    if not (norms == 0.0).any():
+    """(rows, norms) with each nonzero row whose norm is below TINY_NORM
+    (every entry below about 1.5e-154 in magnitude) divided by its largest
+    magnitude, and its norm taken again; the other rows and norms are kept
+    as they are.  A cosine does not change with the scale of a row, and the
+    scaled row's norm is at least 1."""
+    if not (norms < TINY_NORM).any():
         return rows, norms
-    tiny = np.flatnonzero((norms == 0.0) & rows.any(axis=1))
+    tiny = np.flatnonzero((norms < TINY_NORM) & rows.any(axis=1))
     rows, norms = rows.copy(), norms.copy()
     rows[tiny] /= np.abs(rows[tiny]).max(axis=1, keepdims=True)
     norms[tiny] = np.sqrt(np.vecdot(rows[tiny], rows[tiny]))

@@ -332,11 +332,10 @@ def loop_centroid_angle_matrix(head, samples, modality):
     return identities, matrix, skipped
 
 
-def loop_silhouette_score(embeddings, labels, distance="cosine"):
-    """Mean silhouette s(i) = (b - a)/max(a, b) over all points.
-
-    Singleton clusters and coincident geometry (a == b == 0) contribute 0.
-    """
+def loop_silhouette_terms(embeddings, labels, distance="cosine"):
+    """(a, b) of each point: its mean distance to the rest of its own
+    cluster and its least mean distance to another cluster, or None for a
+    point of a singleton cluster."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     n = len(labels)
@@ -358,17 +357,30 @@ def loop_silhouette_score(embeddings, labels, distance="cosine"):
     else:
         raise ConfigurationError(f"unknown distance {distance!r}")
     masks = {label: labels == label for label in unique}
-    scores = np.zeros(n)
+    terms = []
     for i in range(n):
         own = masks[labels[i]].copy()
         own[i] = False
         if not own.any():
-            continue  # singleton cluster: s(i) = 0
+            terms.append(None)  # singleton cluster: s(i) = 0
+            continue
         a = dist[i, own].mean()
         b = min(dist[i, masks[label]].mean() for label in unique if label != labels[i])
-        denom = max(a, b)
-        if denom > 0.0:
-            scores[i] = (b - a) / denom
+        terms.append((a, b))
+    return terms
+
+
+def loop_silhouette_score(embeddings, labels, distance="cosine"):
+    """Mean silhouette s(i) = (b - a)/max(a, b) over all points.
+
+    Singleton clusters and coincident geometry (a == b == 0) contribute 0.
+    """
+    terms = loop_silhouette_terms(embeddings, labels, distance)
+    scores = np.zeros(len(terms))
+    for i, term in enumerate(terms):
+        if term is not None and max(term) > 0.0:
+            a, b = term
+            scores[i] = (b - a) / max(a, b)
     return float(scores.mean())
 
 

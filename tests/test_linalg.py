@@ -123,8 +123,8 @@ def any_magnitude_vectors(dim):
 
 
 class TestUnderflowingNorms:
-    """A nonzero vector whose squared norm underflows to 0 keeps its
-    direction, as a row of `row_cosines` does."""
+    """A nonzero vector whose squared norm is subnormal or underflows to 0
+    keeps its direction, as a row of `row_cosines` does."""
 
     def test_cosine_and_angle_are_the_row_cosine(self):
         tiny, other = [1e-200, 2e-200], [1.0, 0.0]
@@ -147,16 +147,28 @@ class TestUnderflowingNorms:
                                match="cosine similarity undefined for the zero vector"):
                 fn([1e-200, 0.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("row", [[3e-160, 4e-160, 0.0], [1e-155, -2e-160, 7e-156],
+                                     [2.0**-520, 0.0, 0.0], [5e-324, 5e-324, 0.0]])
+    def test_subnormal_square_keeps_its_cosine(self, row):
+        # Below a norm of 2**-511 the sum of squares is subnormal: the
+        # unscaled norm of [3e-160, 4e-160, 0] gave the cosine 0.60000334.
+        row, other = np.array([row]), np.array([[1.0, 0.5, -2.0]])
+        assert np.linalg.norm(row) < 2.0**-511
+        assert row_cosines(row, other)[0] == pytest.approx(
+            row_cosines(row * 2.0**600, other)[0], rel=0, abs=1e-15)
+        assert cosine_similarity(row[0], other[0]) == row_cosines(row, other)[0]
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(
         lambda dim: st.tuples(any_magnitude_vectors(dim), any_magnitude_vectors(dim))))
     def test_defined_vectors_keep_their_bits(self, pair):
         # The formulas these helpers had before they took a row of
-        # `row_cosines`, which refused a vector whose norm is 0.
+        # `row_cosines`, which rescales a vector whose sum of squares is
+        # subnormal or 0, and so has a norm below 2**-511.
         a, b = pair
         with np.errstate(all="ignore"):
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            assume(na != 0.0 and nb != 0.0)
+            assume(na >= 2.0**-511 and nb >= 2.0**-511)
             cos = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
             expected = (a / na, cos, float(np.degrees(np.arccos(cos))))
             got = (l2_normalize(a), cosine_similarity(a, b), angle_deg(a, b))
