@@ -12,9 +12,7 @@ gives: the cosines are `linalg.row_cosines`, of which
 values in the same order as a mean over one row.
 """
 
-import bisect
 import contextlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +138,7 @@ SILHOUETTE_BLOCK = 2**21  # the most (row, cluster) means in one block of `silho
 # row's dot product, not geometry.
 SILHOUETTE_NOISE = 2**-40
 # The most embedding values gathered per side in one block of pairs of
-# `within_identity_angles` and `centroid_angle_matrix`.
+# `score_trials`, `within_identity_angles` and `centroid_angle_matrix`.
 PAIR_BLOCK = 2**20
 
 
@@ -414,11 +412,14 @@ def embed_samples(head, samples, exposure):
 def score_trials(embedded, trials: TrialArrays):
     """Cosine score of every trial, from embeddings keyed by exposure.  An
     exactly zero embedding has no direction: its trials score 0, as its
-    validation logits are 0 in `arcmargin.plain_cosine_logits`."""
+    validation logits are 0 in `arcmargin.plain_cosine_logits`.  The trials
+    are gathered and scored in blocks of at most PAIR_BLOCK values per side."""
     left, right = (embedded[exposure] for exposure in trials.exposures)
-    keep = left.any(axis=1)[trials.left] & right.any(axis=1)[trials.right]
-    scores = np.zeros(keep.size)
-    scores[keep] = row_cosines(left[trials.left[keep]], right[trials.right[keep]])
+    keep = np.flatnonzero(left.any(axis=1)[trials.left] & right.any(axis=1)[trials.right])
+    scores = np.zeros(trials.left.size)
+    step = max(1, PAIR_BLOCK // max(1, left.shape[1]))
+    for rows in (keep[start:start + step] for start in range(0, keep.size, step)):
+        scores[rows] = row_cosines(left[trials.left[rows]], right[trials.right[rows]])
     return scores
 
 
@@ -484,10 +485,10 @@ def _pair_angles(left, right):
 def _angle_report(family, identities, bounds, angles, keep):
     """Identity k owns the pairs bounds[k]:bounds[k + 1]; a pair without an
     angle is skipped and counted as a warning."""
-    report = AngleReport(family=family, warnings=int(keep.size - keep.sum()))
-    for identity, start, stop in zip(identities, bounds[:-1], bounds[1:]):
-        report.per_identity[identity] = angles[start:stop][keep[start:stop]].tolist()
-    return report
+    kept = angles[keep].tolist()
+    ends = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()  # kept before each bound
+    return AngleReport(family, dict(zip(identities, map(
+        kept.__getitem__, map(slice, ends[:-1], ends[1:])))), int(keep.size - keep.sum()))
 
 
 def audio_video_angles(embedded, labels):
@@ -610,60 +611,55 @@ def silhouette_score(embeddings, labels, distance="cosine"):
     return float(np.divide(nearest - own, denom, out=np.zeros(n), where=scored).mean())
 
 
-def _lerp(a, b, t):
-    """`a + (b - a)·t`, rounded as `np.percentile`'s linear method rounds it:
-    from the upper end when t >= 0.5."""
-    d = b - a
-    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
-
-
-def _quartile(ordered, q):
-    """`np.percentile(ordered, 100·q)` of a sorted list, by numpy's linear
-    method: virtual index (n - 1)·q, interpolated between its floor and the
-    next index.  An index at the end takes the last value twice, at the
-    weight numpy gives it (index + 1)."""
-    n = len(ordered)
-    position = (n - 1) * q
-    if position >= n - 1:
-        return _lerp(ordered[-1], ordered[-1], position + 1)
-    below = math.floor(position)
-    return _lerp(ordered[below], ordered[below + 1], position - below)
-
-
-def boxplot_stats(values):
+def boxplot_stats(values, bounds=None):
     """Quartiles by linear interpolation with Tukey whiskers clamped to data.
 
-    One sort: the quartiles interpolate neighbours in the sorted values as
-    `np.percentile` does, and the whiskers and outliers are found by binary
-    search for the fences.  Min and max are numpy's reductions, so the sign
-    of a zero is the one `np.min`/`np.max` give.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    With `bounds` (0 first, the value count last), the stats of each segment
+    values[bounds[k]:bounds[k + 1]] from one sort: each field is an array
+    over the segments (NaN for an empty one), and `outliers` is (every
+    segment's outliers in turn, their bounds).  The quartiles are
+    `np.percentile`'s; a NaN value makes them, min and max NaN."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    whole = bounds is None
+    if whole and values.size == 0:
         raise DegenerateInputError("boxplot of an empty sequence")
-    ordered = np.sort(values, axis=None).tolist()
-    if ordered[-1] != ordered[-1]:  # NaN sorts last; np.percentile gives NaN
-        q1 = median = q3 = math.nan
-    else:
-        q1, median, q3 = (_quartile(ordered, q) for q in (0.25, 0.5, 0.75))
-    iqr = q3 - q1
-    if iqr != iqr:  # a NaN fence: no value is inside or outside it
-        inside, outliers = [], ()
-    else:
-        lo = bisect.bisect_left(ordered, q1 - 1.5 * iqr)
-        hi = bisect.bisect_right(ordered, q3 + 1.5 * iqr)
-        inside = ordered[lo:hi]
-        outliers = tuple(ordered[:lo] + ordered[hi:])
-    return BoxplotStats(
-        minimum=float(np.minimum.reduce(values, axis=None)),
-        q1=q1,
-        median=median,
-        q3=q3,
-        maximum=float(np.maximum.reduce(values, axis=None)),
-        whisker_low=inside[0] if inside else q1,
-        whisker_high=inside[-1] if inside else q3,
-        outliers=outliers,
-    )
+    bounds = np.asarray([0, values.size] if whole else bounds, dtype=np.intp)
+    sizes = np.diff(bounds)
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    # Ranks (NaN sorts last) offset by n·segment, sorted: each segment in place.
+    by_value = np.argsort(values)
+    keys = segment * values.size
+    keys[by_value] += np.arange(values.size)
+    keys.sort()
+    keys -= segment * values.size
+    ordered = np.append(values[by_value[keys]], np.nan)
+    start, n = bounds[:-1], np.maximum(sizes, 1)
+    last = ordered[start + n - 1]
+    with np.errstate(invalid="ignore", over="ignore"):  # as Python floats, silently
+        position = (n - 1) * np.array([[0.25], [0.5], [0.75]])
+        below = position.astype(np.intp)
+        # At the end of a one-value segment, the weight numpy gives it.
+        t = np.where(position >= n - 1, position + 1, position - below)
+        a, b = ordered[start + below], ordered[start + np.minimum(below + 1, n - 1)]
+        d = b - a
+        quartiles = np.where(t >= 0.5, b - d * (1.0 - t), a + d * t)
+        quartiles[:, np.isnan(last)] = np.nan
+        q1, median, q3 = quartiles
+        iqr = q3 - q1
+        low, high = (q1 - 1.5 * iqr)[segment], (q3 + 1.5 * iqr)[segment]
+    under, over = ordered[:-1] < low, ordered[:-1] > high  # False at a NaN fence
+    lo = np.bincount(segment[under], minlength=sizes.size)
+    hi = sizes - np.bincount(segment[over], minlength=sizes.size)
+    inside = (lo < hi) & ~np.isnan(iqr)
+    columns = np.array([np.where(np.isnan(last), np.nan, ordered[start]), q1, median, q3,
+                        last, np.where(inside, ordered[start + lo], q1),
+                        np.where(inside, ordered[start + hi - 1], q3)])
+    columns[:, sizes == 0] = np.nan
+    outliers = ordered[:-1][under | over]
+    if whole:
+        return BoxplotStats(*columns[:, 0].tolist(), tuple(outliers.tolist()))
+    counts = np.bincount(segment[under | over], minlength=sizes.size)
+    return BoxplotStats(*columns, (outliers, np.concatenate(([0], np.cumsum(counts)))))
 
 
 def run_diagnostics(embedded, labels):

@@ -292,147 +292,187 @@ def _sig6(x):
     return float(f"{float(x):.6g}")
 
 
-def _sig6_all(values):
-    """[_sig6(v) for v in values] of floats, each a C-level format and parse."""
-    return list(map(float, map("{:.6g}".format, values)))
+def _sig6_texts(values):
+    """The `.6g` text of each value of a float array (an object array): the
+    float of a text is the value's `_sig6`, whose `.6g` text is the text."""
+    return np.array(list(map("{:.6g}".format, values.ravel().tolist())),
+                    dtype=object).reshape(values.shape)
 
 
 def _sig6_matrix(matrix):
-    """[[_sig6(v) for v in row] for row in matrix], rounding each distinct
-    float (by bit pattern, so 0.0 and -0.0 apart) once."""
+    """(rounded, inverse): `_sig6` of each distinct float (by bit pattern) of
+    the matrix, rounded once, and each entry's index in `rounded`."""
     values = np.ascontiguousarray(matrix, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    rounded = np.array(_sig6_all(bits.view(np.float64).tolist()), dtype=np.float64)
-    return rounded[inverse].reshape(values.shape).tolist()
+    rounded = np.fromiter(map(float, map("{:.6g}".format, bits.view(np.float64).tolist())),
+                          np.float64, bits.size)
+    return rounded, inverse.reshape(values.shape)
 
 
-_STATS_KEYS = ("min", "q1", "median", "q3", "max", "whisker_low", "whisker_high")
+_STATS_FIELDS = ("minimum", "q1", "median", "q3", "maximum", "whisker_low", "whisker_high")
 
 
-def _stats_dict(stats: BoxplotStats):
-    values = (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum,
-              stats.whisker_low, stats.whisker_high)
-    doc = dict(zip(_STATS_KEYS, _sig6_all(values)))
-    doc["outliers"] = _sig6_all(stats.outliers)
-    return doc
+def _family_angles(angle_report):
+    """(sorted identities, all their angles in that order, each one's bounds)."""
+    identities = sorted(angle_report.per_identity)
+    lists = list(map(angle_report.per_identity.__getitem__, identities))
+    bounds = np.concatenate(([0], np.cumsum(list(map(len, lists)), dtype=np.intp)))
+    return identities, np.array([a for angles in lists for a in angles], np.float64), bounds
 
 
-def _identity_stats(angle_report):
-    """(identity, BoxplotStats, or None for no angles) of each identity of
-    an angle family, in sorted identity order."""
-    return [(identity, boxplot_stats(angles) if angles else None)
-            for identity, angles in sorted(angle_report.per_identity.items())]
+def _segment_stats(groups):
+    """Per (names, values, bounds) of `groups`, from one `boxplot_stats` call:
+    (names, counts, the `_STATS_FIELDS` as rows of a (7, segments) array,
+    the outliers in turn, their bounds)."""
+    sizes = np.concatenate([np.diff(bounds) for _, _, bounds in groups])
+    stats = boxplot_stats(np.concatenate([values for _, values, _ in groups]),
+                          np.concatenate(([0], np.cumsum(sizes))))
+    columns = np.array([getattr(stats, name) for name in _STATS_FIELDS])
+    outliers, ends = stats.outliers
+    first = np.cumsum([0, *(len(names) for names, _, _ in groups)])
+    return [(names, sizes[a:b], columns[:, a:b], outliers[ends[a]:ends[b]],
+             ends[a:b + 1] - ends[a]) for (names, _, _), a, b in zip(groups, first, first[1:])]
 
 
-def report_document(report):
-    """The structured (JSON-ready) form of a DiagnosticsReport."""
+def _report_stats(groups):
+    """`_segment_stats` with the fields and outliers as `_sig6_texts`."""
+    return [(names, counts, _sig6_texts(columns), _sig6_texts(outliers), ends)
+            for names, counts, columns, outliers, ends in _segment_stats(groups)]
 
-    def family_doc(angle_report):
-        return {
-            "per_identity": {
-                identity: None if stats is None else _stats_dict(stats)
-                for identity, stats in _identity_stats(angle_report)
-            },
-            "warnings": angle_report.warnings,
-        }
 
+def _report_arrays(report):
+    """`report_document` with the per_identity mappings as the families'
+    `_report_stats` and each centroid matrix as its `_sig6_matrix`."""
+    within = sorted(report.within_identity.items())
+    families = [report.audio_video, *dict(within).values()]
+    entries = _report_stats(list(map(_family_angles, families)))
+    audio_video, *stats = ({"per_identity": entry, "warnings": family.warnings}
+                           for family, entry in zip(families, entries))
     return {
-        "eer": {
-            mode: {
-                "eer": _sig6(r.eer),
-                "threshold": _sig6(r.threshold),
-                "n_target": r.n_target,
-                "n_nontarget": r.n_nontarget,
-            }
-            for mode, r in sorted(report.eer.items())
-        },
+        "eer": {mode: {"eer": _sig6(r.eer), "threshold": _sig6(r.threshold),
+                       "n_target": r.n_target, "n_nontarget": r.n_nontarget}
+                for mode, r in sorted(report.eer.items())},
         "angle_families": {
-            "audio_video": family_doc(report.audio_video),
-            "within_identity": {
-                modality: family_doc(rep)
-                for modality, rep in sorted(report.within_identity.items())
-            },
+            "audio_video": audio_video,
+            "within_identity": {modality: doc for (modality, _), doc in zip(within, stats)},
             "between_centroids": {
                 modality: {"identities": ids, "matrix": _sig6_matrix(matrix)}
-                for modality, (ids, matrix) in sorted(report.between_centroids.items())
-            },
+                for modality, (ids, matrix) in sorted(report.between_centroids.items())},
         },
         "silhouette": {m: _sig6(v) for m, v in sorted(report.silhouette.items())},
         "warnings": report.warnings,
     }
 
 
-# What `json.dumps` makes of a "matrix" key whose value is the string "\0".
-# Inside a JSON string every quote is escaped, so no identity can spell it.
-_MATRIX_MARKER = '"matrix": "\\u0000"'
-# `report_document` puts each matrix four levels deep, so `json.dumps(...,
-# indent=1)` indents its rows by five spaces and their values by six.
-_ROW_BREAK, _VALUE_BREAK = "\n" + 5 * " ", "\n" + 6 * " "
+def report_document(report):
+    """A DiagnosticsReport's JSON-ready form: what `read_report` reads back."""
+    return json.loads(_report_json(_report_arrays(report)))
 
 
-def _matrix_json(rows):
-    """The JSON text of a `report_document` centroid matrix where the report
-    holds it: each distinct value (by bit pattern) spelled once, by one
-    `json.dumps` call for them all, and joined row by row."""
-    if not rows:
-        return "[]"
-    values = np.array(rows, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    # No float's JSON text holds ", ", so the list splits at its separators.
-    spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    texts = np.array(spelled, dtype=object)[inverse].reshape(values.shape)
-    lines = ["[" + _VALUE_BREAK + ("," + _VALUE_BREAK).join(row) + _ROW_BREAK + "]"
-             for row in texts.tolist()]
-    return "[" + _ROW_BREAK + ("," + _ROW_BREAK).join(lines) + "\n    ]"
+# Where `json.dumps` spelled the string "\0" as a value; inside a JSON
+# string every quote is escaped, so no identity can spell this text.
+_MARKER = '": "\\u0000"'
+# A per_identity entry's keys in sorted order, with their `_STATS_FIELDS` rows.
+_STATS_KEYS = (("max", 4), ("median", 2), ("min", 0), ("outliers", None), ("q1", 1),
+               ("q3", 3), ("whisker_high", 6), ("whisker_low", 5))
+_spell_string = json.encoder.encode_basestring_ascii  # as `json.dumps` spells keys too
+
+
+def _spell(values):
+    """The JSON text of each value of a float array, from one `json.dumps`
+    call: no float's text holds ", ", so the list splits at them."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def _list_json(texts, depth):
+    """The JSON text of a list of spelled items indented by `depth` spaces."""
+    item = "\n" + " " * depth
+    return "[" + item + ("," + item).join(texts) + item[:-1] + "]" if texts else "[]"
+
+
+def _matrix_json(rounded, inverse):
+    """The JSON text of a `_sig6_matrix` four levels deep: its distinct values
+    spelled by one `_spell` call, its rows gathered 2**16 texts at a time."""
+    spelled = np.array(_spell(rounded), dtype=object)
+    step, rows = max(1, 2**16 // max(1, len(inverse))), []
+    for start in range(0, len(inverse), step):
+        rows += map(_list_json, spelled[inverse[start:start + step]].tolist(), [6] * step)
+    return _list_json(rows, 5)
+
+
+def _per_identity_json(entry, depth):
+    """The JSON text of a `_report_stats` entry as a per_identity mapping
+    whose identities are indented by `depth` spaces: its floats spelled by
+    one `_spell` call, and each identity's text by one format of them."""
+    identities, counts, texts, outliers, outlier_bounds = entry
+    key, field = "\n" + " " * depth, "\n" + " " * (depth + 1)
+    present = counts > 0
+    n = int(present.sum())
+    spelled = _spell(np.concatenate((texts[:, present].ravel(), outliers)).astype(np.float64))
+    rows = [spelled[i * n:(i + 1) * n] for i in range(7)]
+    lists = map(_list_json, map(spelled[7 * n:].__getitem__, map(
+        slice, outlier_bounds[:-1][present].tolist(), outlier_bounds[1:][present].tolist())),
+        [depth + 2] * n)
+    keys = np.array(list(map(_spell_string, identities)), dtype=object)
+    entries = np.array(list(map((key + "{}: null").format, keys)), dtype=object)
+    template = key + "{}: {{" + ",".join(
+        field + f'"{name}": {{}}' for name, _ in _STATS_KEYS) + key + "}}"
+    entries[present] = list(map(template.format, keys[present], *(
+        lists if row is None else rows[row] for _, row in _STATS_KEYS)))
+    return "{" + ",".join(entries.tolist()) + key[:-1] + "}" if identities else "{}"
 
 
 def _report_json(doc):
-    """`json.dumps(doc, sort_keys=True, indent=1)` of a `report_document`.
-    The standard encoder lays out the document with a marker in place of
-    each centroid matrix, and `_matrix_json` spells the matrices (most of a
-    report's numbers) into the markers' places, in sorted modality order."""
-    matrices = doc["angle_families"]["between_centroids"]
-    shell = {**doc, "angle_families": {**doc["angle_families"], "between_centroids": {
-        modality: {**family, "matrix": "\0"} for modality, family in matrices.items()}}}
-    pieces = json.dumps(shell, sort_keys=True, indent=1).split(_MATRIX_MARKER)
-    texts = ['"matrix": ' + _matrix_json(matrices[m]["matrix"]) for m in sorted(matrices)]
-    return "".join(piece + text for piece, text in zip(pieces, texts + [""]))
+    """`json.dumps(doc, sort_keys=True, indent=1)` of a `_report_arrays`
+    document as `report_document` holds it: the standard encoder lays out a
+    shell with a marker in place of each per_identity mapping, identity list
+    and centroid matrix, and their texts go into the markers' places."""
+    families = doc["angle_families"]
+    within, centroids = families["within_identity"], families["between_centroids"]
+    shell = {**doc, "angle_families": {
+        "audio_video": {**families["audio_video"], "per_identity": "\0"},
+        "within_identity": {m: {**f, "per_identity": "\0"} for m, f in within.items()},
+        "between_centroids": {m: {"identities": "\0", "matrix": "\0"} for m in centroids}}}
+    texts = [_per_identity_json(families["audio_video"]["per_identity"], 4)]
+    for m in sorted(centroids):
+        texts += [_list_json(list(map(_spell_string, centroids[m]["identities"])), 5),
+                  _matrix_json(*centroids[m]["matrix"])]
+    texts += [_per_identity_json(within[m]["per_identity"], 5) for m in sorted(within)]
+    pieces = json.dumps(shell, sort_keys=True, indent=1).split(_MARKER)
+    return "".join([pieces[0], *(part for text, piece in zip(texts, pieces[1:])
+                                 for part in ('": ', text, piece))])
 
 
-def _csv_text(rows):
-    """The rows as `csv.writer` writes them, lines ending in CRLF."""
+def _csv_text(*groups):
+    """The rows of each group as `csv.writer` writes them, lines ending in CRLF."""
     buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
+    csv.writer(buffer).writerows(row for rows in groups for row in rows)
     return buffer.getvalue()
 
 
 def _diagnostics_rows(doc):
-    """The rows of `<prefix>_diagnostics.csv`: each value of the report
-    document's per-identity stats, the stats of the upper triangle of each
+    """The groups of rows of `<prefix>_diagnostics.csv` from a `_report_arrays`
+    document: each identity's stats, those of the upper triangle of each
     rounded centroid matrix, and the silhouettes, at 6 significant digits."""
-    yield ["family", "modality", "identity", "min", "q1", "median", "q3", "max",
-           "whisker_low", "whisker_high", "n_outliers"]
-
-    def stats_row(family, modality, identity, stats):
-        *values, outliers = stats.values()  # in the order of _stats_dict
-        return [family, modality, identity, *map("{:.6g}".format, values), len(outliers)]
-
     families = doc["angle_families"]
-    walks = [("audio_video", "both", families["audio_video"]),
-             *(("within_identity", modality, fam)
-               for modality, fam in families["within_identity"].items())]
-    for family, modality, fam in walks:
-        for identity, stats in fam["per_identity"].items():
-            if stats is not None:
-                yield stats_row(family, modality, identity, stats)
-    for modality, fam in families["between_centroids"].items():
-        # The upper triangle, row by row, as np.triu_indices lists it.
-        upper = [v for i, row in enumerate(fam["matrix"]) for v in row[i + 1:]]
-        if upper:
-            yield stats_row("between_centroids", modality, "__all__",
-                            _stats_dict(boxplot_stats(upper)))
-    for modality, value in doc["silhouette"].items():
-        yield ["silhouette", modality, "__all__", f"{value:.6g}", "", "", "", "", "", "", ""]
+    centroids = families["between_centroids"]
+    uppers = [rounded[inverse[np.triu_indices(len(inverse), 1)]]  # row by row
+              for rounded, inverse in (fam["matrix"] for fam in centroids.values())]
+    walks = [("audio_video", "both", families["audio_video"]["per_identity"]),
+             *(("within_identity", modality, fam["per_identity"])
+               for modality, fam in families["within_identity"].items()),
+             *zip(["between_centroids"] * len(uppers), centroids, _report_stats(
+                 [(["__all__"], upper, [0, upper.size]) for upper in uppers]))]
+    groups = [[["family", "modality", "identity", "min", "q1", "median", "q3", "max",
+                "whisker_low", "whisker_high", "n_outliers"]]]
+    for family, modality, (identities, counts, texts, _, outlier_bounds) in walks:
+        present = counts > 0
+        n = int(present.sum())
+        groups.append(zip([family] * n, [modality] * n, np.array(identities, object)[present],
+                          *texts[:, present].tolist(),
+                          np.diff(outlier_bounds)[present].tolist()))
+    return groups + [[["silhouette", modality, "__all__", f"{value:.6g}", *[""] * 7]
+                      for modality, value in doc["silhouette"].items()]]
 
 
 def write_report(path_prefix, report, format="structured"):
@@ -441,7 +481,7 @@ def write_report(path_prefix, report, format="structured"):
     write it (see `write_files`); returns the list of paths."""
     if format not in ("structured", "tabular", "both"):
         raise PersistenceError(f"unknown report format {format!r}")
-    doc = report_document(report)
+    doc = _report_arrays(report)
     texts = {}
     if format != "tabular":
         texts[f"{path_prefix}.json"] = _report_json(doc) + "\n"
@@ -452,7 +492,7 @@ def write_report(path_prefix, report, format="structured"):
                entry["n_target"], entry["n_nontarget"]]
               for mode, entry in doc["eer"].items()),
         ])
-        texts[f"{path_prefix}_diagnostics.csv"] = _csv_text(_diagnostics_rows(doc))
+        texts[f"{path_prefix}_diagnostics.csv"] = _csv_text(*_diagnostics_rows(doc))
     write_files(texts)
     return list(texts)
 
@@ -462,22 +502,26 @@ def write_diagnostics(out_dir, report, label):
     `write_files`): an SVG boxplot per angle family, a box per identity
     under the legend `label`, then `diagnostics_summary.json`, whose
     `warnings` sums the families'.  Returns the summary."""
-    families = {
-        "audio_video": report.audio_video,
-        "within_audio": report.within_identity["audio"],
-        "within_video": report.within_identity["video"],
-    }
-    summary = {"silhouette": dict(report.silhouette),
-               "warnings": sum(family.warnings for family in families.values()),
-               "families": {}}
+    families = {"audio_video": report.audio_video,
+                **{f"within_{m}": report.within_identity[m] for m in ("audio", "video")}}
+    angles = [_family_angles(family) for family in families.values()]
+    sizes = [values.size for _, values, _ in angles]
+    whole = boxplot_stats(np.concatenate([values for _, values, _ in angles]),
+                          np.cumsum([0, *sizes]))  # each family's angles as a whole
+    summary = {"silhouette": dict(report.silhouette), "families": {
+        name: {"median": median, "q1": q1, "q3": q3, "n": n} if n else None
+        for name, n, q1, median, q3 in zip(families, sizes, whole.q1.tolist(),
+                                           whole.median.tolist(), whole.q3.tolist())},
+        "warnings": sum(family.warnings for family in families.values())}
     files = {}
-    for name, family in families.items():
+    for name, (ids, counts, columns, outliers, ends) in zip(families, _segment_stats(angles)):
+        outliers, ends = outliers.tolist(), ends.tolist()
+        boxes = map(BoxplotStats, *columns.tolist(),
+                    map(tuple, map(outliers.__getitem__, map(slice, ends[:-1], ends[1:]))))
+        groups = [(identity, box if count else None)
+                  for identity, box, count in zip(ids, boxes, counts.tolist())]
         files[os.path.join(out_dir, f"{name}.svg")] = svgplot.render_boxplot_svg(
-            _identity_stats(family), label, name.replace("_", " "))
-        angles = family.all_angles()
-        stats = boxplot_stats(angles) if angles else None
-        summary["families"][name] = None if stats is None else {
-            "median": stats.median, "q1": stats.q1, "q3": stats.q3, "n": len(angles)}
+            groups, label, name.replace("_", " "))
     files[os.path.join(out_dir, "diagnostics_summary.json")] = json.dumps(
         summary, sort_keys=True, indent=1) + "\n"
     write_files(files, out_dir)

@@ -35,7 +35,6 @@ from avfusion.evaluation import (
     EerResult,
     Trial,
     TrialArrays,
-    boxplot_stats,
     embed_samples,
 )
 from avfusion.heads import HEAD_KINDS, _check_cache
@@ -50,7 +49,6 @@ from avfusion.persistence import (
     _is_count,
     _is_number,
     _is_table,
-    _stats_dict,
     _write_framed,
 )
 from avfusion.svgplot import render_boxplot_svg
@@ -790,6 +788,39 @@ def loop_boxplot_stats(values):
     )
 
 
+def loop_stats_dict(stats):
+    """A BoxplotStats as a report document holds it: each value at 6
+    significant digits."""
+    values = (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum,
+              stats.whisker_low, stats.whisker_high)
+    doc = {key: float(f"{value:.6g}") for key, value in
+           zip(("min", "q1", "median", "q3", "max", "whisker_low", "whisker_high"), values)}
+    doc["outliers"] = [float(f"{value:.6g}") for value in stats.outliers]
+    return doc
+
+
+def listed(doc):
+    """A `persistence._report_arrays` document with its arrays (of `.6g`
+    texts, for the stats) as the lists and dicts of floats of
+    `report_document`."""
+
+    def per_identity(entry):
+        identities, counts, texts, outliers, bounds = entry
+        keys = ("min", "q1", "median", "q3", "max", "whisker_low", "whisker_high")
+        return {identity: {**dict(zip(keys, map(float, texts[:, k]))),
+                           "outliers": list(map(float, outliers[bounds[k]:bounds[k + 1]]))}
+                if counts[k] else None for k, identity in enumerate(identities)}
+
+    families = doc["angle_families"]
+    return {**doc, "angle_families": {
+        "audio_video": {**families["audio_video"],
+                        "per_identity": per_identity(families["audio_video"]["per_identity"])},
+        "within_identity": {m: {**f, "per_identity": per_identity(f["per_identity"])}
+                            for m, f in families["within_identity"].items()},
+        "between_centroids": {m: {**f, "matrix": f["matrix"][0][f["matrix"][1]].tolist()}
+                              for m, f in families["between_centroids"].items()}}}
+
+
 def loop_read_framed(path, magic):
     try:
         with open(path, "rb") as fh:
@@ -1083,7 +1114,7 @@ def loop_write_diagnostics_csv(diag_path, doc):
                 if upper.size:
                     stats_row(
                         "between_centroids", modality, "__all__",
-                        _stats_dict(boxplot_stats(upper)),
+                        loop_stats_dict(loop_boxplot_stats(upper)),
                     )
         for modality, value in doc["silhouette"].items():
             writer.writerow(
@@ -1103,7 +1134,7 @@ def loop_diagnose_outputs(out_dir, report, label):
     warnings = 0
     for name, family in families.items():
         groups = [
-            (identity, boxplot_stats(angles) if angles else None)
+            (identity, loop_boxplot_stats(angles) if angles else None)
             for identity, angles in sorted(family.per_identity.items())
         ]
         with open(os.path.join(out_dir, f"{name}.svg"), "w", encoding="utf-8") as fh:
@@ -1113,7 +1144,7 @@ def loop_diagnose_outputs(out_dir, report, label):
                "families": {}}
     for name, family in families.items():
         angles = family.all_angles()
-        stats = boxplot_stats(angles) if angles else None
+        stats = loop_boxplot_stats(angles) if angles else None
         summary["families"][name] = (
             None if stats is None else
             {"median": stats.median, "q1": stats.q1, "q3": stats.q3,

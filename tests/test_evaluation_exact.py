@@ -26,7 +26,9 @@ from avfusion.errors import ConfigurationError, DegenerateInputError
 from avfusion.evaluation import (
     _MODE_TAGS,
     MODALITY_MODES,
+    BoxplotStats,
     Trial,
+    TrialArrays,
     _lemire,
     _raw_draws,
     _reject_below,
@@ -192,6 +194,43 @@ class TestScoreTrials:
         got = score_trials(embedded(samples), trial_arrays("AxA", trials))
         assert np.array_equal(got, loop_score_trials(TableHead(), trials, samples))
         assert [float.hex(x) for x in got] == [float.hex(0.0)] * 3 + [float.hex(1.0)]
+
+    @EXACT
+    @given(tables(nan=True), st.sampled_from(list(MODALITY_MODES)), st.integers(1, 40),
+           st.data())
+    def test_blocks_match_loop(self, samples, mode, block, data):
+        """PAIR_BLOCK patched to 1-40 values: the trials are gathered and
+        scored a few at a time, and every score keeps its bits."""
+        left_exp, right_exp = MODALITY_MODES[mode]
+        index = st.integers(0, len(samples) - 1)
+        trials = [Trial(a, b, left_exp, right_exp, label) for a, b, label in data.draw(
+            st.lists(st.tuples(index, index, st.booleans()), max_size=30))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "PAIR_BLOCK", block)
+            got = outcome(score_trials, embedded(samples), trial_arrays(mode, trials))
+        expected = outcome(loop_score_trials, TableHead(), trials, samples)
+        if expected is DegenerateInputError:
+            assert got is DegenerateInputError
+        else:
+            assert np.array_equal(got, expected)
+
+    def test_memory_bounded_by_block(self):
+        """A paper-scale mode, 290,000 + 290,000 trials of 30,024 rows at
+        d = 32: gathering both sides of every trial at once took 306 MiB
+        above the inputs; blocks of PAIR_BLOCK values hold the peak under
+        48 MiB."""
+        rng = np.random.default_rng(0)
+        n, count = 30024, 580_000
+        emb = {"a": rng.normal(size=(n, 32)), "v": rng.normal(size=(n, 32))}
+        trials = TrialArrays(("a", "v"), rng.integers(0, n, count), rng.integers(0, n, count),
+                             rng.random(count) < 0.5)
+        tracemalloc.start()
+        try:
+            score_trials(emb, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     # A zero row alone is scored (above); a NaN or Inf one is refused.
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -954,3 +993,33 @@ class TestBoxplotStats:
             assert _unsigned_zeros(got) == _unsigned_zeros(expected)
         else:
             assert repr(got) == repr(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(BOX_VALUES, max_size=12), max_size=40))
+    @example([])
+    @example([[], [7.0], []])
+    @example([[-0.0], [0.0, -0.0, 5.0], [np.nan, 1.0], [np.inf, -np.inf]])
+    @example([[1.0, 1.0, 1.0, 100.0], [0.0, 0.0, 0.0, 0.0, 6.0, -6.0]])
+    @example([[0.0, 1.0, 2.0, 3.0, 6.0], [-2.0, 1.0, 2.0, 3.0, 4.0]])  # a value at a fence
+    def test_family_matches_loop(self, segments):
+        """One call for a family of 0-40 segments: each segment's stats equal
+        the loop reference of that segment alone, by repr as above; an empty
+        segment's fields are NaN and it has no outliers."""
+        bounds = np.cumsum([0, *map(len, segments)])
+        got = boxplot_stats([v for segment in segments for v in segment], bounds)
+        outliers, ends = got.outliers
+        assert len(ends) == len(segments) + 1 and ends[0] == 0 and ends[-1] == outliers.size
+        names = ("minimum", "q1", "median", "q3", "maximum", "whisker_low", "whisker_high")
+        for k, segment in enumerate(segments):
+            stats = BoxplotStats(*(getattr(got, name)[k].item() for name in names),
+                                 tuple(outliers[ends[k]:ends[k + 1]].tolist()))
+            if not segment:
+                assert all(math.isnan(getattr(stats, name)) for name in names)
+                assert stats.outliers == ()
+                continue
+            with np.errstate(all="ignore"):
+                expected = loop_boxplot_stats(segment)
+            if len({math.copysign(1.0, v) for v in segment if v == 0.0}) == 2:
+                assert _unsigned_zeros(stats) == _unsigned_zeros(expected)
+            else:
+                assert repr(stats) == repr(expected)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avfusion import persistence
 from avfusion.arcmargin import ArcMarginHead
 from avfusion.data import Sample
 from avfusion.errors import AvFusionError, PersistenceError
@@ -25,11 +26,11 @@ from avfusion.evaluation import (
     run_full_evaluation,
 )
 from avfusion.persistence import (
+    _report_arrays,
     _report_json,
     _sig6,
-    _sig6_all,
     _sig6_matrix,
-    _stats_dict,
+    _sig6_texts,
     load_checkpoint,
     read_embeddings,
     read_report,
@@ -45,7 +46,10 @@ from avfusion.svgplot import render_boxplot_svg
 from avfusion.training import EpochRecord
 
 from conftest import (
+    listed,
+    loop_boxplot_stats,
     loop_diagnose_outputs,
+    loop_stats_dict,
     loop_load_checkpoint,
     loop_read_embeddings,
     loop_write_comparison,
@@ -442,6 +446,31 @@ class TestReports:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFamilyBoxplots:
+    @pytest.mark.parametrize("n_identities", [5, 50])
+    def test_calls_do_not_grow_with_identities(self, tmp_path, monkeypatch, n_identities):
+        """The boxplots of every identity of every angle family come from one
+        `boxplot_stats` call: `write_report` makes two (the families, then
+        the centroid triangles) and `write_diagnostics` two (the identities,
+        then each family as a whole), whatever the identity count."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return boxplot_stats(*args)
+
+        report = run_full_evaluation(
+            make_head("mean", np.random.default_rng(3), d_e=8),
+            small_dataset(n_identities=n_identities, samples_per_identity=4),
+            TrialConfig(15, 15, 0))
+        monkeypatch.setattr(persistence, "boxplot_stats", counted)
+        write_report(tmp_path / "report", report, "both")
+        assert len(calls) == 2
+        calls.clear()
+        write_diagnostics(tmp_path / "diagnose", report, "mean")
+        assert len(calls) == 2
+
+
 # Identities sort in an order of their own; an empty angle list is an
 # identity with no angles, and an empty dict a family with no identities.
 IDENTITIES = st.text(alphabet="ab0_", min_size=1, max_size=3)
@@ -530,8 +559,12 @@ class TestDiagnosticsOutputs:
                          *[(doc["angle_families"]["within_identity"][m],
                             report.within_identity[m]) for m in ("audio", "video")]]:
             assert list(fam["per_identity"].items()) == [
-                (identity, _stats_dict(boxplot_stats(angles)) if angles else None)
+                (identity, loop_stats_dict(loop_boxplot_stats(angles)) if angles else None)
                 for identity, angles in sorted(rep.per_identity.items())]
+        for modality, (ids, matrix) in report.between_centroids.items():
+            fam = doc["angle_families"]["between_centroids"][modality]
+            assert fam["identities"] == ids
+            assert hexes(fam["matrix"]) == hexes([[_sig6(v) for v in row] for row in matrix])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["mean", "mlp", "multiview", "x_1"]),
@@ -571,7 +604,7 @@ FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 # Identities whose JSON text a report writer must not take for its layout:
 # quotes, backslashes, NUL, the key "matrix" and the text that marks a
 # matrix's place, non-ASCII text and lone surrogates.
-IDENTITY_PIECES = ['"', "\\", "\x00", ": ", "matrix", '"matrix": "\\u0000"',
+IDENTITY_PIECES = ['"', "\\", "\x00", ": ", "matrix", '"matrix": "\\u0000"', '": "\\u0000"',
                    '"matrix": "\x00"', "é", "漢", "😀", "\ud800", "\udfff", "a"]
 ADVERSARIAL_IDENTITIES = st.one_of(
     st.lists(st.sampled_from(IDENTITY_PIECES), min_size=1, max_size=4).map("".join),
@@ -611,8 +644,8 @@ class TestReportJson:
     @settings(max_examples=400, deadline=None)
     @given(adversarial_reports())
     def test_equals_json_dumps(self, report):
-        doc = report_document(report)
-        assert _report_json(doc) == json.dumps(doc, sort_keys=True, indent=1)
+        doc = _report_arrays(report)
+        assert _report_json(doc) == json.dumps(listed(doc), sort_keys=True, indent=1)
 
     def test_marker_text_as_identity(self):
         marker = '"matrix": "\\u0000"'
@@ -623,11 +656,28 @@ class TestReportJson:
                                                                      [math.nan, -0.0]])),
                                "video": ([], np.zeros((0, 0)))},
             silhouette={"audio": math.inf, "video": -math.inf})
-        doc = report_document(report)
+        doc = _report_arrays(report)
         text = _report_json(doc)
-        assert text == json.dumps(doc, sort_keys=True, indent=1)
+        assert text == json.dumps(listed(doc), sort_keys=True, indent=1)
         assert json.loads(text)["angle_families"]["between_centroids"]["audio"][
             "identities"] == ["\x00", marker]
+
+
+    def test_matrix_rows_in_blocks(self):
+        """A 300-identity centroid matrix is laid out in blocks of whole rows
+        (at most 2**16 texts, 218 rows, at a time); its text is still the
+        standard encoder's."""
+        rng = np.random.default_rng(4)
+        ids = [f"id{k:03d}" for k in range(300)]
+        matrix = rng.choice([0.0, 12.5, 90.0, 179.99999949], size=(300, 300))
+        matrix[:150] = rng.uniform(0.0, 180.0, size=(150, 300))
+        report = DiagnosticsReport(
+            audio_video=AngleReport("audio_video", {"a": [1.0]}),
+            within_identity={m: AngleReport(m, {"a": [2.0, 3.0]}) for m in ("audio", "video")},
+            between_centroids={"audio": (ids, matrix), "video": (ids[:2], matrix[:2, :2])},
+            silhouette={"audio": 0.5, "video": 0.25})
+        doc = _report_arrays(report)
+        assert _report_json(doc) == json.dumps(listed(doc), sort_keys=True, indent=1)
 
 
 ROUNDING_VALUES = st.one_of(st.sampled_from(SPECIAL_FLOATS),
@@ -652,17 +702,28 @@ class TestRounding:
     @settings(max_examples=300, deadline=None)
     @given(square_matrices())
     def test_matrix_rounding_equals_sig6_per_value(self, matrix):
-        assert hexes(_sig6_matrix(matrix)) == hexes([[_sig6(v) for v in row]
-                                                     for row in matrix])
-        flat = matrix.ravel().tolist()
-        assert hexes([_sig6_all(flat)]) == hexes([[_sig6(v) for v in flat]])
+        rounded, inverse = _sig6_matrix(matrix)
+        assert hexes(rounded[inverse].tolist()) == hexes([[_sig6(v) for v in row]
+                                                          for row in matrix])
+        flat = matrix.ravel()
+        assert hexes([list(map(float, _sig6_texts(flat)))]) == hexes([[_sig6(v) for v in flat]])
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ROUNDING_VALUES)
+    def test_text_of_rounded_value_is_the_text(self, value):
+        """The diagnostics CSV spells a stat by its `.6g` text, which is the
+        `.6g` text of the rounded value that the JSON report holds."""
+        text = _sig6_texts(np.array([value]))[0]
+        assert text == f"{value:.6g}" == f"{_sig6(value):.6g}"
+        assert float.hex(float(text)) == float.hex(_sig6(value))
 
     def test_every_special_value_in_one_matrix(self):
         values = SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]
         n = math.isqrt(len(values)) + 1
         matrix = np.resize(np.array(values), (n, n))
         matrix[0, 1], matrix[1, 0] = 0.0, -0.0
-        got = _sig6_matrix(matrix)
+        rounded, inverse = _sig6_matrix(matrix)
+        got = rounded[inverse].tolist()
         assert hexes(got) == hexes([[_sig6(v) for v in row] for row in matrix])
         assert (math.copysign(1.0, got[0][1]), math.copysign(1.0, got[1][0])) == (1.0, -1.0)
 
