@@ -293,15 +293,13 @@ def _sig6(x):
 
 
 def _sig6_texts(values):
-    """The `.6g` text of each value of a float array (an object array): the
-    float of a text is the value's `_sig6`, whose `.6g` text is the text."""
+    """Each value's `.6g` text (whose float is its `_sig6`), as an object array."""
     return np.array(list(map("{:.6g}".format, values.ravel().tolist())),
                     dtype=object).reshape(values.shape)
 
 
 def _sig6_matrix(matrix):
-    """(rounded, inverse): `_sig6` of each distinct float (by bit pattern) of
-    the matrix, rounded once, and each entry's index in `rounded`."""
+    """(`_sig6` of each distinct float by bit pattern, each entry's index in it)."""
     values = np.ascontiguousarray(matrix, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     rounded = np.fromiter(map(float, map("{:.6g}".format, bits.view(np.float64).tolist())),
@@ -321,9 +319,8 @@ def _family_angles(angle_report):
 
 
 def _segment_stats(groups):
-    """Per (names, values, bounds) of `groups`, from one `boxplot_stats` call:
-    (names, counts, the `_STATS_FIELDS` as rows of a (7, segments) array,
-    the outliers in turn, their bounds)."""
+    """Per (names, values, bounds) of `groups`, from one `boxplot_stats` call: (names,
+    counts, `_STATS_FIELDS` rows of a (7, segments) array, outliers, their bounds)."""
     sizes = np.concatenate([np.diff(bounds) for _, _, bounds in groups])
     stats = boxplot_stats(np.concatenate([values for _, values, _ in groups]),
                           np.concatenate(([0], np.cumsum(sizes))))
@@ -357,20 +354,29 @@ def _report_arrays(report):
             "within_identity": {modality: doc for (modality, _), doc in zip(within, stats)},
             "between_centroids": {
                 modality: {"identities": ids, "matrix": _sig6_matrix(matrix)}
-                for modality, (ids, matrix) in sorted(report.between_centroids.items())},
-        },
+                for modality, (ids, matrix) in sorted(report.between_centroids.items())}},
         "silhouette": {m: _sig6(v) for m, v in sorted(report.silhouette.items())},
         "warnings": report.warnings,
     }
 
 
 def report_document(report):
-    """A DiagnosticsReport's JSON-ready form: what `read_report` reads back."""
-    return json.loads(_report_json(_report_arrays(report)))
+    """A DiagnosticsReport's JSON-ready form, what `read_report` reads back:
+    `_report_arrays` with stats as floats, not texts, and matrices as lists."""
+    doc = _report_arrays(report)
+    families = doc["angle_families"]
+    for family in (families["audio_video"], *families["within_identity"].values()):
+        identities, counts, texts, outliers, ends = family["per_identity"]
+        family["per_identity"] = {identity: {
+            name: list(map(float, outliers[ends[k]:ends[k + 1]])) if row is None
+            else float(texts[row, k]) for name, row in _STATS_KEYS} if counts[k] else None
+            for k, identity in enumerate(identities)}
+    for family in families["between_centroids"].values():
+        family["matrix"] = family["matrix"][0][family["matrix"][1]].tolist()
+    return doc
 
 
-# Where `json.dumps` spelled the string "\0" as a value; inside a JSON
-# string every quote is escaped, so no identity can spell this text.
+# `json.dumps` of a "\0" value; no key can spell it, as JSON escapes its quotes.
 _MARKER = '": "\\u0000"'
 # A per_identity entry's keys in sorted order, with their `_STATS_FIELDS` rows.
 _STATS_KEYS = (("max", 4), ("median", 2), ("min", 0), ("outliers", None), ("q1", 1),
@@ -401,9 +407,8 @@ def _matrix_json(rounded, inverse):
 
 
 def _per_identity_json(entry, depth):
-    """The JSON text of a `_report_stats` entry as a per_identity mapping
-    whose identities are indented by `depth` spaces: its floats spelled by
-    one `_spell` call, and each identity's text by one format of them."""
+    """The JSON text of a `_report_stats` entry, identities indented by `depth`
+    spaces: its floats spelled by one `_spell` call, each identity by one format."""
     identities, counts, texts, outliers, outlier_bounds = entry
     key, field = "\n" + " " * depth, "\n" + " " * (depth + 1)
     present = counts > 0
@@ -423,10 +428,8 @@ def _per_identity_json(entry, depth):
 
 
 def _report_json(doc):
-    """`json.dumps(doc, sort_keys=True, indent=1)` of a `_report_arrays`
-    document as `report_document` holds it: the standard encoder lays out a
-    shell with a marker in place of each per_identity mapping, identity list
-    and centroid matrix, and their texts go into the markers' places."""
+    """`json.dumps(report_document, sort_keys=True, indent=1)` from `_report_arrays`: a
+    shell with markers for per_identity, identities and matrix, their texts spliced in."""
     families = doc["angle_families"]
     within, centroids = families["within_identity"], families["between_centroids"]
     shell = {**doc, "angle_families": {
@@ -451,9 +454,8 @@ def _csv_text(*groups):
 
 
 def _diagnostics_rows(doc):
-    """The groups of rows of `<prefix>_diagnostics.csv` from a `_report_arrays`
-    document: each identity's stats, those of the upper triangle of each
-    rounded centroid matrix, and the silhouettes, at 6 significant digits."""
+    """The groups of rows of `<prefix>_diagnostics.csv` from `_report_arrays`: each identity's
+    stats, those of each rounded matrix's upper triangle, and the silhouettes."""
     families = doc["angle_families"]
     centroids = families["between_centroids"]
     uppers = [rounded[inverse[np.triu_indices(len(inverse), 1)]]  # row by row
@@ -486,12 +488,10 @@ def write_report(path_prefix, report, format="structured"):
     if format != "tabular":
         texts[f"{path_prefix}.json"] = _report_json(doc) + "\n"
     if format != "structured":
-        texts[f"{path_prefix}_eer.csv"] = _csv_text([
-            ["mode", "eer", "threshold", "n_target", "n_nontarget"],
-            *([mode, f"{entry['eer']:.6g}", f"{entry['threshold']:.6g}",
-               entry["n_target"], entry["n_nontarget"]]
-              for mode, entry in doc["eer"].items()),
-        ])
+        texts[f"{path_prefix}_eer.csv"] = _csv_text([["mode", "eer", "threshold", "n_target",
+                                                       "n_nontarget"]], (
+            [mode, f"{e['eer']:.6g}", f"{e['threshold']:.6g}", e["n_target"], e["n_nontarget"]]
+            for mode, e in doc["eer"].items()))
         texts[f"{path_prefix}_diagnostics.csv"] = _csv_text(*_diagnostics_rows(doc))
     write_files(texts)
     return list(texts)

@@ -799,28 +799,6 @@ def loop_stats_dict(stats):
     return doc
 
 
-def listed(doc):
-    """A `persistence._report_arrays` document with its arrays (of `.6g`
-    texts, for the stats) as the lists and dicts of floats of
-    `report_document`."""
-
-    def per_identity(entry):
-        identities, counts, texts, outliers, bounds = entry
-        keys = ("min", "q1", "median", "q3", "max", "whisker_low", "whisker_high")
-        return {identity: {**dict(zip(keys, map(float, texts[:, k]))),
-                           "outliers": list(map(float, outliers[bounds[k]:bounds[k + 1]]))}
-                if counts[k] else None for k, identity in enumerate(identities)}
-
-    families = doc["angle_families"]
-    return {**doc, "angle_families": {
-        "audio_video": {**families["audio_video"],
-                        "per_identity": per_identity(families["audio_video"]["per_identity"])},
-        "within_identity": {m: {**f, "per_identity": per_identity(f["per_identity"])}
-                            for m, f in families["within_identity"].items()},
-        "between_centroids": {m: {**f, "matrix": f["matrix"][0][f["matrix"][1]].tolist()}
-                              for m, f in families["between_centroids"].items()}}}
-
-
 def loop_read_framed(path, magic):
     try:
         with open(path, "rb") as fh:

@@ -46,7 +46,6 @@ from avfusion.svgplot import render_boxplot_svg
 from avfusion.training import EpochRecord
 
 from conftest import (
-    listed,
     loop_boxplot_stats,
     loop_diagnose_outputs,
     loop_stats_dict,
@@ -644,8 +643,8 @@ class TestReportJson:
     @settings(max_examples=400, deadline=None)
     @given(adversarial_reports())
     def test_equals_json_dumps(self, report):
-        doc = _report_arrays(report)
-        assert _report_json(doc) == json.dumps(listed(doc), sort_keys=True, indent=1)
+        assert _report_json(_report_arrays(report)) == json.dumps(
+            report_document(report), sort_keys=True, indent=1)
 
     def test_marker_text_as_identity(self):
         marker = '"matrix": "\\u0000"'
@@ -656,9 +655,8 @@ class TestReportJson:
                                                                      [math.nan, -0.0]])),
                                "video": ([], np.zeros((0, 0)))},
             silhouette={"audio": math.inf, "video": -math.inf})
-        doc = _report_arrays(report)
-        text = _report_json(doc)
-        assert text == json.dumps(listed(doc), sort_keys=True, indent=1)
+        text = _report_json(_report_arrays(report))
+        assert text == json.dumps(report_document(report), sort_keys=True, indent=1)
         assert json.loads(text)["angle_families"]["between_centroids"]["audio"][
             "identities"] == ["\x00", marker]
 
@@ -676,8 +674,8 @@ class TestReportJson:
             within_identity={m: AngleReport(m, {"a": [2.0, 3.0]}) for m in ("audio", "video")},
             between_centroids={"audio": (ids, matrix), "video": (ids[:2], matrix[:2, :2])},
             silhouette={"audio": 0.5, "video": 0.25})
-        doc = _report_arrays(report)
-        assert _report_json(doc) == json.dumps(listed(doc), sort_keys=True, indent=1)
+        assert _report_json(_report_arrays(report)) == json.dumps(
+            report_document(report), sort_keys=True, indent=1)
 
 
 ROUNDING_VALUES = st.one_of(st.sampled_from(SPECIAL_FLOATS),
