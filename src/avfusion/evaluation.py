@@ -8,7 +8,8 @@ its shared classifier and averages both paths when both are present.
 Scoring and diagnostics work on embeddings computed once per exposure, and
 on whole arrays.  Each result is bit for bit what the per-pair definition
 gives: the cosines are `linalg.row_cosines`, of which
-`linalg.cosine_similarity` is one row, and every mean reduces the same
+`linalg.cosine_similarity` is one row, or its `normed_cosines` of rows
+whose norms were taken once, and every mean reduces the same
 values in the same order as a mean over one row.
 """
 
@@ -21,7 +22,8 @@ from .data import SampleSet, group_rows
 from .errors import ConfigurationError, DegenerateInputError
 # cosine_similarity is unused here; perfbench/tracing.py counts calls through
 # this name.
-from .linalg import cosine_similarity, rescale_underflowing, row_cosines  # noqa: F401
+from .linalg import cosine_similarity  # noqa: F401
+from .linalg import normed_cosines, rescale_underflowing, row_cosines, scaled_norms
 from .rng import substream
 
 # mode -> (left exposure, right exposure); exposures are "av", "a", "v".
@@ -544,15 +546,18 @@ def centroid_angle_matrix(embedded, labels, modality):
         centroids[of_size] = emb[rows].reshape(-1, m, d).mean(axis=1)
     nonzero = centroids.any(axis=1)
     kept = [identity for identity, keep in zip(identities, nonzero) if keep]
-    centroids = centroids[nonzero]
     k = len(kept)
     matrix = np.zeros((k, k))
+    if k < 2:  # no pair: a NaN centroid meets no cosine
+        return kept, matrix, len(identities) - k
+    centroids, norms = scaled_norms(centroids[nonzero])  # each centroid's once
     step = max(1, PAIR_BLOCK // max(1, k * d))
     for start in range(0, k, step):
         upper = np.arange(k) > np.arange(start, min(start + step, k))[:, None]
         first, second = np.nonzero(upper)
         first += start
-        angles = np.degrees(np.arccos(row_cosines(centroids[first], centroids[second])))
+        angles = np.degrees(np.arccos(normed_cosines(centroids[first], norms[first],
+                                                     centroids[second], norms[second])))
         matrix[first, second] = angles
         matrix[second, first] = angles
     return kept, matrix, len(identities) - k

@@ -40,15 +40,25 @@ def rescale_underflowing(rows, norms):
     return rows, norms
 
 
+def scaled_norms(rows):
+    """`rescale_underflowing(rows, norms)` of finite rows and their L2 norms."""
+    if not np.isfinite(rows).all():
+        raise DegenerateInputError("vector contains NaN or Inf")
+    return rescale_underflowing(rows, np.sqrt(np.vecdot(rows, rows)))
+
+
+def normed_cosines(left, left_norms, right, right_norms):
+    """Clamped cosine of each pair of rows, given the norms `scaled_norms`
+    gives with them."""
+    return np.clip(np.vecdot(left, right) / (left_norms * right_norms), -1.0, 1.0)
+
+
 def row_cosines(left, right):
     """Clamped cosine of each pair of rows; an exactly zero row has none."""
-    if not (np.isfinite(left).all() and np.isfinite(right).all()):
-        raise DegenerateInputError("vector contains NaN or Inf")
-    left, left_norms = rescale_underflowing(left, np.sqrt(np.vecdot(left, left)))
-    right, right_norms = rescale_underflowing(right, np.sqrt(np.vecdot(right, right)))
+    (left, left_norms), (right, right_norms) = scaled_norms(left), scaled_norms(right)
     if (left_norms == 0.0).any() or (right_norms == 0.0).any():
         raise DegenerateInputError("cosine similarity undefined for the zero vector")
-    return np.clip(np.vecdot(left, right) / (left_norms * right_norms), -1.0, 1.0)
+    return normed_cosines(left, left_norms, right, right_norms)
 
 
 def l2_normalize(v) -> np.ndarray:

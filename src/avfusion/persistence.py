@@ -10,6 +10,7 @@ JSON document with numbers rendered at 6 significant digits, spelled as
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -251,8 +252,7 @@ def load_checkpoint(path):
 
 def write_epoch_log(path, records):
     """One JSON line per epoch record; a failed write removes the file."""
-    write_files({path: "".join(_json_bytes(asdict(r)).decode("utf-8") + "\n"
-                               for r in records)})
+    write_files({path: (_json_bytes(asdict(r)).decode("utf-8") + "\n" for r in records)})
 
 
 @contextlib.contextmanager
@@ -279,12 +279,13 @@ def all_or_nothing(out_dir=None):
 
 
 def write_files(files, out_dir=None):
-    """Write the text of each path of `files` ({path: text}), all or nothing."""
+    """Write each path of `files` ({path: the pieces of its text, in
+    order}), all or nothing."""
     with all_or_nothing(out_dir) as written:
-        for path, text in files.items():
+        for path, pieces in files.items():
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 written.append(path)
-                fh.write(text)
+                fh.writelines(pieces)
 
 
 def _sig6(x):
@@ -428,29 +429,37 @@ def _per_identity_json(entry, depth):
 
 
 def _report_json(doc):
-    """`json.dumps(report_document, sort_keys=True, indent=1)` from `_report_arrays`: a
-    shell with markers for per_identity, identities and matrix, their texts spliced in."""
+    """Yields the pieces of `json.dumps(report_document, sort_keys=True, indent=1)`,
+    in order, from `_report_arrays`: a shell with markers for per_identity,
+    identities and matrix, their texts spliced in.  Each text is spelled when
+    its piece is asked for, so a writer holds one at a time."""
     families = doc["angle_families"]
     within, centroids = families["within_identity"], families["between_centroids"]
     shell = {**doc, "angle_families": {
         "audio_video": {**families["audio_video"], "per_identity": "\0"},
         "within_identity": {m: {**f, "per_identity": "\0"} for m, f in within.items()},
         "between_centroids": {m: {"identities": "\0", "matrix": "\0"} for m in centroids}}}
-    texts = [_per_identity_json(families["audio_video"]["per_identity"], 4)]
-    for m in sorted(centroids):
-        texts += [_list_json(list(map(_spell_string, centroids[m]["identities"])), 5),
-                  _matrix_json(*centroids[m]["matrix"])]
-    texts += [_per_identity_json(within[m]["per_identity"], 5) for m in sorted(within)]
+
+    def texts():
+        yield _per_identity_json(families["audio_video"]["per_identity"], 4)
+        for m in sorted(centroids):
+            yield _list_json(list(map(_spell_string, centroids[m]["identities"])), 5)
+            yield _matrix_json(*centroids[m]["matrix"])
+        for m in sorted(within):
+            yield _per_identity_json(within[m]["per_identity"], 5)
+
     pieces = json.dumps(shell, sort_keys=True, indent=1).split(_MARKER)
-    return "".join([pieces[0], *(part for text, piece in zip(texts, pieces[1:])
-                                 for part in ('": ', text, piece))])
+    yield pieces[0]
+    for text, piece in zip(texts(), pieces[1:]):
+        yield from ('": ', text, piece)
 
 
 def _csv_text(*groups):
-    """The rows of each group as `csv.writer` writes them, lines ending in CRLF."""
+    """The rows of each group as `csv.writer` writes them, lines ending in CRLF,
+    as one piece of text (see `write_files`)."""
     buffer = io.StringIO()
     csv.writer(buffer).writerows(row for rows in groups for row in rows)
-    return buffer.getvalue()
+    return [buffer.getvalue()]
 
 
 def _diagnostics_rows(doc):
@@ -486,7 +495,7 @@ def write_report(path_prefix, report, format="structured"):
     doc = _report_arrays(report)
     texts = {}
     if format != "tabular":
-        texts[f"{path_prefix}.json"] = _report_json(doc) + "\n"
+        texts[f"{path_prefix}.json"] = itertools.chain(_report_json(doc), "\n")
     if format != "structured":
         texts[f"{path_prefix}_eer.csv"] = _csv_text([["mode", "eer", "threshold", "n_target",
                                                        "n_nontarget"]], (
@@ -520,10 +529,10 @@ def write_diagnostics(out_dir, report, label):
                     map(tuple, map(outliers.__getitem__, map(slice, ends[:-1], ends[1:]))))
         groups = [(identity, box if count else None)
                   for identity, box, count in zip(ids, boxes, counts.tolist())]
-        files[os.path.join(out_dir, f"{name}.svg")] = svgplot.render_boxplot_svg(
-            groups, label, name.replace("_", " "))
-    files[os.path.join(out_dir, "diagnostics_summary.json")] = json.dumps(
-        summary, sort_keys=True, indent=1) + "\n"
+        files[os.path.join(out_dir, f"{name}.svg")] = [svgplot.render_boxplot_svg(
+            groups, label, name.replace("_", " "))]
+    files[os.path.join(out_dir, "diagnostics_summary.json")] = [json.dumps(
+        summary, sort_keys=True, indent=1), "\n"]
     write_files(files, out_dir)
     return summary
 
@@ -535,7 +544,7 @@ def write_comparison(out_dir, rows):
     lines = ["model," + ",".join(MODALITY_MODES) + "\n"]
     for model, eers in rows:
         lines.append(",".join([model, *(f"{eers[m].eer:.6g}" for m in MODALITY_MODES)]) + "\n")
-    write_files({path: "".join(lines)})
+    write_files({path: lines})
     return path
 
 

@@ -6,8 +6,8 @@ mask, i.i.d. per sample); the multi-view head trains unmasked on a weighted
 sum of the per-modality arc-margin losses.
 """
 
-import copy
 import math
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,10 +253,16 @@ class TrainResult:
 
 
 def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig):
-    """Run the full training regimen and return the best-validation snapshot.
+    """Run the full training regimen and return the best-validation state.
 
-    An overflow, 0/0 or x/0 stops the run with DegenerateInputError, before
-    it becomes a numpy warning or a non-finite parameter.
+    The returned head and arc head are the ones passed in, holding the
+    tensors of the best epoch.  A best epoch before the last is kept in an
+    unnamed temporary file, not in memory: the parameter buffer, and
+    references to each batch norm's running statistics, which training
+    rebinds and never writes into.  A failed write or read of that file is
+    an OSError.  An overflow, 0/0 or x/0 stops the run with
+    DegenerateInputError, before it becomes a numpy warning or a non-finite
+    parameter.
     """
     if config.batch_size < 2 and any(isinstance(layer, BatchNormLayer)
                                      for _, layer in head.named_layers()):
@@ -296,9 +302,12 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
     lr = config.learning_rate
     best_acc = -1.0
     best_epoch = -1
-    best_snapshot = None
+    best_stats = []
+    batch_norms = [layer for _, layer in head.named_layers()
+                   if isinstance(layer, BatchNormLayer)]
     records = []
-    with float_errors_as_degenerate("training"):
+    last = config.max_epochs - 1
+    with float_errors_as_degenerate("training"), tempfile.TemporaryFile() as spill:
         for epoch in range(config.max_epochs):
             perm = shuffle_rng.permutation(n)
             losses = []
@@ -318,11 +327,17 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
             if acc > best_acc:
                 best_acc = acc
                 best_epoch = epoch
-                # The last snapshot goes before the new one is copied, so a
-                # run never holds two.
-                best_snapshot = None
-                best_snapshot = (copy.deepcopy(head), copy.deepcopy(arc_head))
+                if epoch < last:
+                    spill.seek(0)
+                    spill.write(store.params)
+                    best_stats = [(bn.running_mean, bn.running_var) for bn in batch_norms]
             else:
                 lr *= config.lr_decay_factor
+        if best_epoch < last:
+            spill.seek(0)
+            if spill.readinto(store.params) != store.params.nbytes:
+                raise OSError("the best epoch's parameters could not be read back")
+            for bn, (mean, var) in zip(batch_norms, best_stats):
+                bn.running_mean, bn.running_var = mean, var
     records[best_epoch].is_best = True
-    return TrainResult(*best_snapshot, records, best_epoch)
+    return TrainResult(head, arc_head, records, best_epoch)

@@ -1,10 +1,12 @@
 import errno
+import io
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from xml.etree import ElementTree
 
@@ -339,6 +341,20 @@ class TestTrain:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "mean.ckpt").exists()
         assert not (tmp_path / "mean.log").exists()
+
+    def test_failed_spill_write_is_io_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        # The first epoch is a best before the last, so it is spilled.
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", FullDisk)
+        assert run(train_args(pipeline, tmp_path)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert "No space left on device" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_trailing_one_row_batch_trains(self, tmp_path):
         # 28 training samples in batches of 27: the last row joins the first

@@ -439,6 +439,19 @@ class TestReports:
         assert [open(p, "rb").read() for p in both] == [
             open(p, "rb").read() for p in single]
 
+    def test_failure_while_spelling_leaves_no_file(self, tmp_path, sample_report,
+                                                   monkeypatch):
+        # A matrix is spelled while the report file is open, after its first
+        # pieces are written; the failure removes that file.
+        def no_memory(*args):
+            assert (tmp_path / "report.json").exists()
+            raise MemoryError
+
+        monkeypatch.setattr(persistence, "_matrix_json", no_memory)
+        with pytest.raises(MemoryError):
+            write_report(tmp_path / "report", sample_report, "both")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_format(self, tmp_path, sample_report):
         with pytest.raises(PersistenceError):
             write_report(tmp_path / "report", sample_report, "xml")
@@ -643,7 +656,7 @@ class TestReportJson:
     @settings(max_examples=400, deadline=None)
     @given(adversarial_reports())
     def test_equals_json_dumps(self, report):
-        assert _report_json(_report_arrays(report)) == json.dumps(
+        assert "".join(_report_json(_report_arrays(report))) == json.dumps(
             report_document(report), sort_keys=True, indent=1)
 
     def test_marker_text_as_identity(self):
@@ -655,7 +668,7 @@ class TestReportJson:
                                                                      [math.nan, -0.0]])),
                                "video": ([], np.zeros((0, 0)))},
             silhouette={"audio": math.inf, "video": -math.inf})
-        text = _report_json(_report_arrays(report))
+        text = "".join(_report_json(_report_arrays(report)))
         assert text == json.dumps(report_document(report), sort_keys=True, indent=1)
         assert json.loads(text)["angle_families"]["between_centroids"]["audio"][
             "identities"] == ["\x00", marker]
@@ -674,7 +687,7 @@ class TestReportJson:
             within_identity={m: AngleReport(m, {"a": [2.0, 3.0]}) for m in ("audio", "video")},
             between_centroids={"audio": (ids, matrix), "video": (ids[:2], matrix[:2, :2])},
             silhouette={"audio": 0.5, "video": 0.25})
-        assert _report_json(_report_arrays(report)) == json.dumps(
+        assert "".join(_report_json(_report_arrays(report))) == json.dumps(
             report_document(report), sort_keys=True, indent=1)
 
 

@@ -1,7 +1,9 @@
 import collections
 import copy
 import dataclasses
+import io
 import math
+import tempfile
 import tracemalloc
 import types
 import weakref
@@ -279,19 +281,18 @@ class TestLrSchedule:
         assert lrs[5] == pytest.approx(0.001 * 0.95**3)
 
     def test_one_best_snapshot_at_a_time(self, monkeypatch):
-        # every epoch improves; each copy starts with no earlier copy alive
-        copies, alive = [], []
+        # every epoch improves: no copy of the model is made in memory, and
+        # each best epoch before the last writes over the one spilled
+        # snapshot; the last epoch is not spilled, and nothing is read back
+        def no_deepcopy(obj, memo=None):
+            raise AssertionError("the model was deep-copied")
 
-        def deepcopy(obj):
-            alive.append(sum(ref() is not None for ref in copies))
-            result = copy.deepcopy(obj)
-            copies.append(weakref.ref(result))
-            return result
-
-        monkeypatch.setattr(training, "copy", types.SimpleNamespace(deepcopy=deepcopy))
+        monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+        log = spill_log(monkeypatch)
         _, best_epoch = self.epoch_lrs(monkeypatch, [0.1, 0.2, 0.3])
         assert best_epoch == 2
-        assert alive == [0, 1] * 3
+        assert len(log) == 2 and log[0] == log[1]
+        assert [(op, offset) for op, offset, _ in log] == [("write", 0)] * 2
 
     def test_first_epoch_no_decay(self, monkeypatch):
         # the first epoch is a new best even at zero accuracy
@@ -536,6 +537,27 @@ def split_small(seed=0, **kwargs):
     return split_dataset(samples, 0.25, seed)
 
 
+def spill_log(monkeypatch, spill=io.BytesIO):
+    """The list of ("write", offset, bytes) and ("read", offset, bytes) of
+    every write and read of train_run's spill file, which becomes an
+    in-memory `spill` file."""
+    log = []
+
+    class Logged(spill):
+        def write(self, data):
+            log.append(("write", self.tell(), memoryview(data).nbytes))
+            return super().write(data)
+
+        def readinto(self, buffer):
+            offset = self.tell()
+            n = super().readinto(buffer)
+            log.append(("read", offset, n))
+            return n
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", Logged)
+    return log
+
+
 class TestTrainRun:
     def test_zero_learning_rate_is_identity(self, rng):
         train, val = split_small()
@@ -683,3 +705,82 @@ class TestTrainRun:
             TrainingConfig(learning_rate=0.1, batch_size=32, seed=0),
         )
         assert max(r.val_accuracy for r in result.records) > 0.9
+
+
+class TestBestEpoch:
+    """The best epoch is kept in a spill file, and the head and arc head
+    passed in are returned holding it."""
+
+    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+    @pytest.mark.parametrize("accuracies, restored", [
+        ([0.2, 0.5, 0.4], True),  # the best epoch before the last is read back
+        ([0.2, 0.1, 0.3], False),  # the best epoch is the last: nothing is read
+        ([0.3], False),  # one epoch: nothing is spilled
+    ])
+    def test_best_epoch_state_bit_for_bit(self, monkeypatch, kind, accuracies, restored):
+        scripted, seen = iter(accuracies), []
+
+        def validate(head, arc, validation):
+            seen.append(({k: v.tobytes() for k, v in head.state().items()},
+                         arc.prototypes.tobytes()))
+            return next(scripted)
+
+        monkeypatch.setattr(training, "validate_accuracy", validate)
+        train, val = split_small()
+        head = make_head(kind, substream(0, "init"), d_e=8)
+        arc = ArcMarginHead.create(substream(0, "init-arc"), 8, 8)
+        result = train_run(head, arc, train, val,
+                           TrainingConfig(learning_rate=0.05, max_epochs=len(accuracies)))
+        best = int(np.argmax(accuracies))
+        assert result.best_epoch == best
+        assert (result.best_head, result.best_arc) == (head, arc)
+        state, protos = seen[best]
+        assert {k: v.tobytes() for k, v in head.state().items()} == state
+        assert arc.prototypes.tobytes() == protos
+        if restored:  # the last epoch's state differs from what was restored
+            assert seen[-1][0] != state and seen[-1][1] != protos
+            if kind == "mlp":
+                assert seen[-1][0]["bn1.running_mean"] != state["bn1.running_mean"]
+
+    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
+    def test_no_model_sized_copy(self, monkeypatch, kind):
+        """A run whose first epoch is best, and read back, peaks under 4.5
+        times the parameter buffer's bytes plus its data: the parameters,
+        gradients and AdamW's two moments, one batch and the scratch.  A copy
+        of the best epoch in memory would add a fifth buffer."""
+        config = DatasetConfig(n_identities=4, samples_per_identity=6, d_a=256, d_v=2048)
+        train, val = split_dataset(sample_dataset(generate_identities(config), config),
+                                   0.25, 0)
+        head = make_head(kind, substream(0, "init"), d_a=256, d_v=2048, d_e=128,
+                         hidden=256)
+        arc = ArcMarginHead.create(substream(0, "init-arc"), 128, 4)
+        store_bytes = 8 * (sum(getattr(layer, attr).size
+                               for _, layer, attr in head.parameters()) + arc.prototypes.size)
+        data = sum(a.nbytes for a in (train.audio, train.video, val.audio, val.video))
+        scripted = iter([0.5, 0.1])
+        monkeypatch.setattr(training, "validate_accuracy", lambda *args: next(scripted))
+        tracemalloc.start()
+        try:
+            result = train_run(head, arc, train, val,
+                               TrainingConfig(batch_size=8, max_epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best_epoch == 0
+        assert peak < 4.5 * store_bytes + data, f"peak {(peak - data) / store_bytes:.2f} stores"
+
+    def test_short_read_is_os_error(self, monkeypatch):
+        class Truncated(io.BytesIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-1])
+
+        log = spill_log(monkeypatch, Truncated)
+        monkeypatch.setattr(training, "validate_accuracy",
+                            lambda *args, scripted=iter([0.5, 0.1]): next(scripted))
+        train, val = split_small()
+        head = make_head("mean", substream(0, "init"), d_e=8)
+        arc = ArcMarginHead.create(substream(0, "init-arc"), 8, 8)
+        with pytest.raises(OSError, match="could not be read back"):
+            train_run(head, arc, train, val, TrainingConfig(max_epochs=2))
+        size = log[0][2]
+        assert log == [("write", 0, size), ("read", 0, size - 1)]
