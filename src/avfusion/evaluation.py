@@ -67,14 +67,16 @@ class EerResult:
     n_nontarget: int
 
 
-@dataclass
+@dataclass(eq=False)  # `==` of arrays is an array, not a truth value
 class AngleReport:
     family: str
-    per_identity: dict = field(default_factory=dict)
-    warnings: int = 0
+    identities: list  # sorted
+    angles: np.ndarray  # float64 degrees; identity k owns angles[bounds[k]:bounds[k + 1]]
+    bounds: np.ndarray
+    warnings: int = 0  # pairs without an angle
 
     def all_angles(self):
-        return [a for angles in self.per_identity.values() for a in angles]
+        return self.angles.tolist()
 
 
 @dataclass(frozen=True)
@@ -487,10 +489,8 @@ def _pair_angles(left, right):
 def _angle_report(family, identities, bounds, angles, keep):
     """Identity k owns the pairs bounds[k]:bounds[k + 1]; a pair without an
     angle is skipped and counted as a warning."""
-    kept = angles[keep].tolist()
-    ends = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()  # kept before each bound
-    return AngleReport(family, dict(zip(identities, map(
-        kept.__getitem__, map(slice, ends[:-1], ends[1:])))), int(keep.size - keep.sum()))
+    ends = np.concatenate(([0], np.cumsum(keep)))[bounds]  # kept before each bound
+    return AngleReport(family, identities, angles[keep], ends, int(keep.size - keep.sum()))
 
 
 def audio_video_angles(embedded, labels):
@@ -620,9 +620,9 @@ def boxplot_stats(values, bounds=None):
     """Quartiles by linear interpolation with Tukey whiskers clamped to data.
 
     With `bounds` (0 first, the value count last), the stats of each segment
-    values[bounds[k]:bounds[k + 1]] from one sort: each field is an array
-    over the segments (NaN for an empty one), and `outliers` is (every
-    segment's outliers in turn, their bounds).  The quartiles are
+    values[bounds[k]:bounds[k + 1]] from one sort: (a (7, segments) array of
+    the other BoxplotStats fields, NaN for an empty segment, every segment's
+    outliers in turn, their bounds).  The quartiles are
     `np.percentile`'s; a NaN value makes them, min and max NaN."""
     values = np.asarray(values, dtype=np.float64).ravel()
     whole = bounds is None
@@ -664,7 +664,7 @@ def boxplot_stats(values, bounds=None):
     if whole:
         return BoxplotStats(*columns[:, 0].tolist(), tuple(outliers.tolist()))
     counts = np.bincount(segment[under | over], minlength=sizes.size)
-    return BoxplotStats(*columns, (outliers, np.concatenate(([0], np.cumsum(counts)))))
+    return columns, outliers, np.concatenate(([0], np.cumsum(counts)))
 
 
 def run_diagnostics(embedded, labels):

@@ -340,20 +340,20 @@ class MultiViewHead(_Head):
 
     def loss_terms(self, audio, video, config, mask_rng=None, rng=None):
         """The audio and video paths as two terms; `mask_rng` is unused."""
-        out, caches = self._forward_paths({"audio": audio, "video": video}, True, rng)
-        return [(config.lambda_audio, out[0]), (config.lambda_video, out[1])], caches
+        out, cache = self._forward_paths({"audio": audio, "video": video}, True, rng)
+        return [(config.lambda_audio, out[0]), (config.lambda_video, out[1])], cache
 
     def backward_terms(self, cache, douts, grads):
         self._backward_paths(cache, douts, grads)
 
     def forward_modality(self, modality, x):
-        out, caches = self._forward_paths({modality: x})
-        return out[0], caches[0]
+        out, cache = self._forward_paths({modality: x})
+        return out[0], cache
 
     def backward_modality(self, cache, dout, grads):
         """`grads`, with the gradients of the modality's projection and of
         the shared classifier written into it."""
-        return self._backward_paths((cache,), (dout,), grads)
+        return self._backward_paths(cache, (dout,), grads)
 
     def forward_joint(self, audio, video):
         if audio is None or video is None:
@@ -361,15 +361,12 @@ class MultiViewHead(_Head):
                 "joint multi-view embedding needs both modalities; "
                 "use forward_modality for a single one"
             )
-        out, (cache_a, cache_v) = self._forward_paths({"audio": audio, "video": video})
-        cache = {"kind": self.kind, "head": id(self), "audio": cache_a, "video": cache_v}
+        out, cache = self._forward_paths({"audio": audio, "video": video})
         return 0.5 * (out[0] + out[1]), cache
 
     def backward_joint(self, cache, dout, grads):
         """`grads`, with the parameter gradients written into it."""
-        _check_cache(self, cache)
-        half = 0.5 * dout
-        return self._backward_paths((cache["audio"], cache["video"]), (half, half), grads)
+        return self._backward_paths(cache, (0.5 * dout,) * 2, grads)
 
     def _forward_paths(self, inputs, train=False, rng=None):
         """The paths of `inputs`, {modality: batch}, in that order: each
@@ -378,10 +375,10 @@ class MultiViewHead(_Head):
         dropout stage.  The one dropout draw of shape (paths, n, d_e) is
         the draws of the paths one after another.
 
-        Returns the (paths, n, d_e) embeddings and one cache per path; a
-        path's cache holds its slices of the stage's arrays, and every
-        path's cache the whole stage under "stage"."""
-        projected, caches = [], []
+        Returns the (paths, n, d_e) embeddings and one cache: under "proj",
+        {modality: its projection's cache} in path order, then the shared
+        classifier's cache and the stage's stacked ReLU and dropout masks."""
+        projected, proj_caches = [], {}
         for modality, x in inputs.items():
             if modality not in ("audio", "video"):
                 raise ShapeError(f"unknown modality {modality!r}")
@@ -393,43 +390,33 @@ class MultiViewHead(_Head):
                 )
             if projected and x.shape[0] != projected[0].shape[0]:
                 raise ShapeError("audio and video batches differ in size")
-            p, proj_cache = proj.forward(x)
+            p, proj_caches[modality] = proj.forward(x)
             projected.append(p)
-            caches.append({"kind": self.kind, "head": id(self), "modality": modality,
-                           "proj": proj_cache})
         c, shared_cache = self.shared_classifier.forward(np.asarray(projected))
         relu_mask = c >= 0
         out, drop_mask = self.dropout.apply(np.where(relu_mask, c, 0.0), train, rng)
-        stage = (shared_cache, relu_mask, drop_mask)
-        for k, cache in enumerate(caches):
-            cache.update(shared=shared_cache[k], relu_mask=relu_mask[k],
-                         drop_mask=None if drop_mask is None else drop_mask[k],
-                         stage=stage)
-        return out, caches
+        return out, {"kind": self.kind, "head": id(self), "proj": proj_caches,
+                     "shared": shared_cache, "relu_mask": relu_mask, "drop_mask": drop_mask}
 
-    def _backward_paths(self, caches, douts, grads):
-        """`grads`, with the parameter gradients of the paths of `caches`
+    def _backward_paths(self, cache, douts, grads):
+        """`grads`, with the parameter gradients of the paths of `cache`
         written into it, given each path's loss gradient in `douts`: the
         shared stage's backward pass once over the stacked paths, then each
         path's projection.  The shared classifier's gradient is the sum of
         the paths' in path order.  Every name keeps its place in `grads`,
         the order clipping sums in."""
-        for cache in caches:
-            _check_cache(self, cache)
-        stage = caches[0]["stage"]
-        shared_cache, relu_mask, drop_mask = stage
-        if len(relu_mask) != len(caches) or any(c["stage"] is not stage for c in caches):
-            raise ConsistencyError("path caches are not the paths of one forward pass")
-        dx = np.asarray(douts)
-        if drop_mask is not None:
-            dx = dx * drop_mask
-        dx = np.where(relu_mask, dx, 0.0)
+        _check_cache(self, cache)
+        dx, shape = np.asarray(douts), cache["relu_mask"].shape
+        if dx.shape != shape:
+            raise ConsistencyError(f"loss gradients of shape {dx.shape} for a pass of {shape}")
+        if cache["drop_mask"] is not None:
+            dx = dx * cache["drop_mask"]
+        dx = np.where(cache["relu_mask"], dx, 0.0)
         dp = _backward_into(grads, "shared_classifier", self.shared_classifier,
-                            shared_cache, dx)
-        for cache, dp_path in zip(caches, dp):
-            modality = cache["modality"]
+                            cache["shared"], dx)
+        for (modality, proj_cache), dp_path in zip(cache["proj"].items(), dp):
             _backward_into(grads, f"proj_{modality}", getattr(self, f"proj_{modality}"),
-                           cache["proj"], dp_path, input_grad=False)
+                           proj_cache, dp_path, input_grad=False)
         return grads
 
 

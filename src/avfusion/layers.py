@@ -68,7 +68,9 @@ class LinearLayer:
             dweight = np.matmul(dout.T, x, out=out[0])
             dbias = np.add.reduce(dout, 0, out=out[1])
         else:
-            dweight = np.add.reduce(np.matmul(dout.transpose(0, 2, 1), x), 0, out=out[0])
+            dweight = np.matmul(dout[0].T, x[0], out=out[0])
+            for dout_t, x_t in zip(dout[1:], x[1:]):
+                dweight += dout_t.T @ x_t
             dbias = np.add.reduce(np.add.reduce(dout, 1), 0, out=out[1])
         dx = dout @ self.weight if input_grad else None
         return dx, dweight, dbias

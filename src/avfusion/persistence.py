@@ -27,7 +27,7 @@ from .errors import (
     PersistenceError,
     ShapeError,
 )
-from .evaluation import MODALITY_MODES, BoxplotStats, boxplot_stats
+from .evaluation import MODALITY_MODES, AngleReport, BoxplotStats, boxplot_stats
 from .heads import HEAD_KINDS
 from .arcmargin import ArcMarginHead
 
@@ -308,34 +308,23 @@ def _sig6_matrix(matrix):
     return rounded, inverse.reshape(values.shape)
 
 
-_STATS_FIELDS = ("minimum", "q1", "median", "q3", "maximum", "whisker_low", "whisker_high")
+def _segment_stats(families):
+    """Per AngleReport of `families`, from one `boxplot_stats` call with a
+    segment per identity: (identities, counts, `boxplot_stats` columns,
+    outliers, their bounds)."""
+    sizes = np.concatenate([np.diff(family.bounds) for family in families])
+    columns, outliers, ends = boxplot_stats(
+        np.concatenate([family.angles for family in families]),
+        np.concatenate(([0], np.cumsum(sizes))))
+    first = np.cumsum([0, *(len(family.identities) for family in families)])
+    return [(family.identities, sizes[a:b], columns[:, a:b], outliers[ends[a]:ends[b]],
+             ends[a:b + 1] - ends[a]) for family, a, b in zip(families, first, first[1:])]
 
 
-def _family_angles(angle_report):
-    """(sorted identities, all their angles in that order, each one's bounds)."""
-    identities = sorted(angle_report.per_identity)
-    lists = list(map(angle_report.per_identity.__getitem__, identities))
-    bounds = np.concatenate(([0], np.cumsum(list(map(len, lists)), dtype=np.intp)))
-    return identities, np.array([a for angles in lists for a in angles], np.float64), bounds
-
-
-def _segment_stats(groups):
-    """Per (names, values, bounds) of `groups`, from one `boxplot_stats` call: (names,
-    counts, `_STATS_FIELDS` rows of a (7, segments) array, outliers, their bounds)."""
-    sizes = np.concatenate([np.diff(bounds) for _, _, bounds in groups])
-    stats = boxplot_stats(np.concatenate([values for _, values, _ in groups]),
-                          np.concatenate(([0], np.cumsum(sizes))))
-    columns = np.array([getattr(stats, name) for name in _STATS_FIELDS])
-    outliers, ends = stats.outliers
-    first = np.cumsum([0, *(len(names) for names, _, _ in groups)])
-    return [(names, sizes[a:b], columns[:, a:b], outliers[ends[a]:ends[b]],
-             ends[a:b + 1] - ends[a]) for (names, _, _), a, b in zip(groups, first, first[1:])]
-
-
-def _report_stats(groups):
+def _report_stats(families):
     """`_segment_stats` with the fields and outliers as `_sig6_texts`."""
     return [(names, counts, _sig6_texts(columns), _sig6_texts(outliers), ends)
-            for names, counts, columns, outliers, ends in _segment_stats(groups)]
+            for names, counts, columns, outliers, ends in _segment_stats(families)]
 
 
 def _report_arrays(report):
@@ -343,7 +332,7 @@ def _report_arrays(report):
     `_report_stats` and each centroid matrix as its `_sig6_matrix`."""
     within = sorted(report.within_identity.items())
     families = [report.audio_video, *dict(within).values()]
-    entries = _report_stats(list(map(_family_angles, families)))
+    entries = _report_stats(families)
     audio_video, *stats = ({"per_identity": entry, "warnings": family.warnings}
                            for family, entry in zip(families, entries))
     return {
@@ -379,7 +368,7 @@ def report_document(report):
 
 # `json.dumps` of a "\0" value; no key can spell it, as JSON escapes its quotes.
 _MARKER = '": "\\u0000"'
-# A per_identity entry's keys in sorted order, with their `_STATS_FIELDS` rows.
+# A per_identity entry's keys in sorted order, with their rows of `boxplot_stats` columns.
 _STATS_KEYS = (("max", 4), ("median", 2), ("min", 0), ("outliers", None), ("q1", 1),
                ("q3", 3), ("whisker_high", 6), ("whisker_low", 5))
 _spell_string = json.encoder.encode_basestring_ascii  # as `json.dumps` spells keys too
@@ -473,7 +462,8 @@ def _diagnostics_rows(doc):
              *(("within_identity", modality, fam["per_identity"])
                for modality, fam in families["within_identity"].items()),
              *zip(["between_centroids"] * len(uppers), centroids, _report_stats(
-                 [(["__all__"], upper, [0, upper.size]) for upper in uppers]))]
+                 [AngleReport("between_centroids", ["__all__"], upper, [0, upper.size])
+                  for upper in uppers]))]
     groups = [[["family", "modality", "identity", "min", "q1", "median", "q3", "max",
                 "whisker_low", "whisker_high", "n_outliers"]]]
     for family, modality, (identities, counts, texts, _, outlier_bounds) in walks:
@@ -513,17 +503,16 @@ def write_diagnostics(out_dir, report, label):
     `warnings` sums the families'.  Returns the summary."""
     families = {"audio_video": report.audio_video,
                 **{f"within_{m}": report.within_identity[m] for m in ("audio", "video")}}
-    angles = [_family_angles(family) for family in families.values()]
-    sizes = [values.size for _, values, _ in angles]
-    whole = boxplot_stats(np.concatenate([values for _, values, _ in angles]),
-                          np.cumsum([0, *sizes]))  # each family's angles as a whole
+    sizes = [family.angles.size for family in families.values()]
+    whole, _, _ = boxplot_stats(np.concatenate([f.angles for f in families.values()]),
+                                np.cumsum([0, *sizes]))  # each family's angles as a whole
     summary = {"silhouette": dict(report.silhouette), "families": {
         name: {"median": median, "q1": q1, "q3": q3, "n": n} if n else None
-        for name, n, q1, median, q3 in zip(families, sizes, whole.q1.tolist(),
-                                           whole.median.tolist(), whole.q3.tolist())},
+        for name, n, q1, median, q3 in zip(families, sizes, *whole[1:4].tolist())},
         "warnings": sum(family.warnings for family in families.values())}
     files = {}
-    for name, (ids, counts, columns, outliers, ends) in zip(families, _segment_stats(angles)):
+    for name, (ids, counts, columns, outliers, ends) in zip(
+            families, _segment_stats(families.values())):
         outliers, ends = outliers.tolist(), ends.tolist()
         boxes = map(BoxplotStats, *columns.tolist(),
                     map(tuple, map(outliers.__getitem__, map(slice, ends[:-1], ends[1:]))))

@@ -264,8 +264,9 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
     DegenerateInputError, before it becomes a numpy warning or a non-finite
     parameter.
     """
-    if config.batch_size < 2 and any(isinstance(layer, BatchNormLayer)
-                                     for _, layer in head.named_layers()):
+    batch_norms = [layer for _, layer in head.named_layers()
+                   if isinstance(layer, BatchNormLayer)]
+    if config.batch_size < 2 and batch_norms:
         raise ConfigurationError(
             f"batch_size must be >= 2 for the {head.kind} head: train-mode "
             "batch norm needs two rows")
@@ -303,8 +304,6 @@ def train_run(head, arc_head, train_samples, val_samples, config: TrainingConfig
     best_acc = -1.0
     best_epoch = -1
     best_stats = []
-    batch_norms = [layer for _, layer in head.named_layers()
-                   if isinstance(layer, BatchNormLayer)]
     records = []
     last = config.max_epochs - 1
     with float_errors_as_degenerate("training"), tempfile.TemporaryFile() as spill:

@@ -243,6 +243,23 @@ def loop_compute_eer(scores, labels):
     raise DegenerateInputError("no FAR/FRR crossing found")  # unreachable
 
 
+def angle_report(family, per_identity, warnings=0):
+    """The AngleReport of `per_identity`, {identity: angles}, its identities
+    sorted as `group_rows` sorts them."""
+    identities = sorted(per_identity)
+    lists = [per_identity[identity] for identity in identities]
+    return AngleReport(family, identities,
+                       np.array([a for angles in lists for a in angles], dtype=np.float64),
+                       np.cumsum([0, *map(len, lists)]), warnings)
+
+
+def identity_angles(report):
+    """[(identity, its angles as a list)] of an AngleReport, in its order."""
+    angles, bounds = report.angles.tolist(), report.bounds.tolist()
+    return [(identity, angles[a:b])
+            for identity, a, b in zip(report.identities, bounds, bounds[1:])]
+
+
 def _group_indices(samples):
     groups = {}
     for i, s in enumerate(samples):
@@ -263,17 +280,17 @@ def loop_audio_video_angles(head, samples):
         raise DegenerateInputError("no samples")
     emb_a = embed_samples(head, samples, "a")
     emb_v = embed_samples(head, samples, "v")
-    report = AngleReport(family="audio_video")
+    per_identity, warnings = {}, 0
     for identity, idx in sorted(_group_indices(samples).items()):
         angles = []
         for i in idx:
             angle = _safe_angle(emb_a[i], emb_v[i])
             if angle is None:
-                report.warnings += 1
+                warnings += 1
             else:
                 angles.append(angle)
-        report.per_identity[identity] = angles
-    return report
+        per_identity[identity] = angles
+    return angle_report("audio_video", per_identity, warnings)
 
 
 def loop_within_identity_angles(head, samples, modality):
@@ -285,18 +302,18 @@ def loop_within_identity_angles(head, samples, modality):
     if not any(len(idx) >= 2 for idx in groups.values()):
         raise DegenerateInputError("no identity has two samples")
     emb = embed_samples(head, samples, exposure)
-    report = AngleReport(family=f"within_identity_{modality}")
+    per_identity, warnings = {}, 0
     for identity, idx in sorted(groups.items()):
         angles = []
         for j, a in enumerate(idx):
             for b in idx[j + 1 :]:
                 angle = _safe_angle(emb[a], emb[b])
                 if angle is None:
-                    report.warnings += 1
+                    warnings += 1
                 else:
                     angles.append(angle)
-        report.per_identity[identity] = angles
-    return report
+        per_identity[identity] = angles
+    return angle_report(f"within_identity_{modality}", per_identity, warnings)
 
 
 def loop_centroid_angle_matrix(head, samples, modality):
@@ -498,17 +515,18 @@ def loop_mlp_backward(self, cache, dout):
     return grads, dx[:, : self.d_a], dx[:, self.d_a :]
 
 
-def loop_backward_modality(self, cache, dout):
+def loop_backward_modality(self, cache, dout, k=0):
+    """The gradients of path k of a multi-view forward pass's cache."""
     _check_cache(self, cache)
-    modality = cache["modality"]
+    modality, proj_cache = list(cache["proj"].items())[k]
     proj = self.proj_audio if modality == "audio" else self.proj_video
     dx = dout
     if cache["drop_mask"] is not None:
-        dx = dx * cache["drop_mask"]
-    dx = np.where(cache["relu_mask"], dx, 0.0)
+        dx = dx * cache["drop_mask"][k]
+    dx = np.where(cache["relu_mask"][k], dx, 0.0)
     dp, dw_shared, db_shared = loop_linear_backward(
-        self.shared_classifier, cache["shared"], dx)
-    dinput, dw_proj, db_proj = loop_linear_backward(proj, cache["proj"], dp)
+        self.shared_classifier, cache["shared"][k], dx)
+    dinput, dw_proj, db_proj = loop_linear_backward(proj, proj_cache, dp)
     grads = {
         f"proj_{modality}.weight": dw_proj,
         f"proj_{modality}.bias": db_proj,
@@ -528,8 +546,8 @@ def loop_add_grads(grads, more):
 def loop_backward_terms(self, cache, douts):
     """Parameter gradients, given the loss gradient of each term."""
     if self.kind == "multiview":
-        grads, _ = loop_backward_modality(self, cache[0], douts[0])
-        grads_v, _ = loop_backward_modality(self, cache[1], douts[1])
+        grads, _ = loop_backward_modality(self, cache, douts[0], 0)
+        grads_v, _ = loop_backward_modality(self, cache, douts[1], 1)
         return loop_add_grads(grads, grads_v)
     backward = {"mean": loop_mean_backward, "mlp": loop_mlp_backward}[self.kind]
     return backward(self, cache, douts[0])[0]
@@ -1113,7 +1131,7 @@ def loop_diagnose_outputs(out_dir, report, label):
     for name, family in families.items():
         groups = [
             (identity, loop_boxplot_stats(angles) if angles else None)
-            for identity, angles in sorted(family.per_identity.items())
+            for identity, angles in identity_angles(family)
         ]
         with open(os.path.join(out_dir, f"{name}.svg"), "w", encoding="utf-8") as fh:
             fh.write(render_boxplot_svg(groups, label, name.replace("_", " ")))

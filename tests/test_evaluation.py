@@ -26,7 +26,7 @@ from avfusion.heads import MeanFusionHead, MlpFusionHead, MultiViewHead
 from avfusion.layers import LinearLayer
 from avfusion.linalg import angle_deg, cosine_similarity, row_cosines
 
-from conftest import eer_oracle, make_head, small_dataset, trial_arrays
+from conftest import eer_oracle, identity_angles, make_head, small_dataset, trial_arrays
 
 
 def passthrough_audio_head(d=2):
@@ -292,7 +292,7 @@ class TestWithinIdentityAngles:
         samples = small_dataset(n_identities=3, samples_per_identity=5)
         report = within_identity_angles(embed_all(head, samples), identities(samples),
                                         "audio")
-        for angles in report.per_identity.values():
+        for _, angles in identity_angles(report):
             assert len(angles) == 10  # C(5,2)
 
     def test_three_sample_toy(self):
@@ -300,7 +300,7 @@ class TestWithinIdentityAngles:
         samples = toy_samples([[1, 0], [0, 1], [1, 1]], ["id0"] * 3)
         report = within_identity_angles(embed_all(head, samples), identities(samples),
                                         "audio")
-        assert sorted(report.per_identity["id0"]) == pytest.approx(
+        assert sorted(dict(identity_angles(report))["id0"]) == pytest.approx(
             [45.0, 45.0, 90.0]
         )
 

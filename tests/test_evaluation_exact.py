@@ -39,6 +39,7 @@ from avfusion.evaluation import (
     centroid_angle_matrix,
     compute_eer,
     embed_samples,
+    run_diagnostics,
     score_trials,
     TrialConfig,
     silhouette_score,
@@ -46,6 +47,7 @@ from avfusion.evaluation import (
 )
 
 from conftest import (
+    identity_angles,
     loop_audio_video_angles,
     loop_boxplot_stats,
     loop_build_trials,
@@ -86,6 +88,14 @@ def outcome(fn, *args):
         return fn(*args)
     except DegenerateInputError:
         return DegenerateInputError
+
+
+def angles_of(report):
+    """An AngleReport as comparable values: (family, `identity_angles`,
+    warnings), or DegenerateInputError for a refused family."""
+    if report is DegenerateInputError:
+        return report
+    return report.family, identity_angles(report), report.warnings
 
 
 @st.composite
@@ -279,15 +289,16 @@ class TestAngleFamilies:
     @EXACT
     @given(tables(nan=True))
     def test_audio_video_matches_loop(self, samples):
-        assert outcome(audio_video_angles, embedded(samples), identities(samples)) == (
-            outcome(loop_audio_video_angles, TableHead(), samples))
+        assert angles_of(outcome(audio_video_angles, embedded(samples), identities(samples))) == (
+            angles_of(outcome(loop_audio_video_angles, TableHead(), samples)))
 
     @EXACT
     @given(tables(nan=True), st.sampled_from(["audio", "video"]))
     def test_within_identity_matches_loop(self, samples, modality):
         got = outcome(within_identity_angles, embedded(samples), identities(samples),
                       modality)
-        assert got == outcome(loop_within_identity_angles, TableHead(), samples, modality)
+        assert angles_of(got) == angles_of(
+            outcome(loop_within_identity_angles, TableHead(), samples, modality))
 
     @EXACT
     @given(tables(nan=True), st.sampled_from(["audio", "video"]))
@@ -305,14 +316,15 @@ class TestAngleFamilies:
 
     def test_audio_video_underflowing_rows_match_loop(self):
         samples = scaled_samples()
-        assert audio_video_angles(embedded(samples), identities(samples)) == (
-            loop_audio_video_angles(TableHead(), samples))
+        assert angles_of(audio_video_angles(embedded(samples), identities(samples))) == (
+            angles_of(loop_audio_video_angles(TableHead(), samples)))
 
     @pytest.mark.parametrize("modality", ["audio", "video"])
     def test_within_identity_underflowing_rows_match_loop(self, modality):
         samples = scaled_samples()
-        assert within_identity_angles(embedded(samples), identities(samples), modality) == (
-            loop_within_identity_angles(TableHead(), samples, modality))
+        assert angles_of(within_identity_angles(embedded(samples), identities(samples),
+                                                modality)) == (
+            angles_of(loop_within_identity_angles(TableHead(), samples, modality)))
 
     def test_centroid_matrix_underflowing_rows_match_loop(self):
         samples = scaled_samples()
@@ -331,7 +343,8 @@ class TestAngleFamilies:
             patch.setattr(evaluation, "PAIR_BLOCK", block)
             within = outcome(within_identity_angles, emb, ids, modality)
             got = outcome(centroid_angle_matrix, emb, ids, modality)
-        assert within == outcome(loop_within_identity_angles, TableHead(), samples, modality)
+        assert angles_of(within) == angles_of(
+            outcome(loop_within_identity_angles, TableHead(), samples, modality))
         expected = outcome(loop_centroid_angle_matrix, TableHead(), samples, modality)
         if expected is DegenerateInputError:
             assert got is DegenerateInputError
@@ -365,6 +378,25 @@ class TestAngleFamilies:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_report_holds_angle_arrays(self):
+        """400 identities of 24 rows, d = 8: the report holds each angle
+        family as one float64 array, 5.3 MiB held in all with the two
+        400 x 400 centroid matrices; per-identity lists of Python floats
+        held 10.6 MiB."""
+        rng = np.random.default_rng(0)
+        ids = [f"id{k:04d}" for k in range(400) for _ in range(24)]
+        emb = {exposure: rng.normal(size=(len(ids), 8)) for exposure in ("a", "v")}
+        tracemalloc.start()
+        try:
+            report = run_diagnostics(emb, ids)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        families = [report.audio_video, *report.within_identity.values()]
+        assert [(f.angles.dtype, f.angles.size) for f in families] == [
+            (np.float64, 9600), (np.float64, 110400), (np.float64, 110400)]
+        assert held < 8 * 2**20
+
     def test_zero_rows_and_centroids_counted(self):
         samples = [
             Sample("id0", "s0", np.array([1.0, 0.0]), np.array([0.0, 0.0])),
@@ -379,8 +411,8 @@ class TestAngleFamilies:
         kept, matrix, skipped = centroid_angle_matrix(emb, ids, "audio")
         assert (kept, skipped, matrix.shape) == (["id1", "id2"], 1, (2, 2))
         for modality in ("audio", "video"):
-            assert within_identity_angles(emb, ids, modality) == (
-                loop_within_identity_angles(TableHead(), samples, modality))
+            assert angles_of(within_identity_angles(emb, ids, modality)) == (
+                angles_of(loop_within_identity_angles(TableHead(), samples, modality)))
 
 
 def assert_silhouette_near_loop(emb, labels):
@@ -951,8 +983,8 @@ class TestIdentitiesTrailingNul:
         assert silhouette_score(emb, self.IDS, "cosine") != \
             silhouette_score(emb, [0, 0, 2, 2, 0, 0], "cosine")
         report = within_identity_angles({"a": emb}, self.IDS, "audio")
-        assert list(report.per_identity) == ["a", "a\x00", "b"]
-        assert all(len(angles) == 1 for angles in report.per_identity.values())
+        assert report.identities == ["a", "a\x00", "b"]
+        assert all(len(angles) == 1 for _, angles in identity_angles(report))
 
 
 # A zero of either sign, ties, outliers, infinities and NaN.
@@ -1006,12 +1038,13 @@ class TestBoxplotStats:
         the loop reference of that segment alone, by repr as above; an empty
         segment's fields are NaN and it has no outliers."""
         bounds = np.cumsum([0, *map(len, segments)])
-        got = boxplot_stats([v for segment in segments for v in segment], bounds)
-        outliers, ends = got.outliers
+        columns, outliers, ends = boxplot_stats(
+            [v for segment in segments for v in segment], bounds)
+        assert columns.shape == (7, len(segments))
         assert len(ends) == len(segments) + 1 and ends[0] == 0 and ends[-1] == outliers.size
         names = ("minimum", "q1", "median", "q3", "maximum", "whisker_low", "whisker_high")
         for k, segment in enumerate(segments):
-            stats = BoxplotStats(*(getattr(got, name)[k].item() for name in names),
+            stats = BoxplotStats(*columns[:, k].tolist(),
                                  tuple(outliers[ends[k]:ends[k + 1]].tolist()))
             if not segment:
                 assert all(math.isnan(getattr(stats, name)) for name in names)

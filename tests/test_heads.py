@@ -248,7 +248,7 @@ class TestBackward:
         replayed = replay(state)
         _, cache = head.loss_terms(audio, video, LOSS_CONFIG, rng=replayed)
         if kind == "multiview":
-            masks = [c["drop_mask"] for c in cache]
+            masks = list(cache["drop_mask"])
         else:
             # the cache keeps the dropped-out input block, not the input
             # masks; no input is 0, so the block over the inputs is the mask
@@ -268,6 +268,17 @@ class TestBackward:
         # the pass and the helper leave their generators at the same point
         assert replayed.bit_generator.state == reference.bit_generator.state
         assert replayed.bit_generator.state == rng.bit_generator.state
+
+    def test_cache_of_other_pass_refused(self, rng):
+        """A joint pass's cache is not a single path's, nor the reverse."""
+        head = MultiViewHead.create(rng, 4, 6, 3)
+        audio, video = rng.normal(size=(2, 4)), rng.normal(size=(2, 6))
+        out, joint = head.forward_joint(audio, video)
+        with pytest.raises(ConsistencyError):
+            head.backward_modality(joint, np.zeros_like(out), gradient_arrays(head))
+        out, single = head.forward_modality("audio", audio)
+        with pytest.raises(ConsistencyError):
+            head.backward_joint(single, np.zeros_like(out), gradient_arrays(head))
 
     def test_cache_head_mismatch(self, rng):
         head1 = MeanFusionHead.create(rng, 4, 6, 3)

@@ -18,7 +18,6 @@ from avfusion.data import Sample
 from avfusion.errors import AvFusionError, PersistenceError
 from avfusion.evaluation import (
     MODALITY_MODES,
-    AngleReport,
     DiagnosticsReport,
     EerResult,
     TrialConfig,
@@ -46,6 +45,8 @@ from avfusion.svgplot import render_boxplot_svg
 from avfusion.training import EpochRecord
 
 from conftest import (
+    angle_report,
+    identity_angles,
     loop_boxplot_stats,
     loop_diagnose_outputs,
     loop_stats_dict,
@@ -492,8 +493,8 @@ ANGLES = st.lists(st.one_of(st.sampled_from([0.0, 45.0, 90.0, 180.0]),
 
 @st.composite
 def angle_reports(draw, family):
-    return AngleReport(family, draw(st.dictionaries(IDENTITIES, ANGLES, max_size=5)),
-                       draw(st.integers(0, 4)))
+    return angle_report(family, draw(st.dictionaries(IDENTITIES, ANGLES, max_size=5)),
+                        draw(st.integers(0, 4)))
 
 
 @st.composite
@@ -572,7 +573,7 @@ class TestDiagnosticsOutputs:
                             report.within_identity[m]) for m in ("audio", "video")]]:
             assert list(fam["per_identity"].items()) == [
                 (identity, loop_stats_dict(loop_boxplot_stats(angles)) if angles else None)
-                for identity, angles in sorted(rep.per_identity.items())]
+                for identity, angles in identity_angles(rep)]
         for modality, (ids, matrix) in report.between_centroids.items():
             fam = doc["angle_families"]["between_centroids"][modality]
             assert fam["identities"] == ids
@@ -629,8 +630,8 @@ def adversarial_reports(draw):
     several rows whose values are mostly special floats, often repeated."""
 
     def family(name):
-        return AngleReport(name, draw(st.dictionaries(ADVERSARIAL_IDENTITIES, ANGLES,
-                                                      max_size=3)), draw(st.integers(0, 2)))
+        return angle_report(name, draw(st.dictionaries(ADVERSARIAL_IDENTITIES, ANGLES,
+                                                       max_size=3)), draw(st.integers(0, 2)))
 
     def centroids():
         n = draw(st.integers(0, 5))
@@ -662,8 +663,8 @@ class TestReportJson:
     def test_marker_text_as_identity(self):
         marker = '"matrix": "\\u0000"'
         report = DiagnosticsReport(
-            audio_video=AngleReport("audio_video", {"matrix": [1.0], marker: [2.0]}),
-            within_identity={m: AngleReport(m, {"\x00": []}) for m in ("audio", "video")},
+            audio_video=angle_report("audio_video", {"matrix": [1.0], marker: [2.0]}),
+            within_identity={m: angle_report(m, {"\x00": []}) for m in ("audio", "video")},
             between_centroids={"audio": (["\x00", marker], np.array([[0.0, 5e-324],
                                                                      [math.nan, -0.0]])),
                                "video": ([], np.zeros((0, 0)))},
@@ -683,8 +684,8 @@ class TestReportJson:
         matrix = rng.choice([0.0, 12.5, 90.0, 179.99999949], size=(300, 300))
         matrix[:150] = rng.uniform(0.0, 180.0, size=(150, 300))
         report = DiagnosticsReport(
-            audio_video=AngleReport("audio_video", {"a": [1.0]}),
-            within_identity={m: AngleReport(m, {"a": [2.0, 3.0]}) for m in ("audio", "video")},
+            audio_video=angle_report("audio_video", {"a": [1.0]}),
+            within_identity={m: angle_report(m, {"a": [2.0, 3.0]}) for m in ("audio", "video")},
             between_centroids={"audio": (ids, matrix), "video": (ids[:2], matrix[:2, :2])},
             silhouette={"audio": 0.5, "video": 0.25})
         assert "".join(_report_json(_report_arrays(report))) == json.dumps(

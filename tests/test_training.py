@@ -742,18 +742,23 @@ class TestBestEpoch:
             if kind == "mlp":
                 assert seen[-1][0]["bn1.running_mean"] != state["bn1.running_mean"]
 
-    @pytest.mark.parametrize("kind", ["mean", "mlp", "multiview"])
-    def test_no_model_sized_copy(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, d_v, d_e", [
+        ("mean", 2048, 128), ("mlp", 2048, 128), ("multiview", 2048, 128),
+        ("multiview", 1024, 512)], ids=["mean", "mlp", "multiview", "multiview-512"])
+    def test_no_model_sized_copy(self, monkeypatch, kind, d_v, d_e):
         """A run whose first epoch is best, and read back, peaks under 4.5
         times the parameter buffer's bytes plus its data: the parameters,
         gradients and AdamW's two moments, one batch and the scratch.  A copy
-        of the best epoch in memory would add a fifth buffer."""
-        config = DatasetConfig(n_identities=4, samples_per_identity=6, d_a=256, d_v=2048)
+        of the best epoch in memory would add a fifth buffer.  At d_e = 512
+        the multi-view shared classifier's weight is 28 % of the parameters,
+        and a stacked temporary of its two terms' weight gradients read 4.65
+        buffers, where adding the second term in place reads 4.37."""
+        config = DatasetConfig(n_identities=4, samples_per_identity=6, d_a=256, d_v=d_v)
         train, val = split_dataset(sample_dataset(generate_identities(config), config),
                                    0.25, 0)
-        head = make_head(kind, substream(0, "init"), d_a=256, d_v=2048, d_e=128,
+        head = make_head(kind, substream(0, "init"), d_a=256, d_v=d_v, d_e=d_e,
                          hidden=256)
-        arc = ArcMarginHead.create(substream(0, "init-arc"), 128, 4)
+        arc = ArcMarginHead.create(substream(0, "init-arc"), d_e, 4)
         store_bytes = 8 * (sum(getattr(layer, attr).size
                                for _, layer, attr in head.parameters()) + arc.prototypes.size)
         data = sum(a.nbytes for a in (train.audio, train.video, val.audio, val.video))
